@@ -144,7 +144,8 @@ def audit_kernel_invariants(kernel: "Kernel", full_scan: bool = False,
     2. no present PTE maps a free or reserved-for-kernel frame,
     3. a frame mapped by a present PTE has refcount ≥ 1,
     4. every swap slot is referenced by at most one PTE,
-    5. pinned frames are in use (pin without reference is impossible).
+    5. pinned frames are in use (pin without reference is impossible),
+    6. each page table's resident counter equals its present PTEs.
 
     Invariant 5 and the negative-counter check run against the frame
     table's columns and pinned set — an ``array`` ``min()`` plus a walk
@@ -154,16 +155,21 @@ def audit_kernel_invariants(kernel: "Kernel", full_scan: bool = False,
     kernel.pagemap.check_free_list(full_scan=full_scan)
 
     slot_owner: dict[int, tuple[int, int]] = {}
+    counts = kernel.pagemap.table.counts
+    tags = kernel.pagemap.table.tags
     for task in kernel.tasks:
-        for vpn in sorted(task.page_table._entries):
-            pte = task.page_table.lookup(vpn)
+        page_table = task.page_table
+        entries = page_table._entries
+        present = 0
+        for vpn in page_table._sorted():
+            pte = entries[vpn]
             if pte.present:
-                pd = kernel.pagemap.page(pte.frame)
-                if pd.count < 1:
+                present += 1
+                if counts[pte.frame] < 1:
                     raise PageAccountingError(
                         f"pid {task.pid} vpn {vpn} maps free frame "
                         f"{pte.frame}")
-                if pd.tag == "kernel-image":
+                if tags[pte.frame] == "kernel-image":
                     raise PageAccountingError(
                         f"pid {task.pid} vpn {vpn} maps kernel frame "
                         f"{pte.frame}")
@@ -174,6 +180,10 @@ def audit_kernel_invariants(kernel: "Kernel", full_scan: bool = False,
                         f"swap slot {pte.swap_slot} referenced by both "
                         f"{other} and {(task.pid, vpn)}")
                 slot_owner[pte.swap_slot] = (task.pid, vpn)
+        if page_table.resident_count() != present:
+            raise PageAccountingError(
+                f"pid {task.pid} resident counter "
+                f"{page_table.resident_count()} != {present} present PTEs")
 
     if full_scan:
         for pd in kernel.pagemap:

@@ -82,7 +82,10 @@ class Kernel:
         self.dma = DMAEngine(self.phys, self.clock, self.costs, self.trace,
                              name="host-dma", obs=self.obs,
                              events=self.events)
+        #: live tasks in creation order (reclaim's victim order)
         self.tasks: list[Task] = []
+        #: pid → live task, kept in step with ``tasks``
+        self.tasks_by_pid: dict[int, Task] = {}
         self.min_free_pages = min_free_pages
         #: simulated page/buffer cache: set of frames
         self.page_cache: set[int] = set()
@@ -117,14 +120,15 @@ class Kernel:
         task = Task(self, self._next_pid, uid=uid, name=name)
         self._next_pid += 1
         self.tasks.append(task)
+        self.tasks_by_pid[task.pid] = task
         return task
 
     def find_task(self, pid: int) -> Task:
         """Look a task up by pid."""
-        for t in self.tasks:
-            if t.pid == pid:
-                return t
-        raise InvalidArgument(f"no task with pid {pid}")
+        task = self.tasks_by_pid.get(pid)
+        if task is None:
+            raise InvalidArgument(f"no task with pid {pid}")
+        return task
 
     def fork_task(self, parent: Task, name: str = "") -> Task:
         """``fork()``: clone the parent's address space copy-on-write.
@@ -212,6 +216,7 @@ class Kernel:
                             notify=False)
         task.alive = False
         self.tasks.remove(task)
+        del self.tasks_by_pid[task.pid]
         self._swap_cnt.pop(task.pid, None)
         self._task_swap_hand.pop(task.pid, None)
         for hook in list(self.post_exit_hooks):

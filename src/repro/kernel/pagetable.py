@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator
 
 
@@ -47,6 +48,9 @@ class PageTable:
         #: insert/remove, so sort once and invalidate on mutation
         #: instead of re-sorting on every walk
         self._sorted_vpns: list[int] | None = None
+        #: present-entry counter; only set_mapping, set_swapped and
+        #: clear write ``PTE.present``, and each keeps this in step
+        self._resident = 0
 
     def _sorted(self) -> list[int]:
         if self._sorted_vpns is None:
@@ -70,6 +74,8 @@ class PageTable:
                     dirty: bool = False) -> PTE:
         """Install a present mapping ``vpn → frame``."""
         pte = self.ensure(vpn)
+        if not pte.present:
+            self._resident += 1
         pte.present = True
         pte.frame = frame
         pte.writable = writable
@@ -81,6 +87,8 @@ class PageTable:
     def set_swapped(self, vpn: int, slot: int) -> PTE:
         """Mark ``vpn`` not-present with its contents in swap ``slot``."""
         pte = self.ensure(vpn)
+        if pte.present:
+            self._resident -= 1
         pte.present = False
         pte.frame = -1
         pte.swap_slot = slot
@@ -88,14 +96,27 @@ class PageTable:
 
     def clear(self, vpn: int) -> None:
         """Remove any entry for ``vpn`` (munmap path)."""
-        if self._entries.pop(vpn, None) is not None:
+        pte = self._entries.pop(vpn, None)
+        if pte is not None:
             self._sorted_vpns = None
-
-    def present_entries(self) -> Iterator[tuple[int, PTE]]:
-        """Iterate ``(vpn, pte)`` over present entries, ascending vpn."""
-        for vpn in self._sorted():
-            pte = self._entries[vpn]
             if pte.present:
+                self._resident -= 1
+
+    def present_entries(self, start_vpn: int = 0
+                        ) -> Iterator[tuple[int, PTE]]:
+        """Iterate ``(vpn, pte)`` over present entries in ascending vpn
+        from ``start_vpn``, then wrap around to those below it — a clock
+        hand's walk, bisected out of the sorted-key cache so a walk that
+        stops early costs only what it visits.  Presence is tested as
+        the walk reaches each entry, so one cleared or swapped out
+        behind a suspended walk is skipped."""
+        keys = self._sorted()
+        entries = self._entries
+        split = bisect_left(keys, start_vpn)
+        for i in chain(range(split, len(keys)), range(split)):
+            vpn = keys[i]
+            pte = entries.get(vpn)
+            if pte is not None and pte.present:
                 yield vpn, pte
 
     def entries_in(self, start_vpn: int, end_vpn: int
@@ -113,5 +134,5 @@ class PageTable:
         return len(self._entries)
 
     def resident_count(self) -> int:
-        """Number of present entries (the task's RSS in pages)."""
-        return sum(1 for _, pte in self.present_entries())
+        """Number of present entries (the task's RSS in pages), O(1)."""
+        return self._resident

@@ -30,7 +30,9 @@ from typing import TYPE_CHECKING
 
 from repro.analysis.events import SWAP_OUT
 from repro.errors import SwapFull
-from repro.kernel.flags import PG_PAGECACHE, PG_REFERENCED
+from repro.kernel.flags import (
+    PG_LOCKED, PG_PAGECACHE, PG_REFERENCED, PG_RESERVED,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.kernel import Kernel
@@ -87,6 +89,8 @@ def shrink_mmap(kernel: "Kernel", scan_budget: int) -> int:
     * ``PG_referenced`` → second chance: clear the bit, move on.
     """
     pagemap = kernel.pagemap
+    counts = pagemap.table.counts
+    flags = pagemap.table.flags
     freed = 0
     scanned = 0
     n = pagemap.num_frames
@@ -94,20 +98,22 @@ def shrink_mmap(kernel: "Kernel", scan_budget: int) -> int:
         frame = kernel._clock_hand
         kernel._clock_hand = (kernel._clock_hand + 1) % n
         scanned += 1
+        # The charge may fire calendar events, so the columns are read
+        # only after it.
         kernel.clock.charge(kernel.costs.reclaim_scan_page_ns, "reclaim")
-        pd = pagemap.page(frame)
-        if pd.free or pd.locked or pd.reserved:
+        count = counts[frame]
+        if count == 0 or flags[frame] & (PG_LOCKED | PG_RESERVED):
             continue
-        if pd.count != 1:
+        if count != 1:
             continue
-        if not pd.in_page_cache:
+        if not flags[frame] & PG_PAGECACHE:
             continue
-        if pd.referenced:
-            pd.clear_flag(PG_REFERENCED)
+        if flags[frame] & PG_REFERENCED:
+            flags[frame] &= ~PG_REFERENCED
             continue
         # Reclaim the cache page.
         kernel.page_cache.discard(frame)
-        pd.clear_flag(PG_PAGECACHE)
+        flags[frame] &= ~PG_PAGECACHE
         pagemap.put_page(frame)
         kernel.obs.inc("kernel.paging.cache_reclaims")
         kernel.trace.emit("cache_reclaim", frame=frame)
@@ -173,13 +179,9 @@ def _swap_out_task_one(kernel: "Kernel", task: "Task") -> "bool | None":
     stealable.
     """
     hand = kernel._task_swap_hand.get(task.pid, 0)
-    entries = [(vpn, pte) for vpn, pte in task.page_table.present_entries()]
-    if not entries:
-        return None
-    # Rotate so the walk resumes where it left off.
-    order = [e for e in entries if e[0] >= hand] + \
-            [e for e in entries if e[0] < hand]
-    for vpn, pte in order:
+    # Lazy walk from the hand, wrapping once: a steal ends it after
+    # visiting only the entries it charged for.
+    for vpn, pte in task.page_table.present_entries(hand):
         kernel.clock.charge(kernel.costs.reclaim_scan_page_ns, "reclaim")
         vma = task.vmas.find(vpn)
         if vma is None:

@@ -223,7 +223,7 @@ class OrphanReaper:
     # -------------------------------------------------------------- helpers
 
     def _alive(self, pid: int) -> bool:
-        return any(t.pid == pid for t in self.kernel.tasks)
+        return pid in self.kernel.tasks_by_pid
 
     def _uid_of(self, pid: int) -> int | None:
         """Resolve a (possibly dead) pid to its tenant uid through the

@@ -177,7 +177,7 @@ class TenantService:
         self._caches.setdefault(cache.task.uid, []).append(cache)
 
     def _alive(self, pid: int) -> bool:
-        return any(t.pid == pid for t in self.kernel.tasks)
+        return pid in self.kernel.tasks_by_pid
 
     def _shed_caches(self, need_pages: int,
                      uid: int | None = None) -> int:

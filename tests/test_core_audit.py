@@ -90,6 +90,17 @@ class TestKernelInvariants:
         with pytest.raises(PageAccountingError):
             audit_kernel_invariants(kernel)
 
+    @pytest.mark.no_posthoc_audit
+    def test_detects_stale_resident_counter(self, kernel):
+        t = kernel.create_task()
+        va = t.mmap(4)
+        t.touch_pages(va, 4)
+        audit_kernel_invariants(kernel)
+        t.page_table._resident += 1                # corrupt
+        with pytest.raises(PageAccountingError,
+                           match="resident counter 5 != 4"):
+            audit_kernel_invariants(kernel)
+
 
 class TestSummaries:
     def test_frame_ownership_sums_to_total(self, kernel):

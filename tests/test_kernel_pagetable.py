@@ -1,5 +1,7 @@
 """Tests for page tables and PTEs."""
 
+import random
+
 from repro.kernel.pagetable import PTE, PageTable
 
 
@@ -112,3 +114,77 @@ class TestSortedKeyCache:
             pt.ensure(vpn)
         assert [v for v, _ in pt.entries_in(5, 60)] == [7, 50]
         assert list(pt.entries_in(101, 200)) == []
+
+
+class TestResidentCounter:
+    """``resident_count()`` is an O(1) counter kept by the three writers
+    of ``PTE.present``; it must always equal a brute-force count."""
+
+    @staticmethod
+    def _brute_force(pt):
+        return sum(1 for pte in pt._entries.values() if pte.present)
+
+    def test_random_sequence_matches_brute_force(self):
+        rng = random.Random(1234)
+        pt = PageTable()
+        for step in range(2000):
+            vpn = rng.randrange(48)
+            op = rng.randrange(5)
+            if op == 0:
+                pt.set_mapping(vpn, frame=step, writable=True)
+            elif op == 1:
+                # Re-map an existing entry (present or not) in place.
+                if pt.lookup(vpn) is not None:
+                    pt.set_mapping(vpn, frame=step, writable=False)
+            elif op == 2:
+                pt.set_swapped(vpn, slot=step)
+            elif op == 3:
+                pt.clear(vpn)
+            else:
+                pt.ensure(vpn)
+            assert pt.resident_count() == self._brute_force(pt), step
+
+    def test_remap_of_present_entry_counts_once(self):
+        pt = PageTable()
+        pt.set_mapping(3, frame=1, writable=True)
+        pt.set_mapping(3, frame=2, writable=True)
+        assert pt.resident_count() == 1
+        pt.set_swapped(3, slot=0)
+        pt.set_swapped(3, slot=1)
+        assert pt.resident_count() == 0
+        pt.clear(3)
+        assert pt.resident_count() == 0
+
+
+class TestPresentEntriesFromHand:
+    """``present_entries(start_vpn)`` walks upward from the hand, then
+    wraps to the entries below it; non-present entries are skipped."""
+
+    @staticmethod
+    def _table():
+        pt = PageTable()
+        for vpn in (10, 20, 30, 40):
+            pt.set_mapping(vpn, frame=vpn, writable=True)
+        pt.set_swapped(25, slot=0)      # in the table, not present
+        return pt
+
+    def _walk(self, start):
+        return [vpn for vpn, _ in self._table().present_entries(start)]
+
+    def test_start_below_lowest_vpn(self):
+        assert self._walk(0) == [10, 20, 30, 40]
+        assert self._walk(5) == [10, 20, 30, 40]
+
+    def test_start_in_a_gap(self):
+        assert self._walk(15) == [20, 30, 40, 10]
+        assert self._walk(25) == [30, 40, 10, 20]   # on a swapped entry
+
+    def test_start_on_an_entry(self):
+        assert self._walk(30) == [30, 40, 10, 20]
+
+    def test_start_past_highest_vpn(self):
+        assert self._walk(41) == [10, 20, 30, 40]
+
+    def test_default_start_is_ascending(self):
+        assert self._walk(0) == [vpn for vpn, _ in
+                                 self._table().present_entries()]

@@ -1,12 +1,16 @@
 """Tests for the reclaim path — the skip rules the paper's whole argument
 rests on (Sec. 2.2)."""
 
+import hashlib
+from collections import Counter
+
 import pytest
 
 from repro.errors import OutOfMemory
 from repro.hw.physmem import PAGE_SIZE
 from repro.kernel import paging
 from repro.kernel.flags import PG_REFERENCED, VM_LOCKED
+from repro.kernel.kernel import Kernel
 
 
 def fill_task(kernel, npages: int, name: str = "t"):
@@ -218,3 +222,62 @@ class TestPinEvictionHooks:
         assert t.resident_pages() == 0
         assert kernel.obs.counter(
             "kernel.paging.swap_evictions.odp").value == 2
+
+
+class TestReclaimGolden:
+    """A seeded pressure run whose reclaim decisions are pinned exactly:
+    the victim/page sequence, the skip reasons, and the simulated time.
+    Host-side speed-ups of the reclaim path must leave all three
+    bit-identical."""
+
+    #: first steals, for a readable diff when the sequence moves
+    FIRST_STEALS = [(5, 4096, 54, 0), (5, 4097, 55, 1), (5, 4098, 56, 2),
+                    (5, 4099, 57, 3), (5, 4100, 58, 4), (5, 4101, 59, 5)]
+    STEALS_SHA256 = ("0c3c66921ca5bad345e3976431f696a8"
+                     "8c97e134f0f03d3d0e10c379c88762ea")
+
+    @staticmethod
+    def _pressure_run():
+        k = Kernel(num_frames=128, swap_slots=1024, seed=0)
+        for i in range(6):
+            pd = k.add_page_cache_page()
+            if i % 2:
+                pd.set_flag(PG_REFERENCED)
+        pinned = k.create_task(name="pinned")
+        va_p = pinned.mmap(12)
+        pinned.touch_pages(va_p, 12)
+        kio = k.map_user_kiobuf(pinned, va_p + 4 * PAGE_SIZE, 4 * PAGE_SIZE)
+        locked = k.create_task(name="locked")
+        va_l = locked.mmap(12)
+        locked.touch_pages(va_l, 12)
+        k.do_mlock(locked, va_l + 2 * PAGE_SIZE, 6 * PAGE_SIZE)
+        plain = k.create_task(name="plain")
+        va_a = plain.mmap(20)
+        plain.touch_pages(va_a, 20)
+        io_frame = plain.physical_pages(va_a + 15 * PAGE_SIZE, 1)[0]
+        k.lock_page(io_frame)
+        k.fork_task(plain, name="child")
+        hog = k.create_task(name="hog")
+        va_h = hog.mmap(96)
+        for rnd in range(3):
+            hog.touch_pages(va_h, 96, fill=bytes([rnd + 1]))
+            pinned.touch_pages(va_p, 12, fill=bytes([rnd + 7]))
+            plain.touch_pages(va_a + (rnd % 2) * 10 * PAGE_SIZE, 10)
+            locked.touch_pages(va_l, 12)
+        k.unmap_kiobuf(kio)
+        k.unlock_page(io_frame)
+        return k
+
+    def test_reclaim_decisions_and_charges_pinned(self):
+        k = self._pressure_run()
+        steals = [(e["pid"], e["vpn"], e["frame"], e["slot"])
+                  for e in k.trace.of_kind("swap_out")]
+        assert len(steals) == 270
+        assert steals[:6] == self.FIRST_STEALS
+        assert hashlib.sha256(
+            repr(steals).encode()).hexdigest() == self.STEALS_SHA256
+        skips = Counter(e["reason"] for e in k.trace.of_kind("swap_skip"))
+        assert skips == {"PG_locked": 4, "VM_LOCKED": 18,
+                         "cow_shared": 66, "pinned": 12}
+        assert k.clock.now_ns == 1_996_271_392
+        assert k.clock.categories()["reclaim"] == 272_850
