@@ -38,10 +38,9 @@ soak:
 	REPRO_SANITIZE=strict $(PY) benchmarks/report.py -o BENCH.json \
 		benchmarks/bench_e17_soak.py
 
-# The E18 simulator-core scale-out A/B at full scale: calendar events +
-# vectorized frame table + batched posting vs the legacy per-charge /
-# full-scan / one-at-a-time core.  Asserts the >=3x whole-cluster
-# throughput gate; numbers land in BENCH.json.
+# The E18 simulator-core scale-out at full scale: calendar events +
+# vectorized frame table + batched posting.  Asserts >=3x the recorded
+# legacy core's whole-cluster throughput; numbers land in BENCH.json.
 bench-e18:
 	$(PY) benchmarks/report.py -o BENCH.json \
 		benchmarks/bench_e18_cluster_scale.py

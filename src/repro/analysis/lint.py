@@ -39,13 +39,6 @@ kind a reviewer has to re-derive on every PR:
     validated in ``__post_init__``: a typo'd or out-of-range fault plan
     must fail at construction, not half-way through a chaos run.
 
-``clock-subscribe``
-    ``clock.subscribe(...)`` is the deprecated per-charge fan-out model
-    of periodic work — every watcher re-runs on every single charge, the
-    hottest path in the simulator.  Periodic daemons must use the event
-    calendar (``clock.schedule_after`` / ``schedule_at``); the clock
-    module itself and explicitly pragma'd legacy A/B arms are exempt.
-
 ``hub-emit-unguarded``
     An :class:`~repro.analysis.events.EventHub` ``emit(...)`` builds a
     :class:`SanEvent` dict even while nobody subscribes, so every
@@ -79,8 +72,6 @@ RULES: dict[str, str] = {
         "kernel page state mutated above the kernel layer",
     "faultplan-validation":
         "FaultPlan knob not validated in __post_init__",
-    "clock-subscribe":
-        "per-charge clock.subscribe() instead of a calendar event",
     "hub-emit-unguarded":
         "event-hub emit outside an `if ....active:` guard",
 }
@@ -119,9 +110,6 @@ _KERNEL_MUTATOR_METHODS = frozenset({
 
 #: The observability implementation itself (guards internally).
 _OBS_EXEMPT_PREFIX = "repro/obs/"
-
-#: The scheduler/shim module — the one place `subscribe` may live.
-_CLOCK_SUBSCRIBE_EXEMPT_FILES = ("repro/sim/clock.py",)
 
 #: The analysis package (hub, checkers) emits unconditionally by design.
 _HUB_EMIT_EXEMPT_PREFIX = "repro/analysis/"
@@ -246,9 +234,6 @@ class Linter:
             findings += self._check_kernel_mutation(tree, path)
         if "faultplan-validation" in self.rules:
             findings += self._check_faultplan(tree, path)
-        if "clock-subscribe" in self.rules \
-                and not rel.endswith(_CLOCK_SUBSCRIBE_EXEMPT_FILES):
-            findings += self._check_clock_subscribe(tree, path)
         if "hub-emit-unguarded" in self.rules \
                 and not rel.startswith(_HUB_EMIT_EXEMPT_PREFIX):
             findings += self._check_hub_emit(tree, path)
@@ -509,23 +494,6 @@ class Linter:
                         path, lineno, col, "faultplan-validation",
                         f"FaultPlan knob `{name}` is never validated "
                         f"in __post_init__"))
-        return findings
-
-
-    @staticmethod
-    def _check_clock_subscribe(tree: ast.AST,
-                               path: str) -> list[LintFinding]:
-        findings = []
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "subscribe"
-                    and _last_name(node.func.value) in ("clock", "_clock")):
-                findings.append(LintFinding(
-                    path, node.lineno, node.col_offset, "clock-subscribe",
-                    "per-charge `clock.subscribe(...)` re-runs every "
-                    "watcher on every charge; schedule a calendar event "
-                    "with `clock.schedule_after(...)` instead"))
         return findings
 
 

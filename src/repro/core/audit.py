@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.errors import (
     InvalidArgument, InvariantViolation, PageAccountingError,
@@ -81,8 +81,7 @@ class LeakedPin:
 
 
 def audit_pin_leaks(kernel: "Kernel", *agents: "KernelAgent",
-                    count_kiobufs: bool = False,
-                    full_scan: bool = False) -> list[LeakedPin]:
+                    count_kiobufs: bool = False) -> list[LeakedPin]:
     """Find frames whose pin count exceeds what live registrations
     explain — the leak signature of an error path that dropped a
     registration record without releasing its pin.
@@ -103,8 +102,7 @@ def audit_pin_leaks(kernel: "Kernel", *agents: "KernelAgent",
 
     Only frames the page map's pinned set names can leak (a frame with
     zero pins never exceeds its expectation), so the audit is
-    O(pinned + registered), not O(frames); ``full_scan=True`` keeps the
-    legacy whole-table walk for the E18 before/after arms.
+    O(pinned + registered), not O(frames).
     """
     expected: Counter[int] = Counter()
     for agent in agents:
@@ -117,13 +115,6 @@ def audit_pin_leaks(kernel: "Kernel", *agents: "KernelAgent",
                 for frame in kio.frames:
                     expected[frame] += 1
     leaks: list[LeakedPin] = []
-    if full_scan:
-        for pd in kernel.pagemap:
-            if pd.pin_count > expected.get(pd.frame, 0):
-                leaks.append(LeakedPin(frame=pd.frame,
-                                       pin_count=pd.pin_count,
-                                       expected=expected.get(pd.frame, 0)))
-        return leaks
     pin_counts = kernel.pagemap.table.pin_counts
     for frame in kernel.pagemap.pinned_frames():
         if pin_counts[frame] > expected.get(frame, 0):
@@ -133,8 +124,7 @@ def audit_pin_leaks(kernel: "Kernel", *agents: "KernelAgent",
     return leaks
 
 
-def audit_kernel_invariants(kernel: "Kernel", full_scan: bool = False,
-                            ) -> None:
+def audit_kernel_invariants(kernel: "Kernel") -> None:
     """Raise :class:`~repro.errors.PageAccountingError` if any kernel
     accounting invariant is violated.
 
@@ -149,10 +139,9 @@ def audit_kernel_invariants(kernel: "Kernel", full_scan: bool = False,
 
     Invariant 5 and the negative-counter check run against the frame
     table's columns and pinned set — an ``array`` ``min()`` plus a walk
-    of only the pinned frames — instead of visiting every descriptor;
-    ``full_scan=True`` restores the legacy walk (E18 A/B arms).
+    of only the pinned frames — instead of visiting every descriptor.
     """
-    kernel.pagemap.check_free_list(full_scan=full_scan)
+    kernel.pagemap.check_free_list()
 
     slot_owner: dict[int, tuple[int, int]] = {}
     counts = kernel.pagemap.table.counts
@@ -185,15 +174,6 @@ def audit_kernel_invariants(kernel: "Kernel", full_scan: bool = False,
                 f"pid {task.pid} resident counter "
                 f"{page_table.resident_count()} != {present} present PTEs")
 
-    if full_scan:
-        for pd in kernel.pagemap:
-            if pd.pin_count > 0 and pd.count == 0:
-                raise PageAccountingError(
-                    f"frame {pd.frame} pinned ({pd.pin_count}) but free")
-            if pd.pin_count < 0 or pd.count < 0:
-                raise PageAccountingError(
-                    f"frame {pd.frame} has negative counters")
-        return
     table = kernel.pagemap.table
     for frame in table.pinned:
         if table.counts[frame] == 0:
@@ -213,12 +193,11 @@ class InvariantWatchdog:
     Armed on a :class:`~repro.via.machine.Machine` or
     :class:`~repro.via.machine.Cluster` (or a raw ``(kernel, agents)``
     pair), the watchdog samples all three audits on a sim-clock cadence
-    — by default a self-rescheduling calendar event per clock, like the
-    reaper; ``use_events=False`` keeps the legacy per-charge subscriber
-    for the E18 A/B arms — and at every task-teardown boundary.  A
-    failed audit raises :class:`~repro.errors.InvariantViolation`
-    carrying a structured snapshot, so the violation surfaces at the
-    operation that caused it instead of at the end of the run.
+    — a self-rescheduling calendar event per clock, like the reaper —
+    and at every task-teardown boundary.  A failed audit raises
+    :class:`~repro.errors.InvariantViolation` carrying a structured
+    snapshot, so the violation surfaces at the operation that caused it
+    instead of at the end of the run.
 
     Cadence catch-up follows the calendar's fire-once semantics: a
     charge that jumps several intervals yields one sample, and the next
@@ -228,24 +207,17 @@ class InvariantWatchdog:
     def __init__(self, *, interval_ns: int = 1_000_000,
                  check_kernel: bool = True,
                  check_tpt: bool = True,
-                 check_pins: bool = True,
-                 use_events: bool = True,
-                 full_scan: bool = False) -> None:
+                 check_pins: bool = True) -> None:
         self.interval_ns = interval_ns
         self.check_kernel = check_kernel
         self.check_tpt = check_tpt
         self.check_pins = check_pins
-        self.use_events = use_events
-        #: run the audits' legacy whole-table walks (E18 A/B arms)
-        self.full_scan = full_scan
         self.checks_run = 0
         self.violations = 0
         self.armed = False
         self._pairs: list[tuple] = []     #: (kernel, [agents])
-        self._next_due_ns = 0
         self._in_check = False
         self._teardowns: list[tuple] = []  #: (hook_list, hook) to undo
-        self._unsubscribes: list[Callable[[], None]] = []
         #: one mutable cell per cadence chain holding its pending event
         self._cadences: list[list] = []
 
@@ -265,15 +237,9 @@ class InvariantWatchdog:
         self.armed = True
         clocks = {id(k.clock): k.clock for k, _ in pairs}
         for clock in clocks.values():
-            if self.use_events:
-                # First cadence sample is one interval out, not
-                # immediately; each chain reschedules itself.
-                self._start_cadence(clock)
-            else:
-                self._next_due_ns = max(self._next_due_ns,
-                                        clock.now_ns + self.interval_ns)
-                self._unsubscribes.append(clock.subscribe(  # repro-lint: allow(clock-subscribe)
-                    self._on_tick))
+            # First cadence sample is one interval out, not immediately;
+            # each chain reschedules itself.
+            self._start_cadence(clock)
         for kernel, _ in pairs:
             hook = self._make_teardown_hook()
             kernel.post_exit_hooks.append(hook)
@@ -299,9 +265,6 @@ class InvariantWatchdog:
 
     def disarm(self) -> None:
         """Stop all sampling."""
-        for unsubscribe in self._unsubscribes:
-            unsubscribe()
-        self._unsubscribes.clear()
         for cell in self._cadences:
             if cell[0] is not None:
                 cell[0].cancel()
@@ -316,12 +279,6 @@ class InvariantWatchdog:
         def on_teardown(task) -> None:
             self.check(boundary=f"teardown pid {task.pid}")
         return on_teardown
-
-    def _on_tick(self, now_ns: int) -> None:
-        if not self.armed or now_ns < self._next_due_ns:
-            return
-        self._next_due_ns = now_ns + self.interval_ns
-        self.check(boundary="cadence")
 
     # -------------------------------------------------------------- checking
 
@@ -340,7 +297,7 @@ class InvariantWatchdog:
         self.checks_run += 1
         if self.check_kernel:
             try:
-                audit_kernel_invariants(kernel, full_scan=self.full_scan)
+                audit_kernel_invariants(kernel)
             except PageAccountingError as exc:
                 raise self._violation(
                     "kernel", kernel, boundary, str(exc)) from exc
@@ -355,8 +312,7 @@ class InvariantWatchdog:
         if self.check_pins:
             # count_kiobufs: a cadence sample can land mid-registration,
             # where the pin exists but the record does not yet.
-            leaks = audit_pin_leaks(kernel, *agents, count_kiobufs=True,
-                                    full_scan=self.full_scan)
+            leaks = audit_pin_leaks(kernel, *agents, count_kiobufs=True)
             if leaks:
                 raise self._violation(
                     "pin_leak", kernel, boundary,

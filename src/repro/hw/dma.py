@@ -49,13 +49,9 @@ class DMAEngine:
         self._events = events
         self.name = name
         self.fault_plan: "FaultPlan | None" = None
-        #: merge physically-adjacent gather/scatter segments into single
-        #: bursts (the fast path); False restores the per-segment legacy
-        #: behaviour for A/B benchmarking
-        self.coalesce = True
         self.bytes_read = 0
         self.bytes_written = 0
-        self.bursts_issued = 0        #: coalesced bursts on the fast path
+        self.bursts_issued = 0        #: coalesced gather/scatter bursts
         self.faults_injected = 0
 
     # -- scatter helpers ----------------------------------------------------
@@ -191,13 +187,10 @@ class DMAEngine:
         """Gather-read: concatenate reads of ``(phys_addr, length)``
         segments — how the NIC walks a multi-page TPT translation.
 
-        On the fast path adjacent segments are merged into single bursts
-        and the payload is assembled through iovec reads with no
-        per-segment intermediate ``bytes``.
+        Adjacent segments are merged into single bursts and the payload
+        is assembled through iovec reads with no per-segment
+        intermediate ``bytes``.
         """
-        if not self.coalesce:
-            return b"".join(self.read(addr, length)
-                            for addr, length in segments)
         runs = self.coalesce_runs(segments)
         total = sum(length for _, length in runs)
         first = runs[0][0] if runs else 0
@@ -221,20 +214,14 @@ class DMAEngine:
                       data: bytes) -> None:
         """Scatter-write ``data`` across ``(phys_addr, length)`` segments.
 
-        The segment lengths must sum to ``len(data)``.  On the fast path
-        adjacent segments are merged into single bursts and ``data`` is
-        consumed through a memoryview, copy-free.
+        The segment lengths must sum to ``len(data)``.  Adjacent
+        segments are merged into single bursts and ``data`` is consumed
+        through a memoryview, copy-free.
         """
         total = sum(length for _, length in segments)
         if total != len(data):
             raise ValueError(
                 f"scatter list covers {total} bytes, data is {len(data)}")
-        if not self.coalesce:
-            pos = 0
-            for addr, length in segments:
-                self.write(addr, data[pos:pos + length])
-                pos += length
-            return
         runs = self.coalesce_runs(segments)
         first = runs[0][0] if runs else 0
         self._maybe_fault("write_scatter", first, total)

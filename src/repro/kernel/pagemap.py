@@ -18,9 +18,7 @@ cached :class:`~repro.kernel.page.PageDescriptor` *views* (one per
 frame, identity-stable).  ``alloc``/``put_page`` mutate the columns
 directly; :meth:`orphans` walks the incrementally maintained
 orphan-candidate set and :meth:`check_free_list` uses a parallel free
-*set* for O(1) duplicate detection, so neither audit scans every frame
-(pass ``full_scan=True`` to get the legacy whole-table walk for A/B
-benchmarking).
+*set* for O(1) duplicate detection, so neither audit scans every frame.
 """
 
 from __future__ import annotations
@@ -163,30 +161,16 @@ class PageMap:
                    and not table.flags[frame] & (PG_RESERVED | PG_PAGECACHE)
                    and table.mappings[frame] is None)
 
-    def check_free_list(self, full_scan: bool = False) -> None:
+    def check_free_list(self) -> None:
         """Invariant: every frame on the free list has refcount zero and
         no frame appears twice.
 
         The fast path leans on the parallel free *set*: a duplicate
         shows up as a length mismatch in O(1), and the refcount check is
-        a straight ``array`` read per free frame.  ``full_scan=True``
-        runs the legacy object-walking audit (kept for the E18 before/
-        after benchmark arms).
+        a straight ``array`` read per free frame.
         """
-        if full_scan:
-            seen: set[int] = set()
-            for frame in self._free:
-                if frame in seen:
-                    raise PageAccountingError(
-                        f"frame {frame} on the free list twice")
-                seen.add(frame)
-                if self.pages[frame].count != 0:
-                    raise PageAccountingError(
-                        f"frame {frame} free with refcount "
-                        f"{self.pages[frame].count}")
-            return
         if len(self._free) != len(self._free_set):
-            seen = set()
+            seen: set[int] = set()
             for frame in self._free:
                 if frame in seen:
                     raise PageAccountingError(

@@ -15,16 +15,11 @@ rides on the clock through the **event calendar**: a lazy min-heap of
 :meth:`SimClock.schedule_after` are O(log n); cancellation is O(1)
 (events are tombstoned in place and dropped when they surface);
 :meth:`SimClock.charge` pays a single O(1) heap peek when nothing is
-due, instead of the old model's fan-out to every subscriber on every
-charge.  Callbacks run *during* the charge that crosses their deadline,
+due.  Callbacks run *during* the charge that crosses their deadline,
 so a single large charge may deliver ``now_ns`` well past the deadline —
 periodic daemons are expected to fire once and realign their next
 deadline from ``now_ns`` (catch-up semantics; see
 ``OrphanReaper._on_event``).
-
-``subscribe()`` remains as a deprecated per-charge fan-out shim for
-out-of-tree callers; in-tree code must use the calendar (enforced by the
-``clock-subscribe`` repro-lint rule).
 
 Two extension points exist for the analysis layer (``repro.analysis``):
 
@@ -166,9 +161,6 @@ class SimClock:
         #: code reads this to attribute work to an execution context
         self.current_firing: ScheduledEvent | None = None
         self._calendar_hooks: list[CalendarHook] = []
-        #: deprecated per-charge fan-out shim (see :meth:`subscribe`)
-        self._watchers: list[Callable[[int], None]] = []
-        self._notifying = False
 
     # -- reading ----------------------------------------------------------
 
@@ -216,14 +208,6 @@ class SimClock:
         events = self._events
         if events and events[0][0] <= self._now_ns and not self._dispatching:
             self._dispatch()
-        # Wake the deprecated per-charge watchers (subscribe() shim).
-        if self._watchers and not self._notifying:
-            self._notifying = True
-            try:
-                for fn in tuple(self._watchers):
-                    fn(self._now_ns)
-            finally:
-                self._notifying = False
 
     def _dispatch(self) -> None:
         """Pop and run every event whose deadline has passed.
@@ -382,37 +366,12 @@ class SimClock:
                 pass
         return remove
 
-    # -- deprecated subscriber shim ----------------------------------------
-
-    def subscribe(self, fn: Callable[[int], None]) -> Callable[[], None]:
-        """Register a watcher called with ``now_ns`` after every
-        (non-frozen, nonzero) charge; returns an unsubscribe callable.
-
-        .. deprecated::
-            This is the pre-calendar model of periodic daemons — every
-            charge fans out to every watcher, which is O(watchers) on
-            the hottest path in the simulator.  Use
-            :meth:`schedule_after` / :meth:`schedule_at` instead.  The
-            shim is kept for out-of-tree callers and for the
-            watchdog's legacy (``use_events=False``) benchmark arm;
-            in-tree call sites are flagged by the ``clock-subscribe``
-            repro-lint rule.
-        """
-        self._watchers.append(fn)
-
-        def unsubscribe() -> None:
-            try:
-                self._watchers.remove(fn)
-            except ValueError:
-                pass
-        return unsubscribe
-
     @contextmanager
     def frozen(self) -> Iterator[None]:
         """Context manager during which all charges are discarded.
 
-        Time does not advance, so no calendar events fire and no
-        watchers are notified inside the block.
+        Time does not advance, so no calendar events fire inside the
+        block.
         """
         prev = self._frozen
         self._frozen = True
@@ -434,13 +393,12 @@ class SimClock:
             span.stop()
 
     def reset(self) -> None:
-        """Zero the clock: time, category totals, the event calendar,
-        and watcher bookkeeping.
+        """Zero the clock: time, category totals, and the event calendar.
 
         Pending events are cancelled (their handles report
-        ``pending == False`` and a later ``cancel()`` is a no-op) and
-        subscribed watchers are dropped, so periodic daemons from a
-        previous benchmark phase cannot misfire into the next one.
+        ``pending == False`` and a later ``cancel()`` is a no-op), so
+        periodic daemons from a previous benchmark phase cannot misfire
+        into the next one.
         Daemons that should survive a reset must be re-started against
         the fresh timeline.  The tie-break seed and calendar hooks are
         *kept*: an exploration run owns both for its whole lifetime,
@@ -456,7 +414,6 @@ class SimClock:
         # permutation (the calendar is empty, so no handle can collide).
         self._seq = 0
         self._tombstones = 0
-        self._watchers.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"SimClock(now={self._now_ns}ns, "

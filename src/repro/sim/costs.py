@@ -45,9 +45,6 @@ class CostModel:
 
     # -- VIA / NIC -----------------------------------------------------------
     tpt_update_ns: int = 400         #: write one TPT entry over PCI
-    #: translation served page-by-page (legacy TPT walk, one entry fetch
-    #: per 4 KiB page of the span)
-    tpt_translate_page_ns: int = 50
     #: translation served from coalesced extents (one fetch per
     #: physically-contiguous run, however many pages it merges)
     tpt_translate_extent_ns: int = 80
@@ -126,7 +123,7 @@ FREE = CostModel(
     minor_fault_ns=0, major_fault_base_ns=0, disk_io_page_ns=0,
     frame_alloc_ns=0, reclaim_scan_page_ns=0, page_lock_ns=0,
     kiobuf_setup_ns=0, mlock_range_ns=0, tpt_update_ns=0,
-    tpt_translate_page_ns=0, tpt_translate_extent_ns=0, tpt_cache_hit_ns=0,
+    tpt_translate_extent_ns=0, tpt_cache_hit_ns=0,
     dma_burst_ns=0,
     doorbell_ring_ns=0, descriptor_build_ns=0, descriptor_fetch_ns=0,
     dma_setup_ns=0, dma_per_byte_ns=0.0, pio_word_ns=0,

@@ -78,8 +78,7 @@ ATOMIC_RESPONSE_CACHE = 32
 #: Default TPT capacity, in page entries.
 DEFAULT_TPT_ENTRIES = 8192
 
-#: Default capacity of the NIC's translation cache, in cached spans
-#: (0 disables caching — the legacy per-packet walk).
+#: Default capacity of the NIC's translation cache, in cached spans.
 DEFAULT_TRANSLATION_CACHE_ENTRIES = 1024
 
 #: Retransmission attempts a RELIABLE VI makes before declaring the

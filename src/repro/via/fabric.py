@@ -12,14 +12,14 @@ RELIABLE levels the fabric reports what happened to the sending NIC as
 an :class:`Attempt` — delivered-and-ACKed, dropped, NACKed (the
 link-layer CRC caught corruption), or delivered-but-ACK-lost — and the
 *NIC* runs the retransmission protocol on top
-(:meth:`~repro.via.nic.VIANic._transmit_reliable`).
+(:meth:`~repro.via.nic.VIANic._round_trip`).
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import ViaConnectionError
 from repro.sim.rng import make_rng
@@ -74,10 +74,9 @@ class Attempt:
     kind: str
     #: receiver's completion status (``delivered``/``ack_lost`` only)
     status: str | None = None
-
-    @property
-    def acked(self) -> bool:
-        return self.kind == "delivered"
+    #: the response a round trip carries back when delivered: the
+    #: RDMA-read payload or the atomic's original word
+    value: Any = None
 
 
 class Fabric:
@@ -293,8 +292,7 @@ class Fabric:
         return VIP_ERROR_CONN_LOST
 
     def attempt_rdma_read(self, src: "VIANic", packet: Packet,
-                          reliability: ReliabilityLevel
-                          ) -> tuple[Attempt, bytes]:
+                          reliability: ReliabilityLevel) -> Attempt:
         """One round-trip attempt of an RDMA-read request.
 
         The request and the response are each subject to loss; the
@@ -315,7 +313,7 @@ class Fabric:
             obs.inc("via.fabric.packets_dropped")
             trace.emit("packet_lost", dst=packet.dst_nic,
                        vi=packet.dst_vi, seq=packet.seq, rdma="read_req")
-            return Attempt("dropped"), b""
+            return Attempt("dropped")
 
         dst = self.nic(packet.dst_nic)
         status, payload = dst.serve_rdma_read(packet, reliability)
@@ -326,7 +324,7 @@ class Fabric:
             obs.inc("via.fabric.packets_dropped")
             trace.emit("packet_lost", dst=packet.src_nic,
                        vi=packet.src_vi, seq=packet.seq, rdma="read_resp")
-            return Attempt("dropped"), b""
+            return Attempt("dropped")
 
         if (status == VIP_SUCCESS and plan is not None
                 and plan.should_corrupt()):
@@ -334,22 +332,21 @@ class Fabric:
                        vi=packet.src_vi, seq=packet.seq, rdma="read_resp")
             self.packets_nacked += 1
             obs.inc("via.fabric.packets_nacked")
-            return Attempt("nack"), b""
+            return Attempt("nack")
 
-        return Attempt("delivered", status), payload
+        return Attempt("delivered", status, payload)
 
     def rdma_read_fetch(self, src: "VIANic", packet: Packet,
                         reliability: ReliabilityLevel
                         ) -> tuple[str, bytes]:
         """Single-shot RDMA-read round trip; returns (status, payload)."""
-        attempt, payload = self.attempt_rdma_read(src, packet, reliability)
+        attempt = self.attempt_rdma_read(src, packet, reliability)
         if attempt.kind == "delivered":
-            return attempt.status, payload
+            return attempt.status, attempt.value
         return VIP_ERROR_CONN_LOST, b""
 
     def attempt_atomic(self, src: "VIANic", packet: Packet,
-                       reliability: ReliabilityLevel
-                       ) -> tuple[Attempt, int]:
+                       reliability: ReliabilityLevel) -> Attempt:
         """One round-trip attempt of a remote atomic (CMPSWAP/FETCHADD).
 
         Shaped like :meth:`attempt_rdma_read`, with one crucial
@@ -377,7 +374,7 @@ class Fabric:
             obs.inc("via.fabric.packets_dropped")
             trace.emit("packet_lost", dst=packet.dst_nic,
                        vi=packet.dst_vi, seq=packet.seq, atomic="req")
-            return Attempt("dropped"), 0
+            return Attempt("dropped")
 
         # Duplicate the *request*: the responder sees the same seq twice
         # and must serve the second from its dedup cache.
@@ -396,7 +393,7 @@ class Fabric:
             obs.inc("via.fabric.packets_dropped")
             trace.emit("packet_lost", dst=packet.src_nic,
                        vi=packet.src_vi, seq=packet.seq, atomic="resp")
-            return Attempt("dropped"), 0
+            return Attempt("dropped")
 
         if (status == VIP_SUCCESS and plan is not None
                 and plan.should_corrupt()):
@@ -404,6 +401,6 @@ class Fabric:
                        vi=packet.src_vi, seq=packet.seq, atomic="resp")
             self.packets_nacked += 1
             obs.inc("via.fabric.packets_nacked")
-            return Attempt("nack"), 0
+            return Attempt("nack")
 
-        return Attempt("delivered", status), original
+        return Attempt("delivered", status, original)

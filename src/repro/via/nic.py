@@ -14,12 +14,14 @@ a retransmission timer with exponential backoff; a corrupted packet is
 NACKed and resent immediately; the receiver deduplicates retransmits by
 sequence number.  When the retry budget is exhausted the connection is
 declared lost: the VI transitions to ``ERROR`` and every outstanding
-descriptor completes with ``VIP_ERROR_CONN_LOST``.
+descriptor completes with ``VIP_ERROR_CONN_LOST``.  RDMA reads and
+remote atomics are round trips on the same protocol: one loop,
+:meth:`VIANic._round_trip`, drives all three kinds.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.analysis.events import DMA_RESUME, DMA_SUSPEND, DOORBELL
 from repro.errors import (
@@ -37,7 +39,7 @@ from repro.via.constants import (
 )
 from repro.via.cq import CompletionQueue
 from repro.via.descriptor import Descriptor
-from repro.via.fabric import Packet, payload_checksum
+from repro.via.fabric import Attempt, Packet, payload_checksum
 from repro.via.tpt import TranslationProtectionTable
 from repro.via.vi import VirtualInterface
 
@@ -182,90 +184,50 @@ class VIANic:
                 vi.enter_error()
 
     # ----------------------------------------------------------- descriptor posting
+    #
+    # A post is a list of descriptors rung in with one doorbell; posting
+    # a single descriptor is a list of one (see the user agent's
+    # ``post_send``/``post_recv``).
 
-    def _charge_post(self) -> None:
-        costs = self.kernel.costs
-        self.kernel.clock.charge(costs.descriptor_build_ns, "via_cpu")
-        self.kernel.clock.charge(costs.doorbell_ring_ns, "via_cpu")
-        self.kernel.clock.charge(costs.descriptor_fetch_ns, "via_nic")
+    def _enqueue(self, vi: VirtualInterface, descs: "list[Descriptor]",
+                 pid: int, work_queue, queue: str) -> None:
+        """Charge a validated post, publish it, and append its
+        descriptors, marked not-done, to ``work_queue``.
 
-    def _announce_post(self, descs: "list[Descriptor]", vi_id: int,
-                       pid: int, queue: str) -> None:
-        """Publish the post on the analysis stream: one DOORBELL per
-        descriptor, each carrying a fresh happens-before token the CQ's
-        COMPLETION event will acquire when the completion is observed."""
-        events = self.kernel.events
-        if not events.active:
-            return
-        for desc in descs:
-            desc.hb_token = self._next_hb_token
-            self._next_hb_token += 1
-            events.emit(DOORBELL, token=desc.hb_token, vi=vi_id,
-                        pid=pid, queue=queue)
-
-    def post_recv(self, vi_id: int, desc: Descriptor, pid: int) -> None:
-        """Post a receive descriptor (must precede the matching send)."""
-        self.check_faults()
-        vi = self.vi(vi_id)
-        desc.validate()
-        if desc.dtype != DescriptorType.RECV:
-            raise DescriptorError(
-                f"cannot post a {desc.dtype.value} descriptor to a "
-                f"receive queue")
-        vi.recv_doorbell.ring(pid)
-        self._charge_post()
-        desc.done = False
-        desc.status = VIP_NOT_DONE
-        desc.posted_at_ns = self.kernel.clock.now_ns
-        self._announce_post([desc], vi_id, pid, "recv")
-        vi.recv_queue.append(desc)
-        obs = self.kernel.obs
-        if obs.enabled:
-            obs.metrics.gauge("via.nic.recv_queue_depth").set(
-                len(vi.recv_queue))
-
-    def post_send(self, vi_id: int, desc: Descriptor, pid: int) -> None:
-        """Post a send/RDMA descriptor and process it immediately."""
-        self.check_faults()
-        vi = self.vi(vi_id)
-        desc.validate()
-        if desc.dtype == DescriptorType.RECV:
-            raise DescriptorError(
-                "cannot post a recv descriptor to a send queue")
-        if (desc.dtype in ATOMIC_TYPES
-                and vi.reliability == ReliabilityLevel.UNRELIABLE):
-            raise DescriptorError(
-                "atomic verbs require a RELIABLE VI: sequence-number "
-                "dedup of retransmits is what makes them safe to replay")
-        vi.send_doorbell.ring(pid)
-        vi.require_connected()
-        self._charge_post()
-        desc.done = False
-        desc.status = VIP_NOT_DONE
-        desc.posted_at_ns = self.kernel.clock.now_ns
-        self._announce_post([desc], vi_id, pid, "send")
-        vi.send_queue.append(desc)
-        obs = self.kernel.obs
-        if obs.enabled:
-            obs.metrics.gauge("via.nic.send_queue_depth").set(
-                len(vi.send_queue))
-        self._process_send_queue(vi)
-
-    # -- batched posting -----------------------------------------------------
-
-    def _charge_post_batch(self, n: int) -> None:
-        """Charge one batch post: descriptor build per entry, doorbell
-        ring and descriptor fetch once for the whole batch — the
-        amortization linked descriptor lists buy on real VIA hardware."""
+        Descriptor build is charged per entry, doorbell ring and
+        descriptor fetch once per post — the amortization linked
+        descriptor lists buy on real VIA hardware.  Publishing puts one
+        DOORBELL per descriptor on the analysis stream, each carrying a
+        fresh happens-before token the CQ's COMPLETION event will
+        acquire when the completion is observed.
+        """
         costs = self.kernel.costs
         clock = self.kernel.clock
-        clock.charge(costs.descriptor_build_ns * n, "via_cpu")
+        clock.charge(costs.descriptor_build_ns * len(descs), "via_cpu")
         clock.charge(costs.doorbell_ring_ns, "via_cpu")
         clock.charge(costs.descriptor_fetch_ns, "via_nic")
+        now = clock.now_ns
+        events = self.kernel.events
+        if events.active:
+            for desc in descs:
+                desc.hb_token = self._next_hb_token
+                self._next_hb_token += 1
+                events.emit(DOORBELL, token=desc.hb_token, vi=vi.vi_id,
+                            pid=pid, queue=queue)
+        for desc in descs:
+            desc.done = False
+            desc.status = VIP_NOT_DONE
+            desc.posted_at_ns = now
+            work_queue.append(desc)
+        obs = self.kernel.obs
+        if obs.enabled:
+            obs.metrics.gauge(f"via.nic.{queue}_queue_depth").set(
+                len(work_queue))
 
     def post_recv_many(self, vi_id: int, descs: "list[Descriptor]",
                        pid: int) -> int:
-        """Post a batch of receive descriptors with one doorbell ring.
+        """Post receive descriptors with one doorbell ring (each must
+        precede the send it is to receive).
 
         Admission is all-or-nothing: every descriptor is validated
         before any is queued, so a bad entry rejects the whole batch
@@ -284,28 +246,17 @@ class VIANic:
                     f"cannot post a {desc.dtype.value} descriptor to a "
                     f"receive queue")
         vi.recv_doorbell.ring(pid)
-        self._charge_post_batch(len(descs))
-        now = self.kernel.clock.now_ns
-        self._announce_post(descs, vi_id, pid, "recv")
-        for desc in descs:
-            desc.done = False
-            desc.status = VIP_NOT_DONE
-            desc.posted_at_ns = now
-            vi.recv_queue.append(desc)
-        obs = self.kernel.obs
-        if obs.enabled:
-            obs.metrics.gauge("via.nic.recv_queue_depth").set(
-                len(vi.recv_queue))
+        self._enqueue(vi, descs, pid, vi.recv_queue, "recv")
         return len(descs)
 
     def post_send_many(self, vi_id: int, descs: "list[Descriptor]",
                        pid: int) -> int:
-        """Post a batch of send/RDMA descriptors and process them.
+        """Post send/RDMA/atomic descriptors and process them.
 
         Like :meth:`post_recv_many`: validation is all-or-nothing, the
-        doorbell and descriptor fetch are charged once per batch, and
-        the send queue is drained with a single processing pass instead
-        of one per post.  Returns how many were posted.
+        doorbell and descriptor fetch are charged once per post, and
+        the send queue is drained with a single processing pass.
+        Returns how many were posted.
         """
         descs = list(descs)
         if not descs:
@@ -325,18 +276,7 @@ class VIANic:
                     "replay")
         vi.send_doorbell.ring(pid)
         vi.require_connected()
-        self._charge_post_batch(len(descs))
-        now = self.kernel.clock.now_ns
-        self._announce_post(descs, vi_id, pid, "send")
-        for desc in descs:
-            desc.done = False
-            desc.status = VIP_NOT_DONE
-            desc.posted_at_ns = now
-            vi.send_queue.append(desc)
-        obs = self.kernel.obs
-        if obs.enabled:
-            obs.metrics.gauge("via.nic.send_queue_depth").set(
-                len(vi.send_queue))
+        self._enqueue(vi, descs, pid, vi.send_queue, "send")
         self._process_send_queue(vi)
         return len(descs)
 
@@ -471,31 +411,41 @@ class VIANic:
 
     # -- the reliability protocol (sender side) ------------------------------
 
-    def _transmit_reliable(self, vi: VirtualInterface,
-                           packet: Packet) -> str:
-        """Transmit with retransmission until ACKed or the retry budget
-        is exhausted; returns the receiver's status, or
-        ``VIP_ERROR_CONN_LOST`` after giving up."""
-        assert self.fabric is not None
+    def _round_trip(self, vi: VirtualInterface, packet: Packet,
+                    attempt: Callable[..., Attempt], **note: str
+                    ) -> tuple[str, Any]:
+        """Run one reliable exchange — a send, an RDMA read, or an
+        atomic — retransmitting until it is acknowledged or the retry
+        budget is spent.
+
+        ``attempt`` is the fabric's one-wire-attempt method for the
+        packet's kind.  Returns the responder's ``(status, value)``
+        (``value`` is the read payload or the atomic's original word),
+        or ``(VIP_ERROR_CONN_LOST, None)`` after giving up.  ``note``
+        tags the retransmit trace events with the exchange's kind.
+        Retrying is safe for every kind: the receiver dedups a replayed
+        send by sequence number, a read is idempotent, and the responder
+        answers a replayed atomic from its response cache.
+        """
         clock = self.kernel.clock
         costs = self.kernel.costs
         trace = self.kernel.trace
         obs = self.kernel.obs
         timeout_ns = costs.retransmit_timeout_ns
-        for attempt in range(self.max_retransmits + 1):
-            if attempt:
+        for n in range(self.max_retransmits + 1):
+            if n:
                 self.retransmits += 1
                 if obs.enabled:
                     obs.metrics.counter("via.nic.retransmits").inc()
                 trace.emit("via_retransmit", nic=self.name, vi=vi.vi_id,
-                           seq=packet.seq, attempt=attempt)
-            outcome = self.fabric.attempt_delivery(self, packet,
-                                                   vi.reliability)
+                           seq=packet.seq, attempt=n, **note)
+            outcome = attempt(self, packet, vi.reliability)
             if outcome.kind == "delivered":
-                return outcome.status
-            if outcome.kind in ("dropped", "ack_lost"):
-                # No ACK arrived: wait out the retransmission timer,
-                # then back off exponentially (capped).
+                return outcome.status, outcome.value
+            if outcome.kind != "nack":
+                # Dropped, or its ACK/response was lost: wait out the
+                # retransmission timer, then back off exponentially
+                # (capped).
                 clock.charge(timeout_ns, "retransmit")
                 if obs.enabled:
                     obs.metrics.counter(
@@ -510,7 +460,7 @@ class VIANic:
         obs.inc("via.nic.conn_lost")
         trace.emit("via_conn_lost", nic=self.name, vi=vi.vi_id,
                    seq=packet.seq, retries=self.max_retransmits)
-        return VIP_ERROR_CONN_LOST
+        return VIP_ERROR_CONN_LOST, None
 
     def _execute_send(self, vi: VirtualInterface, desc: Descriptor) -> None:
         assert self.fabric is not None, "NIC not attached to a fabric"
@@ -542,27 +492,38 @@ class VIANic:
             immediate=desc.immediate_data,
             remote_handle=desc.remote_handle, remote_va=desc.remote_va)
         if vi.reliability == ReliabilityLevel.UNRELIABLE:
-            status = self.fabric.transmit(self, packet, vi.reliability)
+            # Fire-and-forget: the sender never learns of a loss.
+            self.fabric.transmit(self, packet, vi.reliability)
+            status = VIP_SUCCESS
         else:
             vi.tx_seq += 1
             packet.seq = vi.tx_seq
             packet.checksum = payload_checksum(payload)
-            status = self._transmit_reliable(vi, packet)
-
-        if status == VIP_SUCCESS or vi.reliability == \
-                ReliabilityLevel.UNRELIABLE:
-            desc.complete(VIP_SUCCESS, len(payload))
-            vi.complete_send(desc)
-            if self.kernel.obs.enabled:
-                self._observe_completion(desc, "send")
-            if desc.dtype == DescriptorType.SEND:
-                self.sends_completed += 1
-            else:
-                self.rdma_writes_completed += 1
+            status, _ = self._round_trip(vi, packet,
+                                         self.fabric.attempt_delivery)
+        if not self._complete_send(vi, desc, status, len(payload)):
+            return
+        if desc.dtype == DescriptorType.SEND:
+            self.sends_completed += 1
         else:
+            self.rdma_writes_completed += 1
+
+    def _complete_send(self, vi: VirtualInterface, desc: Descriptor,
+                       status: str, nbytes: int) -> bool:
+        """Complete a send-queue descriptor with the round trip's
+        status; a failure breaks a reliable connection.  Returns whether
+        it succeeded."""
+        if status != VIP_SUCCESS:
             desc.complete(status, 0)
             vi.complete_send(desc)
-            vi.enter_error()
+            if vi.reliability != ReliabilityLevel.UNRELIABLE:
+                vi.enter_error()
+            return False
+        desc.complete(VIP_SUCCESS, nbytes)
+        vi.complete_send(desc)
+        if self.kernel.obs.enabled:
+            self._observe_completion(desc, "send")
+        return True
 
     def _execute_rdma_read(self, vi: VirtualInterface, desc: Descriptor,
                            local_segs: list[tuple[int, int]]) -> None:
@@ -577,12 +538,10 @@ class VIANic:
             status, payload = self.fabric.rdma_read_fetch(self, packet,
                                                           vi.reliability)
         else:
-            status, payload = self._fetch_rdma_read_reliable(vi, packet)
+            status, payload = self._round_trip(
+                vi, packet, self.fabric.attempt_rdma_read, rdma="read")
         if status != VIP_SUCCESS:
-            desc.complete(status, 0)
-            vi.complete_send(desc)
-            if vi.reliability != ReliabilityLevel.UNRELIABLE:
-                vi.enter_error()
+            self._complete_send(vi, desc, status, 0)
             return
         try:
             self.dma.write_scatter(
@@ -590,10 +549,7 @@ class VIANic:
         except DMAFault:
             self._fail_send_dma(vi, desc)
             return
-        desc.complete(VIP_SUCCESS, len(payload))
-        vi.complete_send(desc)
-        if self.kernel.obs.enabled:
-            self._observe_completion(desc, "send")
+        self._complete_send(vi, desc, VIP_SUCCESS, len(payload))
         self.rdma_reads_completed += 1
 
     def _execute_atomic(self, vi: VirtualInterface, desc: Descriptor,
@@ -612,11 +568,10 @@ class VIANic:
         # response returns the cached original value, never a re-execute.
         vi.tx_seq += 1
         packet.seq = vi.tx_seq
-        status, original = self._fetch_atomic_reliable(vi, packet)
+        status, original = self._round_trip(
+            vi, packet, self.fabric.attempt_atomic, atomic=packet.kind.value)
         if status != VIP_SUCCESS:
-            desc.complete(status, 0)
-            vi.complete_send(desc)
-            vi.enter_error()
+            self._complete_send(vi, desc, status, 0)
             return
         try:
             self.dma.write_scatter(
@@ -626,99 +581,41 @@ class VIANic:
             self._fail_send_dma(vi, desc)
             return
         desc.atomic_original_value = original
-        desc.complete(VIP_SUCCESS, ATOMIC_OPERAND_BYTES)
-        vi.complete_send(desc)
+        self._complete_send(vi, desc, VIP_SUCCESS, ATOMIC_OPERAND_BYTES)
         self.atomics_completed += 1
         obs = self.kernel.obs
         if obs.enabled:
-            self._observe_completion(desc, "send")
             obs.metrics.counter("via.atomic.completed").inc()
-
-    def _fetch_atomic_reliable(self, vi: VirtualInterface,
-                               packet: Packet) -> tuple[str, int]:
-        """Atomic round trip with retransmission.  Unlike RDMA reads a
-        retry is *not* a re-execute: the responder answers replayed
-        sequence numbers from its response cache."""
-        assert self.fabric is not None
-        clock = self.kernel.clock
-        costs = self.kernel.costs
-        trace = self.kernel.trace
-        obs = self.kernel.obs
-        timeout_ns = costs.retransmit_timeout_ns
-        for attempt in range(self.max_retransmits + 1):
-            if attempt:
-                self.retransmits += 1
-                if obs.enabled:
-                    obs.metrics.counter("via.nic.retransmits").inc()
-                trace.emit("via_retransmit", nic=self.name, vi=vi.vi_id,
-                           seq=packet.seq, attempt=attempt,
-                           atomic=packet.kind.value)
-            outcome, original = self.fabric.attempt_atomic(
-                self, packet, vi.reliability)
-            if outcome.kind == "delivered":
-                return outcome.status, original
-            if outcome.kind == "dropped":
-                clock.charge(timeout_ns, "retransmit")
-                if obs.enabled:
-                    obs.metrics.counter(
-                        "via.nic.backoff_wait_ns").inc(timeout_ns)
-                trace.emit("via_retransmit_timeout", nic=self.name,
-                           vi=vi.vi_id, seq=packet.seq,
-                           waited_ns=timeout_ns, cause="dropped")
-                timeout_ns = min(int(timeout_ns * costs.retransmit_backoff),
-                                 costs.retransmit_timeout_max_ns)
-            # NACK (corrupt response): resend immediately; the responder
-            # dedups the replayed seq.
-        obs.inc("via.nic.conn_lost")
-        trace.emit("via_conn_lost", nic=self.name, vi=vi.vi_id,
-                   seq=packet.seq, retries=self.max_retransmits)
-        return VIP_ERROR_CONN_LOST, 0
-
-    def _fetch_rdma_read_reliable(self, vi: VirtualInterface,
-                                  packet: Packet) -> tuple[str, bytes]:
-        """RDMA-read round trip with retransmission (reads are
-        idempotent, so a retry simply re-fetches)."""
-        assert self.fabric is not None
-        clock = self.kernel.clock
-        costs = self.kernel.costs
-        trace = self.kernel.trace
-        obs = self.kernel.obs
-        timeout_ns = costs.retransmit_timeout_ns
-        for attempt in range(self.max_retransmits + 1):
-            if attempt:
-                self.retransmits += 1
-                if obs.enabled:
-                    obs.metrics.counter("via.nic.retransmits").inc()
-                trace.emit("via_retransmit", nic=self.name, vi=vi.vi_id,
-                           seq=packet.seq, attempt=attempt, rdma="read")
-            outcome, payload = self.fabric.attempt_rdma_read(
-                self, packet, vi.reliability)
-            if outcome.kind == "delivered":
-                return outcome.status, payload
-            if outcome.kind == "dropped":
-                clock.charge(timeout_ns, "retransmit")
-                if obs.enabled:
-                    obs.metrics.counter(
-                        "via.nic.backoff_wait_ns").inc(timeout_ns)
-                trace.emit("via_retransmit_timeout", nic=self.name,
-                           vi=vi.vi_id, seq=packet.seq,
-                           waited_ns=timeout_ns, cause="dropped")
-                timeout_ns = min(int(timeout_ns * costs.retransmit_backoff),
-                                 costs.retransmit_timeout_max_ns)
-        obs.inc("via.nic.conn_lost")
-        trace.emit("via_conn_lost", nic=self.name, vi=vi.vi_id,
-                   seq=packet.seq, retries=self.max_retransmits)
-        return VIP_ERROR_CONN_LOST, b""
 
     # --------------------------------------------------------------- delivery side
 
-    def deliver(self, packet: Packet, reliability: ReliabilityLevel) -> str:
-        """Accept an inbound packet from the fabric; returns a status the
-        fabric relays to the sender."""
+    def _inbound_vi(self, packet: Packet) -> VirtualInterface | None:
+        """Fire any due NIC fault, then return the connected VI an
+        inbound packet is addressed to — None if it is gone, not
+        connected, or connected to someone else."""
         self.check_faults()
         vi = self.vis.get(packet.dst_vi)
         if vi is None or vi.state != ViState.CONNECTED or \
                 vi.peer != (packet.src_nic, packet.src_vi):
+            return None
+        return vi
+
+    @staticmethod
+    def _refuse(vi: VirtualInterface, reliability: ReliabilityLevel,
+                status: str) -> str:
+        """An inbound send or RDMA write failed on this side: an
+        UNRELIABLE sender is told nothing (success), a reliable
+        connection breaks and the sender learns ``status``."""
+        if reliability == ReliabilityLevel.UNRELIABLE:
+            return VIP_SUCCESS
+        vi.enter_error()
+        return status
+
+    def deliver(self, packet: Packet, reliability: ReliabilityLevel) -> str:
+        """Accept an inbound packet from the fabric; returns a status the
+        fabric relays to the sender."""
+        vi = self._inbound_vi(packet)
+        if vi is None:
             return VIP_ERROR_CONN_LOST
 
         # Deduplicate retransmits on RELIABLE VIs: a sequence number at
@@ -756,28 +653,19 @@ class VIANic:
             self.kernel.obs.inc("via.nic.recv_drops")
             self.kernel.trace.emit("via_recv_drop", nic=self.name,
                                    vi=vi.vi_id)
-            if reliability == ReliabilityLevel.UNRELIABLE:
-                return VIP_SUCCESS
-            vi.enter_error()
-            return VIP_ERROR_CONN_LOST
+            return self._refuse(vi, reliability, VIP_ERROR_CONN_LOST)
         desc = vi.recv_queue.popleft()
         if desc.total_length < len(packet.payload):
             desc.complete(VIP_DESCRIPTOR_ERROR, 0)
             vi.complete_recv(desc)
-            if reliability == ReliabilityLevel.UNRELIABLE:
-                return VIP_SUCCESS
-            vi.enter_error()
-            return VIP_DESCRIPTOR_ERROR
+            return self._refuse(vi, reliability, VIP_DESCRIPTOR_ERROR)
         try:
             segs = self._translate_local(vi, desc)
         except (ProtectionError, NotRegistered) as exc:
             self.protection_faults += 1
             desc.complete(exc.status, 0)
             vi.complete_recv(desc)
-            if reliability == ReliabilityLevel.UNRELIABLE:
-                return VIP_SUCCESS
-            vi.enter_error()
-            return exc.status
+            return self._refuse(vi, reliability, exc.status)
         try:
             self.dma.write_scatter(
                 _trim_segments(segs, len(packet.payload)), packet.payload)
@@ -787,10 +675,7 @@ class VIANic:
             vi.complete_recv(desc)
             self.kernel.trace.emit("via_dma_fault", nic=self.name,
                                    vi=vi.vi_id, side="recv")
-            if reliability == ReliabilityLevel.UNRELIABLE:
-                return VIP_SUCCESS
-            vi.enter_error()
-            return VIP_ERROR_NIC
+            return self._refuse(vi, reliability, VIP_ERROR_NIC)
         desc.received_immediate = packet.immediate
         desc.complete(VIP_SUCCESS, len(packet.payload))
         self.kernel.clock.charge(self.kernel.costs.completion_post_ns,
@@ -813,29 +698,20 @@ class VIANic:
             self.protection_faults += 1
             self.kernel.trace.emit("via_rdma_protfault", nic=self.name,
                                    vi=vi.vi_id, status=exc.status)
-            if reliability == ReliabilityLevel.UNRELIABLE:
-                return VIP_SUCCESS
-            vi.enter_error()
-            return exc.status
+            return self._refuse(vi, reliability, exc.status)
         try:
             self.dma.write_scatter(segs, packet.payload)
         except DMAFault:
             self.dma_faults += 1
             self.kernel.trace.emit("via_dma_fault", nic=self.name,
                                    vi=vi.vi_id, side="rdma_write")
-            if reliability == ReliabilityLevel.UNRELIABLE:
-                return VIP_SUCCESS
-            vi.enter_error()
-            return VIP_ERROR_NIC
+            return self._refuse(vi, reliability, VIP_ERROR_NIC)
         # Immediate data makes the RDMA write visible to the receiver by
         # consuming one receive descriptor (VIA spec §2.2.2).
         if packet.immediate is not None:
             if not vi.recv_queue:
                 self.recv_drops += 1
-                if reliability == ReliabilityLevel.UNRELIABLE:
-                    return VIP_SUCCESS
-                vi.enter_error()
-                return VIP_ERROR_CONN_LOST
+                return self._refuse(vi, reliability, VIP_ERROR_CONN_LOST)
             desc = vi.recv_queue.popleft()
             desc.received_immediate = packet.immediate
             desc.complete(VIP_SUCCESS, 0)
@@ -846,10 +722,8 @@ class VIANic:
                         reliability: ReliabilityLevel
                         ) -> tuple[str, bytes]:
         """Serve an inbound RDMA-read request: translate and fetch."""
-        self.check_faults()
-        vi = self.vis.get(packet.dst_vi)
-        if vi is None or vi.state != ViState.CONNECTED or \
-                vi.peer != (packet.src_nic, packet.src_vi):
+        vi = self._inbound_vi(packet)
+        if vi is None:
             return VIP_ERROR_CONN_LOST, b""
         assert packet.remote_handle is not None
         assert packet.remote_va is not None
@@ -883,10 +757,8 @@ class VIANic:
         response was lost *after* the RMW executed, and re-executing it
         would double-apply a FETCH_ADD or mis-judge a CMPSWAP.
         """
-        self.check_faults()
-        vi = self.vis.get(packet.dst_vi)
-        if vi is None or vi.state != ViState.CONNECTED or \
-                vi.peer != (packet.src_nic, packet.src_vi):
+        vi = self._inbound_vi(packet)
+        if vi is None:
             return VIP_ERROR_CONN_LOST, 0
         obs = self.kernel.obs
         if reliability != ReliabilityLevel.UNRELIABLE and packet.seq:
@@ -925,11 +797,11 @@ class VIANic:
         if mapping is None:
             return False
         pid, vpn = mapping
-        for task in self.kernel.tasks:
-            if task.pid == pid:
-                vma = task.vmas.find(vpn)
-                return vma is not None and bool(vma.flags & VM_LOCKED)
-        return False
+        task = self.kernel.tasks_by_pid.get(pid)
+        if task is None:
+            return False
+        vma = task.vmas.find(vpn)
+        return vma is not None and bool(vma.flags & VM_LOCKED)
 
     def _serve_atomic_fresh(self, vi: VirtualInterface, packet: Packet,
                             reliability: ReliabilityLevel

@@ -151,7 +151,7 @@ class MemoryRegion:
     valid: bool = True
     #: on-demand-paging region: entries may carry :data:`INVALID_FRAME`
     #: and translation must check per-page validity (non-ODP regions
-    #: skip that walk entirely, keeping the legacy fast path unchanged)
+    #: skip that walk entirely)
     odp: bool = False
     #: opaque cookie the locking backend returned; owned by the Kernel
     #: Agent, carried here so deregistration can find it
@@ -225,14 +225,18 @@ class TranslationProtectionTable:
     the registration cache.
 
     ``clock``/``costs`` are optional: when provided (the NIC wires its
-    kernel's in), translation charges simulated time per extent, per
-    page, or per cache hit, depending on which path served it.
+    kernel's in), translation charges simulated time per extent, or per
+    cache hit when the translation cache served it.
     """
 
     def __init__(self, capacity_entries: int = DEFAULT_TPT_ENTRIES,
                  clock=None, costs=None,
                  translation_cache_entries: int =
                  DEFAULT_TRANSLATION_CACHE_ENTRIES, events=None) -> None:
+        if translation_cache_entries < 1:
+            raise ValueError(
+                f"translation cache needs at least one entry, got "
+                f"{translation_cache_entries}")
         self.capacity_entries = capacity_entries
         self.regions: dict[int, MemoryRegion] = {}
         self.entries_used = 0
@@ -240,10 +244,7 @@ class TranslationProtectionTable:
         self._costs = costs
         #: analysis EventHub for TPT lifecycle events (optional)
         self._events = events
-        #: serve translations from coalesced extents (False restores the
-        #: legacy per-page walk for A/B benchmarking)
-        self.coalesce_extents = True
-        #: bounded LRU of memoized translations; 0 disables
+        #: capacity of the bounded LRU of memoized translations
         self.translation_cache_entries = translation_cache_entries
         self._xcache: OrderedDict[tuple, tuple] = OrderedDict()
         self._xcache_by_handle: dict[int, set[tuple]] = {}
@@ -437,34 +438,23 @@ class TranslationProtectionTable:
 
         version = region.frames_version
         key = (handle, va, length)
-        if self.translation_cache_entries > 0:
-            cached = self._xcache.get(key)
-            if cached is not None and version is not None \
-                    and cached[1] == version:
-                self._xcache.move_to_end(key)
-                self.cache_hits += 1
-                self._charge(self._costs.tpt_cache_hit_ns
-                             if self._costs else 0)
-                events = self._events
-                if events is not None and events.active:
-                    events.emit(TPT_TRANSLATE, handle=handle, va=va,
-                                length=length, cached=True)
-                return list(cached[0])
-            self.cache_misses += 1
+        cached = self._xcache.get(key)
+        if cached is not None and version is not None \
+                and cached[1] == version:
+            self._xcache.move_to_end(key)
+            self.cache_hits += 1
+            self._charge(self._costs.tpt_cache_hit_ns if self._costs else 0)
+            events = self._events
+            if events is not None and events.active:
+                events.emit(TPT_TRANSLATE, handle=handle, va=va,
+                            length=length, cached=True)
+            return list(cached[0])
+        self.cache_misses += 1
 
-        if self.coalesce_extents:
-            segments = self._translate_extents(region, va, length)
-            if self._costs is not None:
-                self._charge(len(segments)
-                             * self._costs.tpt_translate_extent_ns)
-        else:
-            segments = self._translate_pages(region, va, length)
-            if self._costs is not None:
-                self._charge(len(segments)
-                             * self._costs.tpt_translate_page_ns)
-
-        if self.translation_cache_entries > 0:
-            self._cache_put(key, segments, version)
+        segments = self._translate_extents(region, va, length)
+        if self._costs is not None:
+            self._charge(len(segments) * self._costs.tpt_translate_extent_ns)
+        self._cache_put(key, segments, version)
         events = self._events
         if events is not None and events.active:
             events.emit(TPT_TRANSLATE, handle=handle, va=va,
@@ -490,24 +480,6 @@ class TranslationProtectionTable:
             rel += n
             remaining -= n
             idx += 1
-        return segments
-
-    @staticmethod
-    def _translate_pages(region: MemoryRegion, va: int, length: int
-                         ) -> list[tuple[int, int]]:
-        """The legacy page-by-page walk (one segment per page)."""
-        segments: list[tuple[int, int]] = []
-        remaining = length
-        cursor = va
-        aligned_base = region.first_vpn * PAGE_SIZE
-        while remaining > 0:
-            page_index = (cursor - aligned_base) // PAGE_SIZE
-            offset = cursor % PAGE_SIZE
-            n = min(remaining, PAGE_SIZE - offset)
-            frame = region.frames[page_index]
-            segments.append((frame * PAGE_SIZE + offset, n))
-            cursor += n
-            remaining -= n
         return segments
 
     @property

@@ -90,12 +90,12 @@ class UserAgent:
     # ----------------------------------------------------------------- posting
 
     def post_send(self, vi: VirtualInterface, desc: Descriptor) -> None:
-        """``VipPostSend`` — user-level, no kernel call."""
-        self.nic.post_send(vi.vi_id, desc, self.task.pid)
+        """``VipPostSend`` — user-level, no kernel call; a post of one."""
+        self.nic.post_send_many(vi.vi_id, [desc], self.task.pid)
 
     def post_recv(self, vi: VirtualInterface, desc: Descriptor) -> None:
-        """``VipPostRecv``."""
-        self.nic.post_recv(vi.vi_id, desc, self.task.pid)
+        """``VipPostRecv`` — a post of one."""
+        self.nic.post_recv_many(vi.vi_id, [desc], self.task.pid)
 
     def post_send_many(self, vi: VirtualInterface,
                        descs: "list[Descriptor]") -> int:

@@ -117,26 +117,6 @@ def test_faultplan_accepts_direct_and_getattr_validation():
     assert lint_fixture("good_faultplan.py") == []
 
 
-# ------------------------------------------------------------- clock-subscribe
-
-def test_clock_subscribe_flags_watcher_wiring():
-    findings = lint_fixture("bad_clock_subscribe.py")
-    assert rules_of(findings) == ["clock-subscribe"] * 3
-
-
-def test_clock_subscribe_accepts_calendar_hub_and_pragma():
-    assert lint_fixture("good_clock_subscribe.py") == []
-
-
-def test_clock_subscribe_exempts_the_clock_module():
-    source = "def start(self):\n    self.clock.subscribe(self._fn)\n"
-    linter = Linter(["clock-subscribe"])
-    assert linter.check_source(
-        source, relpath="repro/sim/clock.py") == []
-    assert len(linter.check_source(
-        source, relpath="repro/kernel/reaper.py")) == 1
-
-
 # -------------------------------------------------------------- hub-emit-unguarded
 
 def test_hub_emit_flags_unguarded_emissions():

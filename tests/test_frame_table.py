@@ -1,13 +1,48 @@
 """The vectorized frame table: columnar state, incremental index sets,
-and the fast audit paths they enable."""
+and the fast audit paths they enable.
+
+The audits read the incremental sets instead of walking every frame;
+the whole-table walks below are the parity oracle they are checked
+against."""
 
 import pytest
 
-from repro.core.audit import audit_kernel_invariants, audit_pin_leaks
+from repro.core.audit import LeakedPin, audit_kernel_invariants, \
+    audit_pin_leaks
 from repro.errors import PageAccountingError
 from repro.kernel.pagemap import PageMap
 from repro.sim.clock import SimClock
 from repro.sim.costs import CostModel
+
+
+def full_check_free_list(pm):
+    """Walk the whole free list through the descriptor views."""
+    seen = set()
+    for frame in pm._free:
+        if frame in seen:
+            raise PageAccountingError(f"frame {frame} on the free list twice")
+        seen.add(frame)
+        if pm.pages[frame].count != 0:
+            raise PageAccountingError(
+                f"frame {frame} free with refcount {pm.pages[frame].count}")
+
+
+def full_pin_leaks(kernel):
+    """Every frame whose pins exceed zero (no agents: nothing explains
+    a pin), found by visiting every descriptor."""
+    return [LeakedPin(frame=pd.frame, pin_count=pd.pin_count, expected=0)
+            for pd in kernel.pagemap if pd.pin_count > 0]
+
+
+def full_frame_counters(kernel):
+    """Check every descriptor's pin and reference counters."""
+    for pd in kernel.pagemap:
+        if pd.pin_count > 0 and pd.count == 0:
+            raise PageAccountingError(
+                f"frame {pd.frame} pinned ({pd.pin_count}) but free")
+        if pd.pin_count < 0 or pd.count < 0:
+            raise PageAccountingError(
+                f"frame {pd.frame} has negative counters")
 
 
 @pytest.fixture
@@ -101,7 +136,7 @@ class TestFreeListAudit:
     def test_fast_and_full_paths_accept_a_clean_map(self, pm):
         pm.alloc()
         pm.check_free_list()
-        pm.check_free_list(full_scan=True)
+        full_check_free_list(pm)
 
     def test_both_paths_catch_nonzero_count_on_free_frame(self, pm):
         frame = pm._free[-1]
@@ -109,14 +144,14 @@ class TestFreeListAudit:
         with pytest.raises(PageAccountingError, match="refcount"):
             pm.check_free_list()
         with pytest.raises(PageAccountingError, match="refcount"):
-            pm.check_free_list(full_scan=True)
+            full_check_free_list(pm)
 
     def test_both_paths_catch_a_duplicate_free_entry(self, pm):
         pm._free.append(pm._free[-1])    # corrupt: same frame twice
         with pytest.raises(PageAccountingError):
             pm.check_free_list()
         with pytest.raises(PageAccountingError, match="twice"):
-            pm.check_free_list(full_scan=True)
+            full_check_free_list(pm)
 
 
 class TestFastAudits:
@@ -124,7 +159,7 @@ class TestFastAudits:
         pd = kernel.pagemap.alloc("leak")
         pd.pin()
         fast = audit_pin_leaks(kernel)
-        full = audit_pin_leaks(kernel, full_scan=True)
+        full = full_pin_leaks(kernel)
         assert fast == full
         assert len(fast) == 1 and fast[0].frame == pd.frame
         pd.unpin()
@@ -139,7 +174,7 @@ class TestFastAudits:
         with pytest.raises(PageAccountingError, match="pinned"):
             audit_kernel_invariants(kernel)
         with pytest.raises(PageAccountingError, match="pinned"):
-            audit_kernel_invariants(kernel, full_scan=True)
+            full_frame_counters(kernel)
         kernel.pagemap.table.set_pin_count(frame, 0)
         kernel.pagemap.table.counts[frame] = 1
         kernel.pagemap.put_page(frame)
@@ -151,6 +186,6 @@ class TestFastAudits:
         with pytest.raises(PageAccountingError, match="negative"):
             audit_kernel_invariants(kernel)
         with pytest.raises(PageAccountingError, match="negative"):
-            audit_kernel_invariants(kernel, full_scan=True)
+            full_frame_counters(kernel)
         kernel.pagemap.table.counts[frame] = 1
         kernel.pagemap.put_page(frame)

@@ -98,21 +98,26 @@ class TestBurstCoalescing:
             == [(0, 4)]
 
     def test_gather_equivalence_with_legacy(self):
+        """A coalesced gather reads what one engine read per segment
+        (the pre-coalescing behaviour) reads."""
         dma, phys, _, _ = make()
         phys.write(0, PAGE_SIZE - 2, b"ab")
         phys.write(1, 0, b"cd")
         segs = [(PAGE_SIZE - 2, 2), (PAGE_SIZE, 2)]
-        fast = dma.read_gather(segs)
-        dma.coalesce = False
-        assert dma.read_gather(segs) == fast == b"abcd"
+        per_segment = b"".join(dma.read(addr, n) for addr, n in segs)
+        assert dma.read_gather(segs) == per_segment == b"abcd"
 
     def test_scatter_equivalence_with_legacy(self):
+        """A coalesced scatter lands what one engine write per segment
+        lands."""
         dma, phys, _, _ = make()
         segs = [(PAGE_SIZE - 2, 2), (PAGE_SIZE, 2)]
         dma.write_scatter(segs, b"abcd")
         fast = phys.read_iovec([(PAGE_SIZE - 2, 4)])
-        dma.coalesce = False
-        dma.write_scatter(segs, b"wxyz")
+        pos = 0
+        for addr, n in segs:
+            dma.write(addr, b"wxyz"[pos:pos + n])
+            pos += n
         assert fast == b"abcd"
         assert phys.read_iovec([(PAGE_SIZE - 2, 4)]) == b"wxyz"
 
@@ -129,12 +134,4 @@ class TestBurstCoalescing:
         m = CostModel()
         dma.read_gather([(0, 4), (100, 4)])   # two runs
         expected = m.dma_setup_ns + m.dma_burst_ns + m.dma_ns(8)
-        assert clock.category_ns("dma") == expected
-
-    def test_legacy_mode_charges_per_segment_setup(self):
-        dma, _, clock, _ = make()
-        dma.coalesce = False
-        m = CostModel()
-        dma.read_gather([(0, 4), (100, 4)])
-        expected = 2 * m.dma_setup_ns + m.dma_ns(4) * 2
         assert clock.category_ns("dma") == expected

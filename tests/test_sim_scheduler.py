@@ -176,15 +176,6 @@ class TestReset:
         # Cancelling a stale handle after reset is a harmless no-op.
         assert not clock.cancel(event)
 
-    def test_reset_clears_watcher_bookkeeping(self):
-        clock = SimClock()
-        ticks = []
-        clock.subscribe(ticks.append)
-        clock.charge(5)
-        clock.reset()
-        clock.charge(5)
-        assert ticks == [5]    # nothing from the post-reset timeline
-
     def test_back_to_back_phases_do_not_inherit_cadence(self):
         """Regression: a daemon left scheduled across reset() used to
         misfire into the next benchmark phase with stale deadlines."""
@@ -212,55 +203,6 @@ class TestReset:
         clock.reset()
         assert clock.now_ns == 0
         assert clock.categories() == {}
-
-
-class TestSubscribeShim:
-    def test_shim_still_fans_out_per_charge(self):
-        clock = SimClock()
-        ticks = []
-        unsubscribe = clock.subscribe(ticks.append)
-        clock.charge(5)
-        clock.charge(7)
-        assert ticks == [5, 12]
-        unsubscribe()
-        clock.charge(3)
-        assert ticks == [5, 12]
-
-    def test_shim_and_calendar_daemons_agree_on_cadence(self):
-        """Equivalence: a cadence daemon fires at the same simulated
-        times whether it polls from a subscriber or rides the calendar."""
-        charges = [40, 40, 40, 250, 10, 100, 60]
-        interval = 100
-
-        def run_subscriber():
-            clock = SimClock()
-            fires = []
-            state = {"due": interval}
-
-            def on_tick(now_ns):
-                if now_ns >= state["due"]:
-                    fires.append(now_ns)
-                    state["due"] = now_ns + interval
-
-            clock.subscribe(on_tick)
-            for ns in charges:
-                clock.charge(ns)
-            return fires
-
-        def run_calendar():
-            clock = SimClock()
-            fires = []
-
-            def on_event(now_ns):
-                fires.append(now_ns)
-                clock.schedule_after(interval, on_event)
-
-            clock.schedule_after(interval, on_event)
-            for ns in charges:
-                clock.charge(ns)
-            return fires
-
-        assert run_subscriber() == run_calendar()
 
 
 class TestCadenceCatchUp:

@@ -357,3 +357,57 @@ class TestTranslationCacheLifecycle:
         assert tpt.cached_translations == 0
         # registrations themselves survive the reset (host-side state)
         assert tpt.entries_used > 0
+
+
+class TestReliableRoundTrip:
+    """Sends, RDMA reads and atomics share one retransmission loop: on
+    a dead wire each retries the same budget on the same backoff
+    schedule, then completes ``VIP_ERROR_CONN_LOST`` and breaks the
+    connection."""
+
+    @staticmethod
+    def post_over_dead_wire(kind):
+        cluster, ua_s, ua_r, vi_s, vi_r = connected_pair("kiobuf")
+        rva = ua_r.task.mmap(1)
+        ua_r.task.touch_pages(rva, 1)
+        rreg = ua_r.register_mem(rva, PAGE_SIZE, rdma_read=True,
+                                 rdma_atomic=True)
+        lva = ua_s.task.mmap(1)
+        lreg = ua_s.register_mem(lva, PAGE_SIZE)
+        local = [DataSegment(lreg.handle, lva, 8)]
+        desc = {
+            "send": lambda: Descriptor.send(local),
+            "rdma_read": lambda: Descriptor.rdma_read(local, rreg.handle,
+                                                      rva),
+            "atomic": lambda: Descriptor.atomic_fetchadd(
+                local, rreg.handle, rva, 1),
+        }[kind]()
+        cluster.fabric.loss_rate = 1.0
+        ua_s.post_send(vi_s, desc)
+        return cluster, ua_s.nic, vi_s, desc
+
+    @pytest.mark.parametrize("kind, note", [
+        ("send", {}),
+        ("rdma_read", {"rdma": "read"}),
+        ("atomic", {"atomic": "atomic_fetchadd"}),
+    ])
+    def test_budget_backoff_and_conn_lost(self, kind, note):
+        cluster, nic, vi_s, desc = self.post_over_dead_wire(kind)
+        assert desc.status == VIP_ERROR_CONN_LOST
+        assert vi_s.state == ViState.ERROR
+        assert nic.retransmits == nic.max_retransmits
+        retries = cluster.trace.of_kind("via_retransmit")
+        assert [e["attempt"] for e in retries] == list(
+            range(1, nic.max_retransmits + 1))
+        for event in retries:
+            for key, value in note.items():
+                assert event[key] == value
+        assert cluster.trace.count("via_conn_lost") == 1
+        # Every attempt timed out, on the capped exponential schedule.
+        costs = nic.kernel.costs
+        timeout, expected = costs.retransmit_timeout_ns, 0
+        for _ in range(nic.max_retransmits + 1):
+            expected += timeout
+            timeout = min(int(timeout * costs.retransmit_backoff),
+                          costs.retransmit_timeout_max_ns)
+        assert cluster.clock.category_ns("retransmit") == expected

@@ -9,6 +9,21 @@ from repro.via.tpt import TranslationProtectionTable
 TAG_A, TAG_B = 0x100, 0x200
 
 
+def per_page_walk(region, va, length):
+    """Reference translation: one segment per page touched, straight
+    from the recorded frames (what the TPT served before extents)."""
+    segments = []
+    aligned_base = region.first_vpn * PAGE_SIZE
+    while length > 0:
+        offset = va % PAGE_SIZE
+        n = min(length, PAGE_SIZE - offset)
+        frame = region.frames[(va - aligned_base) // PAGE_SIZE]
+        segments.append((frame * PAGE_SIZE + offset, n))
+        va += n
+        length -= n
+    return segments
+
+
 def install(tpt, va=0x10000, npages=4, tag=TAG_A, **kw):
     frames = list(range(10, 10 + npages))
     return tpt.install(va_base=va, nbytes=npages * PAGE_SIZE, prot_tag=tag,
@@ -70,14 +85,16 @@ class TestTranslation:
         assert segs == [(10 * PAGE_SIZE + PAGE_SIZE - 10, 20)]
 
     def test_multi_page_spans_legacy_walk(self):
-        """The per-page walk splits the same span at page boundaries."""
+        """A per-page walk splits the same span at page boundaries; the
+        extent is exactly those pieces merged."""
         tpt = TranslationProtectionTable()
-        tpt.coalesce_extents = False
         region = install(tpt, va=0x10000, npages=4)
         va = 0x10000 + PAGE_SIZE - 10
-        segs = tpt.translate(region.handle, va, 20, TAG_A)
-        assert segs == [(10 * PAGE_SIZE + PAGE_SIZE - 10, 10),
-                        (11 * PAGE_SIZE, 10)]
+        legacy = per_page_walk(region, va, 20)
+        assert legacy == [(10 * PAGE_SIZE + PAGE_SIZE - 10, 10),
+                          (11 * PAGE_SIZE, 10)]
+        assert tpt.translate(region.handle, va, 20, TAG_A) == [
+            (legacy[0][0], 20)]
 
     def test_discontiguous_frames_split_extents(self):
         tpt = TranslationProtectionTable()
@@ -136,8 +153,8 @@ class TestTranslation:
         """Regression: a multi-page region whose base is not
         page-aligned must index frames relative to the region's
         *aligned* base (``va // PAGE_SIZE``), not its raw ``va_base`` —
-        the two paths (extent and per-page) must agree byte-for-byte."""
-        tpt = TranslationProtectionTable(translation_cache_entries=0)
+        the extent map and a per-page walk must agree byte-for-byte."""
+        tpt = TranslationProtectionTable()
         va = 0x10000 + 100
         # 2 * PAGE_SIZE bytes starting 100 bytes into a page touch three
         # pages; deliberately non-adjacent frames so nothing coalesces.
@@ -147,15 +164,11 @@ class TestTranslation:
         assert fast == [(7 * PAGE_SIZE + 100, PAGE_SIZE - 100),
                         (9 * PAGE_SIZE, PAGE_SIZE),
                         (13 * PAGE_SIZE, 100)]
-        tpt.coalesce_extents = False
-        legacy = tpt.translate(region.handle, va, 2 * PAGE_SIZE, TAG_A)
-        assert legacy == fast
+        assert per_page_walk(region, va, 2 * PAGE_SIZE) == fast
         # A sub-span starting mid-way through the second page.
-        tpt.coalesce_extents = True
         off = PAGE_SIZE - 100 + 50        # 50 bytes into page 1
         fast = tpt.translate(region.handle, va + off, PAGE_SIZE, TAG_A)
-        tpt.coalesce_extents = False
-        legacy = tpt.translate(region.handle, va + off, PAGE_SIZE, TAG_A)
+        legacy = per_page_walk(region, va + off, PAGE_SIZE)
         assert legacy == fast == [(9 * PAGE_SIZE + 50, PAGE_SIZE - 50),
                                   (13 * PAGE_SIZE, 50)]
 
@@ -233,13 +246,10 @@ class TestTranslationCache:
         tpt.translate(region.handle, 0x10000, 4, TAG_A)
         assert tpt.cache_misses == 4
 
-    def test_cache_disabled_by_zero_entries(self):
-        tpt = TranslationProtectionTable(translation_cache_entries=0)
-        region = install(tpt)
-        tpt.translate(region.handle, 0x10000, 4, TAG_A)
-        tpt.translate(region.handle, 0x10000, 4, TAG_A)
-        assert tpt.cached_translations == 0
-        assert (tpt.cache_hits, tpt.cache_misses) == (0, 0)
+    def test_cache_cannot_be_sized_to_zero(self):
+        """The cache is part of the translation path, not an option."""
+        with pytest.raises(ValueError, match="at least one entry"):
+            TranslationProtectionTable(translation_cache_entries=0)
 
     def test_protection_checked_even_on_cached_span(self):
         """Memoization covers only the segment list — the protection
