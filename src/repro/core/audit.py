@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING
+from itertools import chain
+from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import (
     InvalidArgument, InvariantViolation, PageAccountingError,
@@ -22,6 +23,8 @@ from repro.via.tpt import INVALID_FRAME
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.kernel import Kernel
+    from repro.kernel.kiobuf import Kiobuf
+    from repro.kernel.pagemap import PageMap
     from repro.via.kernel_agent import KernelAgent
 
 
@@ -42,17 +45,39 @@ def audit_tpt_consistency(agent: "KernelAgent") -> list[StaleEntry]:
 
     Returns the stale entries (empty ⇔ the NIC and the MMU agree — the
     correctness criterion for a locking mechanism).
+
+    The check runs per owner, not per registration: one task lookup,
+    then the owner's registered vpns (from the agent's owner index)
+    zipped against its recorded frames, read live.  Only when a page
+    disagrees does the per-registration walk run, which builds the
+    report (and skips not-yet-translated ODP entries).
     """
+    find_task = agent.kernel.find_task
+    for pid, vpns, frame_lists in agent.owner_pages():
+        try:
+            task = find_task(pid)
+        except InvalidArgument:
+            # Owner exited; its registrations dangle by definition.
+            # Only the lookup failure is absorbed — a broad except here
+            # would swallow ProcessKilled from a crash point firing
+            # inside an audited callback.
+            continue
+        pte_of = task.page_table._entries.get
+        for vpn, tpt_frame in zip(vpns, chain.from_iterable(frame_lists)):
+            pte = pte_of(vpn)
+            if pte is None or not pte.present or pte.frame != tpt_frame:
+                return _stale_entries(agent)
+    return []
+
+
+def _stale_entries(agent: "KernelAgent") -> list[StaleEntry]:
+    """The per-entry walk behind :func:`audit_tpt_consistency`."""
     kernel = agent.kernel
     stale: list[StaleEntry] = []
     for reg in agent.registrations.values():
         try:
             task = kernel.find_task(reg.pid)
         except InvalidArgument:
-            # Owner exited; the registration is dangling by definition.
-            # Only the lookup failure is absorbed — a broad except here
-            # would swallow ProcessKilled from a crash point firing
-            # inside an audited callback.
             continue
         first_vpn = reg.region.first_vpn
         for i, tpt_frame in enumerate(reg.region.frames):
@@ -80,6 +105,19 @@ class LeakedPin:
     expected: int
 
 
+def explained_pins(agents: "Iterable[KernelAgent]",
+                   kiobufs: "Iterable[Kiobuf]" = ()) -> Counter[int]:
+    """How many pins live state explains on each frame: one per page of
+    every registration recorded in ``agents``, plus one per frame of
+    every *mapped* kiobuf in ``kiobufs``."""
+    registered = chain.from_iterable(
+        frame_lists
+        for agent in agents
+        for _pid, _vpns, frame_lists in agent.owner_pages())
+    held = (kio.frames for kio in kiobufs if kio.mapped)
+    return Counter(chain.from_iterable(chain(registered, held)))
+
+
 def audit_pin_leaks(kernel: "Kernel", *agents: "KernelAgent",
                     count_kiobufs: bool = False) -> list[LeakedPin]:
     """Find frames whose pin count exceeds what live registrations
@@ -97,26 +135,30 @@ def audit_pin_leaks(kernel: "Kernel", *agents: "KernelAgent",
 
     ``count_kiobufs=True`` additionally accepts pins held by live
     (mapped) kiobufs — required when sampling at arbitrary points (the
-    invariant watchdog's cadence), where a registration may legimately
+    invariant watchdog's cadence), where a registration may legitimately
     be halfway built: pinned by its kiobuf but not yet recorded.
 
-    Only frames the page map's pinned set names can leak (a frame with
-    zero pins never exceeds its expectation), so the audit is
-    O(pinned + registered), not O(frames).
+    The cost is one C-speed count over every registered page (and, only
+    if that leaves a frame short, every mapped kiobuf frame), plus one
+    pass over the page map's pinned set — a frame with zero pins never
+    exceeds its expectation — so O(registered + pinned), never
+    O(frames).
     """
-    expected: Counter[int] = Counter()
-    for agent in agents:
-        for reg in agent.registrations.values():
-            for frame in reg.region.frames:
-                expected[frame] += 1
-    if count_kiobufs:
-        for kio in kernel.kiobufs.values():
-            if kio.mapped:
-                for frame in kio.frames:
-                    expected[frame] += 1
+    pagemap = kernel.pagemap
+    leaks = _unexplained(pagemap, explained_pins(agents))
+    if leaks and count_kiobufs:
+        # Kiobuf pins only add to what is explained, so they need
+        # counting only when the registrations alone left a frame short.
+        leaks = _unexplained(
+            pagemap, explained_pins(agents, kernel.kiobufs.values()))
+    return leaks
+
+
+def _unexplained(pagemap: "PageMap",
+                 expected: Counter[int]) -> list[LeakedPin]:
+    pin_counts = pagemap.table.pin_counts
     leaks: list[LeakedPin] = []
-    pin_counts = kernel.pagemap.table.pin_counts
-    for frame in kernel.pagemap.pinned_frames():
+    for frame in pagemap.pinned_frames():
         if pin_counts[frame] > expected.get(frame, 0):
             leaks.append(LeakedPin(frame=frame,
                                    pin_count=pin_counts[frame],
@@ -137,15 +179,17 @@ def audit_kernel_invariants(kernel: "Kernel") -> None:
     5. pinned frames are in use (pin without reference is impossible),
     6. each page table's resident counter equals its present PTEs.
 
-    Invariant 5 and the negative-counter check run against the frame
-    table's columns and pinned set — an ``array`` ``min()`` plus a walk
-    of only the pinned frames — instead of visiting every descriptor.
+    Invariant 5 visits only the frame table's pinned set, and the
+    negative-counter check reads the counters' sign bytes straight out
+    of the columns; only a hit there walks the descriptors to name the
+    frame.
     """
     kernel.pagemap.check_free_list()
 
     slot_owner: dict[int, tuple[int, int]] = {}
-    counts = kernel.pagemap.table.counts
-    tags = kernel.pagemap.table.tags
+    table = kernel.pagemap.table
+    counts = table.counts
+    tags = table.tags
     for task in kernel.tasks:
         page_table = task.page_table
         entries = page_table._entries
@@ -174,13 +218,12 @@ def audit_kernel_invariants(kernel: "Kernel") -> None:
                 f"pid {task.pid} resident counter "
                 f"{page_table.resident_count()} != {present} present PTEs")
 
-    table = kernel.pagemap.table
     for frame in table.pinned:
-        if table.counts[frame] == 0:
+        if counts[frame] == 0:
             raise PageAccountingError(
                 f"frame {frame} pinned ({table.pin_counts[frame]}) "
                 f"but free")
-    if table.min_count() < 0 or table.min_pin_count() < 0:
+    if table.any_negative_counter():
         for pd in kernel.pagemap:
             if pd.pin_count < 0 or pd.count < 0:
                 raise PageAccountingError(

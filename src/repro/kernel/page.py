@@ -25,6 +25,7 @@ table and behaves exactly like the old dataclass.
 
 from __future__ import annotations
 
+import sys
 from array import array
 
 from repro.errors import PageAccountingError
@@ -35,6 +36,11 @@ from repro.kernel.flags import (
 
 #: Debugging label under which paging strands Sec. 3.1 orphan frames.
 ORPHAN_TAG = "orphan"
+
+#: The most significant byte of each 8-byte ``array('q')`` item, as a
+#: slice of the column's raw bytes.
+_SIGN_BYTES = slice(7, None, 8) if sys.byteorder == "little" \
+    else slice(0, None, 8)
 
 
 class FrameTable:
@@ -127,13 +133,15 @@ class FrameTable:
 
     # -- audit helpers -----------------------------------------------------
 
-    def min_count(self) -> int:
-        """Smallest reference count across all frames (C-speed)."""
-        return min(self.counts) if self.counts else 0
+    def any_negative_counter(self) -> bool:
+        """True iff some frame's reference or pin count is below zero.
 
-    def min_pin_count(self) -> int:
-        """Smallest pin count across all frames (C-speed)."""
-        return min(self.pin_counts) if self.pin_counts else 0
+        Reads the sign byte of every 64-bit counter straight out of the
+        columns' buffers: a negative value is exactly one whose sign
+        byte has its top bit set, i.e. is not ASCII.
+        """
+        return not (self.counts.tobytes()[_SIGN_BYTES].isascii()
+                    and self.pin_counts.tobytes()[_SIGN_BYTES].isascii())
 
 
 class PageDescriptor:

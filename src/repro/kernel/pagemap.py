@@ -166,8 +166,10 @@ class PageMap:
         no frame appears twice.
 
         The fast path leans on the parallel free *set*: a duplicate
-        shows up as a length mismatch in O(1), and the refcount check is
-        a straight ``array`` read per free frame.
+        shows up as a length mismatch in O(1), and the refcounts of the
+        free frames are read off a copy of the ``counts`` column in one
+        ``map``; only a non-zero one sends the walk looking for the
+        culprit.
         """
         if len(self._free) != len(self._free_set):
             seen: set[int] = set()
@@ -179,6 +181,8 @@ class PageMap:
             raise PageAccountingError(
                 "free list and free set disagree "
                 f"({len(self._free)} vs {len(self._free_set)})")
+        if not any(map(self.table.counts.tolist().__getitem__, self._free)):
+            return
         counts = self.table.counts
         for frame in self._free:
             if counts[frame] != 0:

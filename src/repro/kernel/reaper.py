@@ -26,17 +26,20 @@ scan produces a :class:`ReaperReport` of what it found and freed.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable
 
 from repro.analysis.events import UNPIN
+from repro.core.audit import audit_pin_leaks, explained_pins
 from repro.errors import ReproError
 from repro.sim.clock import ScheduledEvent
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.kernel import Kernel
     from repro.via.kernel_agent import KernelAgent
+
+_pid = attrgetter("pid")
 
 
 @dataclass
@@ -278,8 +281,15 @@ class OrphanReaper:
     # ---------------------------------------------------------- scan phases
 
     def _reap_dead_registrations(self, report: ReaperReport) -> None:
-        """TPT entries whose owning pid is dead."""
+        """TPT entries whose owning pid is dead.
+
+        The agent's owner index names the dead owners; only an agent
+        with one has its registrations walked.
+        """
+        alive = self.kernel.tasks_by_pid
         for agent in self.agents:
+            if all(map(alive.__contains__, agent.owners())):
+                continue
             for reg in list(agent.registrations.values()):
                 if self._alive(reg.pid):
                     continue
@@ -308,8 +318,13 @@ class OrphanReaper:
 
         A kiobuf still referenced as some recorded registration's lock
         cookie is skipped — the registration phase owns it (unmapping it
-        underneath would corrupt that deregistration's retry).
+        underneath would corrupt that deregistration's retry).  The
+        registration cross-reference is built only once some kiobuf's
+        owner is found dead.
         """
+        owners = set(map(_pid, self.kernel.kiobufs.values()))
+        if not owners.difference(self.kernel.tasks_by_pid):
+            return
         referenced = {id(reg.region.lock_cookie)
                       for agent in self.agents
                       for reg in agent.registrations.values()}
@@ -373,12 +388,6 @@ class OrphanReaper:
                             age_ns=self.kernel.clock.now_ns
                             - desc.posted_at_ns)
 
-    def _live_registration_frames(self) -> set[int]:
-        return {frame
-                for agent in self.agents
-                for reg in agent.registrations.values()
-                for frame in reg.region.frames}
-
     def _reap_orphan_frames(self, report: ReaperReport) -> None:
         """swap_out's orphans — unmapped frames kept alive by leaked
         references — that no recorded registration still explains.
@@ -387,8 +396,10 @@ class OrphanReaper:
         eventual deregistration will drop the reference itself, and
         freeing underneath it would underflow.
         """
-        explained = self._live_registration_frames()
         table = self.kernel.pagemap.table
+        if not table.orphan_candidates:
+            return
+        explained = explained_pins(self.agents)
         # Candidate-set sweep: only frames whose tag is "orphan" are in
         # the set, so this is O(orphans) instead of O(frames).
         for frame in sorted(table.orphan_candidates):
@@ -420,24 +431,24 @@ class OrphanReaper:
         forever, so after ``max_attempts`` consecutive sightings (spaced
         by the backoff schedule — a transiently in-flight pin must not
         be stripped) the excess pins are force-released.
+
+        When the pin-leak audit finds nothing and no frame is mid-backoff
+        the sweep below would change nothing, so it is skipped.
         """
-        expected: Counter[int] = Counter()
-        for agent in self.agents:
-            for reg in agent.registrations.values():
-                for frame in reg.region.frames:
-                    expected[frame] += 1
-        for kio in self.kernel.kiobufs.values():
-            if kio.mapped:
-                for frame in kio.frames:
-                    expected[frame] += 1
-        now = self.kernel.clock.now_ns
-        pagemap = self.kernel.pagemap
+        kernel = self.kernel
+        if not any(key[0] == "pin" for key in self._backoff) \
+                and not audit_pin_leaks(kernel, *self.agents,
+                                        count_kiobufs=True):
+            return
+        pagemap = kernel.pagemap
+        pin_counts = pagemap.table.pin_counts
+        expected = explained_pins(self.agents, kernel.kiobufs.values())
+        now = kernel.clock.now_ns
         excess_frames: set[int] = set()
         # Pinned-set sweep: frames with zero pins can never have excess,
         # so only the incrementally maintained pinned set is visited.
         for frame in pagemap.pinned_frames():
-            pd = pagemap.page(frame)
-            excess = pd.pin_count - expected.get(frame, 0)
+            excess = pin_counts[frame] - expected.get(frame, 0)
             if excess <= 0:
                 self._backoff.pop(("pin", frame), None)
                 continue
@@ -455,16 +466,17 @@ class OrphanReaper:
                     2 ** (state.attempts - 1))
                 report.deferred += 1
                 continue
+            pd = pagemap.page(frame)
             for _ in range(excess):
                 pd.unpin()
             if self.kernel.events.active:
                 self.kernel.events.emit(
-                    UNPIN, frames=(pd.frame,) * excess, pid=None,
+                    UNPIN, frames=(frame,) * excess, pid=None,
                     actor="reaper")
             self._backoff.pop(key, None)
             excess_frames.discard(frame)
             report.pins_force_released += excess
-            self.kernel.trace.emit("reaper_pin_released", frame=pd.frame,
+            self.kernel.trace.emit("reaper_pin_released", frame=frame,
                                    excess=excess,
                                    sightings=state.attempts)
         # A frame unpinned since its last sighting leaves the pinned set

@@ -89,6 +89,12 @@ class KernelAgent:
         self._tags: dict[int, int] = {}
         #: live registrations by handle
         self.registrations: dict[int, Registration] = {}
+        #: the same records grouped by owner: pid → {handle: reg}, in
+        #: registration order (kept in step by _record/_unrecord)
+        self._by_owner: dict[int, dict[int, Registration]] = {}
+        #: pid → (registered vpns, frame lists) derived from _by_owner;
+        #: dropped whenever that owner's registration set changes
+        self._owner_pages: dict[int, tuple[list[int], list[list[int]]]] = {}
         self.fault_plan: "FaultPlan | None" = None
         # The driver owns per-process state (VIs, registrations, pins),
         # so it must hear about exits and munmaps: a process dying with
@@ -198,7 +204,7 @@ class KernelAgent:
         reg = Registration(region=region, pid=task.pid, va=va,
                            nbytes=nbytes, backend_name=self.backend.name,
                            uid=task.uid)
-        self.registrations[region.handle] = reg
+        self._record(reg)
         # Charge while the record exists: a crash at register.installed
         # runs the exit path's deregistration, whose credit must find
         # the charge already booked.
@@ -224,7 +230,7 @@ class KernelAgent:
 
     def deregister_memory(self, handle: int) -> None:
         """Deregister a region: drop the TPT entries, release the pin."""
-        reg = self.registrations.pop(handle, None)
+        reg = self._unrecord(handle)
         if reg is None:
             raise NotRegistered(f"no registration with handle {handle}")
         # Credit follows the record: it is gone as of the pop above,
@@ -245,8 +251,52 @@ class KernelAgent:
                                backend=self.backend.name)
 
     def registrations_of(self, pid: int) -> list[Registration]:
-        """All live registrations of one process."""
-        return [r for r in self.registrations.values() if r.pid == pid]
+        """All live registrations of one process, in registration
+        order."""
+        return list(self._by_owner.get(pid, {}).values())
+
+    def owners(self) -> list[int]:
+        """Pids holding at least one live registration."""
+        return list(self._by_owner)
+
+    def owner_pages(self) -> list[tuple[int, list[int], list[list[int]]]]:
+        """``(pid, vpns, frame lists)`` per owner: the virtual page
+        number of every registered page, in registration order, and the
+        registrations' recorded frame lists themselves, whose
+        concatenation lines up with ``vpns``.
+
+        The vpn list is rebuilt only when the owner's registration set
+        changes; the frames are the live lists, so an in-place write to
+        ``region.frames`` is seen by the next reader.
+        """
+        out = []
+        cache = self._owner_pages
+        for pid, regs in self._by_owner.items():
+            pages = cache.get(pid)
+            if pages is None:
+                regions = [reg.region for reg in regs.values()]
+                pages = cache[pid] = (
+                    [vpn for region in regions
+                     for vpn in range(region.first_vpn,
+                                      region.first_vpn + region.npages)],
+                    [region.frames for region in regions])
+            out.append((pid, *pages))
+        return out
+
+    def _record(self, reg: Registration) -> None:
+        self.registrations[reg.handle] = reg
+        self._by_owner.setdefault(reg.pid, {})[reg.handle] = reg
+        self._owner_pages.pop(reg.pid, None)
+
+    def _unrecord(self, handle: int) -> Registration | None:
+        reg = self.registrations.pop(handle, None)
+        if reg is not None:
+            owned = self._by_owner[reg.pid]
+            del owned[handle]
+            if not owned:
+                del self._by_owner[reg.pid]
+            self._owner_pages.pop(reg.pid, None)
+        return reg
 
     def reclaim_registration(self, handle: int) -> None:
         """Teardown-ordering variant of :meth:`deregister_memory` for
@@ -264,7 +314,7 @@ class KernelAgent:
             self.kernel.events.emit(DEREGISTER, handle=handle, pid=reg.pid)
         self._purge_odp_index(handle, reg.region.lock_cookie)
         self.backend.unlock(self.kernel, reg.region.lock_cookie)
-        self.registrations.pop(handle, None)
+        self._unrecord(handle)
         self.tenants.credit(reg)
         region = self.nic.tpt.remove(handle)
         self.kernel.clock.charge(
@@ -278,7 +328,7 @@ class KernelAgent:
         the pin.  The leaked pin becomes the unexplained-pin scan's
         problem; the stale translation is gone, which is the part the
         hardware would otherwise DMA through."""
-        reg = self.registrations.pop(handle, None)
+        reg = self._unrecord(handle)
         if reg is None:
             raise NotRegistered(f"no registration with handle {handle}")
         self.tenants.credit(reg)

@@ -98,6 +98,58 @@ class TestRegistration:
         regs = machine.agent.registrations_of(ua.task.pid)
         assert {r.handle for r in regs} == {r1.handle, r2.handle}
 
+    def test_owner_index_with_many_owners(self, machine):
+        """munmap and exit force-deregister exactly one owner's
+        registrations, in registration order, served from the owner
+        index while every other owner's records stay put."""
+        agent = machine.agent
+        owners = []
+        for i in range(6):
+            task = machine.spawn(f"owner{i}")
+            owners.append((task, machine.user_agent(task), task.mmap(8)))
+        # Interleave owners so each one's handles are spread out, and
+        # nest some ranges so one munmap hits several registrations.
+        for first, count in ((0, 4), (2, 2), (6, 2), (0, 8), (3, 1)):
+            for _, ua, va in owners:
+                ua.register_mem(va + first * PAGE_SIZE, count * PAGE_SIZE)
+
+        def by_owner():
+            return {task.pid: [r.handle for r in agent.registrations.values()
+                               if r.pid == task.pid]
+                    for task, _, _ in owners}
+
+        for task, _, _ in owners:
+            assert agent.registrations_of(task.pid) == [
+                r for r in agent.registrations.values()
+                if r.pid == task.pid]
+        assert sorted(agent.owners()) == sorted(t.pid for t, _, _ in owners)
+
+        trace = machine.kernel.trace
+        victim, _, va = owners[2]
+        before = by_owner()
+        unmapped = [r.handle for r in agent.registrations_of(victim.pid)
+                    if r.va < va + 2 * PAGE_SIZE]     # overlaps pages 0-1
+        done = trace.count("via_munmap_deregister")
+        victim.munmap(va, 2)
+        events = trace.of_kind("via_munmap_deregister")[done:]
+        assert [e["handle"] for e in events] == unmapped
+        after = by_owner()
+        assert after[victim.pid] == [h for h in before[victim.pid]
+                                     if h not in unmapped]
+        assert {p: h for p, h in after.items() if p != victim.pid} == \
+            {p: h for p, h in before.items() if p != victim.pid}
+
+        leaver = owners[4][0]
+        remaining = [r.handle for r in agent.registrations_of(leaver.pid)]
+        done = trace.count("via_deregister")
+        leaver.exit()
+        events = trace.of_kind("via_deregister")[done:]
+        assert [e["handle"] for e in events] == remaining
+        assert agent.registrations_of(leaver.pid) == []
+        assert leaver.pid not in agent.owners()
+        assert {p: h for p, h in by_owner().items() if p != leaver.pid} == \
+            {p: h for p, h in after.items() if p != leaver.pid}
+
     def test_multiple_registration_same_range(self, machine, ua):
         """The VIA-spec requirement the paper centres on."""
         va = ua.task.mmap(2)
