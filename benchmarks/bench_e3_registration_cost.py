@@ -6,8 +6,11 @@ size, with pages resident ("hot") and swapped out ("cold").
 
 Expected shape:
 
-* every mechanism is **linear in pages** (per-page walk/pin/TPT work on
-  top of a fixed syscall overhead);
+* every pinning mechanism is **linear in pages** (per-page walk/pin/TPT
+  work on top of a fixed syscall overhead);
+* odp registers in **O(1)**: it pins and translates nothing until the
+  NIC first touches a page, so its hot cycle costs the same at every
+  size;
 * kiobuf ≈ refcount + pin bookkeeping, within a small constant of
   mlock — i.e. reliability costs roughly nothing extra;
 * **cold registrations are orders of magnitude slower** — dominated by
@@ -68,10 +71,13 @@ def test_e3_hot_registration_cost(hot_series, report):
         print_series("E3a — register+deregister, pages resident",
                      "pages", hot_series, ylabel="simulated us")
     for name, points in hot_series.items():
+        costs = dict(points)
+        if name == "odp":
+            # Pin-on-fault: registration does no per-page work.
+            assert costs[256] == costs[1], "odp registration not O(1)"
+            continue
         # Linear in pages: cost(256)/cost(64) ≈ 4 within slack.
-        c64 = dict(points)[64]
-        c256 = dict(points)[256]
-        assert 2.5 < c256 / c64 < 5.5, f"{name} not linear"
+        assert 2.5 < costs[256] / costs[64] < 5.5, f"{name} not linear"
     # Reliability is nearly free: kiobuf within 2x of the broken refcount.
     k = dict(hot_series["kiobuf"])[256]
     r = dict(hot_series["refcount"])[256]

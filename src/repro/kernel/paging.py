@@ -35,6 +35,8 @@ from repro.kernel.flags import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
+    from array import array
+
     from repro.kernel.kernel import Kernel
     from repro.kernel.task import Task
 
@@ -87,20 +89,41 @@ def shrink_mmap(kernel: "Kernel", scan_budget: int) -> int:
     * not a page-cache page → not shrink_mmap's job (user pages belong
       to ``swap_out``),
     * ``PG_referenced`` → second chance: clear the bit, move on.
+
+    Every scanned frame costs ``reclaim_scan_page_ns``.  A frame without
+    ``PG_PAGECACHE`` is skipped whatever else it holds, so a run of such
+    frames costs only its scan charges and is charged at once.  The run
+    stops short of the frame whose charge would reach a calendar
+    deadline (:meth:`SimClock.headroom_ns`): a callback may change the
+    columns ahead of the hand, so that frame, like every page-cache
+    frame, is charged first and read after.  Callbacks therefore fire at
+    the same charge and the same ``now_ns`` as with one charge per frame.
     """
     pagemap = kernel.pagemap
     counts = pagemap.table.counts
     flags = pagemap.table.flags
+    clock = kernel.clock
+    scan_ns = kernel.costs.reclaim_scan_page_ns
     freed = 0
     scanned = 0
     n = pagemap.num_frames
     while scanned < scan_budget:
         frame = kernel._clock_hand
-        kernel._clock_hand = (kernel._clock_hand + 1) % n
+        limit = min(scan_budget - scanned, n - frame)
+        headroom = clock.headroom_ns()
+        if headroom is not None and scan_ns:
+            limit = min(limit, headroom // scan_ns)
+        run = _cacheless_run(flags, frame, limit)
+        if run:
+            kernel._clock_hand = (frame + run) % n
+            scanned += run
+            clock.charge(run * scan_ns, "reclaim")
+            continue
+        kernel._clock_hand = (frame + 1) % n
         scanned += 1
         # The charge may fire calendar events, so the columns are read
         # only after it.
-        kernel.clock.charge(kernel.costs.reclaim_scan_page_ns, "reclaim")
+        clock.charge(scan_ns, "reclaim")
         count = counts[frame]
         if count == 0 or flags[frame] & (PG_LOCKED | PG_RESERVED):
             continue
@@ -119,6 +142,16 @@ def shrink_mmap(kernel: "Kernel", scan_budget: int) -> int:
         kernel.trace.emit("cache_reclaim", frame=frame)
         freed += 1
     return freed
+
+
+def _cacheless_run(flags: "array[int]", start: int, limit: int) -> int:
+    """How many of the ``limit`` frames from ``start`` lack
+    ``PG_PAGECACHE``, counted up to the first that has it."""
+    end = start + limit
+    frame = start
+    while frame < end and not flags[frame] & PG_PAGECACHE:
+        frame += 1
+    return frame - start
 
 
 def _pick_victim(kernel: "Kernel") -> "Task | None":

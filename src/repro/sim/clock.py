@@ -209,6 +209,25 @@ class SimClock:
         if events and events[0][0] <= self._now_ns and not self._dispatching:
             self._dispatch()
 
+    def headroom_ns(self) -> int | None:
+        """How many ns one :meth:`charge` can add without dispatching the
+        calendar, or ``None`` when no charge can dispatch it now: the
+        clock is frozen, a dispatch pass is already running, or the
+        calendar is empty.
+
+        The bound is the heap top, tombstones included: a charge that
+        reaches a cancelled event's deadline still starts a dispatch
+        pass, and calendar hooks observe its ``pass_begin``.  ``0``
+        means something is already due.  Callers that batch several
+        charges into one (``shrink_mmap``'s scan runs) stay within this
+        bound, so every callback fires at the same charge and the same
+        ``now_ns`` as with one charge per step.
+        """
+        events = self._events
+        if self._frozen or self._dispatching or not events:
+            return None
+        return max(0, events[0][0] - self._now_ns - 1)
+
     def _dispatch(self) -> None:
         """Pop and run every event whose deadline has passed.
 

@@ -15,10 +15,14 @@ Two correctness properties the querying API guarantees:
   The default (non-strict) mode warns with :class:`TraceEvictionWarning`
   once per kind.
 * **Details are immutable history.**  ``emit(frames=live_list)``
-  snapshots the detail mapping at emission time (the dict is copied, and
-  mutable container values — list/set/dict — are shallow-copied), so a
-  caller mutating its object later cannot rewrite what the trace says
-  happened at ``ts_ns``.
+  snapshots the detail mapping at emission time (mutable container
+  values — list/set/dict — are shallow-copied), so a caller mutating its
+  object later cannot rewrite what the trace says happened at ``ts_ns``.
+
+The ring holds raw ``(ts_ns, kind, detail)`` records; ``detail`` is the
+``**detail`` dict ``emit`` received, which Python builds fresh for every
+call.  Emission sits on hot paths such as reclaim, so
+:class:`TraceEvent` objects are built only when the trace is read.
 """
 
 from __future__ import annotations
@@ -41,15 +45,9 @@ class TraceEvictionWarning(UserWarning):
     queried kind were evicted from the ring."""
 
 
-def _snapshot_detail(detail: dict) -> dict:
-    """Copy a detail mapping so later caller-side mutation cannot
-    rewrite history; container values are shallow-copied."""
-    out = {}
-    for key, value in detail.items():
-        if type(value) in (list, set, dict):
-            value = value.copy()
-        out[key] = value
-    return out
+#: detail value types ``emit`` copies (exact types; a set lookup is
+#: cheaper than scanning a tuple of types)
+_MUTABLE = frozenset((list, set, dict))
 
 
 @dataclass(frozen=True)
@@ -75,7 +73,8 @@ class Trace:
     def __init__(self, clock, maxlen: int = 65536,
                  strict: bool = False) -> None:
         self._clock = clock
-        self._events: Deque[TraceEvent] = deque(maxlen=maxlen)
+        #: raw ``(ts_ns, kind, detail)`` records, oldest first
+        self._events: Deque[tuple[int, str, dict]] = deque(maxlen=maxlen)
         self._counts: dict[str, int] = {}
         self._dropped: dict[str, int] = {}
         self._warned: set[str] = set()
@@ -87,19 +86,21 @@ class Trace:
     def emit(self, kind: str, **detail: Any) -> None:
         """Record an event (no-op while disabled).
 
-        The detail mapping is snapshotted: the dict and any list/set/dict
-        values are copied, so the event's history is immune to later
-        mutation of caller-owned objects.
+        The detail mapping is snapshotted: ``detail`` is already a fresh
+        dict, and any list/set/dict values in it are replaced by copies,
+        so the event's history is immune to later mutation of
+        caller-owned objects.
         """
         if not self.enabled:
             return
+        for key, value in detail.items():
+            if type(value) in _MUTABLE:
+                detail[key] = value.copy()
         events = self._events
         if len(events) == events.maxlen:
-            victim = events[0]
-            self._dropped[victim.kind] = \
-                self._dropped.get(victim.kind, 0) + 1
-        events.append(TraceEvent(self._clock.now_ns, kind,
-                                 _snapshot_detail(detail)))
+            evicted = events[0][1]
+            self._dropped[evicted] = self._dropped.get(evicted, 0) + 1
+        events.append((self._clock.now_ns, kind, detail))
         self._counts[kind] = self._counts.get(kind, 0) + 1
 
     # -- querying -----------------------------------------------------------
@@ -108,7 +109,8 @@ class Trace:
         return len(self._events)
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self._events)
+        return (TraceEvent(ts, kind, detail)
+                for ts, kind, detail in self._events)
 
     def count(self, kind: str) -> int:
         """Total number of events of ``kind`` ever emitted (survives ring
@@ -141,13 +143,14 @@ class Trace:
         list is incomplete.
         """
         self._check_evicted(kind)
-        return [e for e in self._events if e.kind == kind]
+        return [TraceEvent(ts, k, detail)
+                for ts, k, detail in self._events if k == kind]
 
     def where(self, pred: Callable[[TraceEvent], bool]) -> list[TraceEvent]:
         """All retained events satisfying ``pred`` (retained only: events
         evicted from the ring are not consulted — check
         :meth:`dropped_count` for the kinds you care about)."""
-        return [e for e in self._events if pred(e)]
+        return [e for e in self if pred(e)]
 
     def last(self, kind: str) -> TraceEvent | None:
         """Most recent retained event of ``kind``, or None.
@@ -158,9 +161,9 @@ class Trace:
         evicted, so the check keeps both cases honest).
         """
         self._check_evicted(kind)
-        for e in reversed(self._events):
-            if e.kind == kind:
-                return e
+        for ts, k, detail in reversed(self._events):
+            if k == kind:
+                return TraceEvent(ts, k, detail)
         return None
 
     def clear(self) -> None:

@@ -2,6 +2,7 @@
 rests on (Sec. 2.2)."""
 
 import hashlib
+import random
 from collections import Counter
 
 import pytest
@@ -9,8 +10,12 @@ import pytest
 from repro.errors import OutOfMemory
 from repro.hw.physmem import PAGE_SIZE
 from repro.kernel import paging
-from repro.kernel.flags import PG_REFERENCED, VM_LOCKED
+from repro.kernel.flags import (
+    PG_LOCKED, PG_PAGECACHE, PG_REFERENCED, PG_RESERVED, VM_LOCKED,
+)
 from repro.kernel.kernel import Kernel
+from repro.sim.clock import CalendarHook
+from repro.sim.costs import CostModel
 
 
 def fill_task(kernel, npages: int, name: str = "t"):
@@ -281,3 +286,175 @@ class TestReclaimGolden:
                          "cow_shared": 66, "pinned": 12}
         assert k.clock.now_ns == 1_996_271_392
         assert k.clock.categories()["reclaim"] == 272_850
+
+
+def oracle_shrink_mmap(kernel, scan_budget):
+    """The per-frame scan that ``paging.shrink_mmap`` batches: one
+    charge per frame, the columns read after it."""
+    pagemap = kernel.pagemap
+    counts = pagemap.table.counts
+    flags = pagemap.table.flags
+    freed = 0
+    scanned = 0
+    n = pagemap.num_frames
+    while scanned < scan_budget:
+        frame = kernel._clock_hand
+        kernel._clock_hand = (kernel._clock_hand + 1) % n
+        scanned += 1
+        kernel.clock.charge(kernel.costs.reclaim_scan_page_ns, "reclaim")
+        count = counts[frame]
+        if count == 0 or flags[frame] & (PG_LOCKED | PG_RESERVED):
+            continue
+        if count != 1:
+            continue
+        if not flags[frame] & PG_PAGECACHE:
+            continue
+        if flags[frame] & PG_REFERENCED:
+            flags[frame] &= ~PG_REFERENCED
+            continue
+        kernel.page_cache.discard(frame)
+        flags[frame] &= ~PG_PAGECACHE
+        pagemap.put_page(frame)
+        kernel.obs.inc("kernel.paging.cache_reclaims")
+        kernel.trace.emit("cache_reclaim", frame=frame)
+        freed += 1
+    return freed
+
+
+class _HookLog(CalendarHook):
+    def __init__(self, clock, log):
+        self.clock = clock
+        self.log = log
+
+    def scheduled(self, event):
+        self.log.append(("scheduled", event.name, event.deadline_ns))
+
+    def pass_begin(self):
+        self.log.append(("pass_begin", self.clock.now_ns))
+
+    def fire_begin(self, event):
+        self.log.append(("fire_begin", event.name, self.clock.now_ns))
+
+    def fire_end(self, event):
+        self.log.append(("fire_end", event.name, self.clock.now_ns))
+
+
+class TestShrinkMmapRuns:
+    """``shrink_mmap`` charges a run of frames without PG_PAGECACHE at
+    once.  On seeded frame tables, with calendar callbacks that fire
+    mid-scan, change the columns ahead of the hand and schedule more
+    events, it must agree with the per-frame oracle on every
+    observable."""
+
+    @staticmethod
+    def _build(seed, scan_ns):
+        rng = random.Random(seed)
+        k = Kernel(num_frames=160, swap_slots=256, seed=seed,
+                   min_free_pages=2,
+                   costs=CostModel().scaled(reclaim_scan_page_ns=scan_ns))
+        task = k.create_task(name="user")
+        va = task.mmap(40)
+        touched = 0
+        cache = []
+        while len(cache) < 48 or touched < 40:
+            if touched < 40 and rng.random() < 0.45:
+                task.touch_pages(va + touched * PAGE_SIZE, 1)
+                touched += 1
+                continue
+            pd = k.add_page_cache_page()
+            cache.append(pd.frame)
+            roll = rng.random()
+            if roll < 0.2:
+                pd.set_flag(PG_REFERENCED)
+            elif roll < 0.3:
+                k.lock_page(pd.frame)
+            elif roll < 0.36:
+                pd.set_flag(PG_RESERVED)
+            elif roll < 0.45:
+                k.pagemap.get_page(pd.frame)
+        for frame in rng.sample(cache, 10):     # holes: free frames
+            if k.pagemap.table.flags[frame] & (PG_LOCKED | PG_RESERVED):
+                continue
+            if k.pagemap.table.counts[frame] != 1:
+                continue
+            k.page_cache.discard(frame)
+            k.pagemap.table.flags[frame] &= ~PG_PAGECACHE
+            k.pagemap.put_page(frame)
+        return k
+
+    @staticmethod
+    def _run(shrink, seed, scan_ns):
+        k = TestShrinkMmapRuns._build(seed, scan_ns)
+        clock = k.clock
+        rng = random.Random(seed * 7919 + 1)
+        hooks = []
+        k.clock.add_calendar_hook(_HookLog(clock, hooks))
+        fired = []
+        flags = k.pagemap.table.flags
+        n = k.pagemap.num_frames
+        step = max(scan_ns, 1)
+
+        def callback(name):
+            def fn(now):
+                fired.append((name, now, clock.now_ns, k._clock_hand))
+                # from the frame being charged (just behind the hand) on
+                ahead = [(k._clock_hand + d) % n
+                         for d in [-1] + rng.sample(range(48), 5)]
+                for frame in ahead[:3]:
+                    # user frames stay out of the page cache
+                    if k.pagemap.table.mappings[frame] is None:
+                        flags[frame] ^= PG_PAGECACHE
+                for frame in ahead[3:]:
+                    flags[frame] |= PG_REFERENCED
+                roll = rng.random()
+                if roll < 0.4:
+                    clock.schedule_after(rng.randrange(0, 40 * step),
+                                         callback(name + "+"), name=name + "+")
+                elif roll < 0.5:
+                    clock.schedule_after(0, callback(name + "0"),
+                                         name=name + "0")
+                elif roll < 0.6:
+                    fired.append(("nested", shrink(k, rng.randrange(1, 30))))
+                elif roll < 0.7:
+                    clock.charge(rng.randrange(1, 3 * step), "cb")
+                elif roll < 0.8:
+                    clock.cancel(clock.schedule_after(
+                        rng.randrange(0, 20 * step), callback("dead"),
+                        name="dead"))
+            return fn
+
+        results = []
+        for i, budget in enumerate((n // 6, n // 3, n, 2 * n + 17, 5)):
+            k._clock_hand = rng.randrange(n)
+            for j in range(rng.randrange(2, 7)):
+                offset = rng.randrange(0, budget * step)
+                if rng.random() < 0.3:
+                    offset -= offset % step       # exactly on a charge
+                event = clock.schedule_after(offset, callback(f"e{i}.{j}"),
+                                             name=f"e{i}.{j}")
+                if rng.random() < 0.2:
+                    clock.cancel(event)           # a tombstone mid-scan
+            if i == 4:
+                with clock.frozen():
+                    results.append(shrink(k, budget))
+            else:
+                results.append(shrink(k, budget))
+            results.append((k._clock_hand, clock.now_ns))
+        trace = [(e.ts_ns, e.kind, e.detail) for e in k.trace]
+        summary = Counter(k.pagemap.page(f).tag or "free" for f in range(n))
+        return {"results": results, "flags": list(flags),
+                "counts": list(k.pagemap.table.counts),
+                "page_cache": sorted(k.page_cache),
+                "categories": clock.categories(), "summary": summary,
+                "trace": trace, "fired": fired, "hooks": hooks}
+
+    @pytest.mark.parametrize("scan_ns", [150, 1, 0])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_per_frame_oracle(self, seed, scan_ns):
+        got = self._run(paging.shrink_mmap, seed, scan_ns)
+        want = self._run(oracle_shrink_mmap, seed, scan_ns)
+        for key in want:
+            assert got[key] == want[key], key
+        if scan_ns:
+            assert want["fired"]                  # callbacks ran mid-scan
+        assert any(kind == "cache_reclaim" for _, kind, _ in want["trace"])

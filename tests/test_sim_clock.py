@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.clock import SimClock
+from repro.sim.clock import CalendarHook, SimClock
 from repro.sim.costs import FREE, CostModel
 
 
@@ -73,6 +73,72 @@ class TestSimClock:
         c.reset()
         assert c.now_ns == 0
         assert c.categories() == {}
+
+
+class TestHeadroom:
+    """``headroom_ns()`` is how much one charge may add without
+    dispatching the calendar (``None``: no charge can dispatch it)."""
+
+    def test_none_on_empty_calendar(self):
+        c = SimClock()
+        assert c.headroom_ns() is None
+        event = c.schedule_after(10, lambda now: None)
+        c.charge(10)
+        assert not event.pending
+        assert c.headroom_ns() is None
+
+    def test_none_while_frozen(self):
+        c = SimClock()
+        c.schedule_after(10, lambda now: None)
+        with c.frozen():
+            assert c.headroom_ns() is None
+        assert c.headroom_ns() == 9
+
+    def test_none_inside_a_firing_callback(self):
+        c = SimClock()
+        seen = []
+        c.schedule_after(10, lambda now: seen.append(c.headroom_ns()))
+        c.schedule_after(50, lambda now: None)
+        c.charge(10)
+        assert seen == [None]
+        assert c.headroom_ns() == 39
+
+    def test_zero_when_an_event_is_due(self):
+        c = SimClock()
+        c.charge(100)
+        c.schedule_at(100, lambda now: None)
+        assert c.headroom_ns() == 0
+        c.schedule_at(40, lambda now: None)
+        assert c.headroom_ns() == 0
+
+    def test_tombstone_at_heap_top_still_bounds(self):
+        c = SimClock()
+        passes = []
+
+        class Passes(CalendarHook):
+            def pass_begin(self):
+                passes.append(c.now_ns)
+
+        c.add_calendar_hook(Passes())
+        c.cancel(c.schedule_after(20, lambda now: None))
+        c.schedule_after(100, lambda now: None)
+        assert c.headroom_ns() == 19
+        c.charge(20)
+        assert passes == [20]         # the tombstone still opened a pass
+        assert c.headroom_ns() == 79
+
+    @pytest.mark.parametrize("delay", [1, 2, 7, 150, 1000])
+    def test_charging_headroom_never_dispatches(self, delay):
+        c = SimClock()
+        c.charge(33)
+        fired = []
+        c.schedule_after(delay, fired.append)
+        room = c.headroom_ns()
+        c.charge(room)
+        assert fired == []
+        assert c.headroom_ns() == 0
+        c.charge(1)
+        assert fired == [33 + delay]
 
 
 class TestCostModel:

@@ -1,11 +1,16 @@
 """Tests for the trace ring buffer."""
 
+import copy
+import random
 import warnings
+from collections import Counter
 
 import pytest
 
 from repro.sim.clock import SimClock
-from repro.sim.trace import Trace, TraceEvicted, TraceEvictionWarning
+from repro.sim.trace import (
+    Trace, TraceEvent, TraceEvicted, TraceEvictionWarning,
+)
 
 
 def make() -> tuple[SimClock, Trace]:
@@ -166,3 +171,73 @@ class TestDetailSnapshot:
         t.emit("k", n=3, s="x", o=marker)
         ev = t.last("k")
         assert ev["n"] == 3 and ev["s"] == "x" and ev["o"] is marker
+
+
+class TestRawRecords:
+    """The ring stores raw ``(ts_ns, kind, detail)`` records and builds
+    :class:`TraceEvent` objects on read: every read path must return
+    exactly what was emitted, and eviction accounting must not change."""
+
+    @staticmethod
+    def _emit_seeded(t, clock, n, seed=0):
+        rng = random.Random(seed)
+        emitted, passed = [], []
+        for i in range(n):
+            clock.charge(rng.randrange(0, 50))
+            kind = rng.choice(("swap_out", "swap_skip", "dma", "pin"))
+            detail = {"i": i, "frame": rng.randrange(64)}
+            if rng.random() < 0.5:
+                detail["frames"] = [rng.randrange(64) for _ in range(3)]
+                detail["owners"] = {"pid": i}
+                detail["pins"] = {i, i + 1}
+                passed.append(detail)
+            emitted.append(TraceEvent(clock.now_ns, kind,
+                                      copy.deepcopy(detail)))
+            t.emit(kind, **detail)
+        for detail in passed:            # caller-side mutation afterwards
+            detail["frames"].append(-1)
+            detail["owners"]["pid"] = -1
+            detail["pins"].add(-1)
+            detail["i"] = -1
+        return emitted
+
+    def test_read_paths_equal_emitted_events(self):
+        clock = SimClock()
+        t = Trace(clock, maxlen=1000)
+        emitted = self._emit_seeded(t, clock, 300)
+        assert list(t) == emitted
+        for kind in ("swap_out", "swap_skip", "dma", "pin", "none"):
+            mine = [e for e in emitted if e.kind == kind]
+            assert t.of_kind(kind) == mine
+            assert t.last(kind) == (mine[-1] if mine else None)
+        assert t.where(lambda e: e["frame"] < 8) == \
+            [e for e in emitted if e.detail["frame"] < 8]
+        for got in t:
+            assert type(got) is TraceEvent
+
+    def test_eviction_accounting_after_wrap(self):
+        clock = SimClock()
+        t = Trace(clock, maxlen=50)
+        emitted = self._emit_seeded(t, clock, 173, seed=3)
+        evicted = Counter(e.kind for e in emitted[:-50])
+        for kind in ("swap_out", "swap_skip", "dma", "pin"):
+            assert t.count(kind) == sum(e.kind == kind for e in emitted)
+            assert t.dropped_count(kind) == evicted[kind]
+        assert list(t) == emitted[-50:]
+        t.strict = True
+        for kind in evicted:
+            with pytest.raises(TraceEvicted):
+                t.of_kind(kind)
+            with pytest.raises(TraceEvicted):
+                t.last(kind)
+        t.emit("fresh", x=1)
+        assert t.of_kind("fresh") == [TraceEvent(clock.now_ns, "fresh",
+                                                 {"x": 1})]
+
+    def test_detail_dict_passed_with_double_star_is_not_aliased(self):
+        _, t = make()
+        detail = {"frame": 3, "frames": [1]}
+        t.emit("k", **detail)
+        detail["frame"] = 4
+        detail["frames"].append(2)
+        assert t.last("k").detail == {"frame": 3, "frames": [1]}
