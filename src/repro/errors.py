@@ -222,25 +222,6 @@ class ViaConnectionError(ViaError):
         super().__init__(message, status="VIP_INVALID_STATE")
 
 
-def __getattr__(name: str):
-    """Deprecated aliases, resolved lazily so merely importing this
-    module stays silent but *using* a dead name warns loudly.
-
-    ``ConnectionError_`` was the class's original name (the trailing
-    underscore dodged the ``ConnectionError`` builtin), which leaked an
-    awkward name into user-facing tracebacks; it was renamed to
-    :class:`ViaConnectionError` and will be removed in a future release.
-    """
-    if name == "ConnectionError_":
-        import warnings
-        warnings.warn(
-            "ConnectionError_ is deprecated; use ViaConnectionError",
-            DeprecationWarning, stacklevel=2)
-        return ViaConnectionError
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")
-
-
 class AdmissionError(ViaError):
     """Admission control rejected a registration before any pin was
     taken.
@@ -280,13 +261,3 @@ class QueueEmpty(ViaError):
 
     def __init__(self, message: str):
         super().__init__(message, status="VIP_NOT_DONE")
-
-
-class StaleTranslationError(ViaError):
-    """Raised only by audit tooling: a TPT entry points at a frame the
-    owning process no longer maps.  The *hardware* never raises this —
-    that silence is exactly the paper's point — but
-    :mod:`repro.core.audit` uses it to report the corruption."""
-
-    def __init__(self, message: str):
-        super().__init__(message, status="VIP_ERROR_STALE_TPT")

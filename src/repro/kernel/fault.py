@@ -21,6 +21,7 @@ from repro.kernel.flags import VM_WRITE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.kernel import Kernel
+    from repro.kernel.pagetable import PTE
     from repro.kernel.task import Task
 
 
@@ -63,6 +64,24 @@ def handle_fault(kernel: "Kernel", task: "Task", vpn: int,
 
     return _demand_zero(kernel, task, vpn, vma_writable=bool(
         vma.flags & VM_WRITE))
+
+
+def fault_in(kernel: "Kernel", task: "Task", vpn: int,
+             write: bool) -> "PTE":
+    """Service a fault at ``vpn`` and return the present PTE it left.
+
+    The pinning paths reference and pin ``pte.frame`` next, so a fault
+    path that left the entry non-present (its ``frame`` is ``-1``) must
+    stop here, typed and with the pid and vpn, rather than let
+    ``frame -1`` pin the last frame of the machine.
+    """
+    handle_fault(kernel, task, vpn, write=write)
+    pte = task.page_table.lookup(vpn)
+    if pte is None or not pte.present:
+        raise PageAccountingError(
+            f"pid {task.pid}: vpn {vpn} not present after its fault "
+            f"was handled")
+    return pte
 
 
 def _demand_zero(kernel: "Kernel", task: "Task", vpn: int,

@@ -18,7 +18,7 @@ from repro.hw.dma import DMAEngine
 from repro.hw.physmem import PAGE_SIZE, PhysicalMemory
 from repro.hw.swapdev import SwapDevice
 from repro.kernel import paging
-from repro.kernel.fault import handle_fault
+from repro.kernel.fault import fault_in, handle_fault
 from repro.kernel.flags import (
     PG_LOCKED, PG_PAGECACHE, VM_READ, VM_WRITE,
 )
@@ -410,9 +410,7 @@ class Kernel:
         """
         pte = task.page_table.lookup(vpn)
         if pte is None or not pte.present or (write and not pte.writable):
-            handle_fault(self, task, vpn, write=write)
-            pte = task.page_table.lookup(vpn)
-        assert pte is not None and pte.present
+            pte = fault_in(self, task, vpn, write=write)
         pd = self.pagemap.get_page(pte.frame)
         pd.pin()
         self.clock.charge(self.costs.page_lock_ns, charge_tag)

@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.analysis.events import PIN, UNPIN
-from repro.errors import KiobufError, ProcessKilled
+from repro.errors import KiobufError, PageAccountingError
 from repro.hw.physmem import PAGE_SIZE
-from repro.kernel.fault import handle_fault
+from repro.kernel.fault import fault_in
 from repro.kernel.flags import VM_WRITE
 from repro.sim.faults import crash_if_due
 
@@ -77,55 +77,105 @@ def map_user_kiobuf(kernel: "Kernel", task: "Task", va: int,
     the kernel* — which is why the mechanism satisfies the mainline rule
     that drivers must not walk page tables themselves (Sec. 4.1).
 
+    Each page costs ``pagetable_walk_ns`` before its lookup and
+    ``page_lock_ns`` after its pin.  The host work is O(range): the
+    charges collect in a pending total while it stays within
+    :meth:`~repro.sim.clock.SimClock.headroom_ns`, the VMA is looked up
+    once per area the range crosses, and the reference and pin are
+    written straight into the frame columns.  A charge that would reach
+    a calendar deadline is made at its own site, and the pending total
+    is charged before anything that can read the clock (the fault
+    handler, a hub emit, an armed crash point, an unwind, the closing
+    trace emit).  So every callback fires at the same charge and the
+    same ``now_ns`` as with one charge per step.
+
     Raises :class:`~repro.errors.SegmentationFault` (propagated from the
     fault handler) if the range is not fully mapped by VMAs or lacks
     write permission when ``write`` is requested.
     """
     if nbytes <= 0:
         raise KiobufError(f"cannot map {nbytes} bytes")
-    kernel.clock.charge(kernel.costs.kiobuf_setup_ns, "kiobuf")
+    clock = kernel.clock
+    clock.charge(kernel.costs.kiobuf_setup_ns, "kiobuf")
+    walk_ns = kernel.costs.pagetable_walk_ns
+    lock_ns = kernel.costs.page_lock_ns
+    table = kernel.pagemap.table
+    counts = table.counts
+    pin_counts = table.pin_counts
+    pinned = table.pinned
+    lookup = task.page_table.lookup
+    events = kernel.events
     start_vpn = va // PAGE_SIZE
     end_vpn = (va + nbytes - 1) // PAGE_SIZE + 1
 
     frames: list[int] = []
-    pinned: list[int] = []
+    pending = 0
+    room = clock.headroom_ns()
+    # The VMA found for an earlier page covers the range up to
+    # ``vma_end``; anything that may run a callback forgets it.
+    vma_end = -1
     try:
         for vpn in range(start_vpn, end_vpn):
-            kernel.clock.charge(kernel.costs.pagetable_walk_ns, "kiobuf")
-            pte = task.page_table.lookup(vpn)
-            if pte is None or not pte.present or (
+            pending += walk_ns
+            if room is not None and pending > room:
+                # Zeroed before the charge: if a callback raises, the
+                # unwind below must not charge it again.
+                ns, pending = pending, 0
+                clock.charge(ns, "kiobuf")
+                room = clock.headroom_ns()
+                vma_end = -1
+            pte = lookup(vpn)
+            if pte is not None and pte.present and not (
                     write and not pte.writable and pte.cow):
-                # Fault the page in (demand-zero, swap-in, or COW break).
-                handle_fault(kernel, task, vpn, write=write)
-                pte = task.page_table.lookup(vpn)
+                if vpn >= vma_end:
+                    vma = task.vmas.find_or_fault(vpn)
+                    vma_end = vma.end_vpn
+                # A write into a read-only area takes the fault path,
+                # whose permission check raises.
+                refault = write and not (vma.flags & VM_WRITE)
             else:
-                vma = task.vmas.find_or_fault(vpn)
-                if write and not (vma.flags & VM_WRITE):
-                    # Permission check identical to the fault path.
-                    handle_fault(kernel, task, vpn, write=True)
-            assert pte is not None and pte.present
-            pd = kernel.pagemap.get_page(pte.frame)
-            pd.pin()
-            kernel.clock.charge(kernel.costs.page_lock_ns, "kiobuf")
-            frames.append(pte.frame)
-            pinned.append(pte.frame)
-            if kernel.events.active:
-                kernel.events.emit(PIN, frames=(pte.frame,), pid=task.pid)
-            # Crash point after each page pin: a death here leaves pins
-            # that predate the kiobuf record, so the exit-path sweep
-            # cannot see them — the unwind below must release them.
-            crash_if_due(kernel.fault_plan, kernel, task, "kiobuf.pin")
-    except ProcessKilled:
-        # The mapper itself died at a crash point.  The kill already ran
-        # the exit path, but these partial pins are invisible to it (no
-        # kiobuf record exists yet): unwind them here, then let the
-        # control-flow exception keep propagating.
-        _unwind_pins(kernel, pinned, task.pid)
-        raise
+                # Demand-zero, swap-in, or COW break.
+                refault = True
+            if refault:
+                clock.charge(pending, "kiobuf")
+                pending = 0
+                pte = fault_in(kernel, task, vpn, write=write)
+                room = clock.headroom_ns()
+                vma_end = -1
+            frame = pte.frame
+            if counts[frame] == 0:
+                raise PageAccountingError(f"get_page on free frame {frame}")
+            counts[frame] += 1
+            pin_counts[frame] += 1
+            pinned.add(frame)
+            frames.append(frame)
+            pending += lock_ns
+            if room is not None and pending > room:
+                ns, pending = pending, 0
+                clock.charge(ns, "kiobuf")
+                room = clock.headroom_ns()
+                vma_end = -1
+            if events.active or kernel.fault_plan is not None:
+                clock.charge(pending, "kiobuf")
+                pending = 0
+                if events.active:
+                    events.emit(PIN, frames=(frame,), pid=task.pid)
+                # Crash point after each page pin: a death here leaves
+                # pins that predate the kiobuf record, so the exit-path
+                # sweep cannot see them — the unwind below must release
+                # them.
+                crash_if_due(kernel.fault_plan, kernel, task, "kiobuf.pin")
+                room = clock.headroom_ns()
+                vma_end = -1
     except Exception:
-        # Unwind partial pins so a failed map leaves no residue.
-        _unwind_pins(kernel, pinned, task.pid)
+        # Unwind partial pins so a failed map leaves no residue.  When
+        # the mapper itself died at a crash point, the kill already ran
+        # the exit path, but these pins are invisible to it (no kiobuf
+        # record exists yet); the control-flow exception keeps going.
+        clock.charge(pending, "kiobuf")
+        _unwind_pins(kernel, frames, task.pid)
         raise
+    clock.charge(pending, "kiobuf")
 
     kio = Kiobuf(kiobuf_id=kernel._next_kiobuf_id, pid=task.pid,
                  va=va, nbytes=nbytes, frames=frames)
@@ -149,16 +199,48 @@ def _unwind_pins(kernel: "Kernel", pinned: list[int], pid: int) -> None:
 def unmap_kiobuf(kernel: "Kernel", kio: Kiobuf) -> None:
     """Release a kiobuf: drop one pin and one reference per page.
 
+    Each page costs ``page_lock_ns`` between its unpin and its put,
+    charged by the rule :func:`map_user_kiobuf` follows: pending while
+    within the clock's headroom, at its own site when it would reach a
+    deadline, and flushed before a ``put_page`` that can free (its
+    trace emit reads the clock) or an error.
+
     Unmapping the same kiobuf twice is an error (the kernel would corrupt
     counters; we raise instead).
     """
     if not kio.mapped:
         raise KiobufError(f"kiobuf {kio.kiobuf_id} already unmapped")
+    clock = kernel.clock
+    lock_ns = kernel.costs.page_lock_ns
+    pagemap = kernel.pagemap
+    counts = pagemap.table.counts
+    pin_counts = pagemap.table.pin_counts
+    pinned = pagemap.table.pinned
+    pending = 0
+    room = clock.headroom_ns()
     for frame in kio.frames:
-        pd = kernel.pagemap.page(frame)
-        pd.unpin()
-        kernel.clock.charge(kernel.costs.page_lock_ns, "kiobuf")
-        kernel.pagemap.put_page(frame)
+        pins = pin_counts[frame]
+        if pins <= 0:
+            clock.charge(pending, "kiobuf")
+            raise PageAccountingError(
+                f"pin-count underflow on frame {frame}")
+        pin_counts[frame] = pins - 1
+        if pins == 1:
+            pinned.discard(frame)
+        pending += lock_ns
+        if room is not None and pending > room:
+            clock.charge(pending, "kiobuf")
+            pending = 0
+            room = clock.headroom_ns()
+        if counts[frame] > 1:
+            counts[frame] -= 1
+        else:
+            # The last reference: put_page frees the frame, or raises.
+            clock.charge(pending, "kiobuf")
+            pending = 0
+            pagemap.put_page(frame)
+            room = clock.headroom_ns()
+    clock.charge(pending, "kiobuf")
     kio.mapped = False
     kernel.kiobufs.pop(kio.kiobuf_id, None)
     if kernel.events.active:

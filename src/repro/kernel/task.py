@@ -46,11 +46,6 @@ class Task:
         """Virtual page number of byte address ``va``."""
         return va // PAGE_SIZE
 
-    @staticmethod
-    def va_of(vpn: int) -> int:
-        """Byte address of the start of ``vpn``."""
-        return vpn * PAGE_SIZE
-
     # -- convenience wrappers over kernel syscalls -------------------------------
 
     def mmap(self, npages: int, writable: bool = True, name: str = "") -> int:

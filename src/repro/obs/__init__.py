@@ -153,10 +153,6 @@ class Observability:
         """The recorded spans as a ``chrome://tracing`` JSON object."""
         return self.spans.to_chrome()
 
-    def export_spans_jsonl(self) -> str:
-        """The recorded spans as JSON Lines (one span per line)."""
-        return self.spans.to_jsonl()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "enabled" if self.enabled else "disabled"
         return (f"Observability({state}, {len(self.metrics)} metrics, "

@@ -198,14 +198,6 @@ class DLMReport:
         index = min(len(ordered) - 1, round(q * (len(ordered) - 1)))
         return int(ordered[index])
 
-    def recovery_slo(self) -> dict:
-        """p50/p99 lease-recovery latency, for BENCH.json."""
-        return {
-            "recovery_p50_ns": self.percentile(self.recovery_ns, 0.50),
-            "recovery_p99_ns": self.percentile(self.recovery_ns, 0.99),
-            "recovery_samples": len(self.recovery_ns),
-        }
-
 
 class LockOracle:
     """Invariant checker fed by the harness as lock events happen.

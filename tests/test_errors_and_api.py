@@ -42,21 +42,11 @@ class TestErrorHierarchy:
 
 
 class TestDeprecatedAliases:
-    """Regression: ``errors.ConnectionError_`` resolved silently — code
-    could keep using the dead name forever without a single warning."""
-
-    def test_connection_error_alias_warns(self):
-        with pytest.warns(DeprecationWarning,
-                          match="use ViaConnectionError"):
-            alias = errors.ConnectionError_
-        assert alias is errors.ViaConnectionError
-
-    def test_alias_warns_on_every_access(self):
-        # Module __getattr__ fires per lookup: no warn-once cache that
-        # would hide later uses added after the first was fixed.
-        for _ in range(2):
-            with pytest.warns(DeprecationWarning):
-                errors.ConnectionError_
+    def test_connection_error_alias_is_gone(self):
+        """The deprecated ``ConnectionError_`` alias is removed, so the
+        name no longer resolves."""
+        with pytest.raises(AttributeError, match="ConnectionError_"):
+            errors.ConnectionError_
 
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError, match="NoSuchError"):
