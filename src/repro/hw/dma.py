@@ -38,13 +38,12 @@ class DMAEngine:
     """
 
     def __init__(self, phys: PhysicalMemory, clock: SimClock,
-                 costs: CostModel, trace: Trace | None = None,
-                 name: str = "dma", obs=None, events=None) -> None:
+                 costs: CostModel, trace: Trace,
+                 name: str = "dma", events=None) -> None:
         self._phys = phys
         self._clock = clock
         self._costs = costs
         self._trace = trace
-        self._obs = obs
         #: analysis EventHub for DMA_BEGIN/DMA_END windows (optional)
         self._events = events
         self.name = name
@@ -93,8 +92,8 @@ class DMAEngine:
             self._clock.charge((nruns - 1) * costs.dma_burst_ns, "dma")
         self._clock.charge(costs.dma_ns(total), "dma")
         self.bursts_issued += nruns
-        obs = self._obs
-        if obs is not None and obs.enabled:
+        obs = self._trace.obs
+        if obs.enabled:
             metrics = obs.metrics
             metrics.counter("hw.dma.bursts").inc(nruns)
             metrics.counter("hw.dma.transfers").inc()
@@ -138,9 +137,8 @@ class DMAEngine:
         the simulator's stand-in for a PCI abort or parity error."""
         if self.fault_plan is not None and self.fault_plan.should_fail_dma():
             self.faults_injected += 1
-            if self._trace is not None:
-                self._trace.emit("dma_fault_injected", engine=self.name,
-                                 op=op, phys_addr=phys_addr, length=length)
+            self._trace.emit("dma_fault_injected", engine=self.name,
+                             op=op, phys_addr=phys_addr, length=length)
             raise DMAFault(
                 f"{self.name}: injected fault during {op} of {length} "
                 f"bytes at {phys_addr:#x}")
@@ -160,9 +158,8 @@ class DMAEngine:
         finally:
             self._window_close("read", window)
         self.bytes_read += length
-        if self._trace is not None:
-            self._trace.emit("dma_read", engine=self.name,
-                            phys_addr=phys_addr, length=length)
+        self._trace.emit("dma_read", engine=self.name,
+                         phys_addr=phys_addr, length=length)
         return bytes(out)
 
     def write(self, phys_addr: int, data: bytes) -> None:
@@ -179,9 +176,8 @@ class DMAEngine:
         finally:
             self._window_close("write", window)
         self.bytes_written += len(data)
-        if self._trace is not None:
-            self._trace.emit("dma_write", engine=self.name,
-                            phys_addr=phys_addr, length=len(data))
+        self._trace.emit("dma_write", engine=self.name,
+                         phys_addr=phys_addr, length=len(data))
 
     def read_gather(self, segments: list[tuple[int, int]]) -> bytes:
         """Gather-read: concatenate reads of ``(phys_addr, length)``
@@ -202,12 +198,8 @@ class DMAEngine:
         finally:
             self._window_close("read_gather", window)
         self.bytes_read += total
-        obs = self._obs
-        if obs is not None and obs.enabled:
-            obs.metrics.counter("hw.dma.bytes_read").inc(total)
-        if self._trace is not None:
-            self._trace.emit("dma_read", engine=self.name, phys_addr=first,
-                             length=total, bursts=len(runs))
+        self._trace.emit("dma_read", engine=self.name, phys_addr=first,
+                         length=total, bursts=len(runs))
         return out
 
     def write_scatter(self, segments: list[tuple[int, int]],
@@ -233,12 +225,8 @@ class DMAEngine:
         finally:
             self._window_close("write_scatter", window)
         self.bytes_written += total
-        obs = self._obs
-        if obs is not None and obs.enabled:
-            obs.metrics.counter("hw.dma.bytes_written").inc(total)
-        if self._trace is not None:
-            self._trace.emit("dma_write", engine=self.name, phys_addr=first,
-                             length=total, bursts=len(runs))
+        self._trace.emit("dma_write", engine=self.name, phys_addr=first,
+                         length=total, bursts=len(runs))
 
     def atomic_rmw(self, phys_addr: int, fn) -> int:
         """Atomically read-modify-write the 8-byte word at ``phys_addr``.
@@ -273,10 +261,6 @@ class DMAEngine:
             self._window_close("atomic", window)
         self.bytes_read += length
         self.bytes_written += length
-        obs = self._obs
-        if obs is not None and obs.enabled:
-            obs.metrics.counter("hw.dma.atomics").inc()
-        if self._trace is not None:
-            self._trace.emit("dma_atomic", engine=self.name,
-                             phys_addr=phys_addr, old=old, new=new)
+        self._trace.emit("dma_atomic", engine=self.name,
+                         phys_addr=phys_addr, old=old, new=new)
         return old

@@ -131,7 +131,6 @@ def _drop_cow_share(kernel: "Kernel", task: "Task", vpn: int,
     if pd.cow_shares <= 0:
         kernel.trace.emit("cow_underflow", pid=task.pid, vpn=vpn,
                           frame=pd.frame, cow_shares=pd.cow_shares)
-        kernel.obs.inc("kernel.fault.cow_underflows")
         if kernel.strict_accounting:
             raise PageAccountingError(
                 f"COW sharer-count underflow on frame {pd.frame} "

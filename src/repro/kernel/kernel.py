@@ -30,7 +30,6 @@ from repro.kernel.page import PageDescriptor
 from repro.kernel.pagemap import PageMap
 from repro.kernel.task import Task
 from repro.kernel.vma import VMArea
-from repro.obs import Observability
 from repro.sim.clock import SimClock
 from repro.sim.costs import CostModel
 from repro.sim.rng import make_rng
@@ -50,7 +49,6 @@ class Kernel:
                  trace_maxlen: int = 65536,
                  clock: SimClock | None = None,
                  trace: Trace | None = None,
-                 obs: Observability | None = None,
                  strict_accounting: bool | None = None) -> None:
         self.costs = costs if costs is not None else CostModel()
         #: raise on internal accounting anomalies (COW sharer-count
@@ -60,13 +58,13 @@ class Kernel:
         self.strict_accounting = (
             strict_accounting if strict_accounting is not None
             else os.environ.get("REPRO_SANITIZE", "") == "strict")
-        # A clock/trace/obs may be shared across several machines (a
-        # cluster measures end-to-end latency on one timeline and rolls
-        # its metrics into one snapshot).
+        # A clock and a trace (with the metrics it feeds) may be shared
+        # across several machines: a cluster measures end-to-end latency
+        # on one timeline and rolls its metrics into one snapshot.
         self.clock = clock if clock is not None else SimClock()
         self.trace = trace if trace is not None else Trace(
             self.clock, maxlen=trace_maxlen)
-        self.obs = obs if obs is not None else Observability(self.clock)
+        self.obs = self.trace.obs
         # The analysis event stream is always per-kernel (frame numbers
         # and pids are host-local, so a shared hub would alias them);
         # a Machine relabels ``events.host`` with its own name.
@@ -80,8 +78,7 @@ class Kernel:
         self.pagemap = PageMap(num_frames, self.clock, self.costs,
                                self.trace, reserved_frames=reserved_frames)
         self.dma = DMAEngine(self.phys, self.clock, self.costs, self.trace,
-                             name="host-dma", obs=self.obs,
-                             events=self.events)
+                             name="host-dma", events=self.events)
         #: live tasks in creation order (reclaim's victim order)
         self.tasks: list[Task] = []
         #: pid → live task, kept in step with ``tasks``

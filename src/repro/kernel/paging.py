@@ -66,13 +66,6 @@ def try_to_free_pages(kernel: "Kernel", target: int) -> int:
             # dead-owner reclamation can free pages pinned by nothing live.
             report = kernel.reaper.scan()
             freed += report.frames_freed
-    obs = kernel.obs
-    if obs.enabled:
-        metrics = obs.metrics
-        metrics.counter("kernel.paging.reclaim_runs").inc()
-        metrics.counter("kernel.paging.frames_freed").inc(freed)
-        if freed < target:
-            metrics.counter("kernel.paging.reclaim_shortfalls").inc()
     kernel.trace.emit("reclaim_done", target=target, freed=freed)
     return freed
 
@@ -138,7 +131,6 @@ def shrink_mmap(kernel: "Kernel", scan_budget: int) -> int:
         kernel.page_cache.discard(frame)
         flags[frame] &= ~PG_PAGECACHE
         pagemap.put_page(frame)
-        kernel.obs.inc("kernel.paging.cache_reclaims")
         kernel.trace.emit("cache_reclaim", frame=frame)
         freed += 1
     return freed
@@ -220,18 +212,15 @@ def _swap_out_task_one(kernel: "Kernel", task: "Task") -> "bool | None":
         if vma is None:
             continue
         if vma.locked:
-            kernel.obs.inc("kernel.paging.swap_skips.VM_LOCKED")
             kernel.trace.emit("swap_skip", reason="VM_LOCKED",
                               pid=task.pid, vpn=vpn)
             continue
         pd = kernel.pagemap.page(pte.frame)
         if pd.locked:
-            kernel.obs.inc("kernel.paging.swap_skips.PG_locked")
             kernel.trace.emit("swap_skip", reason="PG_locked",
                               pid=task.pid, vpn=vpn, frame=pd.frame)
             continue
         if pd.reserved:
-            kernel.obs.inc("kernel.paging.swap_skips.PG_reserved")
             kernel.trace.emit("swap_skip", reason="PG_reserved",
                               pid=task.pid, vpn=vpn, frame=pd.frame)
             continue
@@ -242,7 +231,6 @@ def _swap_out_task_one(kernel: "Kernel", task: "Task") -> "bool | None":
             # True only when the frame ended up fully unpinned.
             if not any(hook(pd.frame)
                        for hook in list(kernel.pin_eviction_hooks)):
-                kernel.obs.inc("kernel.paging.swap_skips.pinned")
                 kernel.trace.emit("swap_skip", reason="pinned",
                                   pid=task.pid, vpn=vpn, frame=pd.frame)
                 continue
@@ -250,7 +238,6 @@ def _swap_out_task_one(kernel: "Kernel", task: "Task") -> "bool | None":
         if pd.cow_shares > 0:
             # Simplification: COW-shared pages are not swapped (the real
             # kernel uses the swap cache here; irrelevant to the paper).
-            kernel.obs.inc("kernel.paging.swap_skips.cow_shared")
             kernel.trace.emit("swap_skip", reason="cow_shared",
                               pid=task.pid, vpn=vpn, frame=pd.frame)
             continue
@@ -269,11 +256,6 @@ def _swap_out_task_one(kernel: "Kernel", task: "Task") -> "bool | None":
             # frame alive: it is now an orphan — unmapped, unfreed.
             pd.tag = "orphan"
         kernel._task_swap_hand[task.pid] = vpn + 1
-        obs = kernel.obs
-        if obs.enabled:
-            obs.metrics.counter("kernel.paging.swap_outs").inc()
-            if not was_freed:
-                obs.metrics.counter("kernel.paging.orphaned_frames").inc()
         if kernel.events.active:
             kernel.events.emit(SWAP_OUT, pid=task.pid, vpn=vpn,
                                frame=pd.frame, freed=was_freed,

@@ -277,7 +277,6 @@ class RendezvousZeroCopyProtocol(Protocol):
         registration on the critical path).  The degrading side tells
         its peer with a CPY control message."""
         result.degraded = True
-        sender.machine.kernel.obs.inc("msg.transfers_degraded")
         result.notes.append(
             f"{side} registration failed ({exc.status}); "
             f"degraded to copy protocol")

@@ -9,12 +9,13 @@ to attribute microseconds to doorbell, DMA, and retransmit paths), plus
 nestable simulated-time spans exportable as Chrome ``chrome://tracing``
 JSON.
 
-Everything hangs off one :class:`Observability` facade per kernel (or
-one shared across a cluster, like the trace).  Observability is
-**disabled by default** and the disabled path is near-free: every
-instrumentation site in the hot path guards with a single
-``if obs.enabled:`` branch, so the fast-path wins of the data plane are
-preserved (benchmark E15 asserts this).
+Each trace holds one :class:`Observability` facade (so one per kernel,
+or one shared across a cluster).  A counted fact is written once, as a
+trace record, and :meth:`Observability.count` derives its counters via
+:mod:`repro.obs.counters`; anything else is a direct metric call at its
+site.  Observability is **disabled by default** and the disabled path is
+one ``if obs.enabled:`` branch per trace emit and per direct site, so
+the data plane's fast path stays fast (benchmark E15 asserts this).
 
 Usage::
 
@@ -26,6 +27,7 @@ Usage::
 
 from __future__ import annotations
 
+from repro.obs.counters import RULES_BY_KIND
 from repro.obs.metrics import (
     Counter, Gauge, Histogram, MetricsRegistry, NS_BUCKETS, SIZE_BUCKETS,
 )
@@ -115,6 +117,15 @@ class Observability:
         if not self.enabled:
             return
         self.metrics.histogram(name, buckets=buckets).observe(value)
+
+    def count(self, kind: str, detail: dict) -> None:
+        """Apply the counter table to one trace record (called by
+        :meth:`Trace.emit <repro.sim.trace.Trace.emit>` while enabled; a
+        zero amount still creates its counter)."""
+        for rule in RULES_BY_KIND.get(kind, ()):
+            if rule.when is None or rule.when(detail):
+                self.metrics.counter(rule.name.format_map(detail)).inc(
+                    1 if rule.amount is None else detail[rule.amount])
 
     # metric accessors (always live, so tests can read regardless of state)
     def counter(self, name: str) -> Counter:

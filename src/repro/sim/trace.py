@@ -3,7 +3,8 @@
 A bounded ring buffer of structured events.  Subsystems emit events
 ("swap_out", "dma_write", "tpt_stale", ...) and tests/benchmarks assert on
 them — e.g. E1 verifies that the refcount backend's failure is caused by a
-``swap_out`` of a registered page, not by some unrelated path.
+``swap_out`` of a registered page, not by some unrelated path.  Records
+are also the counted facts of :mod:`repro.obs.counters`.
 
 Two correctness properties the querying API guarantees:
 
@@ -33,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Iterator
 
 from repro.errors import ReproError
+from repro.obs import Observability
 
 
 class TraceEvicted(ReproError):
@@ -73,26 +75,25 @@ class Trace:
     def __init__(self, clock, maxlen: int = 65536,
                  strict: bool = False) -> None:
         self._clock = clock
+        #: the (initially disabled) facade whose counters records feed
+        self.obs = Observability(clock)
         #: raw ``(ts_ns, kind, detail)`` records, oldest first
         self._events: Deque[tuple[int, str, dict]] = deque(maxlen=maxlen)
         self._counts: dict[str, int] = {}
         self._dropped: dict[str, int] = {}
         self._warned: set[str] = set()
-        self.enabled = True
         #: strict mode: queries raise :class:`TraceEvicted` instead of
         #: warning when the queried kind lost events to ring eviction
         self.strict = strict
 
     def emit(self, kind: str, **detail: Any) -> None:
-        """Record an event (no-op while disabled).
+        """Record an event, and count it while ``obs`` is enabled.
 
         The detail mapping is snapshotted: ``detail`` is already a fresh
         dict, and any list/set/dict values in it are replaced by copies,
         so the event's history is immune to later mutation of
         caller-owned objects.
         """
-        if not self.enabled:
-            return
         for key, value in detail.items():
             if type(value) in _MUTABLE:
                 detail[key] = value.copy()
@@ -102,6 +103,9 @@ class Trace:
             self._dropped[evicted] = self._dropped.get(evicted, 0) + 1
         events.append((self._clock.now_ns, kind, detail))
         self._counts[kind] = self._counts.get(kind, 0) + 1
+        obs = self.obs
+        if obs.enabled:
+            obs.count(kind, detail)
 
     # -- querying -----------------------------------------------------------
 

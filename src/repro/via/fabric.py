@@ -24,12 +24,12 @@ from typing import TYPE_CHECKING, Any
 from repro.errors import ViaConnectionError
 from repro.sim.rng import make_rng
 from repro.via.constants import (
-    VIP_ERROR_CONN_LOST, VIP_SUCCESS, DescriptorType, ReliabilityLevel,
-    ViState,
+    VIP_SUCCESS, DescriptorType, ReliabilityLevel, ViState,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.faults import FaultPlan
+    from repro.sim.trace import Trace
     from repro.via.nic import VIANic
 
 
@@ -175,6 +175,26 @@ class Fabric:
             return True
         return self.loss_rate > 0.0 and self._rng.random() < self.loss_rate
 
+    def _crc_reject(self, trace: "Trace", packet: Packet,
+                    reliability: ReliabilityLevel) -> Attempt:
+        """Receiver CRC failure: a NACK, or a discard if unreliable."""
+        self.packets_nacked += 1
+        trace.emit("packet_nack", dst=packet.dst_nic, vi=packet.dst_vi,
+                   seq=packet.seq)
+        if reliability == ReliabilityLevel.UNRELIABLE:
+            self.packets_dropped += 1
+            trace.emit("packet_lost", dst=packet.dst_nic,
+                       vi=packet.dst_vi, seq=packet.seq, cause="crc")
+            return Attempt("dropped")
+        return Attempt("nack")
+
+    def _response_nack(self, trace: "Trace", packet: Packet) -> Attempt:
+        """Requester CRC failure on a response: NACK, retry at once."""
+        self.packets_nacked += 1
+        trace.emit("packet_nack", dst=packet.src_nic, vi=packet.src_vi,
+                   seq=packet.seq)
+        return Attempt("nack")
+
     def attempt_delivery(self, src: "VIANic", packet: Packet,
                          reliability: ReliabilityLevel) -> Attempt:
         """One wire attempt: carry ``packet`` to its destination,
@@ -201,14 +221,7 @@ class Fabric:
             if (packet.checksum is not None
                     and payload_checksum(packet.payload)
                     != packet.checksum):
-                self.packets_nacked += 1
-                obs.inc("via.fabric.packets_nacked")
-                trace.emit("packet_nack", dst=packet.dst_nic,
-                           vi=packet.dst_vi, seq=packet.seq)
-                if reliability == ReliabilityLevel.UNRELIABLE:
-                    self.packets_dropped += 1
-                    return Attempt("dropped")
-                return Attempt("nack")
+                return self._crc_reject(trace, packet, reliability)
             status = self.nic(packet.dst_nic).deliver(packet, reliability)
             if reliability != ReliabilityLevel.UNRELIABLE:
                 self.acks_sent += 1
@@ -218,14 +231,12 @@ class Fabric:
             extra_ns = plan.delay()
             if extra_ns:
                 src.kernel.clock.charge(extra_ns, "wire")
-                obs.inc("via.fabric.packets_delayed")
                 trace.emit("packet_delayed", dst=packet.dst_nic,
                            vi=packet.dst_vi, seq=packet.seq,
                            extra_ns=extra_ns)
 
         if self._roll_drop():
             self.packets_dropped += 1
-            obs.inc("via.fabric.packets_dropped")
             trace.emit("packet_lost", dst=packet.dst_nic,
                        vi=packet.dst_vi, seq=packet.seq)
             return Attempt("dropped")
@@ -234,7 +245,6 @@ class Fabric:
         if plan is not None and plan.should_corrupt():
             wire_packet = replace(packet,
                                   payload=plan.corrupt(packet.payload))
-            obs.inc("via.fabric.packets_corrupted")
             trace.emit("packet_corrupted", dst=packet.dst_nic,
                        vi=packet.dst_vi, seq=packet.seq)
 
@@ -243,22 +253,12 @@ class Fabric:
         if (wire_packet.checksum is not None
                 and payload_checksum(wire_packet.payload)
                 != wire_packet.checksum):
-            self.packets_nacked += 1
-            obs.inc("via.fabric.packets_nacked")
-            trace.emit("packet_nack", dst=packet.dst_nic,
-                       vi=packet.dst_vi, seq=packet.seq)
-            if reliability == ReliabilityLevel.UNRELIABLE:
-                # unreliable links silently discard corrupt frames
-                self.packets_dropped += 1
-                obs.inc("via.fabric.packets_dropped")
-                return Attempt("dropped")
-            return Attempt("nack")
+            return self._crc_reject(trace, packet, reliability)
 
         dst = self.nic(packet.dst_nic)
         status = dst.deliver(wire_packet, reliability)
 
         if plan is not None and plan.should_duplicate():
-            obs.inc("via.fabric.packets_duplicated")
             trace.emit("packet_duplicated", dst=packet.dst_nic,
                        vi=packet.dst_vi, seq=packet.seq)
             # RELIABLE receivers deduplicate on seq; UNRELIABLE VIs see
@@ -269,27 +269,10 @@ class Fabric:
             self.acks_sent += 1
             if self._roll_drop():
                 self.acks_dropped += 1
-                obs.inc("via.fabric.acks_dropped")
                 trace.emit("ack_lost", dst=packet.src_nic,
                            vi=packet.src_vi, seq=packet.seq)
                 return Attempt("ack_lost", status)
         return Attempt("delivered", status)
-
-    def transmit(self, src: "VIANic", packet: Packet,
-                 reliability: ReliabilityLevel) -> str:
-        """Single-shot transmission; returns the delivery status.
-
-        This is the fire-and-forget path: drops and corruption are
-        silent successes for ``UNRELIABLE`` VIs (the sender never
-        knows), and ``VIP_ERROR_CONN_LOST`` for RELIABLE callers that
-        bypass the NIC's retransmission protocol.
-        """
-        attempt = self.attempt_delivery(src, packet, reliability)
-        if attempt.kind in ("delivered", "ack_lost"):
-            return attempt.status
-        if reliability == ReliabilityLevel.UNRELIABLE:
-            return VIP_SUCCESS
-        return VIP_ERROR_CONN_LOST
 
     def attempt_rdma_read(self, src: "VIANic", packet: Packet,
                           reliability: ReliabilityLevel) -> Attempt:
@@ -310,7 +293,6 @@ class Fabric:
 
         if self._roll_drop():   # request lost
             self.packets_dropped += 1
-            obs.inc("via.fabric.packets_dropped")
             trace.emit("packet_lost", dst=packet.dst_nic,
                        vi=packet.dst_vi, seq=packet.seq, rdma="read_req")
             return Attempt("dropped")
@@ -321,7 +303,6 @@ class Fabric:
 
         if status == VIP_SUCCESS and self._roll_drop():   # response lost
             self.packets_dropped += 1
-            obs.inc("via.fabric.packets_dropped")
             trace.emit("packet_lost", dst=packet.src_nic,
                        vi=packet.src_vi, seq=packet.seq, rdma="read_resp")
             return Attempt("dropped")
@@ -330,20 +311,9 @@ class Fabric:
                 and plan.should_corrupt()):
             trace.emit("packet_corrupted", dst=packet.src_nic,
                        vi=packet.src_vi, seq=packet.seq, rdma="read_resp")
-            self.packets_nacked += 1
-            obs.inc("via.fabric.packets_nacked")
-            return Attempt("nack")
+            return self._response_nack(trace, packet)
 
         return Attempt("delivered", status, payload)
-
-    def rdma_read_fetch(self, src: "VIANic", packet: Packet,
-                        reliability: ReliabilityLevel
-                        ) -> tuple[str, bytes]:
-        """Single-shot RDMA-read round trip; returns (status, payload)."""
-        attempt = self.attempt_rdma_read(src, packet, reliability)
-        if attempt.kind == "delivered":
-            return attempt.status, attempt.value
-        return VIP_ERROR_CONN_LOST, b""
 
     def attempt_atomic(self, src: "VIANic", packet: Packet,
                        reliability: ReliabilityLevel) -> Attempt:
@@ -371,7 +341,6 @@ class Fabric:
 
         if self._roll_drop():   # request lost (never executed — safe)
             self.packets_dropped += 1
-            obs.inc("via.fabric.packets_dropped")
             trace.emit("packet_lost", dst=packet.dst_nic,
                        vi=packet.dst_vi, seq=packet.seq, atomic="req")
             return Attempt("dropped")
@@ -380,7 +349,6 @@ class Fabric:
         # and must serve the second from its dedup cache.
         dst = self.nic(packet.dst_nic)
         if plan is not None and plan.should_duplicate():
-            obs.inc("via.fabric.packets_duplicated")
             trace.emit("packet_duplicated", dst=packet.dst_nic,
                        vi=packet.dst_vi, seq=packet.seq, atomic="req")
             dst.serve_atomic(packet, reliability)
@@ -390,7 +358,6 @@ class Fabric:
 
         if status == VIP_SUCCESS and self._roll_drop():  # response lost
             self.packets_dropped += 1
-            obs.inc("via.fabric.packets_dropped")
             trace.emit("packet_lost", dst=packet.src_nic,
                        vi=packet.src_vi, seq=packet.seq, atomic="resp")
             return Attempt("dropped")
@@ -399,8 +366,6 @@ class Fabric:
                 and plan.should_corrupt()):
             trace.emit("packet_corrupted", dst=packet.src_nic,
                        vi=packet.src_vi, seq=packet.seq, atomic="resp")
-            self.packets_nacked += 1
-            obs.inc("via.fabric.packets_nacked")
-            return Attempt("nack")
+            return self._response_nack(trace, packet)
 
         return Attempt("delivered", status, original)

@@ -36,14 +36,13 @@ class Machine:
                  clock: SimClock | None = None,
                  trace: Trace | None = None,
                  fabric: Fabric | None = None,
-                 obs: Observability | None = None,
                  min_free_pages: int = 8,
                  tenant_quota_pages: int | None = None,
                  host_pin_ceiling_pages: int | None = None) -> None:
         self.name = name
         self.kernel = Kernel(num_frames=num_frames, swap_slots=swap_slots,
                              costs=costs, seed=seed, clock=clock,
-                             trace=trace, obs=obs,
+                             trace=trace,
                              min_free_pages=min_free_pages)
         # Analysis events carry the machine name: frame numbers and pids
         # are host-local, so a cluster-wide sanitizer needs the label to
@@ -128,7 +127,7 @@ class Cluster:
                  host_pin_ceiling_pages: int | None = None) -> None:
         self.clock = SimClock()
         self.trace = Trace(self.clock)
-        self.obs = Observability(self.clock)
+        self.obs = self.trace.obs
         self.fabric = Fabric(seed=seed)
         self.machines: list[Machine] = []
         for i in range(n):
@@ -142,7 +141,7 @@ class Cluster:
                 name=f"m{i}", num_frames=num_frames, swap_slots=swap_slots,
                 costs=costs, seed=seed + i, backend=be,
                 tpt_entries=tpt_entries, clock=self.clock,
-                trace=self.trace, fabric=self.fabric, obs=self.obs,
+                trace=self.trace, fabric=self.fabric,
                 min_free_pages=min_free_pages,
                 tenant_quota_pages=tenant_quota_pages,
                 host_pin_ceiling_pages=host_pin_ceiling_pages))

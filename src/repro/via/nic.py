@@ -62,7 +62,7 @@ class VIANic:
             events=kernel.events)
         self.dma = DMAEngine(kernel.phys, kernel.clock, kernel.costs,
                              kernel.trace, name=f"{name}-dma",
-                             obs=kernel.obs, events=kernel.events)
+                             events=kernel.events)
         self.vis: dict[int, VirtualInterface] = {}
         self.fabric: "Fabric | None" = None
         self.fault_plan: "FaultPlan | None" = None
@@ -174,7 +174,6 @@ class VIANic:
         SRAM and is flushed wholesale.
         """
         self.resets += 1
-        self.kernel.obs.inc("via.nic.resets")
         self.tpt.invalidate_translations()
         # the atomic unit's word-hold latches are on-adapter state too
         self._atomic_busy.clear()
@@ -334,7 +333,6 @@ class VIANic:
         token = self._next_suspend_token
         self._next_suspend_token += 1
         self.dma_suspensions += 1
-        kernel.obs.inc("via.nic.dma_suspensions")
         kernel.clock.charge(kernel.costs.odp_suspend_resume_ns, "via_nic")
         if kernel.events.active:
             kernel.events.emit(DMA_SUSPEND, handle=fault.handle,
@@ -380,30 +378,6 @@ class VIANic:
                 seg.mem_handle, seg.va, seg.length, vi.prot_tag))
         return segments
 
-    def _fail_send(self, vi: VirtualInterface, desc: Descriptor,
-                   status: str) -> None:
-        """Complete a send descriptor in error; break the connection for
-        reliable modes (VIA spec: errors are connection-fatal there)."""
-        self.protection_faults += 1
-        self.kernel.obs.inc("via.nic.protection_faults")
-        desc.complete(status)
-        vi.complete_send(desc)
-        self.kernel.trace.emit("via_send_error", nic=self.name,
-                               vi=vi.vi_id, status=status)
-        if vi.reliability != ReliabilityLevel.UNRELIABLE:
-            vi.enter_error()
-
-    def _fail_send_dma(self, vi: VirtualInterface, desc: Descriptor) -> None:
-        """Complete a send descriptor whose local DMA faulted."""
-        self.dma_faults += 1
-        self.kernel.obs.inc("via.nic.dma_faults")
-        desc.complete(VIP_ERROR_NIC)
-        vi.complete_send(desc)
-        self.kernel.trace.emit("via_dma_fault", nic=self.name,
-                               vi=vi.vi_id, side="send")
-        if vi.reliability != ReliabilityLevel.UNRELIABLE:
-            vi.enter_error()
-
     def _process_send_queue(self, vi: VirtualInterface) -> None:
         while vi.send_queue and vi.state == ViState.CONNECTED:
             desc = vi.send_queue.popleft()
@@ -430,13 +404,10 @@ class VIANic:
         clock = self.kernel.clock
         costs = self.kernel.costs
         trace = self.kernel.trace
-        obs = self.kernel.obs
         timeout_ns = costs.retransmit_timeout_ns
         for n in range(self.max_retransmits + 1):
             if n:
                 self.retransmits += 1
-                if obs.enabled:
-                    obs.metrics.counter("via.nic.retransmits").inc()
                 trace.emit("via_retransmit", nic=self.name, vi=vi.vi_id,
                            seq=packet.seq, attempt=n, **note)
             outcome = attempt(self, packet, vi.reliability)
@@ -447,9 +418,6 @@ class VIANic:
                 # retransmission timer, then back off exponentially
                 # (capped).
                 clock.charge(timeout_ns, "retransmit")
-                if obs.enabled:
-                    obs.metrics.counter(
-                        "via.nic.backoff_wait_ns").inc(timeout_ns)
                 trace.emit("via_retransmit_timeout", nic=self.name,
                            vi=vi.vi_id, seq=packet.seq,
                            waited_ns=timeout_ns, cause=outcome.kind)
@@ -457,7 +425,6 @@ class VIANic:
                                  costs.retransmit_timeout_max_ns)
             # NACK (CRC failure): the receiver asked for an immediate
             # resend — no timer to wait for.
-        obs.inc("via.nic.conn_lost")
         trace.emit("via_conn_lost", nic=self.name, vi=vi.vi_id,
                    seq=packet.seq, retries=self.max_retransmits)
         return VIP_ERROR_CONN_LOST, None
@@ -471,7 +438,10 @@ class VIANic:
         try:
             local_segs = self._translate_local(vi, desc)
         except (ProtectionError, NotRegistered) as exc:
-            self._fail_send(vi, desc, exc.status)
+            self.protection_faults += 1
+            self.kernel.trace.emit("via_send_error", nic=self.name,
+                                   vi=vi.vi_id, status=exc.status)
+            self._complete_send(vi, desc, exc.status, 0)
             return
 
         if desc.dtype == DescriptorType.RDMA_READ:
@@ -484,7 +454,10 @@ class VIANic:
         try:
             payload = self.dma.read_gather(local_segs)
         except DMAFault:
-            self._fail_send_dma(vi, desc)
+            self.dma_faults += 1
+            self.kernel.trace.emit("via_dma_fault", nic=self.name,
+                                   vi=vi.vi_id, side="send")
+            self._complete_send(vi, desc, VIP_ERROR_NIC, 0)
             return
         packet = Packet(
             kind=desc.dtype, src_nic=self.name, src_vi=vi.vi_id,
@@ -493,7 +466,7 @@ class VIANic:
             remote_handle=desc.remote_handle, remote_va=desc.remote_va)
         if vi.reliability == ReliabilityLevel.UNRELIABLE:
             # Fire-and-forget: the sender never learns of a loss.
-            self.fabric.transmit(self, packet, vi.reliability)
+            self.fabric.attempt_delivery(self, packet, vi.reliability)
             status = VIP_SUCCESS
         else:
             vi.tx_seq += 1
@@ -510,9 +483,9 @@ class VIANic:
 
     def _complete_send(self, vi: VirtualInterface, desc: Descriptor,
                        status: str, nbytes: int) -> bool:
-        """Complete a send-queue descriptor with the round trip's
-        status; a failure breaks a reliable connection.  Returns whether
-        it succeeded."""
+        """Complete a send-queue descriptor with ``status`` (a failure
+        is already tallied and traced by the caller, and breaks a
+        reliable connection).  Returns whether it succeeded."""
         if status != VIP_SUCCESS:
             desc.complete(status, 0)
             vi.complete_send(desc)
@@ -535,8 +508,13 @@ class VIANic:
             remote_handle=desc.remote_handle, remote_va=desc.remote_va,
             read_length=desc.total_length)
         if vi.reliability == ReliabilityLevel.UNRELIABLE:
-            status, payload = self.fabric.rdma_read_fetch(self, packet,
-                                                          vi.reliability)
+            # One attempt: nothing retransmits a lost read.
+            attempt = self.fabric.attempt_rdma_read(self, packet,
+                                                    vi.reliability)
+            if attempt.kind == "delivered":
+                status, payload = attempt.status, attempt.value
+            else:
+                status, payload = VIP_ERROR_CONN_LOST, b""
         else:
             status, payload = self._round_trip(
                 vi, packet, self.fabric.attempt_rdma_read, rdma="read")
@@ -547,7 +525,10 @@ class VIANic:
             self.dma.write_scatter(
                 _trim_segments(local_segs, len(payload)), payload)
         except DMAFault:
-            self._fail_send_dma(vi, desc)
+            self.dma_faults += 1
+            self.kernel.trace.emit("via_dma_fault", nic=self.name,
+                                   vi=vi.vi_id, side="send")
+            self._complete_send(vi, desc, VIP_ERROR_NIC, 0)
             return
         self._complete_send(vi, desc, VIP_SUCCESS, len(payload))
         self.rdma_reads_completed += 1
@@ -578,7 +559,10 @@ class VIANic:
                 local_segs, original.to_bytes(ATOMIC_OPERAND_BYTES,
                                               "little"))
         except DMAFault:
-            self._fail_send_dma(vi, desc)
+            self.dma_faults += 1
+            self.kernel.trace.emit("via_dma_fault", nic=self.name,
+                                   vi=vi.vi_id, side="send")
+            self._complete_send(vi, desc, VIP_ERROR_NIC, 0)
             return
         desc.atomic_original_value = original
         self._complete_send(vi, desc, VIP_SUCCESS, ATOMIC_OPERAND_BYTES)
@@ -625,7 +609,6 @@ class VIANic:
         if reliability != ReliabilityLevel.UNRELIABLE and packet.seq:
             if packet.seq <= vi.rx_seq:
                 self.duplicates_dropped += 1
-                self.kernel.obs.inc("via.nic.duplicates_dropped")
                 self.kernel.trace.emit("via_duplicate", nic=self.name,
                                        vi=vi.vi_id, seq=packet.seq)
                 return VIP_SUCCESS
@@ -650,7 +633,6 @@ class VIANic:
             # sender's data arrives."  Unreliable: silent drop.
             # Reliable: the connection is broken.
             self.recv_drops += 1
-            self.kernel.obs.inc("via.nic.recv_drops")
             self.kernel.trace.emit("via_recv_drop", nic=self.name,
                                    vi=vi.vi_id)
             return self._refuse(vi, reliability, VIP_ERROR_CONN_LOST)
@@ -663,6 +645,8 @@ class VIANic:
             segs = self._translate_local(vi, desc)
         except (ProtectionError, NotRegistered) as exc:
             self.protection_faults += 1
+            self.kernel.trace.emit("via_recv_error", nic=self.name,
+                                   vi=vi.vi_id, status=exc.status)
             desc.complete(exc.status, 0)
             vi.complete_recv(desc)
             return self._refuse(vi, reliability, exc.status)
@@ -711,6 +695,8 @@ class VIANic:
         if packet.immediate is not None:
             if not vi.recv_queue:
                 self.recv_drops += 1
+                self.kernel.trace.emit("via_recv_drop", nic=self.name,
+                                       vi=vi.vi_id)
                 return self._refuse(vi, reliability, VIP_ERROR_CONN_LOST)
             desc = vi.recv_queue.popleft()
             desc.received_immediate = packet.immediate
@@ -733,6 +719,8 @@ class VIANic:
                 packet.read_length, vi.prot_tag, rdma_read=True)
         except (ProtectionError, NotRegistered) as exc:
             self.protection_faults += 1
+            self.kernel.trace.emit("via_rdma_protfault", nic=self.name,
+                                   vi=vi.vi_id, status=exc.status)
             if reliability != ReliabilityLevel.UNRELIABLE:
                 vi.enter_error()
             return exc.status, b""
@@ -760,13 +748,11 @@ class VIANic:
         vi = self._inbound_vi(packet)
         if vi is None:
             return VIP_ERROR_CONN_LOST, 0
-        obs = self.kernel.obs
         if reliability != ReliabilityLevel.UNRELIABLE and packet.seq:
             cached = vi.atomic_responses.get(packet.seq)
             if cached is not None:
                 self.duplicates_dropped += 1
                 self.atomic_replays += 1
-                obs.inc("via.atomic.replays")
                 self.kernel.trace.emit("via_atomic_replay", nic=self.name,
                                        vi=vi.vi_id, seq=packet.seq)
                 return cached
@@ -814,7 +800,6 @@ class VIANic:
 
         def reject(status: str, reason: str) -> tuple[str, int]:
             self.atomic_rejects += 1
-            obs.inc("via.atomic.rejects")
             trace.emit("via_atomic_reject", nic=self.name, vi=vi.vi_id,
                        reason=reason, va=packet.remote_va, status=status)
             if reliability != ReliabilityLevel.UNRELIABLE:

@@ -892,15 +892,14 @@ class DLMHarness:
     # -- reclaim attribution --------------------------------------------------
 
     def note_reclaim(self, lock: int, *, by: str, why: str = "") -> None:
-        """One forced reclaim happened: oracle check, trace, counters."""
+        """One forced reclaim happened: oracle check, tally, and the
+        ``dlm_reclaim`` record (which the counter table counts)."""
         self.oracle.on_reclaim(lock, by)
         report = self.report
         report.reclaims += 1
         report.reclaims_by[by] = report.reclaims_by.get(by, 0) + 1
         self.cluster.trace.emit("dlm_reclaim", design=self.config.design,
                                 lock=lock, by=by, why=why)
-        self.cluster.obs.inc("workload.dlm.reclaims")
-        self.cluster.obs.inc(f"workload.dlm.reclaims.{by}")
 
     # -- failure paths --------------------------------------------------------
 

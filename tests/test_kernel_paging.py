@@ -315,7 +315,6 @@ def oracle_shrink_mmap(kernel, scan_budget):
         kernel.page_cache.discard(frame)
         flags[frame] &= ~PG_PAGECACHE
         pagemap.put_page(frame)
-        kernel.obs.inc("kernel.paging.cache_reclaims")
         kernel.trace.emit("cache_reclaim", frame=frame)
         freed += 1
     return freed

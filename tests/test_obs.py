@@ -5,19 +5,31 @@ the facade's enabled/disabled gating, and end-to-end snapshots of an
 instrumented workload (including determinism under a fixed seed).
 """
 
+import ast
 import json
+import os
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro.hw.physmem import PAGE_SIZE
+from repro.kernel.kernel import Kernel
 from repro.msg.endpoint import make_pair
 from repro.msg.protocols import RendezvousZeroCopyProtocol
 from repro.obs import Observability
+from repro.obs.counters import TRACE_COUNTERS
 from repro.obs.metrics import (
     Counter, Gauge, Histogram, MetricsRegistry, NS_BUCKETS, SIZE_BUCKETS,
 )
 from repro.obs.spans import SpanRecorder
 from repro.sim.clock import SimClock
-from repro.via.machine import Cluster
+from repro.sim.faults import FaultPlan
+from repro.sim.trace import Trace
+from repro.via.constants import VIP_ERROR_CONN_LOST, VIP_SUCCESS, ViState
+from repro.via.descriptor import DataSegment, Descriptor
+from repro.via.machine import Cluster, Machine, connected_pair
 
 
 class TestCounter:
@@ -322,3 +334,358 @@ class TestEndToEnd:
         snap = exc_info.value.snapshot["metrics"]
         assert snap["metrics"]["test.marker"] == 9
         watchdog.disarm()
+
+
+# ---------------------------------------------------- counters from the trace
+
+SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+
+def _pattern(template: str) -> "re.Pattern[str]":
+    """A regex matching every name a counter template can produce."""
+    parts = re.split(r"\{[^}]*\}", template)
+    return re.compile("[^.]+".join(re.escape(p) for p in parts) + r"\Z")
+
+
+TABLE_PATTERNS = {rule.name: _pattern(rule.name) for rule in TRACE_COUNTERS}
+
+
+def table_counter(name: str) -> bool:
+    """Is ``name`` a counter the table produces?"""
+    return any(p.match(name) for p in TABLE_PATTERNS.values())
+
+
+def expected_from_trace(trace) -> dict:
+    """Every table counter recomputed from the retained records."""
+    expected: dict = {}
+    for rule in TRACE_COUNTERS:
+        for event in trace.of_kind(rule.kind):
+            detail = event.detail
+            if rule.when is not None and not rule.when(detail):
+                continue
+            name = rule.name.format_map(detail)
+            amount = 1 if rule.amount is None else detail[rule.amount]
+            expected[name] = expected.get(name, 0) + amount
+    return expected
+
+
+def _literal_name(node: ast.expr) -> str | None:
+    """The metric name a call passes, with ``{}`` for each formatted
+    part of an f-string; None when it is not a literal."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(v.value if isinstance(v, ast.Constant) else "{}"
+                       for v in node.values)
+    return None
+
+
+class TestCounterTable:
+    def make(self, enabled=True):
+        trace = Trace(SimClock())
+        assert not trace.obs.enabled
+        if enabled:
+            trace.obs.enable()
+        return trace.obs, trace
+
+    def test_constant_template_amount_and_condition(self):
+        obs, trace = self.make()
+        trace.emit("swap_skip", reason="pinned", pid=1, vpn=2)
+        trace.emit("swap_out", pid=1, vpn=3, frame=4, slot=0,
+                   refs_before=2, freed=False)
+        trace.emit("swap_out", pid=1, vpn=5, frame=6, slot=1,
+                   refs_before=1, freed=True)
+        trace.emit("reclaim_done", target=4, freed=3)
+        trace.emit("unrelated", x=1)
+        metrics = obs.snapshot()["metrics"]
+        assert metrics == {
+            "kernel.paging.frames_freed": 3,
+            "kernel.paging.orphaned_frames": 1,
+            "kernel.paging.reclaim_runs": 1,
+            "kernel.paging.reclaim_shortfalls": 1,
+            "kernel.paging.swap_outs": 2,
+            "kernel.paging.swap_skips.pinned": 1,
+        }
+
+    def test_zero_amount_creates_its_counter(self):
+        obs, trace = self.make()
+        trace.emit("reclaim_done", target=0, freed=0)
+        metrics = obs.snapshot()["metrics"]
+        assert metrics["kernel.paging.frames_freed"] == 0
+        assert "kernel.paging.reclaim_shortfalls" not in metrics
+
+    def test_disabled_observability_counts_nothing(self):
+        obs, trace = self.make(enabled=False)
+        trace.emit("cache_reclaim", frame=1)
+        assert trace.count("cache_reclaim") == 1
+        assert len(obs.metrics) == 0
+        obs.enable()
+        trace.emit("cache_reclaim", frame=2)
+        assert obs.counter("kernel.paging.cache_reclaims").value == 1
+
+    def test_kernel_machine_and_cluster_wire_trace_to_obs(self):
+        kernel = Kernel()
+        assert kernel.obs is kernel.trace.obs
+        machine = Machine()
+        assert machine.kernel.trace.obs is machine.obs
+        cluster = Cluster(2)
+        assert cluster.trace.obs is cluster.obs
+        for m in cluster.machines:
+            assert m.kernel.trace is cluster.trace
+            assert m.nic.dma._trace.obs is cluster.obs
+
+    def test_every_table_kind_is_emitted_in_src(self):
+        emitted = set()
+        for path in SRC.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "emit" and node.args
+                        and isinstance(node.args[0], ast.Constant)):
+                    emitted.add(node.args[0].value)
+        kinds = {rule.kind for rule in TRACE_COUNTERS}
+        assert kinds <= emitted, kinds - emitted
+
+    def test_no_table_counter_is_bumped_directly(self):
+        """A counter the table derives from the trace must not also be
+        bumped by name at a call site: that would count it twice."""
+        offenders = []
+        for path in SRC.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in ("inc", "counter")
+                        and node.args):
+                    continue
+                name = _literal_name(node.args[0])
+                if name is None:
+                    continue
+                if name in TABLE_PATTERNS or table_counter(name):
+                    offenders.append(
+                        f"{path.relative_to(SRC)}:{node.lineno} {name}")
+        assert offenders == []
+
+
+class TestCountersMatchTallies:
+    """Each counter the table derives equals the component tally it
+    shadows; every increment of the tally leaves its record."""
+
+    @staticmethod
+    def pair():
+        cluster, ua_s, ua_r, vi_s, vi_r = connected_pair("kiobuf",
+                                                         seed=SEED)
+        cluster.obs.enable()
+        return cluster, ua_s, ua_r, vi_s, vi_r
+
+    @staticmethod
+    def nic_total(cluster, attr):
+        return sum(getattr(m.nic, attr) for m in cluster.machines)
+
+    @staticmethod
+    def remote_region(ua, **enable):
+        va = ua.task.mmap(1)
+        ua.task.touch_pages(va, 1)
+        return va, ua.register_mem(va, PAGE_SIZE, **enable)
+
+    def post_remote_op(self, side, fault):
+        """Post one send-queue operation of ``side`` whose responder
+        (machine 1) hits ``fault``: ``"protection"`` (the target is not
+        enabled for the operation) or ``"dma"`` (the responder's DMA
+        engine fails).  Returns the cluster."""
+        cluster, ua_s, ua_r, vi_s, vi_r = self.pair()
+        lva = ua_s.task.mmap(1)
+        lreg = ua_s.register_mem(lva, PAGE_SIZE)
+        local = [DataSegment(lreg.handle, lva, 8)]
+        enable = {"rdma_write": "rdma_write", "rdma_read": "rdma_read",
+                  "atomic": "rdma_atomic"}.get(side)
+        rva, rreg = self.remote_region(
+            ua_r, **({enable: True} if enable and fault == "dma" else {}))
+        if side == "recv":
+            target = rreg
+            if fault == "protection":
+                other = cluster[1].spawn("other")
+                target = cluster[1].user_agent(other).register_mem(
+                    other.mmap(1), PAGE_SIZE)
+            ua_r.post_recv(vi_r, Descriptor.recv(
+                [DataSegment(target.handle, target.va, 8)]))
+            desc = Descriptor.send(local)
+        elif side == "rdma_write":
+            desc = Descriptor.rdma_write(local, rreg.handle, rva)
+        elif side == "rdma_read":
+            desc = Descriptor.rdma_read(local, rreg.handle, rva)
+        else:
+            desc = Descriptor.atomic_fetchadd(local, rreg.handle, rva, 1)
+        if fault == "dma":
+            cluster[1].nic.dma.fault_plan = FaultPlan(seed=SEED,
+                                                      dma_fail_rate=1.0)
+        ua_s.post_send(vi_s, desc)
+        assert desc.status != VIP_SUCCESS
+        return cluster
+
+    @pytest.mark.parametrize("side", ["recv", "rdma_write", "rdma_read",
+                                      "atomic"])
+    def test_responder_protection_fault(self, side):
+        cluster = self.post_remote_op(side, "protection")
+        faults = self.nic_total(cluster, "protection_faults")
+        assert faults == 1
+        assert cluster.obs.counter(
+            "via.nic.protection_faults").value == faults
+
+    @pytest.mark.parametrize("side", ["recv", "rdma_write", "rdma_read",
+                                      "atomic"])
+    def test_responder_dma_fault(self, side):
+        cluster = self.post_remote_op(side, "dma")
+        faults = self.nic_total(cluster, "dma_faults")
+        assert faults == 1
+        assert cluster.obs.counter("via.nic.dma_faults").value == faults
+
+    def test_single_dma_read_and_write(self):
+        kernel = Kernel()
+        kernel.obs.enable()
+        kernel.dma.write(4096, b"\x01" * 100)
+        assert kernel.dma.read(4096, 60) == b"\x01" * 60
+        assert kernel.obs.counter("hw.dma.bytes_written").value == \
+            kernel.dma.bytes_written == 100
+        assert kernel.obs.counter("hw.dma.bytes_read").value == \
+            kernel.dma.bytes_read == 60
+
+    def test_corrupted_rdma_read_response(self):
+        cluster, ua_s, ua_r, vi_s, vi_r = self.pair()
+        lva = ua_s.task.mmap(1)
+        lreg = ua_s.register_mem(lva, PAGE_SIZE)
+        rva, rreg = self.remote_region(ua_r, rdma_read=True)
+        plan = FaultPlan(seed=SEED, corrupt_rate=1.0)
+        cluster.inject_faults(plan)
+        desc = Descriptor.rdma_read([DataSegment(lreg.handle, lva, 64)],
+                                    rreg.handle, rva)
+        ua_s.post_send(vi_s, desc)
+        assert desc.status == VIP_ERROR_CONN_LOST
+        assert plan.stats.corruptions == cluster[0].nic.max_retransmits + 1
+        metrics = cluster.obs.snapshot()["metrics"]
+        assert metrics["via.fabric.packets_corrupted"] == \
+            plan.stats.corruptions
+        assert metrics["via.fabric.packets_nacked"] == \
+            cluster.fabric.packets_nacked == plan.stats.corruptions
+
+
+
+class _ChaosRun:
+    """A seeded two-machine run over a lossy, delaying, duplicating,
+    corrupting fabric with failing DMA, memory pressure on the
+    responder and a mix of sends, RDMA writes, RDMA reads and atomics.
+    A VI pair broken by a fault is replaced and traffic goes on."""
+
+    OPS = 160
+
+    def __init__(self, backend, seed):
+        self.cluster = Cluster(2, num_frames=192, backend=backend,
+                               seed=seed)
+        self.cluster.obs.enable()
+        self.rng = np.random.default_rng(seed)
+        c = self.cluster
+        self.s, self.r = c[0].spawn("s"), c[1].spawn("r")
+        self.ua_s = c[0].user_agent(self.s)
+        self.ua_r = c[1].user_agent(self.r)
+        self.lva = self.s.mmap(4)
+        self.s.touch_pages(self.lva, 4)
+        self.lreg = self.ua_s.register_mem(self.lva, 4 * PAGE_SIZE)
+        self.rva = self.r.mmap(4)
+        self.r.touch_pages(self.rva, 4)
+        self.rreg = self.ua_r.register_mem(
+            self.rva, 4 * PAGE_SIZE, rdma_write=True, rdma_read=True)
+        # Atomics get a page of their own: plain DMA over words the
+        # adapter serves atomics on is a sanitizer violation.
+        self.ava = self.r.mmap(1)
+        self.r.touch_pages(self.ava, 1)
+        self.areg = self.ua_r.register_mem(self.ava, PAGE_SIZE,
+                                           rdma_atomic=True)
+        self.hog = c[1].spawn("hog")
+        self.hog_va = self.hog.mmap(512)
+        self.connect()
+        self.plan = FaultPlan(seed=seed, loss_rate=0.08,
+                              duplicate_rate=0.08, corrupt_rate=0.08,
+                              delay_rate=0.1, dma_fail_rate=0.02)
+        c.inject_faults(self.plan)
+
+    def connect(self):
+        self.vi_s = self.ua_s.create_vi()
+        self.vi_r = self.ua_r.create_vi()
+        self.cluster.connect(self.vi_s, self.cluster[0], self.vi_r,
+                             self.cluster[1])
+
+    def op(self, i):
+        rng = self.rng
+        if (self.vi_s.state != ViState.CONNECTED
+                or self.vi_r.state != ViState.CONNECTED):
+            self.connect()
+        n = int(rng.integers(8, 4 * PAGE_SIZE)) & ~7
+        local = [DataSegment(self.lreg.handle, self.lva, n)]
+        kind = i % 4
+        if kind == 0:
+            self.ua_r.post_recv(self.vi_r, Descriptor.recv(
+                [DataSegment(self.rreg.handle, self.rva, 4 * PAGE_SIZE)]))
+            desc = Descriptor.send(local)
+        elif kind == 1:
+            desc = Descriptor.rdma_write(local, self.rreg.handle, self.rva)
+        elif kind == 2:
+            desc = Descriptor.rdma_read(local, self.rreg.handle, self.rva)
+        else:
+            desc = Descriptor.atomic_fetchadd(
+                [DataSegment(self.lreg.handle, self.lva, 8)],
+                self.areg.handle, self.ava + 8 * (i % 16), 1)
+        self.ua_s.post_send(self.vi_s, desc)
+        # Memory pressure on the responder: the hog touches pages,
+        # forcing reclaim around (or, for ODP, through) the target.
+        for page in rng.integers(0, 512, 4):
+            self.hog.write(self.hog_va + int(page) * PAGE_SIZE, b"hog")
+
+    def run(self):
+        for i in range(self.OPS):
+            self.op(i)
+        return self
+
+
+@pytest.mark.parametrize("backend", ["kiobuf", "odp"])
+def test_chaos_table_counters_equal_trace_sums(backend):
+    """Every counter the table produces equals the sum of its amount
+    over the retained records of its kind, and the tallies the counters
+    shadow agree."""
+    run = _ChaosRun(backend, SEED).run()
+    cluster, trace = run.cluster, run.cluster.trace
+    kinds = {rule.kind for rule in TRACE_COUNTERS}
+    assert all(trace.dropped_count(kind) == 0 for kind in kinds)
+    seen = {kind for kind in kinds if trace.count(kind)}
+    assert {"packet_lost", "packet_delayed", "packet_corrupted",
+            "packet_duplicated", "packet_nack", "via_retransmit",
+            "dma_read", "dma_write", "dma_atomic", "swap_out",
+            "reclaim_done"} <= seen, sorted(kinds - seen)
+
+    metrics = cluster.obs.snapshot()["metrics"]
+    derived = {name: value for name, value in metrics.items()
+               if table_counter(name)}
+    assert derived == expected_from_trace(trace)
+
+    def total(attr):
+        return sum(getattr(m.nic, attr) for m in cluster.machines)
+
+    for attr, name in [("protection_faults", "via.nic.protection_faults"),
+                       ("dma_faults", "via.nic.dma_faults"),
+                       ("retransmits", "via.nic.retransmits"),
+                       ("duplicates_dropped", "via.nic.duplicates_dropped"),
+                       ("recv_drops", "via.nic.recv_drops"),
+                       ("dma_suspensions", "via.nic.dma_suspensions"),
+                       ("atomic_replays", "via.atomic.replays"),
+                       ("atomic_rejects", "via.atomic.rejects")]:
+        assert metrics.get(name, 0) == total(attr), name
+    fabric, stats = cluster.fabric, run.plan.stats
+    assert metrics.get("via.fabric.packets_dropped", 0) == \
+        fabric.packets_dropped
+    assert metrics.get("via.fabric.packets_nacked", 0) == \
+        fabric.packets_nacked
+    assert metrics.get("via.fabric.acks_dropped", 0) == fabric.acks_dropped
+    assert metrics.get("via.fabric.packets_corrupted", 0) == \
+        stats.corruptions
+    assert metrics.get("via.fabric.packets_duplicated", 0) == \
+        stats.duplicates
+    assert metrics.get("via.fabric.packets_delayed", 0) == stats.delays

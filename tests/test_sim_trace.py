@@ -53,15 +53,6 @@ class TestTrace:
         assert len(t) == 8            # ring evicted
         assert t.count("x") == 20     # counter did not
 
-    def test_disabled_drops_events(self):
-        _, t = make()
-        t.enabled = False
-        t.emit("x")
-        assert t.count("x") == 0
-        t.enabled = True
-        t.emit("x")
-        assert t.count("x") == 1
-
     def test_last_returns_none_when_absent(self):
         _, t = make()
         assert t.last("nope") is None

@@ -7,7 +7,7 @@ from repro.errors import (
 )
 from repro.hw.physmem import PAGE_SIZE
 from repro.via.constants import (
-    VIP_ERROR_CONN_LOST, VIP_PROTECTION_ERROR, VIP_SUCCESS,
+    VIP_ERROR_CONN_LOST, VIP_ERROR_NIC, VIP_PROTECTION_ERROR, VIP_SUCCESS,
     ReliabilityLevel, ViState,
 )
 from repro.via.descriptor import DataSegment, Descriptor
@@ -411,3 +411,95 @@ class TestReliableRoundTrip:
             timeout = min(int(timeout * costs.retransmit_backoff),
                           costs.retransmit_timeout_max_ns)
         assert cluster.clock.category_ns("retransmit") == expected
+
+
+class _FailNextDMA:
+    """A fault plan whose next DMA fails, and only that one."""
+
+    def __init__(self):
+        self.armed = True
+
+    def should_fail_dma(self):
+        armed, self.armed = self.armed, False
+        return armed
+
+
+class TestLocalFailureCompletion:
+    """A send whose local translation or local DMA fails completes in
+    error on the send CQ, in post order, leaves one trace record of the
+    fault, and breaks a reliable connection (the rest of the batch is
+    flushed ``VIP_ERROR_CONN_LOST``) but not an unreliable one."""
+
+    @staticmethod
+    def post_failing_batch(fault, reliability):
+        cluster, ua_s, ua_r, _, _ = connected_pair(
+            "kiobuf", reliability=reliability)
+        cq = ua_s.create_cq()
+        vi_s = ua_s.create_vi(reliability=reliability, send_cq=cq)
+        vi_r = ua_r.create_vi(reliability=reliability)
+        cluster.connect(vi_s, cluster[0], vi_r, cluster[1])
+        for _ in range(2):
+            post_recv_buffer(ua_r, vi_r, npages=1)
+        sva = ua_s.task.mmap(1)
+        sreg = ua_s.register_mem(sva, PAGE_SIZE)
+        if fault == "protection":
+            other = cluster[0].spawn("other")
+            ova = other.mmap(1)
+            oreg = cluster[0].user_agent(other).register_mem(ova, PAGE_SIZE)
+            bad = Descriptor.send([DataSegment(oreg.handle, ova, 4)])
+        else:
+            bad = Descriptor.send([DataSegment(sreg.handle, sva, 4)])
+            ua_s.nic.dma.fault_plan = _FailNextDMA()
+        goods = [Descriptor.send([DataSegment(sreg.handle, sva, 4)])
+                 for _ in range(2)]
+        mark = len(cluster.trace)
+        ua_s.nic.post_send_many(vi_s.vi_id, [bad] + goods, ua_s.task.pid)
+        records = [(e.ts_ns, e.kind, e.detail)
+                   for e in list(cluster.trace)[mark:]]
+        completed = [c.descriptor for c in cq.drain_batch()]
+        return cluster, vi_s, bad, goods, completed, records
+
+    @pytest.mark.parametrize("fault, status, expected", [
+        ("protection", VIP_PROTECTION_ERROR,
+         [("via_send_error", {"status": VIP_PROTECTION_ERROR})]),
+        ("dma", VIP_ERROR_NIC,
+         [("dma_fault_injected", {"engine": "m0.nic0-dma",
+                                  "op": "read_gather", "length": 4}),
+          ("via_dma_fault", {"side": "send"})]),
+    ])
+    def test_reliable_failure_breaks_connection(self, fault, status,
+                                                expected):
+        cluster, vi_s, bad, goods, completed, records = \
+            self.post_failing_batch(fault,
+                                    ReliabilityLevel.RELIABLE_DELIVERY)
+        assert bad.status == status
+        assert [d.status for d in goods] == [VIP_ERROR_CONN_LOST] * 2
+        assert vi_s.state == ViState.ERROR
+        assert completed == [bad] + goods
+        assert [kind for _, kind, _ in records] == \
+            [kind for kind, _ in expected]
+        now = cluster.clock.now_ns
+        for (ts, kind, detail), (_, fields) in zip(records, expected):
+            assert ts == now
+            if kind != "dma_fault_injected":
+                assert detail == {"nic": "m0.nic0", "vi": vi_s.vi_id,
+                                  **fields}
+            else:
+                assert {k: detail[k] for k in fields} == fields
+
+    @pytest.mark.parametrize("fault", ["protection", "dma"])
+    def test_unreliable_failure_keeps_connection(self, fault):
+        _, _, bad_r, _, _, reliable = self.post_failing_batch(
+            fault, ReliabilityLevel.RELIABLE_DELIVERY)
+        _, vi_s, bad, goods, completed, records = self.post_failing_batch(
+            fault, ReliabilityLevel.UNRELIABLE)
+        assert bad.status == bad_r.status
+        assert [d.status for d in goods] == [VIP_SUCCESS] * 2
+        assert vi_s.state == ViState.CONNECTED
+        assert completed == [bad] + goods
+        # Same fault records at the same instant; the two good sends
+        # follow as one DMA read and one remote DMA write each.
+        assert records[:len(reliable)] == reliable
+        assert [kind for _, kind, _ in records[len(reliable):]] == \
+            ["dma_read", "dma_write"] * 2
+        assert records[len(reliable)][0] > reliable[-1][0]
