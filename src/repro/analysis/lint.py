@@ -47,6 +47,16 @@ kind a reviewer has to re-derive on every PR:
     analysis package itself is exempt — the hub, the checkers, and
     their tests are allowed to drive emissions unconditionally.
 
+``column-view``
+    ``numpy.frombuffer`` may appear only in ``repro/kernel/page.py``.
+    A numpy view of an ``array('q')`` frame column or of the free list
+    pins the array's buffer: while the view lives, ``append`` and
+    ``pop`` raise ``BufferError``, and a view caught in an exception's
+    traceback can outlive its caller.  The :class:`FrameTable` audit
+    passes take their views and drop them inside one method that
+    returns plain Python values; every other module goes through those
+    methods.
+
 Findings on a line carrying ``# repro-lint: allow(<rule>, ...)`` (or
 whose preceding line carries it) are suppressed; rules can also be
 enabled/disabled wholesale per :class:`Linter`.
@@ -74,6 +84,8 @@ RULES: dict[str, str] = {
         "FaultPlan knob not validated in __post_init__",
     "hub-emit-unguarded":
         "event-hub emit outside an `if ....active:` guard",
+    "column-view":
+        "numpy buffer view taken outside the frame table's module",
 }
 
 _PRAGMA_RE = re.compile(r"#\s*repro-lint:\s*allow\(([^)]*)\)")
@@ -115,6 +127,11 @@ _OBS_EXEMPT_PREFIX = "repro/obs/"
 _HUB_EMIT_EXEMPT_PREFIX = "repro/analysis/"
 #: Receiver names an EventHub lives under by convention.
 _HUB_NAMES = frozenset({"events", "_events"})
+
+#: Calls that take a view of a buffer, by resolved dotted name.
+_COLUMN_VIEW_CALLS = frozenset({"numpy.frombuffer"})
+#: The one module whose helpers may take (and must drop) such views.
+_COLUMN_VIEW_EXEMPT_FILES = ("repro/kernel/page.py",)
 
 
 @dataclass(frozen=True)
@@ -237,6 +254,9 @@ class Linter:
         if "hub-emit-unguarded" in self.rules \
                 and not rel.startswith(_HUB_EMIT_EXEMPT_PREFIX):
             findings += self._check_hub_emit(tree, path)
+        if "column-view" in self.rules \
+                and not rel.endswith(_COLUMN_VIEW_EXEMPT_FILES):
+            findings += self._check_column_view(tree, path)
         findings = [f for f in findings
                     if f.rule not in allowed.get(f.line, ())
                     and f.rule not in allowed.get(f.line - 1, ())]
@@ -409,6 +429,20 @@ class Linter:
                     f"while disabled; guard with `if ....enabled:` or "
                     f"use the self-guarding facade"))
         return findings
+
+    @classmethod
+    def _check_column_view(cls, tree: ast.AST,
+                           path: str) -> list[LintFinding]:
+        aliases = cls._import_aliases(tree)
+        return [
+            LintFinding(path, node.lineno, node.col_offset, "column-view",
+                        f"`{dotted}` outside repro/kernel/page.py; use a "
+                        f"FrameTable method that drops its view before "
+                        f"returning")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and (dotted := cls._resolve_call(node.func, aliases))
+            in _COLUMN_VIEW_CALLS]
 
     @staticmethod
     def _check_kernel_mutation(tree: ast.AST,

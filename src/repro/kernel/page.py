@@ -21,12 +21,24 @@ table maintain incremental index sets (:attr:`FrameTable.pinned`,
 orphan reaper stop scanning every frame.  A ``PageDescriptor``
 constructed standalone (as unit tests do) gets a private single-frame
 table and behaves exactly like the old dataclass.
+
+The whole-table audit passes (:meth:`FrameTable.all_free`,
+:meth:`FrameTable.pins_exceed`) read the columns through numpy views.
+Those views exist only inside the method that takes them, which
+returns a plain Python value: an ``array`` exporting its buffer cannot
+be resized, so a view that outlived its call (held, say, by the
+traceback of a chained :class:`~repro.errors.InvariantViolation`)
+would break the next ``put_page``.  This module is the only one that
+may take such views.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from typing import Iterable
+
+import numpy as np
 
 from repro.errors import PageAccountingError
 from repro.kernel.flags import (
@@ -142,6 +154,39 @@ class FrameTable:
         """
         return not (self.counts.tobytes()[_SIGN_BYTES].isascii()
                     and self.pin_counts.tobytes()[_SIGN_BYTES].isascii())
+
+    def all_free(self, frames: array) -> bool:
+        """True iff every entry of ``frames`` (an ``array('q')``) names
+        a frame of this table whose reference count is zero.
+
+        One bounds test and one gather of ``counts`` at the listed
+        frames, over views of both buffers.  Read as unsigned, a
+        negative entry is larger than any frame number, so a single
+        ``max`` bounds the list from both sides.
+        """
+        listed = np.frombuffer(frames, dtype=np.int64)
+        if not listed.size:
+            return True
+        if listed.view(np.uint64).max() >= self.num_frames:
+            return False
+        counts = np.frombuffer(self.counts, dtype=np.int64)
+        return not counts[listed].any()
+
+    def pins_exceed(self, frames: Iterable[int]) -> bool:
+        """True iff some frame holds more pins than the number of times
+        ``frames`` lists it.
+
+        Entries outside the table (``INVALID_FRAME``, a corrupted
+        translation) explain no pin and are dropped; the rest are
+        counted with one ``bincount`` and compared with the
+        ``pin_counts`` column in one pass.
+        """
+        listed = np.fromiter(frames, dtype=np.int64)
+        # Unsigned, negative entries compare above every frame number.
+        listed = listed[listed.view(np.uint64) < self.num_frames]
+        expected = np.bincount(listed, minlength=self.num_frames)
+        pins = np.frombuffer(self.pin_counts, dtype=np.int64)
+        return bool((pins > expected).any())
 
 
 class PageDescriptor:

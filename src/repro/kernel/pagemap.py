@@ -17,12 +17,18 @@ in one :class:`~repro.kernel.page.FrameTable` and ``self.pages`` holds
 cached :class:`~repro.kernel.page.PageDescriptor` *views* (one per
 frame, identity-stable).  ``alloc``/``put_page`` mutate the columns
 directly; :meth:`orphans` walks the incrementally maintained
-orphan-candidate set and :meth:`check_free_list` uses a parallel free
-*set* for O(1) duplicate detection, so neither audit scans every frame.
+orphan-candidate set, so it never scans every frame.
+
+The free list is an ``array('q')`` used as a stack (``pop``/``append``)
+with a parallel free *set* for O(1) duplicate detection.  Keeping it a
+machine-word array lets :meth:`check_free_list`, which the invariant
+watchdog runs on every sample, test all free frames in one C-level
+gather instead of a Python loop; see there for the cost model.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterator
 
 from repro.errors import OutOfMemory, PageAccountingError
@@ -50,8 +56,8 @@ class PageMap:
         # Frames reserved for the "kernel image" — PG_reserved, never
         # allocatable, mirroring the pages the real kernel marks reserved
         # at boot.
-        self._free: list[int] = list(
-            range(num_frames - 1, reserved_frames - 1, -1))
+        self._free = array(
+            "q", range(num_frames - 1, reserved_frames - 1, -1))
         self._free_set: set[int] = set(self._free)
         for i in range(reserved_frames):
             self.table.flags[i] |= PG_RESERVED
@@ -162,14 +168,15 @@ class PageMap:
                    and table.mappings[frame] is None)
 
     def check_free_list(self) -> None:
-        """Invariant: every frame on the free list has refcount zero and
-        no frame appears twice.
+        """Invariant: every frame on the free list lies inside the frame
+        table, has refcount zero, and appears once.
 
-        The fast path leans on the parallel free *set*: a duplicate
-        shows up as a length mismatch in O(1), and the refcounts of the
-        free frames are read off a copy of the ``counts`` column in one
-        ``map``; only a non-zero one sends the walk looking for the
-        culprit.
+        Cost model: a duplicate shows up as a length mismatch against
+        the parallel free *set* in O(1); the bounds and refcounts of all
+        free frames are one :meth:`FrameTable.all_free` pass (one
+        bound and one gather of ``counts``, C-level, a few µs for a
+        thousand free frames).  Only when that pass fails does the Python walk
+        run, in free-list order, to name the culprit.
         """
         if len(self._free) != len(self._free_set):
             seen: set[int] = set()
@@ -181,10 +188,14 @@ class PageMap:
             raise PageAccountingError(
                 "free list and free set disagree "
                 f"({len(self._free)} vs {len(self._free_set)})")
-        if not any(map(self.table.counts.tolist().__getitem__, self._free)):
+        if self.table.all_free(self._free):
             return
         counts = self.table.counts
         for frame in self._free:
+            if not 0 <= frame < self.num_frames:
+                raise PageAccountingError(
+                    f"frame {frame} on the free list is outside the "
+                    f"frame table [0, {self.num_frames})")
             if counts[frame] != 0:
                 raise PageAccountingError(
                     f"frame {frame} free with refcount {counts[frame]}")

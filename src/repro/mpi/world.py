@@ -153,6 +153,7 @@ class MpiWorld:
         acc: dict[int, np.ndarray] = {}
         for r in range(n):
             raw = self.ranks[r].task.read(vas[r], nbytes)
+            # repro-lint: allow(column-view) -- immutable bytes
             acc[r] = np.frombuffer(raw, dtype=dtype).copy()
         dist = 1
         while dist < n:
@@ -167,6 +168,7 @@ class MpiWorld:
                                            acc[src].tobytes())
                 self._xfer(src, dst, self._scratch[src],
                            self._scratch[dst], nbytes, tag=3000 + dist)
+                # repro-lint: allow(column-view) -- immutable bytes
                 incoming = np.frombuffer(
                     self.ranks[dst].task.read(self._scratch[dst],
                                               nbytes), dtype=dtype)

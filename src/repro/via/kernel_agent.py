@@ -92,9 +92,10 @@ class KernelAgent:
         #: the same records grouped by owner: pid → {handle: reg}, in
         #: registration order (kept in step by _record/_unrecord)
         self._by_owner: dict[int, dict[int, Registration]] = {}
-        #: pid → (registered vpns, frame lists) derived from _by_owner;
-        #: dropped whenever that owner's registration set changes
-        self._owner_pages: dict[int, tuple[list[int], list[list[int]]]] = {}
+        #: owner_pages()'s answer, derived from _by_owner; dropped
+        #: whenever the registration set changes
+        self._owner_pages: (
+            list[tuple[int, list[int], list[list[int]]]] | None) = None
         self.fault_plan: "FaultPlan | None" = None
         # The driver owns per-process state (VIs, registrations, pins),
         # so it must hear about exits and munmaps: a process dying with
@@ -265,28 +266,27 @@ class KernelAgent:
         registrations' recorded frame lists themselves, whose
         concatenation lines up with ``vpns``.
 
-        The vpn list is rebuilt only when the owner's registration set
-        changes; the frames are the live lists, so an in-place write to
+        The answer is one cached list, shared by every caller and not
+        to be mutated; it is rebuilt only when the registration set
+        changes.  The frames are the live lists, so an in-place write to
         ``region.frames`` is seen by the next reader.
         """
-        out = []
-        cache = self._owner_pages
-        for pid, regs in self._by_owner.items():
-            pages = cache.get(pid)
-            if pages is None:
+        if self._owner_pages is None:
+            self._owner_pages = []
+            for pid, regs in self._by_owner.items():
                 regions = [reg.region for reg in regs.values()]
-                pages = cache[pid] = (
+                self._owner_pages.append((
+                    pid,
                     [vpn for region in regions
                      for vpn in range(region.first_vpn,
                                       region.first_vpn + region.npages)],
-                    [region.frames for region in regions])
-            out.append((pid, *pages))
-        return out
+                    [region.frames for region in regions]))
+        return self._owner_pages
 
     def _record(self, reg: Registration) -> None:
         self.registrations[reg.handle] = reg
         self._by_owner.setdefault(reg.pid, {})[reg.handle] = reg
-        self._owner_pages.pop(reg.pid, None)
+        self._owner_pages = None
 
     def _unrecord(self, handle: int) -> Registration | None:
         reg = self.registrations.pop(handle, None)
@@ -295,7 +295,7 @@ class KernelAgent:
             del owned[handle]
             if not owned:
                 del self._by_owner[reg.pid]
-            self._owner_pages.pop(reg.pid, None)
+            self._owner_pages = None
         return reg
 
     def reclaim_registration(self, handle: int) -> None:

@@ -1,0 +1,15 @@
+"""Fixture: numpy views taken outside the frame table (3 findings)."""
+
+import numpy
+import numpy as np
+from numpy import frombuffer
+
+
+def free_counts(pagemap):
+    free = np.frombuffer(pagemap._free, dtype=np.int64)       # <- finding
+    counts = numpy.frombuffer(pagemap.table.counts, "q")       # <- finding
+    return counts[free]
+
+
+def pins(table):
+    return frombuffer(table.pin_counts, dtype="q").sum()      # <- finding

@@ -139,6 +139,27 @@ def test_hub_emit_exempts_the_analysis_package():
         source, relpath="repro/kernel/kernel.py")) == 1
 
 
+# ----------------------------------------------------------------- column-view
+
+def test_column_view_flags_frombuffer_outside_the_frame_table():
+    findings = lint_fixture("bad_column_view.py")
+    assert rules_of(findings) == ["column-view"] * 3
+    assert len({f.line for f in findings}) == 3
+    assert all("numpy.frombuffer" in f.message for f in findings)
+
+
+def test_column_view_accepts_table_methods_copies_and_pragma():
+    assert lint_fixture("good_column_view.py") == []
+
+
+def test_column_view_exempts_the_frame_table_module():
+    source = "import numpy as np\nv = np.frombuffer(b'', dtype='q')\n"
+    linter = Linter(["column-view"])
+    assert linter.check_source(source, relpath="repro/kernel/page.py") == []
+    assert len(linter.check_source(
+        source, relpath="repro/kernel/pagemap.py")) == 1
+
+
 # ------------------------------------------------------------------- machinery
 
 def test_rules_are_individually_toggleable():
