@@ -6,8 +6,9 @@ check of those invariants:
 
 * :mod:`repro.analysis.events` — a structured event stream (pin/unpin,
   mlock/munlock, DMA windows, swap traffic, TPT lifecycle, registration
-  lifecycle, process exit) emitted by the locking backends, the DMA
-  engines, the reclaim path, and the Kernel Agent.
+  lifecycle, process exit) published by the locking backends, the DMA
+  engines, the reclaim path, and the Kernel Agent; its hub also writes
+  the trace record of every fact it publishes.
 * :mod:`repro.analysis.sanitizer` — :class:`PinSanitizer`, a
   TSAN/lockdep analog that subscribes to that stream and maintains
   per-frame/per-range state machines detecting typed violations, each
@@ -15,8 +16,8 @@ check of those invariants:
 * :mod:`repro.analysis.lint` — ``repro-lint``, an AST checker enforcing
   the repo's own coding invariants (no swallowed control-flow
   exceptions, no wall-clock time or unseeded randomness, guarded
-  observability hot paths, audited kernel-state mutation, validated
-  fault-plan knobs, guarded event-hub emissions).
+  instrumentation hot paths, audited kernel-state mutation, validated
+  fault-plan knobs, frame-column views kept in the frame table).
 * :mod:`repro.analysis.races` — :class:`RaceDetector`, a vector-clock
   happens-before engine over the same stream: conflicting frame/TPT
   accesses with no synchronization edge become typed
@@ -29,7 +30,7 @@ check of those invariants:
 
 from __future__ import annotations
 
-from repro.analysis.events import EVENT_KINDS, EventHub, SanEvent
+from repro.analysis.events import EVENT_KINDS, EventHub
 from repro.analysis.explore import (
     ExploreConfig, ExploreReport, Scenario, ScheduleResult, explore,
 )
@@ -37,7 +38,7 @@ from repro.analysis.races import RACE_KINDS, RaceDetector, RaceViolation
 from repro.analysis.sanitizer import CHECKS, PinSanitizer, Violation
 
 __all__ = [
-    "EVENT_KINDS", "EventHub", "SanEvent",
+    "EVENT_KINDS", "EventHub",
     "CHECKS", "PinSanitizer", "Violation",
     "RACE_KINDS", "RaceDetector", "RaceViolation",
     "ExploreConfig", "ExploreReport", "Scenario", "ScheduleResult",

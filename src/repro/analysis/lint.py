@@ -19,12 +19,27 @@ kind a reviewer has to re-derive on every PR:
     :mod:`repro.sim.rng` (the one audited seeding point, which is
     exempt).  A single ``time.time()`` makes every run unreproducible.
 
-``obs-unguarded``
-    Direct metrics-registry access (``obs.metrics.counter(...)`` and
-    friends) records even while observability is *disabled* and pays
-    full cost on the hot path, so it must sit under an
-    ``if ....enabled:`` guard.  The :class:`~repro.obs.Observability`
-    facade methods (``obs.inc`` …) self-guard and are always fine.
+``instrumentation-unguarded``
+    Instrumentation on a hot path must cost one branch while nobody
+    is looking, and must never depend on a guard to be written:
+
+    * direct metrics-registry access (``obs.metrics.counter(...)`` and
+      friends) records even while observability is *disabled*, so it
+      must sit under an ``if ....enabled:`` guard (the
+      :class:`~repro.obs.Observability` facade methods, ``obs.inc`` …,
+      self-guard and are always fine);
+    * an :class:`~repro.analysis.events.EventHub` ``emit(...)`` builds
+      its event even while nobody subscribes, so it must sit under an
+      ``if ....active:`` guard (or test the hub's truthiness, which is
+      the same check);
+    * a hub ``record(...)`` writes the trace record, so it must *not*
+      sit under a hub guard: there it would silently drop the record
+      whenever nobody subscribes.
+
+    A guard is an enclosing ``if`` (its body, not its ``else``) or an
+    early bail-out (``if ...: return``) earlier in the enclosing
+    function.  The obs package is exempt from the registry check and
+    the analysis package (the hub, the checkers) from the hub checks.
 
 ``kernel-mutation``
     Layers above the kernel (``repro/via``, ``repro/msg``,
@@ -38,14 +53,6 @@ kind a reviewer has to re-derive on every PR:
     Every public knob of :class:`~repro.sim.faults.FaultPlan` must be
     validated in ``__post_init__``: a typo'd or out-of-range fault plan
     must fail at construction, not half-way through a chaos run.
-
-``hub-emit-unguarded``
-    An :class:`~repro.analysis.events.EventHub` ``emit(...)`` builds a
-    :class:`SanEvent` dict even while nobody subscribes, so every
-    emission on a hot path must sit under an ``if ....active:`` guard
-    (or test the hub's truthiness, which is the same check).  The
-    analysis package itself is exempt — the hub, the checkers, and
-    their tests are allowed to drive emissions unconditionally.
 
 ``column-view``
     ``numpy.frombuffer`` may appear only in ``repro/kernel/page.py``.
@@ -68,7 +75,7 @@ import ast
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 #: Every rule this linter knows, with a one-line summary.
 RULES: dict[str, str] = {
@@ -76,14 +83,13 @@ RULES: dict[str, str] = {
         "broad except handler may swallow ProcessKilled/KernelError",
     "wall-clock":
         "wall-clock time or unseeded randomness breaks reproducibility",
-    "obs-unguarded":
-        "metrics-registry access outside an `if ....enabled:` guard",
+    "instrumentation-unguarded":
+        "registry access or hub emit outside its guard, or a hub "
+        "record inside one",
     "kernel-mutation":
         "kernel page state mutated above the kernel layer",
     "faultplan-validation":
         "FaultPlan knob not validated in __post_init__",
-    "hub-emit-unguarded":
-        "event-hub emit outside an `if ....active:` guard",
     "column-view":
         "numpy buffer view taken outside the frame table's module",
 }
@@ -124,7 +130,7 @@ _KERNEL_MUTATOR_METHODS = frozenset({
 _OBS_EXEMPT_PREFIX = "repro/obs/"
 
 #: The analysis package (hub, checkers) emits unconditionally by design.
-_HUB_EMIT_EXEMPT_PREFIX = "repro/analysis/"
+_HUB_EXEMPT_PREFIX = "repro/analysis/"
 #: Receiver names an EventHub lives under by convention.
 _HUB_NAMES = frozenset({"events", "_events"})
 
@@ -199,6 +205,39 @@ def _contains_enabled(node: ast.expr) -> bool:
                for n in ast.walk(node))
 
 
+def _guards_hub(test: ast.expr) -> bool:
+    """Does the expression test an event hub: some ``....active``, or a
+    hub's truthiness (``EventHub.__bool__`` returns ``.active``)?"""
+    return any((isinstance(n, ast.Attribute) and n.attr == "active")
+               or _last_name(n) in _HUB_NAMES for n in ast.walk(test))
+
+
+def _guarded(node: ast.AST, is_guard: Callable[[ast.expr], bool]) -> bool:
+    """Does ``node`` run only when ``is_guard`` accepts some ``if`` test:
+    inside such an ``if``'s body, or after an early bail-out on one in
+    the enclosing function?  Needs ``_lint_parent`` links."""
+    child, ancestor = node, getattr(node, "_lint_parent", None)
+    func_scope = None
+    while ancestor is not None:
+        if isinstance(ancestor, ast.If) and child in ancestor.body \
+                and is_guard(ancestor.test):
+            return True
+        if func_scope is None and isinstance(
+                ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func_scope = ancestor
+        child, ancestor = ancestor, getattr(ancestor, "_lint_parent", None)
+    if func_scope is None:
+        return False
+    for stmt in func_scope.body:
+        if stmt.lineno >= node.lineno:
+            break
+        if isinstance(stmt, ast.If) and is_guard(stmt.test) \
+                and stmt.body and isinstance(
+                    stmt.body[-1], (ast.Return, ast.Continue, ast.Raise)):
+            return True
+    return False
+
+
 class Linter:
     """The repro-lint engine: parse, visit, report.
 
@@ -243,17 +282,15 @@ class Linter:
         if "wall-clock" in self.rules \
                 and not rel.endswith(_WALL_CLOCK_EXEMPT_FILES):
             findings += self._check_wall_clock(tree, path)
-        if "obs-unguarded" in self.rules \
-                and not rel.startswith(_OBS_EXEMPT_PREFIX):
-            findings += self._check_obs_unguarded(tree, path)
+        if "instrumentation-unguarded" in self.rules:
+            findings += self._check_instrumentation(
+                tree, path, registry=not rel.startswith(_OBS_EXEMPT_PREFIX),
+                hub=not rel.startswith(_HUB_EXEMPT_PREFIX))
         if "kernel-mutation" in self.rules \
                 and rel.startswith(_ABOVE_KERNEL_LAYERS):
             findings += self._check_kernel_mutation(tree, path)
         if "faultplan-validation" in self.rules:
             findings += self._check_faultplan(tree, path)
-        if "hub-emit-unguarded" in self.rules \
-                and not rel.startswith(_HUB_EMIT_EXEMPT_PREFIX):
-            findings += self._check_hub_emit(tree, path)
         if "column-view" in self.rules \
                 and not rel.endswith(_COLUMN_VIEW_EXEMPT_FILES):
             findings += self._check_column_view(tree, path)
@@ -382,8 +419,9 @@ class Linter:
         return findings
 
     @staticmethod
-    def _check_obs_unguarded(tree: ast.AST,
-                             path: str) -> list[LintFinding]:
+    def _check_instrumentation(tree: ast.AST, path: str, *,
+                               registry: bool,
+                               hub: bool) -> list[LintFinding]:
         # Annotate parents so guards can be found lexically.
         for node in ast.walk(tree):
             for child in ast.iter_child_nodes(node):
@@ -391,43 +429,36 @@ class Linter:
         findings = []
         for node in ast.walk(tree):
             if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("counter", "gauge", "histogram")
-                    and isinstance(node.func.value, ast.Attribute)
-                    and node.func.value.attr == "metrics"):
+                    and isinstance(node.func, ast.Attribute)):
                 continue
-            # Guarded if any lexical ancestor `if` tests `....enabled`…
-            guarded = False
-            ancestor = getattr(node, "_lint_parent", None)
-            func_scope = None
-            while ancestor is not None:
-                if isinstance(ancestor, ast.If) \
-                        and _contains_enabled(ancestor.test):
-                    guarded = True
-                    break
-                if func_scope is None and isinstance(
-                        ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    func_scope = ancestor
-                ancestor = getattr(ancestor, "_lint_parent", None)
-            # …or the enclosing function bailed out early on `.enabled`.
-            if not guarded and func_scope is not None:
-                for stmt in func_scope.body:
-                    if stmt.lineno >= node.lineno:
-                        break
-                    if isinstance(stmt, ast.If) \
-                            and _contains_enabled(stmt.test) \
-                            and stmt.body and isinstance(
-                                stmt.body[-1],
-                                (ast.Return, ast.Continue, ast.Raise)):
-                        guarded = True
-                        break
-            if not guarded:
-                findings.append(LintFinding(
-                    path, node.lineno, node.col_offset, "obs-unguarded",
-                    f"direct registry access "
-                    f"`.metrics.{node.func.attr}(...)` records even "
-                    f"while disabled; guard with `if ....enabled:` or "
-                    f"use the self-guarding facade"))
+            attr = node.func.attr
+            receiver = node.func.value
+            if registry and attr in ("counter", "gauge", "histogram") \
+                    and isinstance(receiver, ast.Attribute) \
+                    and receiver.attr == "metrics":
+                if not _guarded(node, _contains_enabled):
+                    findings.append(LintFinding(
+                        path, node.lineno, node.col_offset,
+                        "instrumentation-unguarded",
+                        f"direct registry access "
+                        f"`.metrics.{attr}(...)` records even "
+                        f"while disabled; guard with `if ....enabled:` "
+                        f"or use the self-guarding facade"))
+            elif hub and _last_name(receiver) in _HUB_NAMES:
+                if attr == "emit" and not _guarded(node, _guards_hub):
+                    findings.append(LintFinding(
+                        path, node.lineno, node.col_offset,
+                        "instrumentation-unguarded",
+                        "event-hub `.emit(...)` builds its event even "
+                        "with nobody subscribed; guard with "
+                        "`if ....active:` (or the hub's truthiness)"))
+                elif attr == "record" and _guarded(node, _guards_hub):
+                    findings.append(LintFinding(
+                        path, node.lineno, node.col_offset,
+                        "instrumentation-unguarded",
+                        "event-hub `.record(...)` under a hub guard "
+                        "drops the trace record whenever nobody "
+                        "subscribes; call it unguarded"))
         return findings
 
     @classmethod
@@ -530,61 +561,6 @@ class Linter:
                         f"in __post_init__"))
         return findings
 
-
-    @staticmethod
-    def _check_hub_emit(tree: ast.AST, path: str) -> list[LintFinding]:
-        def guards_hub(test: ast.expr) -> bool:
-            # `....active` attribute, or the hub itself tested for
-            # truthiness (EventHub.__bool__ returns `.active`).
-            for sub in ast.walk(test):
-                if isinstance(sub, ast.Attribute) and sub.attr == "active":
-                    return True
-                if _last_name(sub) in _HUB_NAMES:
-                    return True
-            return False
-
-        for node in ast.walk(tree):
-            for child in ast.iter_child_nodes(node):
-                child._lint_parent = node  # type: ignore[attr-defined]
-        findings = []
-        for node in ast.walk(tree):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "emit"
-                    and _last_name(node.func.value) in _HUB_NAMES):
-                continue
-            guarded = False
-            ancestor = getattr(node, "_lint_parent", None)
-            func_scope = None
-            while ancestor is not None:
-                if isinstance(ancestor, ast.If) \
-                        and guards_hub(ancestor.test):
-                    guarded = True
-                    break
-                if func_scope is None and isinstance(
-                        ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    func_scope = ancestor
-                ancestor = getattr(ancestor, "_lint_parent", None)
-            # …or the enclosing function bailed out early on the hub.
-            if not guarded and func_scope is not None:
-                for stmt in func_scope.body:
-                    if stmt.lineno >= node.lineno:
-                        break
-                    if isinstance(stmt, ast.If) \
-                            and guards_hub(stmt.test) \
-                            and stmt.body and isinstance(
-                                stmt.body[-1],
-                                (ast.Return, ast.Continue, ast.Raise)):
-                        guarded = True
-                        break
-            if not guarded:
-                findings.append(LintFinding(
-                    path, node.lineno, node.col_offset,
-                    "hub-emit-unguarded",
-                    "event-hub `.emit(...)` builds its event dict even "
-                    "with nobody subscribed; guard with "
-                    "`if ....active:` (or the hub's truthiness)"))
-        return findings
 
 
 def lint_paths(paths: Iterable[str | Path],

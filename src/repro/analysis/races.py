@@ -69,14 +69,16 @@ Race classes (:data:`RACE_KINDS`):
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.errors import RaceDetected
 from repro.sim.clock import CalendarHook, ScheduledEvent, SimClock
+from repro.sim.trace import TraceEvent
 
 from . import events as ev
-from .events import EventHub, SanEvent
+from .events import EventHub, as_events
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.kernel.kernel import Kernel
@@ -124,12 +126,12 @@ class RaceViolation:
     host: str                        #: machine the accesses came from
     location: tuple[Any, ...]        #: ("frame", n) or ("tpt", handle)
     message: str
-    prior: SanEvent                  #: the earlier access (in run order)
+    prior: TraceEvent                #: the earlier access (in run order)
     prior_actor: str                 #: its execution context / actor
-    current: SanEvent                #: the access that closed the race
+    current: TraceEvent              #: the access that closed the race
     current_actor: str
-    prior_trail: tuple[SanEvent, ...]
-    current_trail: tuple[SanEvent, ...]
+    prior_trail: tuple[TraceEvent, ...]
+    current_trail: tuple[TraceEvent, ...]
 
     def format(self) -> str:
         """Human-readable report: message plus both access trails."""
@@ -143,7 +145,7 @@ class RaceViolation:
             for e in trail:
                 marker = "=>" if e is marker_of else "  "
                 fields = " ".join(f"{k}={v!r}"
-                                  for k, v in sorted(e.fields.items()))
+                                  for k, v in sorted(e.detail.items()))
                 lines.append(f"    {marker} t={e.ts_ns} {e.kind} {fields}")
         return "\n".join(lines)
 
@@ -269,20 +271,21 @@ class RaceDetector:
         self.armed = False
         self._trail_maxlen = trail_maxlen
         self._trail_report = trail_report
-        self._ring: list[tuple[Any, str, SanEvent]] = []
+        self._ring: list[tuple[Any, str, TraceEvent]] = []
         self._counts: dict[str, int] = {race: 0 for race in RACE_KINDS}
         self._unsubscribes: list[Callable[[], None]] = []
         self._hook_removers: list[Callable[[], None]] = []
         self._n_scopes = 0
-        self._feed_ts = 0
+        self._feed_ts = itertools.count(1)
         #: vector clocks, one per execution context
         self._vcs: dict[str, dict[str, int]] = {}
         #: calendar observer per armed clock (by id), and per scope
         self._clock_states: dict[int, _ClockState] = {}
         self._scope_state: dict[Any, _ClockState] = {}
         #: last access per (scope, location) → {(class, ctx): (own, event)}
-        self._accesses: dict[tuple[Any, tuple[Any, ...]],
-                             dict[tuple[str, str], tuple[int, SanEvent]]] = {}
+        self._accesses: dict[
+            tuple[Any, tuple[Any, ...]],
+            dict[tuple[str, str], tuple[int, TraceEvent]]] = {}
         #: open DMA windows per (scope, frame)
         self._windows: dict[tuple[Any, int], int] = {}
         #: released VCs per (scope, edge kind, key)
@@ -380,7 +383,7 @@ class RaceDetector:
 
     # ------------------------------------------------------------------- feed
 
-    def handle(self, event: SanEvent, scope: Any = None) -> None:
+    def handle(self, event: TraceEvent, scope: Any = None) -> None:
         """Consume one event (the hub-subscription entry point)."""
         if scope is None:
             scope = event.host
@@ -408,21 +411,17 @@ class RaceDetector:
     def feed(self, events: Iterable) -> None:
         """Drive the detector directly — the golden-test entry point.
 
-        Items are :class:`SanEvent`s or ``(kind, fields)`` pairs (host
+        Items are :class:`TraceEvent`s or ``(kind, detail)`` pairs (host
         ``"test"``, monotonic timestamps).  Context comes from the
         event's ``actor`` field, falling back to ``task:<pid>`` or the
         DMA ``engine`` name — with no calendar, every distinct actor is
         concurrent unless a sync edge orders it.
         """
-        for item in events:
-            if not isinstance(item, SanEvent):
-                kind, fields = item
-                self._feed_ts += 1
-                item = SanEvent(self._feed_ts, "test", kind, dict(fields))
-            self.handle(item)
+        for event in as_events(events, self._feed_ts):
+            self.handle(event)
 
     @staticmethod
-    def _feed_actor(event: SanEvent) -> str:
+    def _feed_actor(event: TraceEvent) -> str:
         actor = event.get("actor")
         if actor is not None:
             return str(actor)
@@ -436,7 +435,7 @@ class RaceDetector:
 
     # -------------------------------------------------------------- the model
 
-    def _sync_edges(self, event: SanEvent, scope: Any, ctx: str,
+    def _sync_edges(self, event: TraceEvent, scope: Any, ctx: str,
                     vc: dict[str, int]) -> None:
         kind = event.kind
         if kind == ev.DOORBELL:
@@ -445,7 +444,7 @@ class RaceDetector:
             self._acquire(scope, "db", event.get("token"), vc)
         elif kind == ev.DMA_SUSPEND:
             self._release(scope, "fault", event.get("token"), vc)
-        elif kind == ev.FAULT_SERVICE:
+        elif kind == ev.FAULT_SERVICE or kind == ev.FAULT_COALESCED:
             token = event.get("token")
             self._acquire(scope, "fault", token, vc)
             self._acquire(scope, "fence", event.get("handle"), vc)
@@ -471,19 +470,19 @@ class RaceDetector:
             _join(vc, released)
 
     @staticmethod
-    def _accesses_of(event: SanEvent
+    def _accesses_of(event: TraceEvent
                      ) -> list[tuple[str, tuple[Any, ...]]]:
         kind = event.kind
         if kind == ev.PIN:
             return [("pin", ("frame", f)) for f in event.get("frames", ())]
-        if kind == ev.UNPIN:
+        if kind == ev.UNPIN or kind == ev.PIN_RELEASED:
             return [("unpin", ("frame", f)) for f in event.get("frames", ())]
         if kind == ev.DMA_BEGIN:
             return [("dma", ("frame", f)) for f in event.get("frames", ())]
         if kind == ev.SWAP_OUT:
             frame = event.get("frame")
             return [] if frame is None else [("swap", ("frame", frame))]
-        if kind == ev.FAULT_SERVICE:
+        if kind == ev.FAULT_SERVICE or kind == ev.FAULT_COALESCED:
             return [("service", ("frame", f))
                     for f in event.get("frames", ()) if f is not None
                     and f >= 0]
@@ -496,7 +495,7 @@ class RaceDetector:
             return [("invalidate", ("tpt", event.get("handle")))]
         return []
 
-    def _check_access(self, event: SanEvent, scope: Any, ctx: str,
+    def _check_access(self, event: TraceEvent, scope: Any, ctx: str,
                       vc: dict[str, int], cls: str,
                       loc: tuple[Any, ...]) -> None:
         slot = self._accesses.setdefault((scope, loc), {})
@@ -522,7 +521,7 @@ class RaceDetector:
     def _window_open(self, scope: Any, loc: tuple[Any, ...]) -> bool:
         return self._windows.get((scope, loc[1]), 0) > 0
 
-    def _on_dma_end(self, event: SanEvent, scope: Any) -> None:
+    def _on_dma_end(self, event: TraceEvent, scope: Any) -> None:
         for frame in event.get("frames", ()):
             key = (scope, frame)
             count = self._windows.get(key, 0)
@@ -534,8 +533,8 @@ class RaceDetector:
     # -------------------------------------------------------------- reporting
 
     def _report(self, race: str, loc: tuple[Any, ...], scope: Any,
-                prior_cls: str, prior_ctx: str, prior_event: SanEvent,
-                cls: str, ctx: str, event: SanEvent) -> None:
+                prior_cls: str, prior_ctx: str, prior_event: TraceEvent,
+                cls: str, ctx: str, event: TraceEvent) -> None:
         dedup = (scope, loc, race, prior_ctx, ctx)
         if dedup in self._reported:
             return
@@ -553,7 +552,7 @@ class RaceDetector:
         if self.strict:
             raise RaceDetected(violation.format(), violation=violation)
 
-    def _trail(self, scope: Any, ctx: str) -> tuple[SanEvent, ...]:
+    def _trail(self, scope: Any, ctx: str) -> tuple[TraceEvent, ...]:
         related = [e for e_scope, e_ctx, e in self._ring
                    if e_scope == scope and e_ctx == ctx]
         return tuple(related[-self._trail_report:])

@@ -76,14 +76,16 @@ violations a chaos test *wants* to happen without raising.
 
 from __future__ import annotations
 
+import itertools
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from repro.analysis import events as ev
-from repro.analysis.events import EventHub, SanEvent
+from repro.analysis.events import EventHub, as_events
 from repro.errors import SanitizerViolation, UnmetExpectation
+from repro.sim.trace import TraceEvent
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.kernel import Kernel
@@ -120,8 +122,8 @@ class Violation:
     check: str                      #: entry of :data:`CHECKS`
     host: str                       #: machine the trigger came from
     message: str
-    event: SanEvent                 #: the triggering event
-    trail: tuple[SanEvent, ...]     #: happens-before context (trigger last)
+    event: TraceEvent               #: the triggering event
+    trail: tuple[TraceEvent, ...]   #: happens-before context (trigger last)
 
     def format(self) -> str:
         """Human-readable report: message plus the event trail."""
@@ -129,7 +131,7 @@ class Violation:
         for e in self.trail:
             marker = "=>" if e is self.event else "  "
             fields = " ".join(f"{k}={v!r}" for k, v in sorted(
-                e.fields.items()))
+                e.detail.items()))
             lines.append(f"  {marker} t={e.ts_ns} {e.kind} {fields}")
         return "\n".join(lines)
 
@@ -170,7 +172,7 @@ class PinSanitizer:
         self.armed = False
         self._trail_maxlen = trail_maxlen
         self._trail_report = trail_report
-        self._ring: list[tuple[Any, SanEvent]] = []
+        self._ring: list[tuple[Any, TraceEvent]] = []
         self._expectations: list[_Expectation] = []
         #: expect() blocks that exited without capturing anything (and
         #: without an exception in flight) — reported at disarm
@@ -178,7 +180,7 @@ class PinSanitizer:
         self._unsubscribes: list[Callable[[], None]] = []
         self._collectors: list[tuple["Observability", Callable]] = []
         self._counts: dict[str, int] = {check: 0 for check in CHECKS}
-        self._feed_ts = 0
+        self._feed_ts = itertools.count(1)
         self._n_scopes = 0
         # -- per-(scope, ...) state machines --
         # A *scope* namespaces the state: each armed hub gets a fresh
@@ -209,12 +211,13 @@ class PinSanitizer:
         #: (scope, frame)
         self._write_spans: dict[tuple[Any, int], list[tuple[int, int]]] = {}
         #: open DMA suspensions by (scope, token) → the suspend event
-        self._suspensions: dict[tuple[Any, int], SanEvent] = {}
+        self._suspensions: dict[tuple[Any, int], TraceEvent] = {}
         #: suspension tokens a FAULT_SERVICE has answered
         self._serviced: set[tuple[Any, int]] = set()
-        self._handlers: dict[str, Callable[[SanEvent, Any], None]] = {
+        self._handlers: dict[str, Callable[[TraceEvent, Any], None]] = {
             ev.PIN: self._on_pin,
             ev.UNPIN: self._on_unpin,
+            ev.PIN_RELEASED: self._on_unpin,
             ev.DMA_BEGIN: self._on_dma_begin,
             ev.DMA_END: self._on_dma_end,
             ev.SWAP_OUT: self._on_swap_out,
@@ -224,6 +227,8 @@ class PinSanitizer:
             ev.ATOMIC_RMW: self._on_atomic_rmw,
             ev.REGISTER: self._on_register,
             ev.DEREGISTER: self._on_deregister,
+            ev.RECLAIM_REGISTRATION: self._on_deregister,
+            ev.FORGET_REGISTRATION: self._on_deregister,
             ev.TASK_EXIT: self._on_task_exit,
         }
         if self.odp:
@@ -234,6 +239,7 @@ class PinSanitizer:
                 ev.DMA_SUSPEND: self._on_dma_suspend,
                 ev.DMA_RESUME: self._on_dma_resume,
                 ev.FAULT_SERVICE: self._on_fault_service,
+                ev.FAULT_COALESCED: self._on_fault_service,
                 ev.ODP_EVICT: self._on_odp_evict,
             })
 
@@ -386,7 +392,7 @@ class PinSanitizer:
 
     # ------------------------------------------------------------------- feed
 
-    def handle(self, event: SanEvent, scope: Any = None) -> None:
+    def handle(self, event: TraceEvent, scope: Any = None) -> None:
         """Consume one event (the hub-subscription entry point).
 
         ``scope`` namespaces the per-frame/per-handle state; armed hubs
@@ -407,20 +413,16 @@ class PinSanitizer:
     def feed(self, events: Iterable) -> None:
         """Drive the sanitizer directly — the golden-test entry point.
 
-        Each item is either a ready :class:`SanEvent` or a
-        ``(kind, fields_dict)`` pair, which is stamped with host
+        Each item is either a ready :class:`TraceEvent` or a
+        ``(kind, detail_dict)`` pair, which is stamped with host
         ``"test"`` and a monotonically increasing timestamp.
         """
-        for item in events:
-            if not isinstance(item, SanEvent):
-                kind, fields = item
-                self._feed_ts += 1
-                item = SanEvent(self._feed_ts, "test", kind, dict(fields))
-            self.handle(item)
+        for event in as_events(events, self._feed_ts):
+            self.handle(event)
 
     # -------------------------------------------------------------- reporting
 
-    def _report(self, check: str, event: SanEvent, scope: Any,
+    def _report(self, check: str, event: TraceEvent, scope: Any,
                 message: str, *, frames: Iterable[int] = (),
                 pid: int | None = None,
                 handle: int | None = None) -> None:
@@ -440,10 +442,10 @@ class PinSanitizer:
             raise SanitizerViolation(violation.format(),
                                      violation=violation)
 
-    def _trail(self, trigger: SanEvent, scope: Any,
+    def _trail(self, trigger: TraceEvent, scope: Any,
                frames: frozenset[int], pid: int | None,
-               handle: int | None) -> tuple[SanEvent, ...]:
-        related: list[SanEvent] = []
+               handle: int | None) -> tuple[TraceEvent, ...]:
+        related: list[TraceEvent] = []
         for e_scope, e in self._ring:
             if e_scope != scope and e is not trigger:
                 continue
@@ -452,9 +454,9 @@ class PinSanitizer:
         return tuple(related[-self._trail_report:])
 
     @staticmethod
-    def _related(e: SanEvent, frames: frozenset[int], pid: int | None,
+    def _related(e: TraceEvent, frames: frozenset[int], pid: int | None,
                  handle: int | None) -> bool:
-        f = e.fields
+        f = e.detail
         if frames:
             if f.get("frame") in frames:
                 return True
@@ -517,12 +519,12 @@ class PinSanitizer:
 
     # -- handlers ------------------------------------------------------------
 
-    def _on_pin(self, event: SanEvent, scope: Any) -> None:
+    def _on_pin(self, event: TraceEvent, scope: Any) -> None:
         for frame in event["frames"]:
             key = (scope, frame)
             self._pins[key] = self._pins.get(key, 0) + 1
 
-    def _on_unpin(self, event: SanEvent, scope: Any) -> None:
+    def _on_unpin(self, event: TraceEvent, scope: Any) -> None:
         for frame in event["frames"]:
             key = (scope, frame)
             current = self._pins.get(key, 0)
@@ -545,7 +547,7 @@ class PinSanitizer:
                         f"an open DMA window",
                         frames=(frame,), pid=event.get("pid"))
 
-    def _on_dma_begin(self, event: SanEvent, scope: Any) -> None:
+    def _on_dma_begin(self, event: TraceEvent, scope: Any) -> None:
         for frame in event["frames"]:
             key = (scope, frame)
             self._dma[key] = self._dma.get(key, 0) + 1
@@ -565,7 +567,7 @@ class PinSanitizer:
                             frames=(frame,))
                 self._write_spans.setdefault(key, []).append((offset, n))
 
-    def _on_dma_end(self, event: SanEvent, scope: Any) -> None:
+    def _on_dma_end(self, event: TraceEvent, scope: Any) -> None:
         for frame in event["frames"]:
             key = (scope, frame)
             current = self._dma.get(key, 0)
@@ -587,7 +589,7 @@ class PinSanitizer:
                 if not open_spans:
                     del self._write_spans[key]
 
-    def _on_atomic_rmw(self, event: SanEvent, scope: Any) -> None:
+    def _on_atomic_rmw(self, event: TraceEvent, scope: Any) -> None:
         frame, offset = event["frame"], event["offset"]
         key = (scope, frame)
         for span_off, span_n in self._write_spans.get(key, ()):
@@ -600,7 +602,7 @@ class PinSanitizer:
                     frames=(frame,))
         self._atomic_words.setdefault(key, set()).add(offset)
 
-    def _on_swap_out(self, event: SanEvent, scope: Any) -> None:
+    def _on_swap_out(self, event: TraceEvent, scope: Any) -> None:
         frame = event["frame"]
         key = (scope, frame)
         if self._dma.get(key, 0) > 0:
@@ -619,7 +621,7 @@ class PinSanitizer:
                 f"(backend {backend!r}) swapped out — the §3.1 failure",
                 frames=(frame,), pid=event.get("pid"), handle=handle)
 
-    def _on_munlock(self, event: SanEvent, scope: Any) -> None:
+    def _on_munlock(self, event: TraceEvent, scope: Any) -> None:
         pid = event["pid"]
         start_vpn, end_vpn = event["start_vpn"], event["end_vpn"]
         for handle in sorted(self._regs_by_pid.get((scope, pid), ())):
@@ -635,10 +637,10 @@ class PinSanitizer:
                     f" — mlock does not nest (§3.2)",
                     pid=pid, handle=handle)
 
-    def _on_tpt_invalidate(self, event: SanEvent, scope: Any) -> None:
+    def _on_tpt_invalidate(self, event: TraceEvent, scope: Any) -> None:
         self._tpt_dead.add((scope, event["handle"]))
 
-    def _on_tpt_translate(self, event: SanEvent, scope: Any) -> None:
+    def _on_tpt_translate(self, event: TraceEvent, scope: Any) -> None:
         handle = event["handle"]
         if (scope, handle) in self._tpt_dead:
             self._report(
@@ -647,7 +649,7 @@ class PinSanitizer:
                 f"region was invalidated",
                 handle=handle)
 
-    def _on_register(self, event: SanEvent, scope: Any) -> None:
+    def _on_register(self, event: TraceEvent, scope: Any) -> None:
         uid = event.get("uid")
         quota = event.get("quota_pages")
         self._track_registration(
@@ -669,10 +671,10 @@ class PinSanitizer:
                 f"admission control and tenant accounting disagree",
                 pid=event["pid"], handle=event["handle"])
 
-    def _on_deregister(self, event: SanEvent, scope: Any) -> None:
+    def _on_deregister(self, event: TraceEvent, scope: Any) -> None:
         self._untrack_registration(scope, event["handle"])
 
-    def _on_task_exit(self, event: SanEvent, scope: Any) -> None:
+    def _on_task_exit(self, event: TraceEvent, scope: Any) -> None:
         pid = event["pid"]
         if not event["cleanup"]:
             # Buggy teardown being modelled: leaked registrations are
@@ -690,10 +692,10 @@ class PinSanitizer:
 
     # -- ODP mode ------------------------------------------------------------
 
-    def _on_dma_suspend(self, event: SanEvent, scope: Any) -> None:
+    def _on_dma_suspend(self, event: TraceEvent, scope: Any) -> None:
         self._suspensions[(scope, event["token"])] = event
 
-    def _on_fault_service(self, event: SanEvent, scope: Any) -> None:
+    def _on_fault_service(self, event: TraceEvent, scope: Any) -> None:
         token = event.get("token")
         if token is not None:
             self._serviced.add((scope, token))
@@ -711,7 +713,7 @@ class PinSanitizer:
                 key = (scope, reg.uid)
                 self._uid_pages[key] = self._uid_pages.get(key, 0) + 1
 
-    def _on_dma_resume(self, event: SanEvent, scope: Any) -> None:
+    def _on_dma_resume(self, event: TraceEvent, scope: Any) -> None:
         token = event["token"]
         key = (scope, token)
         suspend = self._suspensions.pop(key, None)
@@ -728,7 +730,7 @@ class PinSanitizer:
                 f"translation",
                 handle=event["handle"])
 
-    def _on_odp_evict(self, event: SanEvent, scope: Any) -> None:
+    def _on_odp_evict(self, event: TraceEvent, scope: Any) -> None:
         handle, frame = event["handle"], event["frame"]
         key = (scope, frame)
         owners = self._reg_frames.get(key)

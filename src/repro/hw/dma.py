@@ -128,7 +128,8 @@ class DMAEngine:
             # Guarded by proxy: spans is only non-None when the hub was
             # active at window open, and DMA_END must pair with its
             # DMA_BEGIN even if the hub deactivated mid-window.
-            self._events.emit(  # repro-lint: allow(hub-emit-unguarded)
+            # repro-lint: allow(instrumentation-unguarded)
+            self._events.emit(
                 DMA_END, frames=frames, op=op,
                 engine=self.name, spans=spans)
 

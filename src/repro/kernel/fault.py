@@ -109,11 +109,8 @@ def _swap_in(kernel: "Kernel", task: "Task", vpn: int, slot: int,
                                 dirty=True)
     task.major_faults += 1
     kernel.clock.charge(kernel.costs.major_fault_base_ns, "fault")
-    if kernel.events.active:
-        kernel.events.emit(SWAP_IN, pid=task.pid, vpn=vpn, frame=pd.frame,
-                           slot=slot)
-    kernel.trace.emit("swap_in", pid=task.pid, vpn=vpn, frame=pd.frame,
-                      slot=slot)
+    kernel.events.record(SWAP_IN, pid=task.pid, vpn=vpn, frame=pd.frame,
+                         slot=slot)
     return pd.frame
 
 

@@ -67,8 +67,9 @@ class Kernel:
         self.obs = self.trace.obs
         # The analysis event stream is always per-kernel (frame numbers
         # and pids are host-local, so a shared hub would alias them);
-        # a Machine relabels ``events.host`` with its own name.
-        self.events = EventHub(self.clock)
+        # a Machine relabels ``events.host`` with its own name.  The
+        # hub writes the trace records of the facts it publishes.
+        self.events = EventHub(self.clock, self.trace)
         #: the installed FaultPlan, if any (see repro.sim.faults.install);
         #: kernel-internal crash points (kiobuf pinning) consult it
         self.fault_plan: object | None = None

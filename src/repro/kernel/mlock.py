@@ -77,11 +77,8 @@ def do_mlock(kernel: "Kernel", task: "Task", va: int, nbytes: int) -> None:
             vma = task.vmas.find_or_fault(vpn)
             handle_fault(kernel, task, vpn,
                          write=bool(vma.flags & VM_WRITE))
-    if kernel.events.active:
-        kernel.events.emit(MLOCK, pid=task.pid, start_vpn=start_vpn,
-                           end_vpn=end_vpn)
-    kernel.trace.emit("mlock", pid=task.pid, start_vpn=start_vpn,
-                      end_vpn=end_vpn)
+    kernel.events.record(MLOCK, pid=task.pid, start_vpn=start_vpn,
+                         end_vpn=end_vpn)
 
 
 def sys_munlock(kernel: "Kernel", task: "Task", va: int,
@@ -106,11 +103,8 @@ def do_munlock(kernel: "Kernel", task: "Task", va: int,
     kernel.clock.charge(splits * kernel.costs.vma_split_ns, "mlock")
     task.vmas.set_flags_range(start_vpn, end_vpn, clear_bits=VM_LOCKED)
     task.vmas.merge_adjacent()
-    if kernel.events.active:
-        kernel.events.emit(MUNLOCK, pid=task.pid, start_vpn=start_vpn,
-                           end_vpn=end_vpn)
-    kernel.trace.emit("munlock", pid=task.pid, start_vpn=start_vpn,
-                      end_vpn=end_vpn)
+    kernel.events.record(MUNLOCK, pid=task.pid, start_vpn=start_vpn,
+                         end_vpn=end_vpn)
 
 
 def mlock_with_cap_dance(kernel: "Kernel", task: "Task", va: int,

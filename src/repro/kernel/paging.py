@@ -256,12 +256,9 @@ def _swap_out_task_one(kernel: "Kernel", task: "Task") -> "bool | None":
             # frame alive: it is now an orphan — unmapped, unfreed.
             pd.tag = "orphan"
         kernel._task_swap_hand[task.pid] = vpn + 1
-        if kernel.events.active:
-            kernel.events.emit(SWAP_OUT, pid=task.pid, vpn=vpn,
-                               frame=pd.frame, freed=was_freed,
-                               actor="reclaim")
-        kernel.trace.emit("swap_out", pid=task.pid, vpn=vpn,
-                          frame=pd.frame, slot=slot,
-                          refs_before=refs_before, freed=was_freed)
+        kernel.events.record(SWAP_OUT, pid=task.pid, vpn=vpn,
+                             frame=pd.frame, slot=slot,
+                             refs_before=refs_before, freed=was_freed,
+                             actor="reclaim")
         return was_freed
     return None

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable
 
-from repro.analysis.events import UNPIN
+from repro.analysis.events import PIN_RELEASED
 from repro.core.audit import audit_pin_leaks, explained_pins
 from repro.errors import ReproError
 from repro.sim.clock import ScheduledEvent
@@ -469,16 +469,13 @@ class OrphanReaper:
             pd = pagemap.page(frame)
             for _ in range(excess):
                 pd.unpin()
-            if self.kernel.events.active:
-                self.kernel.events.emit(
-                    UNPIN, frames=(frame,) * excess, pid=None,
-                    actor="reaper")
+            self.kernel.events.record(
+                PIN_RELEASED, frame=frame, excess=excess,
+                sightings=state.attempts, frames=(frame,) * excess,
+                actor="reaper")
             self._backoff.pop(key, None)
             excess_frames.discard(frame)
             report.pins_force_released += excess
-            self.kernel.trace.emit("reaper_pin_released", frame=frame,
-                                   excess=excess,
-                                   sightings=state.attempts)
         # A frame unpinned since its last sighting leaves the pinned set
         # without passing through the excess<=0 branch above; drop its
         # stale backoff so a future, unrelated leak starts fresh.

@@ -24,6 +24,11 @@ The ring holds raw ``(ts_ns, kind, detail)`` records; ``detail`` is the
 ``**detail`` dict ``emit`` received, which Python builds fresh for every
 call.  Emission sits on hot paths such as reclaim, so
 :class:`TraceEvent` objects are built only when the trace is read.
+
+A fact the live analysis stream also watches is written through the
+kernel's event hub, ``kernel.events.record(kind, **detail)`` (see
+:mod:`repro.analysis.events`): this ``emit`` while nothing subscribes,
+the same record plus a live publish otherwise.
 """
 
 from __future__ import annotations
@@ -54,14 +59,20 @@ _MUTABLE = frozenset((list, set, dict))
 
 @dataclass(frozen=True)
 class TraceEvent:
-    """One traced event."""
+    """One traced event: a trace record, or a live analysis event."""
 
     ts_ns: int                 #: simulated timestamp
     kind: str                  #: event kind, e.g. ``"swap_out"``
     detail: dict = field(default_factory=dict)
+    #: publishing machine (an event hub's label); None on trace reads
+    host: str | None = None
 
     def __getitem__(self, key: str) -> Any:
         return self.detail[key]
+
+    def get(self, key: str, default: Any = None) -> Any:
+        """Detail lookup with a default, like ``dict.get``."""
+        return self.detail.get(key, default)
 
 
 class Trace:

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.analysis.events import (
-    DEREGISTER, FAULT_SERVICE, FENCE, ODP_EVICT, REGISTER,
+    DEREGISTER, FAULT_COALESCED, FAULT_SERVICE, FENCE, FORGET_REGISTRATION,
+    ODP_EVICT, RECLAIM_REGISTRATION, REGISTER,
 )
 from repro.errors import (
     InvalidArgument, NotRegistered, ProcessKilled, ViaError,
@@ -221,7 +222,7 @@ class KernelAgent:
                 first_vpn=region.first_vpn, npages=region.npages,
                 uid=task.uid,
                 quota_pages=self.tenants.quota_of(task.uid))
-        self.kernel.trace.emit("via_register", pid=task.pid, va=va,
+        self.kernel.trace.emit(REGISTER, pid=task.pid, va=va,
                                nbytes=nbytes, handle=region.handle,
                                backend=self.backend.name)
         # Crash here = died with a fully recorded registration; the exit
@@ -237,19 +238,17 @@ class KernelAgent:
         # Credit follows the record: it is gone as of the pop above,
         # even if the unlock below fails (that leak is the reaper's).
         self.tenants.credit(reg)
-        # DEREGISTER is emitted before the backend unlocks: the unlock's
-        # own events (an mlock backend's MUNLOCK) must be attributable to
-        # a *dead* registration, or the sanitizer's §3.2 nesting check
+        # DEREGISTER is recorded before the backend unlocks: the unlock's
+        # own records (an mlock backend's MUNLOCK) must be attributable
+        # to a *dead* registration, or the sanitizer's §3.2 nesting check
         # could not tell a legitimate last-unlock from an annulment.
-        if self.kernel.events.active:
-            self.kernel.events.emit(DEREGISTER, handle=handle, pid=reg.pid)
+        self.kernel.events.record(DEREGISTER, handle=handle,
+                                  backend=self.backend.name, pid=reg.pid)
         region = self.nic.tpt.remove(handle)
         self.kernel.clock.charge(
             region.npages * self.kernel.costs.tpt_update_ns, "register")
         self._purge_odp_index(handle, region.lock_cookie)
         self.backend.unlock(self.kernel, region.lock_cookie)
-        self.kernel.trace.emit("via_deregister", handle=handle,
-                               backend=self.backend.name)
 
     def registrations_of(self, pid: int) -> list[Registration]:
         """All live registrations of one process, in registration
@@ -309,9 +308,9 @@ class KernelAgent:
         # Same ordering rationale as deregister_memory: announce the
         # registration dead before the unlock's side effects.  (If the
         # unlock fails the record stays for a retry, which re-announces;
-        # the sanitizer tolerates a DEREGISTER for an unknown handle.)
-        if self.kernel.events.active:
-            self.kernel.events.emit(DEREGISTER, handle=handle, pid=reg.pid)
+        # the sanitizer tolerates a teardown of an unknown handle.)
+        self.kernel.events.record(RECLAIM_REGISTRATION, handle=handle,
+                                  pid=reg.pid, backend=self.backend.name)
         self._purge_odp_index(handle, reg.region.lock_cookie)
         self.backend.unlock(self.kernel, reg.region.lock_cookie)
         self._unrecord(handle)
@@ -319,8 +318,6 @@ class KernelAgent:
         region = self.nic.tpt.remove(handle)
         self.kernel.clock.charge(
             region.npages * self.kernel.costs.tpt_update_ns, "register")
-        self.kernel.trace.emit("via_reclaim_registration", handle=handle,
-                               pid=reg.pid, backend=self.backend.name)
 
     def forget_registration(self, handle: int) -> Registration:
         """Last-resort teardown: drop the TPT entries and the driver
@@ -332,15 +329,13 @@ class KernelAgent:
         if reg is None:
             raise NotRegistered(f"no registration with handle {handle}")
         self.tenants.credit(reg)
-        if self.kernel.events.active:
-            self.kernel.events.emit(DEREGISTER, handle=handle, pid=reg.pid)
+        self.kernel.events.record(FORGET_REGISTRATION, handle=handle,
+                                  pid=reg.pid, backend=self.backend.name)
         self.nic.tpt.remove(handle)
         # The pins leak with the record (that is this method's contract),
         # so the eviction index must forget them too — a later hook call
         # must not dereference a dropped registration.
         self._purge_odp_index(handle, reg.region.lock_cookie)
-        self.kernel.trace.emit("via_forget_registration", handle=handle,
-                               pid=reg.pid, backend=self.backend.name)
         return reg
 
     # -------------------------------------------------- on-demand paging
@@ -389,14 +384,10 @@ class KernelAgent:
                 and all(frames[i] != INVALID_FRAME for i in pages):
             self.odp_faults_coalesced += 1
             self._fault_table.move_to_end(key)
-            if kernel.events.active:
-                kernel.events.emit(
-                    FAULT_SERVICE, handle=handle, pages=pages,
-                    frames=tuple(frames[i] for i in pages),
-                    pid=reg.pid, token=token, coalesced=True,
-                    actor="fault_service")
-            kernel.trace.emit("odp_fault_coalesced", handle=handle,
-                              pages=len(pages), pid=reg.pid)
+            kernel.events.record(
+                FAULT_COALESCED, handle=handle, pages=len(pages),
+                pid=reg.pid, frames=tuple(frames[i] for i in pages),
+                token=token, actor="fault_service")
             return {i: frames[i] for i in pages}
 
         task = kernel.find_task(reg.pid)
@@ -413,14 +404,10 @@ class KernelAgent:
             self._fault_table.popitem(last=False)
         self._fault_table[key] = kernel.clock.now_ns
         self.odp_faults_serviced += 1
-        if kernel.events.active:
-            kernel.events.emit(
-                FAULT_SERVICE, handle=handle, pages=pages,
-                frames=tuple(patched[i] for i in pages),
-                pid=reg.pid, token=token, coalesced=False,
-                actor="fault_service")
-        kernel.trace.emit("odp_fault_service", handle=handle,
-                          pages=len(pages), pid=reg.pid)
+        kernel.events.record(
+            FAULT_SERVICE, handle=handle, pages=len(pages), pid=reg.pid,
+            frames=tuple(patched[i] for i in pages), token=token,
+            actor="fault_service")
         crash_if_due(self.fault_plan, kernel, task, "odp_fault.patched")
         return patched
 
@@ -456,12 +443,9 @@ class KernelAgent:
             assert isinstance(self.backend, OdpLocking)
             self.backend.evict_frame(kernel, reg.region.lock_cookie, frame)
             self.odp_pages_evicted += len(indices)
-            if kernel.events.active:
-                kernel.events.emit(ODP_EVICT, handle=handle, frame=frame,
-                                   pages=tuple(sorted(indices)),
-                                   pid=reg.pid, actor="agent")
-            kernel.trace.emit("odp_evict", handle=handle, frame=frame,
-                              pages=len(indices), pid=reg.pid)
+            kernel.events.record(ODP_EVICT, handle=handle, frame=frame,
+                                 pages=len(indices), pid=reg.pid,
+                                 actor="agent")
         return not kernel.pagemap.page(frame).pinned
 
     # ------------------------------------------------------------ exit path

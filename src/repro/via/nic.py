@@ -287,11 +287,11 @@ class VIANic:
         disabled path does not even pay this call)."""
         obs = self.kernel.obs
         if desc.posted_at_ns is not None:
-            # repro-lint: allow(obs-unguarded) — guarded at every caller
+            # repro-lint: allow(instrumentation-unguarded) — callers guard
             obs.metrics.histogram(
                 "via.nic.doorbell_to_completion_ns").observe(
                     self.kernel.clock.now_ns - desc.posted_at_ns)
-        # repro-lint: allow(obs-unguarded) — guarded at every caller
+        # repro-lint: allow(instrumentation-unguarded) — callers guard
         obs.metrics.counter(f"via.nic.completions.{queue}").inc()
 
     # --------------------------------------------------------------- send processing
@@ -334,14 +334,9 @@ class VIANic:
         self._next_suspend_token += 1
         self.dma_suspensions += 1
         kernel.clock.charge(kernel.costs.odp_suspend_resume_ns, "via_nic")
-        if kernel.events.active:
-            kernel.events.emit(DMA_SUSPEND, handle=fault.handle,
-                               pages=fault.pages, token=token,
-                               va=fault.va, length=fault.length,
-                               actor="nic")
-        kernel.trace.emit("odp_dma_suspend", nic=self.name,
-                          handle=fault.handle, pages=len(fault.pages),
-                          token=token)
+        kernel.events.record(DMA_SUSPEND, nic=self.name,
+                             handle=fault.handle, pages=len(fault.pages),
+                             token=token, actor="nic")
         try:
             if self.fault_service is None:
                 raise NotRegistered(
@@ -362,12 +357,8 @@ class VIANic:
         self._resume(fault.handle, token, ok=True)
 
     def _resume(self, handle: int, token: int, ok: bool) -> None:
-        kernel = self.kernel
-        if kernel.events.active:
-            kernel.events.emit(DMA_RESUME, handle=handle, token=token,
-                               ok=ok, actor="nic")
-        kernel.trace.emit("odp_dma_resume", nic=self.name, handle=handle,
-                          token=token, ok=ok)
+        self.kernel.events.record(DMA_RESUME, nic=self.name, handle=handle,
+                                  token=token, ok=ok, actor="nic")
 
     def _translate_local(self, vi: VirtualInterface, desc: Descriptor
                          ) -> list[tuple[int, int]]:

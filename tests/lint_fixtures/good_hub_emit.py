@@ -30,5 +30,17 @@ def other_emitters_are_not_hubs(kernel, frame):
 
 
 def pragma_suppresses(kernel, frame):
-    # repro-lint: allow(hub-emit-unguarded)
+    # repro-lint: allow(instrumentation-unguarded)
     kernel.events.emit("pin", frames=(frame,))
+
+
+def record_is_unguarded(kernel, frame):
+    # A record writes the trace whether or not anything subscribes.
+    kernel.events.record("swap_out", frame=frame)
+
+
+def record_beside_a_guarded_emit(kernel, frame):
+    if kernel.events.active:
+        kernel.events.emit("pin", frames=(frame,))
+    else:
+        kernel.events.record("swap_out", frame=frame)

@@ -25,5 +25,5 @@ def facade_is_self_guarding(obs):
 
 
 def pragma_suppresses(obs):
-    # repro-lint: allow(obs-unguarded)
+    # repro-lint: allow(instrumentation-unguarded)
     obs.metrics.counter("ops").inc()

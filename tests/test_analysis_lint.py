@@ -58,11 +58,14 @@ def test_wall_clock_exempts_the_rng_module():
         source, relpath="repro/sim/clock.py")) == 1
 
 
-# --------------------------------------------------------------- obs-unguarded
+# --------------------------------------------------- instrumentation-unguarded
+# One rule, three call shapes: registry access and hub emits need their
+# guard, hub records must not sit under one.
 
 def test_obs_unguarded_flags_bare_registry_access():
     findings = lint_fixture("bad_obs_unguarded.py")
-    assert rules_of(findings) == ["obs-unguarded"] * 3
+    assert rules_of(findings) == ["instrumentation-unguarded"] * 3
+    assert [f.line for f in findings] == [5, 6, 11]
 
 
 def test_obs_unguarded_accepts_guards_facade_and_pragma():
@@ -71,7 +74,7 @@ def test_obs_unguarded_accepts_guards_facade_and_pragma():
 
 def test_obs_unguarded_exempts_the_obs_package():
     source = "def f(self):\n    self.metrics.counter('x').inc()\n"
-    linter = Linter(["obs-unguarded"])
+    linter = Linter(["instrumentation-unguarded"])
     assert linter.check_source(
         source, relpath="repro/obs/__init__.py") == []
     assert len(linter.check_source(
@@ -117,12 +120,10 @@ def test_faultplan_accepts_direct_and_getattr_validation():
     assert lint_fixture("good_faultplan.py") == []
 
 
-# -------------------------------------------------------------- hub-emit-unguarded
-
 def test_hub_emit_flags_unguarded_emissions():
     findings = lint_fixture("bad_hub_emit.py")
-    assert rules_of(findings) == ["hub-emit-unguarded"] * 3
-    assert len({f.line for f in findings}) == 3
+    assert rules_of(findings) == ["instrumentation-unguarded"] * 3
+    assert [f.line for f in findings] == [5, 10, 16]
 
 
 def test_hub_emit_accepts_guards_truthiness_and_pragma():
@@ -132,11 +133,41 @@ def test_hub_emit_accepts_guards_truthiness_and_pragma():
 def test_hub_emit_exempts_the_analysis_package():
     source = ("def f(self, frame):\n"
               "    self.events.emit('pin', frames=(frame,))\n")
-    linter = Linter(["hub-emit-unguarded"])
+    linter = Linter(["instrumentation-unguarded"])
     assert linter.check_source(
         source, relpath="repro/analysis/events.py") == []
     assert len(linter.check_source(
         source, relpath="repro/kernel/kernel.py")) == 1
+
+
+def test_hub_record_flags_records_under_a_hub_guard():
+    findings = lint_fixture("bad_hub_record.py")
+    assert rules_of(findings) == ["instrumentation-unguarded"] * 3
+    assert [f.line for f in findings] == [6, 11, 18]
+    assert all("drops the trace record" in f.message for f in findings)
+
+
+def test_instrumentation_rule_exemptions_are_per_call_shape():
+    # The obs package is exempt from the registry check only, the
+    # analysis package from the hub checks only.
+    source = ("def f(self, events):\n"
+              "    self.metrics.counter('x').inc()\n"
+              "    if events.active:\n"
+              "        events.record('swap_out')\n")
+    linter = Linter(["instrumentation-unguarded"])
+    assert [f.line for f in linter.check_source(
+        source, relpath="repro/obs/metrics.py")] == [4]
+    assert [f.line for f in linter.check_source(
+        source, relpath="repro/analysis/races.py")] == [2]
+    assert [f.line for f in linter.check_source(
+        source, relpath="repro/via/nic.py")] == [2, 4]
+
+
+def test_merged_guard_rules_are_gone():
+    assert "instrumentation-unguarded" in RULES
+    assert "obs-unguarded" not in RULES
+    assert "hub-emit-unguarded" not in RULES
+    assert len(RULES) == 6
 
 
 # ----------------------------------------------------------------- column-view
@@ -176,9 +207,9 @@ def test_unknown_rule_name_is_rejected():
 
 def test_pragma_on_preceding_line_suppresses():
     source = ("def f(obs):\n"
-              "    # repro-lint: allow(obs-unguarded)\n"
+              "    # repro-lint: allow(instrumentation-unguarded)\n"
               "    obs.metrics.counter('x').inc()\n")
-    assert Linter(["obs-unguarded"]).check_source(
+    assert Linter(["instrumentation-unguarded"]).check_source(
         source, relpath="repro/via/x.py") == []
 
 

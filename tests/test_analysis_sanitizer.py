@@ -13,7 +13,6 @@ pytestmark = [pytest.mark.san_suppress, pytest.mark.race_suppress]
 from repro.analysis.events import (
     ATOMIC_RMW, DEREGISTER, DMA_BEGIN, DMA_END, PIN, REGISTER, SWAP_OUT,
     TASK_EXIT, TPT_INVALIDATE, TPT_TRANSLATE, UNPIN, EventHub, MUNLOCK,
-    SanEvent,
 )
 from repro.analysis.sanitizer import CHECKS, MLOCK_BACKENDS, PinSanitizer
 from repro.core.locktest import LocktestExperiment
@@ -182,7 +181,7 @@ class TestTrail:
         assert v.event is v.trail[-1]
         kinds = [e.kind for e in v.trail]
         assert kinds == [PIN, DMA_BEGIN, UNPIN]
-        assert all(5 in e.fields.get("frames", ()) or e.fields.get("pid") == 1
+        assert all(5 in e.get("frames", ()) or e.get("pid") == 1
                    for e in v.trail)
 
     def test_format_marks_the_trigger(self):

@@ -16,7 +16,7 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.analysis.events import UNPIN
+from repro.analysis.events import PIN_RELEASED
 from repro.core.audit import (
     LeakedPin, StaleEntry, audit_kernel_invariants, audit_pin_leaks,
     audit_tpt_consistency, explained_pins, frame_ownership_summary,
@@ -223,16 +223,13 @@ class OracleReaper(OrphanReaper):
                 continue
             for _ in range(excess):
                 pd.unpin()
-            if self.kernel.events.active:
-                self.kernel.events.emit(
-                    UNPIN, frames=(frame,) * excess, pid=None,
-                    actor="reaper")
+            self.kernel.events.record(
+                PIN_RELEASED, frame=frame, excess=excess,
+                sightings=state.attempts, frames=(frame,) * excess,
+                actor="reaper")
             self._backoff.pop(key, None)
             excess_frames.discard(frame)
             report.pins_force_released += excess
-            self.kernel.trace.emit("reaper_pin_released", frame=frame,
-                                   excess=excess,
-                                   sightings=state.attempts)
         for key in [k for k in self._backoff
                     if k[0] == "pin" and k[1] not in excess_frames]:
             self._backoff.pop(key)

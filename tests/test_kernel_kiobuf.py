@@ -296,7 +296,7 @@ class TestRunChargedOracle:
         hub_log = []
         if hub:
             k.events.subscribe(lambda e: hub_log.append(
-                (e.ts_ns, e.kind, dict(e.fields))))
+                (e.ts_ns, e.kind, dict(e.detail))))
         return k, task, va, second, ro, hub_log
 
     @staticmethod

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.analysis import events as ev
 from repro.hw.physmem import PAGE_SIZE
 from repro.kernel.kernel import Kernel
 from repro.msg.endpoint import make_pair
@@ -436,14 +437,26 @@ class TestCounterTable:
             assert m.nic.dma._trace.obs is cluster.obs
 
     def test_every_table_kind_is_emitted_in_src(self):
+        """Every kind the table counts is written somewhere in src: a
+        trace ``emit("literal")``, or an event-hub ``record(NAME)``
+        whose NAME is a kind constant of :mod:`repro.analysis.events`."""
+        hub_kinds = {name: value for name, value in vars(ev).items()
+                     if name.isupper() and isinstance(value, str)}
         emitted = set()
         for path in SRC.rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
-                if (isinstance(node, ast.Call)
+                if not (isinstance(node, ast.Call)
                         and isinstance(node.func, ast.Attribute)
-                        and node.func.attr == "emit" and node.args
-                        and isinstance(node.args[0], ast.Constant)):
-                    emitted.add(node.args[0].value)
+                        and node.args):
+                    continue
+                arg = node.args[0]
+                if node.func.attr == "emit" \
+                        and isinstance(arg, ast.Constant):
+                    emitted.add(arg.value)
+                elif node.func.attr == "record" \
+                        and isinstance(arg, ast.Name) \
+                        and arg.id in hub_kinds:
+                    emitted.add(hub_kinds[arg.id])
         kinds = {rule.kind for rule in TRACE_COUNTERS}
         assert kinds <= emitted, kinds - emitted
 
