@@ -8,7 +8,10 @@ check of those invariants:
   mlock/munlock, DMA windows, swap traffic, TPT lifecycle, registration
   lifecycle, process exit) published by the locking backends, the DMA
   engines, the reclaim path, and the Kernel Agent; its hub also writes
-  the trace record of every fact it publishes.
+  the trace record of every fact it publishes.  Its
+  :class:`~repro.analysis.events.StreamChecker` is the lifecycle both
+  checkers below share: arming, scopes, suppression, ``expect()``,
+  trails, counting, and the strict raise.
 * :mod:`repro.analysis.sanitizer` — :class:`PinSanitizer`, a
   TSAN/lockdep analog that subscribes to that stream and maintains
   per-frame/per-range state machines detecting typed violations, each

@@ -2,9 +2,9 @@
 
 Unlike the :class:`~repro.sim.trace.Trace` ring (a bounded log queried
 after the fact), the event hub is a *live* publish/subscribe channel: a
-subscriber — the :class:`~repro.analysis.sanitizer.PinSanitizer` — sees
-every event at the moment it happens, in order, and can raise at the
-exact operation that broke an invariant.
+subscriber — a :class:`StreamChecker` — sees every event at the moment
+it happens, in order, and can raise at the exact operation that broke
+an invariant.
 
 The hub is also the one writer of every fact both streams carry:
 ``kernel.events.record(SWAP_OUT, pid=..., frame=...)`` writes the trace
@@ -36,13 +36,23 @@ Frame numbers, pids, and vpns are only meaningful per kernel, so every
 live event carries the ``host`` label of the hub that published it — a
 cluster sanitizer subscribed to several machines keys its state by
 ``(host, frame)`` and never confuses ``m0``'s frame 5 with ``m1``'s.
+
+Both subscribers — the :class:`~repro.analysis.sanitizer.PinSanitizer`
+and the :class:`~repro.analysis.races.RaceDetector` — share one
+lifecycle, :class:`StreamChecker`: arming, per-kernel scopes, suppression,
+``expect()``, the bounded trail ring, feeding, counting, and the
+strict raise.  Each subclass supplies only its model.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator
 
+from repro.errors import UnmetExpectation
 from repro.sim.trace import TraceEvent
 
 # -- event kinds -------------------------------------------------------------
@@ -114,6 +124,213 @@ def as_events(items: Iterable, stamps: Iterator[int]
         else:
             kind, detail = item
             yield TraceEvent(next(stamps), kind, dict(detail), "test")
+
+
+def trail_lines(trail: Iterable[TraceEvent], trigger: TraceEvent,
+                indent: str) -> list[str]:
+    """One report line per trail event, the ``trigger`` marked ``=>``."""
+    lines = []
+    for e in trail:
+        marker = "=>" if e is trigger else "  "
+        fields = " ".join(f"{k}={v!r}" for k, v in sorted(e.detail.items()))
+        lines.append(f"{indent}{marker} t={e.ts_ns} {e.kind} {fields}")
+    return lines
+
+
+@dataclass
+class _Expectation:
+    kinds: frozenset[str]
+    captured: list = field(default_factory=list)
+
+
+class StreamChecker:
+    """The lifecycle every event-stream checker shares.
+
+    Construct, ``arm()`` a target, run the workload, read the findings
+    and :attr:`counts`, ``disarm()``.  Each armed kernel gets its own
+    *scope* token, so two kernels that share a host label never alias
+    each other's frames or handles; :meth:`feed` scopes by host label.
+    A finding of a suppressed kind is dropped, one inside an
+    :meth:`expect` block is captured, and any other is counted, kept,
+    and — in strict mode — raised as the subclass's :attr:`ERROR`.
+
+    A subclass names its catalog and error and supplies the model:
+    :meth:`_arm_kernel` seeds per-kernel state, :meth:`_observe`
+    consumes one event (keeping it in the trail ring through
+    :meth:`_remember`), :meth:`_on_disarm` undoes what arming added.
+    """
+
+    #: every finding kind the checker reports, in catalog order
+    KINDS: tuple[str, ...] = ()
+    #: what one entry of :attr:`KINDS` is called in error messages
+    KIND_NOUN = "check"
+    #: raised at the offending event in strict mode, as
+    #: ``ERROR(message, violation=finding)``
+    ERROR: Callable[..., Exception]
+    #: events a finding's trail shows by default
+    TRAIL_REPORT = 32
+
+    def __init__(self, *, strict: bool = False,
+                 suppress: Iterable[str] = (),
+                 trail_maxlen: int = 256,
+                 trail_report: int | None = None) -> None:
+        self.strict = strict
+        self.suppressed: set[str] = set()
+        for kind in suppress:
+            self.suppress(kind)
+        self.findings: list = []
+        self.events_seen = 0
+        self.armed = False
+        self._trail_maxlen = trail_maxlen
+        self._trail_report = (trail_report if trail_report is not None
+                              else self.TRAIL_REPORT)
+        self._ring: list[tuple] = []
+        self._counts: dict[str, int] = {kind: 0 for kind in self.KINDS}
+        self._expectations: list[_Expectation] = []
+        #: expect() blocks that exited without capturing anything (and
+        #: without an exception in flight) — reported at disarm
+        self._unmet: list[str] = []
+        self._unsubscribes: list[Callable[[], None]] = []
+        self._n_scopes = 0
+        self._feed_ts = itertools.count(1)
+
+    # ------------------------------------------------------------ suppression
+
+    def _check_kind(self, kind: str) -> None:
+        if kind not in self.KINDS:
+            raise ValueError(f"unknown {self.KIND_NOUN} {kind!r}; "
+                             f"choose one of {self.KINDS}")
+
+    def suppress(self, kind: str) -> "StreamChecker":
+        """Disable one kind (typo-checked against :attr:`KINDS`)."""
+        self._check_kind(kind)
+        self.suppressed.add(kind)
+        return self
+
+    def unsuppress(self, kind: str) -> "StreamChecker":
+        """Re-enable a suppressed kind."""
+        self.suppressed.discard(kind)
+        return self
+
+    @contextmanager
+    def expect(self, *kinds: str) -> Iterator[list]:
+        """Capture findings of ``kinds`` (all kinds when empty) instead
+        of recording/raising them — for tests that *provoke* a finding
+        and want to assert it fired.  Yields the capture list.
+
+        An expect block that exits *without* capturing anything is a
+        test bug — the scenario stopped exercising the hazard and the
+        "expected finding" assertion now vacuously passes.  Such blocks
+        are remembered and :meth:`disarm` raises
+        :class:`~repro.errors.UnmetExpectation` for them (at disarm
+        rather than at block exit, so an exception already unwinding
+        through the block — the usual reason nothing fired — is never
+        masked)."""
+        for kind in kinds:
+            self._check_kind(kind)
+        exp = _Expectation(frozenset(kinds))
+        self._expectations.append(exp)
+        try:
+            yield exp.captured
+        finally:
+            self._expectations.remove(exp)
+            if not exp.captured and sys.exc_info()[0] is None:
+                self._unmet.append(
+                    "expect(" + ", ".join(sorted(exp.kinds)) + ")"
+                    if exp.kinds else "expect(<any check>)")
+
+    # ----------------------------------------------------------------- arming
+
+    def arm(self, target: Any) -> "StreamChecker":
+        """Subscribe to every kernel of ``target`` (see
+        :func:`repro.via.machine.hosts_of`), each under a fresh scope."""
+        from repro.via.machine import hosts_of
+        for kernel, agents in hosts_of(target):
+            self._n_scopes += 1
+            scope = self._n_scopes
+            self._arm_kernel(kernel, agents, scope)
+            self._unsubscribes.append(kernel.events.subscribe(
+                lambda event, _scope=scope: self.handle(event,
+                                                        scope=_scope)))
+        self.armed = True
+        return self
+
+    def _arm_kernel(self, kernel: Any, agents: list, scope: int) -> None:
+        """Seed per-kernel state before the hub subscription."""
+
+    def disarm(self) -> None:
+        """Unsubscribe from every armed hub, run the subclass teardown,
+        then raise :class:`~repro.errors.UnmetExpectation` for any
+        expect() block that captured nothing."""
+        for unsubscribe in self._unsubscribes:
+            unsubscribe()
+        self._unsubscribes.clear()
+        self.armed = False
+        self._on_disarm()
+        unmet, self._unmet = self._unmet, []
+        if unmet:
+            raise UnmetExpectation(
+                f"{len(unmet)} expect() block(s) completed without the "
+                f"expected violation ever firing: " + "; ".join(unmet))
+
+    def _on_disarm(self) -> None:
+        """Tear down what :meth:`_arm_kernel` added."""
+
+    # ------------------------------------------------------------------ stats
+
+    @property
+    def counts(self) -> dict[str, int]:
+        """Findings recorded so far, by kind (includes zeros)."""
+        return dict(self._counts)
+
+    # ------------------------------------------------------------------- feed
+
+    def handle(self, event: TraceEvent, scope: Any = None) -> None:
+        """Consume one event (the hub-subscription entry point).
+
+        ``scope`` namespaces the checker's state; armed hubs bind a
+        distinct scope at subscription time.  When fed directly it
+        defaults to the event's host label.
+        """
+        if scope is None:
+            scope = event.host
+        self.events_seen += 1
+        self._observe(event, scope)
+
+    def feed(self, events: Iterable) -> None:
+        """Drive the checker directly — the golden-test entry point.
+
+        Each item is either a ready :class:`TraceEvent` or a
+        ``(kind, detail_dict)`` pair, which is stamped with host
+        ``"test"`` and a monotonically increasing timestamp.
+        """
+        for event in as_events(events, self._feed_ts):
+            self.handle(event)
+
+    def _observe(self, event: TraceEvent, scope: Any) -> None:
+        raise NotImplementedError
+
+    def _remember(self, entry: tuple) -> None:
+        """Append one entry to the bounded trail ring."""
+        ring = self._ring
+        ring.append(entry)
+        if len(ring) > self._trail_maxlen:
+            del ring[:len(ring) - self._trail_maxlen]
+
+    # -------------------------------------------------------------- reporting
+
+    def _file(self, kind: str, finding: Any) -> None:
+        """Drop, capture, or record one finding (raising when strict)."""
+        if kind in self.suppressed:
+            return
+        for exp in reversed(self._expectations):
+            if not exp.kinds or kind in exp.kinds:
+                exp.captured.append(finding)
+                return
+        self._counts[kind] += 1
+        self.findings.append(finding)
+        if self.strict:
+            raise self.ERROR(finding.format(), violation=finding)
 
 
 class EventHub:

@@ -84,29 +84,21 @@ class ExploreRun:
         """Arm the race detector and sanitizer on ``target`` (Machine,
         Cluster, or Kernel) and install this run's tie-break seed on
         every reachable clock.  Returns ``target`` for chaining."""
+        from repro.via.machine import hosts_of
         self.detector.arm(target)
         self.sanitizer.arm(target)
-        for clock in self._clocks_of(target):
+        for kernel, _agents in hosts_of(target):
+            clock = kernel.clock
             if clock not in self._clocks:
                 clock.set_tiebreak(self.tiebreak_seed)
                 self._clocks.append(clock)
         return target
 
-    @staticmethod
-    def _clocks_of(target: Any) -> list[SimClock]:
-        from repro.via.machine import Cluster, Machine
-        if isinstance(target, Cluster):
-            return [target.clock]
-        if isinstance(target, Machine):
-            return [target.kernel.clock]
-        return [target.clock]
-
     def detach(self) -> None:
         """Disarm both checkers and restore FIFO tie-break order."""
-        if self.detector.armed:
-            self.detector.disarm()
-        if self.sanitizer.armed:
-            self.sanitizer.disarm()
+        for checker in (self.detector, self.sanitizer):
+            if checker.armed:
+                checker.disarm()
         for clock in self._clocks:
             clock.set_tiebreak(None)
 

@@ -69,16 +69,15 @@ Race classes (:data:`RACE_KINDS`):
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import RaceDetected
 from repro.sim.clock import CalendarHook, ScheduledEvent, SimClock
 from repro.sim.trace import TraceEvent
 
 from . import events as ev
-from .events import EventHub, as_events
+from .events import StreamChecker, trail_lines
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.kernel.kernel import Kernel
@@ -142,11 +141,7 @@ class RaceViolation:
                 ("current", self.current_actor, self.current_trail,
                  self.current)):
             lines.append(f"  {label} access by {actor}:")
-            for e in trail:
-                marker = "=>" if e is marker_of else "  "
-                fields = " ".join(f"{k}={v!r}"
-                                  for k, v in sorted(e.detail.items()))
-                lines.append(f"    {marker} t={e.ts_ns} {e.kind} {fields}")
+            lines += trail_lines(trail, marker_of, "    ")
         return "\n".join(lines)
 
 
@@ -246,37 +241,27 @@ class _ClockState(CalendarHook):
             self.resume = {}
 
 
-class RaceDetector:
+class RaceDetector(StreamChecker):
     """Happens-before checker for the pin/DMA event stream.
 
-    Mirrors the :class:`PinSanitizer` lifecycle: construct, ``arm()`` a
-    Machine / Cluster / bare Kernel, run the workload, read ``races`` /
-    ``counts`` (or let ``strict=True`` raise :class:`RaceDetected` at
-    the access that closed the race), ``disarm()``.  ``feed()`` drives
-    the engine from a synthetic event list for golden tests — there the
-    ``actor`` field (or pid/engine) names the context explicitly, since
-    no calendar exists to attribute against.
+    Shares the :class:`~repro.analysis.events.StreamChecker` lifecycle:
+    construct, ``arm()`` a Machine / Cluster / bare Kernel, run the
+    workload, read ``races`` / ``counts`` (or let ``strict=True`` raise
+    :class:`RaceDetected` at the access that closed the race),
+    ``disarm()``.  ``feed()`` drives the engine from a synthetic event
+    list for golden tests — there the ``actor`` field (or pid/engine)
+    names the context explicitly, since no calendar exists to attribute
+    against.
     """
 
-    def __init__(self, *, strict: bool = False,
-                 suppress: Iterable[str] = (),
-                 trail_maxlen: int = 256,
-                 trail_report: int = 8) -> None:
-        self.strict = strict
-        self.suppressed: set[str] = set()
-        for race in suppress:
-            self.suppress(race)
-        self.races: list[RaceViolation] = []
-        self.events_seen = 0
-        self.armed = False
-        self._trail_maxlen = trail_maxlen
-        self._trail_report = trail_report
-        self._ring: list[tuple[Any, str, TraceEvent]] = []
-        self._counts: dict[str, int] = {race: 0 for race in RACE_KINDS}
-        self._unsubscribes: list[Callable[[], None]] = []
+    KINDS = RACE_KINDS
+    KIND_NOUN = "race kind"
+    ERROR = RaceDetected
+    TRAIL_REPORT = 8
+
+    def __init__(self, **options: Any) -> None:
+        super().__init__(**options)
         self._hook_removers: list[Callable[[], None]] = []
-        self._n_scopes = 0
-        self._feed_ts = itertools.count(1)
         #: vector clocks, one per execution context
         self._vcs: dict[str, dict[str, int]] = {}
         #: calendar observer per armed clock (by id), and per scope
@@ -293,48 +278,17 @@ class RaceDetector:
         #: already-reported (scope, loc, race, prior ctx, current ctx)
         self._reported: set[tuple[Any, ...]] = set()
 
-    # ------------------------------------------------------------ suppression
-
-    def suppress(self, race: str) -> "RaceDetector":
-        """Disable one race class (typo-checked against
-        :data:`RACE_KINDS`)."""
-        if race not in RACE_KINDS:
-            raise ValueError(
-                f"unknown race kind {race!r}; choose one of {RACE_KINDS}")
-        self.suppressed.add(race)
-        return self
-
-    def unsuppress(self, race: str) -> "RaceDetector":
-        """Re-enable a suppressed race class."""
-        self.suppressed.discard(race)
-        return self
+    @property
+    def races(self) -> list[RaceViolation]:
+        """Races recorded so far, in order."""
+        return self.findings
 
     # ----------------------------------------------------------------- arming
 
-    def arm(self, target: Any) -> "RaceDetector":
-        """Subscribe to a Machine, a Cluster, or a bare Kernel.
-
-        Installs a calendar hook on each distinct clock reachable from
-        the target (machines of one cluster share a clock and therefore
-        a context namespace) and subscribes to each kernel's event hub
-        under a fresh scope.
-        """
-        from repro.via.machine import Cluster, Machine
-        if isinstance(target, Cluster):
-            kernels = [m.kernel for m in target.machines]
-        elif isinstance(target, Machine):
-            kernels = [target.kernel]
-        else:
-            kernels = [target]
-        for kernel in kernels:
-            self._arm_kernel(kernel)
-        self.armed = True
-        return self
-
-    def _arm_kernel(self, kernel: "Kernel") -> None:
-        hub: EventHub = kernel.events
-        self._n_scopes += 1
-        scope = self._n_scopes
+    def _arm_kernel(self, kernel: "Kernel", agents: list,
+                    scope: int) -> None:
+        """Install a calendar hook on each distinct clock (machines of
+        one cluster share a clock and therefore a context namespace)."""
         clock = kernel.clock
         state = self._clock_states.get(id(clock))
         if state is None:
@@ -342,25 +296,13 @@ class RaceDetector:
             self._clock_states[id(clock)] = state
             self._hook_removers.append(clock.add_calendar_hook(state))
         self._scope_state[scope] = state
-        self._unsubscribes.append(hub.subscribe(
-            lambda event, _scope=scope: self.handle(event, scope=_scope)))
 
-    def disarm(self) -> None:
-        """Unsubscribe from every armed hub and remove clock hooks."""
-        for unsubscribe in self._unsubscribes:
-            unsubscribe()
-        self._unsubscribes.clear()
+    def _on_disarm(self) -> None:
         for remove in self._hook_removers:
             remove()
         self._hook_removers.clear()
-        self.armed = False
 
     # ------------------------------------------------------------------ stats
-
-    @property
-    def counts(self) -> dict[str, int]:
-        """Races recorded so far, by class (includes zeros)."""
-        return dict(self._counts)
 
     def dispatch_groups(self) -> list[tuple[int, list[tuple[int, frozenset]]]]:
         """Recorded same-deadline tie groups with ≥ 2 members.
@@ -383,20 +325,15 @@ class RaceDetector:
 
     # ------------------------------------------------------------------- feed
 
-    def handle(self, event: TraceEvent, scope: Any = None) -> None:
-        """Consume one event (the hub-subscription entry point)."""
-        if scope is None:
-            scope = event.host
-        self.events_seen += 1
+    def _observe(self, event: TraceEvent, scope: Any) -> None:
+        """Attribute one event to its context (the calendar's, or with
+        none armed the feed actor's), then check its accesses."""
         state = self._scope_state.get(scope)
         if state is not None:
             ctx = state.current_ctx()
         else:
             ctx = self._feed_actor(event)
-        ring = self._ring
-        ring.append((scope, ctx, event))
-        if len(ring) > self._trail_maxlen:
-            del ring[:len(ring) - self._trail_maxlen]
+        self._remember((scope, ctx, event))
         vc = self._vcs.setdefault(ctx, {})
         vc[ctx] = vc.get(ctx, 0) + 1
         self._sync_edges(event, scope, ctx, vc)
@@ -407,18 +344,6 @@ class RaceDetector:
             if state is not None:
                 state.record_loc(loc)
             self._check_access(event, scope, ctx, vc, cls, loc)
-
-    def feed(self, events: Iterable) -> None:
-        """Drive the detector directly — the golden-test entry point.
-
-        Items are :class:`TraceEvent`s or ``(kind, detail)`` pairs (host
-        ``"test"``, monotonic timestamps).  Context comes from the
-        event's ``actor`` field, falling back to ``task:<pid>`` or the
-        DMA ``engine`` name — with no calendar, every distinct actor is
-        concurrent unless a sync edge orders it.
-        """
-        for event in as_events(events, self._feed_ts):
-            self.handle(event)
 
     @staticmethod
     def _feed_actor(event: TraceEvent) -> str:
@@ -547,10 +472,7 @@ class RaceDetector:
             current=event, current_actor=ctx,
             prior_trail=self._trail(scope, prior_ctx),
             current_trail=self._trail(scope, ctx))
-        self._counts[race] += 1
-        self.races.append(violation)
-        if self.strict:
-            raise RaceDetected(violation.format(), violation=violation)
+        self._file(race, violation)
 
     def _trail(self, scope: Any, ctx: str) -> tuple[TraceEvent, ...]:
         related = [e for e_scope, e_ctx, e in self._ring

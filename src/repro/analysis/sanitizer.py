@@ -46,21 +46,22 @@ paper's locking mechanisms exist to guarantee.  The violation catalog:
     resume — a resume with no service replays the transfer through a
     still-invalid translation.
 
-The ``odp`` mode (on by default) understands the on-demand-paging
-backend's *sanctioned* transitions: ``FAULT_SERVICE`` frames join a
-registration's tracked set and ``ODP_EVICT`` removes them again, so a
-pressure eviction followed by swap-out of the (now unpinned,
-invalidated) frame is not misread as ``swap-registered`` or
-``dma-swapped-frame``.  Per-page ``TPT_PAGE_INVALIDATE`` never marks a
-handle dead — the region stays registered, unlike ``TPT_INVALIDATE`` —
-so a later fault-service and translate through the same handle is not
+The handlers understand the on-demand-paging backend's *sanctioned*
+transitions: ``FAULT_SERVICE`` frames join a registration's tracked
+set and ``ODP_EVICT`` removes them again, so a pressure eviction
+followed by swap-out of the (now unpinned, invalidated) frame is not
+misread as ``swap-registered`` or ``dma-swapped-frame``.  Per-page
+``TPT_PAGE_INVALIDATE`` never marks a handle dead — the region stays
+registered, unlike ``TPT_INVALIDATE`` — so a later fault-service and
+translate through the same handle is not
 ``tpt-use-after-invalidate``.  What stays a violation is the dangling
 suspension above: the repair must actually happen.
 
 Each violation carries a happens-before trail: the recent events that
 share a frame, pid, or handle with the trigger, in emission order.
 
-Usage mirrors the :class:`~repro.core.audit.InvariantWatchdog`::
+The lifecycle is the one every checker shares
+(:class:`~repro.analysis.events.StreamChecker`)::
 
     san = PinSanitizer(strict=True).arm(machine)     # or cluster/kernel
     ... workload ...
@@ -70,21 +71,18 @@ Usage mirrors the :class:`~repro.core.audit.InvariantWatchdog`::
 In *strict* mode a violation raises
 :class:`~repro.errors.SanitizerViolation` at the offending operation;
 otherwise violations accumulate on :attr:`PinSanitizer.violations`.
-Individual checks can be suppressed, and :meth:`expect` captures
+Individual checks can be suppressed, and ``expect()`` captures
 violations a chaos test *wants* to happen without raising.
 """
 
 from __future__ import annotations
 
-import itertools
-import sys
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.analysis import events as ev
-from repro.analysis.events import EventHub, as_events
-from repro.errors import SanitizerViolation, UnmetExpectation
+from repro.analysis.events import StreamChecker, trail_lines
+from repro.errors import SanitizerViolation
 from repro.sim.trace import TraceEvent
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -128,11 +126,7 @@ class Violation:
     def format(self) -> str:
         """Human-readable report: message plus the event trail."""
         lines = [f"[{self.check}] on {self.host}: {self.message}"]
-        for e in self.trail:
-            marker = "=>" if e is self.event else "  "
-            fields = " ".join(f"{k}={v!r}" for k, v in sorted(
-                e.detail.items()))
-            lines.append(f"  {marker} t={e.ts_ns} {e.kind} {fields}")
+        lines += trail_lines(self.trail, self.event, "  ")
         return "\n".join(lines)
 
 
@@ -149,45 +143,16 @@ class _Registration:
     uid: int | None = None      #: owning tenant, when the event said
 
 
-@dataclass
-class _Expectation:
-    checks: frozenset[str]
-    captured: list[Violation] = field(default_factory=list)
-
-
-class PinSanitizer:
+class PinSanitizer(StreamChecker):
     """Event-stream checker for the pin-safety violation catalog."""
 
-    def __init__(self, *, strict: bool = False, odp: bool = True,
-                 suppress: Iterable[str] = (),
-                 trail_maxlen: int = 256,
-                 trail_report: int = 32) -> None:
-        self.strict = strict
-        self.odp = odp
-        self.suppressed: set[str] = set()
-        for check in suppress:
-            self.suppress(check)
-        self.violations: list[Violation] = []
-        self.events_seen = 0
-        self.armed = False
-        self._trail_maxlen = trail_maxlen
-        self._trail_report = trail_report
-        self._ring: list[tuple[Any, TraceEvent]] = []
-        self._expectations: list[_Expectation] = []
-        #: expect() blocks that exited without capturing anything (and
-        #: without an exception in flight) — reported at disarm
-        self._unmet: list[str] = []
-        self._unsubscribes: list[Callable[[], None]] = []
+    KINDS = CHECKS
+    ERROR = SanitizerViolation
+
+    def __init__(self, **options: Any) -> None:
+        super().__init__(**options)
         self._collectors: list[tuple["Observability", Callable]] = []
-        self._counts: dict[str, int] = {check: 0 for check in CHECKS}
-        self._feed_ts = itertools.count(1)
-        self._n_scopes = 0
         # -- per-(scope, ...) state machines --
-        # A *scope* namespaces the state: each armed hub gets a fresh
-        # token so two kernels that happen to share a host label (e.g.
-        # many single-machine clusters built in one test) can never
-        # alias each other's frames or handles.  Host labels are kept
-        # for display only.
         #: believed pin count per (scope, frame)
         self._pins: dict[tuple[Any, int], int] = {}
         #: open DMA windows per (scope, frame)
@@ -230,90 +195,29 @@ class PinSanitizer:
             ev.RECLAIM_REGISTRATION: self._on_deregister,
             ev.FORGET_REGISTRATION: self._on_deregister,
             ev.TASK_EXIT: self._on_task_exit,
-        }
-        if self.odp:
             # TPT_PAGE_INVALIDATE is deliberately absent: a per-page
             # invalidation leaves the region registered, so it must not
             # feed the tpt-use-after-invalidate handle graveyard.
-            self._handlers.update({
-                ev.DMA_SUSPEND: self._on_dma_suspend,
-                ev.DMA_RESUME: self._on_dma_resume,
-                ev.FAULT_SERVICE: self._on_fault_service,
-                ev.FAULT_COALESCED: self._on_fault_service,
-                ev.ODP_EVICT: self._on_odp_evict,
-            })
+            ev.DMA_SUSPEND: self._on_dma_suspend,
+            ev.DMA_RESUME: self._on_dma_resume,
+            ev.FAULT_SERVICE: self._on_fault_service,
+            ev.FAULT_COALESCED: self._on_fault_service,
+            ev.ODP_EVICT: self._on_odp_evict,
+        }
 
-    # ------------------------------------------------------------ suppression
-
-    def suppress(self, check: str) -> "PinSanitizer":
-        """Disable one check (typo-checked against :data:`CHECKS`)."""
-        if check not in CHECKS:
-            raise ValueError(
-                f"unknown check {check!r}; choose one of {CHECKS}")
-        self.suppressed.add(check)
-        return self
-
-    def unsuppress(self, check: str) -> "PinSanitizer":
-        """Re-enable a suppressed check."""
-        self.suppressed.discard(check)
-        return self
-
-    @contextmanager
-    def expect(self, *checks: str) -> Iterator[list[Violation]]:
-        """Capture violations of ``checks`` (all checks when empty)
-        instead of recording/raising them — for tests that *provoke* a
-        violation and want to assert it fired.  Yields the capture
-        list.
-
-        An expect block that exits *without* capturing anything is a
-        test bug — the scenario stopped exercising the hazard and the
-        "expected violation" assertion now vacuously passes.  Such
-        blocks are remembered and :meth:`disarm` raises
-        :class:`~repro.errors.UnmetExpectation` for them (at disarm
-        rather than at block exit, so an exception already unwinding
-        through the block — the usual reason nothing fired — is never
-        masked)."""
-        for check in checks:
-            if check not in CHECKS:
-                raise ValueError(
-                    f"unknown check {check!r}; choose one of {CHECKS}")
-        exp = _Expectation(frozenset(checks))
-        self._expectations.append(exp)
-        try:
-            yield exp.captured
-        finally:
-            self._expectations.remove(exp)
-            if not exp.captured and sys.exc_info()[0] is None:
-                self._unmet.append(
-                    "expect(" + ", ".join(sorted(exp.checks)) + ")"
-                    if exp.checks else "expect(<any check>)")
+    @property
+    def violations(self) -> list[Violation]:
+        """Violations recorded so far, in order."""
+        return self.findings
 
     # ----------------------------------------------------------------- arming
 
-    def arm(self, target: Any) -> "PinSanitizer":
-        """Subscribe to a Machine, a Cluster, or a bare Kernel.
-
-        Arming snapshots each kernel's current pin counts (so an unpin
-        of a pre-existing pin is not misread as underflow) and seeds the
-        registration shadow from any Kernel Agents reachable from the
-        target, so pre-existing registrations are tracked too.
-        """
-        from repro.via.machine import Cluster, Machine
-        if isinstance(target, Cluster):
-            pairs = [(m.kernel, [m.agent]) for m in target.machines]
-        elif isinstance(target, Machine):
-            pairs = [(target.kernel, [target.agent])]
-        else:
-            pairs = [(target, [])]
-        for kernel, agents in pairs:
-            self._arm_kernel(kernel, agents)
-        self.armed = True
-        return self
-
-    def _arm_kernel(self, kernel: "Kernel", agents: list) -> None:
-        hub: EventHub = kernel.events
-        self._n_scopes += 1
-        scope = self._n_scopes
+    def _arm_kernel(self, kernel: "Kernel", agents: list,
+                    scope: int) -> None:
+        """Snapshot the kernel's current pin counts (so an unpin of a
+        pre-existing pin is not misread as underflow), seed the
+        registration shadow from ``agents`` (so pre-existing
+        registrations are tracked too), and attach the obs collector."""
         for pd in kernel.pagemap:
             if pd.pin_count > 0:
                 self._pins[(scope, pd.frame)] = pd.pin_count
@@ -331,23 +235,15 @@ class PinSanitizer:
                     uid=uid,
                     quota_pages=(agent.tenants.quota_of(uid)
                                  if uid is not None else None))
-        self._unsubscribes.append(hub.subscribe(
-            lambda event, _scope=scope: self.handle(event, scope=_scope)))
         self._attach_collector(kernel.obs)
 
-    def disarm(self) -> None:
-        """Unsubscribe from every armed hub and detach collectors.
-
-        In ``odp`` mode any suspension still open now is a dangling
-        suspension — a transfer the NIC parked and nobody ever fixed
-        up — and is reported before the checker lets go."""
-        for unsubscribe in self._unsubscribes:
-            unsubscribe()
-        self._unsubscribes.clear()
+    def _on_disarm(self) -> None:
+        """Detach collectors; any suspension still open now is a
+        dangling suspension — a transfer the NIC parked and nobody ever
+        fixed up — and is reported before the checker lets go."""
         for obs, collector in self._collectors:
             obs.remove_collector(collector)
         self._collectors.clear()
-        self.armed = False
         dangling, self._suspensions = self._suspensions, {}
         self._serviced.clear()
         for (scope, token), suspend in dangling.items():
@@ -357,11 +253,6 @@ class PinSanitizer:
                 f"{suspend['handle']} still open at disarm — the parked "
                 f"transfer was never resumed",
                 handle=suspend["handle"])
-        unmet, self._unmet = self._unmet, []
-        if unmet:
-            raise UnmetExpectation(
-                f"{len(unmet)} expect() block(s) completed without the "
-                f"expected violation ever firing: " + "; ".join(unmet))
 
     # ------------------------------------------------------------- obs bridge
 
@@ -383,42 +274,13 @@ class PinSanitizer:
             name = "analysis.san.violations." + check.replace("-", "_")
             metrics.gauge(name).set(count)
 
-    # ------------------------------------------------------------------ stats
-
-    @property
-    def counts(self) -> dict[str, int]:
-        """Violations recorded so far, by check (includes zeros)."""
-        return dict(self._counts)
-
     # ------------------------------------------------------------------- feed
 
-    def handle(self, event: TraceEvent, scope: Any = None) -> None:
-        """Consume one event (the hub-subscription entry point).
-
-        ``scope`` namespaces the per-frame/per-handle state; armed hubs
-        bind a distinct scope at subscription time.  When fed directly
-        it defaults to the event's host label.
-        """
-        if scope is None:
-            scope = event.host
-        self.events_seen += 1
-        ring = self._ring
-        ring.append((scope, event))
-        if len(ring) > self._trail_maxlen:
-            del ring[:len(ring) - self._trail_maxlen]
+    def _observe(self, event: TraceEvent, scope: Any) -> None:
+        self._remember((scope, event))
         handler = self._handlers.get(event.kind)
         if handler is not None:
             handler(event, scope)
-
-    def feed(self, events: Iterable) -> None:
-        """Drive the sanitizer directly — the golden-test entry point.
-
-        Each item is either a ready :class:`TraceEvent` or a
-        ``(kind, detail_dict)`` pair, which is stamped with host
-        ``"test"`` and a monotonically increasing timestamp.
-        """
-        for event in as_events(events, self._feed_ts):
-            self.handle(event)
 
     # -------------------------------------------------------------- reporting
 
@@ -427,20 +289,11 @@ class PinSanitizer:
                 pid: int | None = None,
                 handle: int | None = None) -> None:
         if check in self.suppressed:
-            return
-        violation = Violation(
+            return              # before the trail walk, not just in _file
+        self._file(check, Violation(
             check=check, host=event.host, message=message, event=event,
             trail=self._trail(event, scope, frozenset(frames), pid,
-                              handle))
-        for exp in reversed(self._expectations):
-            if not exp.checks or check in exp.checks:
-                exp.captured.append(violation)
-                return
-        self._counts[check] += 1
-        self.violations.append(violation)
-        if self.strict:
-            raise SanitizerViolation(violation.format(),
-                                     violation=violation)
+                              handle)))
 
     def _trail(self, trigger: TraceEvent, scope: Any,
                frames: frozenset[int], pid: int | None,
@@ -690,7 +543,7 @@ class PinSanitizer:
         for handle in handles:
             self._untrack_registration(scope, handle)
 
-    # -- ODP mode ------------------------------------------------------------
+    # -- on-demand paging ----------------------------------------------------
 
     def _on_dma_suspend(self, event: TraceEvent, scope: Any) -> None:
         self._suspensions[(scope, event["token"])] = event

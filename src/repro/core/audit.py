@@ -279,14 +279,8 @@ class InvariantWatchdog:
 
     def arm(self, target) -> "InvariantWatchdog":
         """Arm on a Machine, a Cluster, or a ``(kernel, agents)`` pair."""
-        from repro.via.machine import Cluster, Machine
-        if isinstance(target, Cluster):
-            pairs = [(m.kernel, [m.agent]) for m in target.machines]
-        elif isinstance(target, Machine):
-            pairs = [(target.kernel, [target.agent])]
-        else:
-            kernel, agents = target
-            pairs = [(kernel, list(agents))]
+        from repro.via.machine import hosts_of
+        pairs = hosts_of(target)
         self._pairs.extend(pairs)
         self.armed = True
         clocks = {id(k.clock): k.clock for k, _ in pairs}

@@ -121,19 +121,16 @@ def _drop_cow_share(kernel: "Kernel", task: "Task", vpn: int,
     A COW break on a frame whose sharer count is already zero means the
     fork/munmap/exit accounting lost a decrement somewhere — the kind of
     silent corruption the ODP eviction path (which trusts ``cow_shares``
-    to decide stealability) would turn into a stale DMA.  Clamping hid
-    it; now it always leaves a trace, and under strict accounting it is
-    fatal.
+    to decide stealability) would turn into a stale DMA.  It is recorded
+    as ``cow_underflow`` and then raised.
     """
     if pd.cow_shares <= 0:
         kernel.trace.emit("cow_underflow", pid=task.pid, vpn=vpn,
                           frame=pd.frame, cow_shares=pd.cow_shares)
-        if kernel.strict_accounting:
-            raise PageAccountingError(
-                f"COW sharer-count underflow on frame {pd.frame} "
-                f"(pid {task.pid}, vpn {vpn}): breaking COW with "
-                f"cow_shares={pd.cow_shares}")
-        return
+        raise PageAccountingError(
+            f"COW sharer-count underflow on frame {pd.frame} "
+            f"(pid {task.pid}, vpn {vpn}): breaking COW with "
+            f"cow_shares={pd.cow_shares}")
     pd.cow_shares -= 1
 
 

@@ -10,8 +10,6 @@ pages to be swapped out".
 
 from __future__ import annotations
 
-import os
-
 from repro.analysis.events import MUNMAP, PIN, TASK_EXIT, UNPIN, EventHub
 from repro.errors import InvalidArgument, OutOfMemory, SegmentationFault
 from repro.hw.dma import DMAEngine
@@ -48,16 +46,8 @@ class Kernel:
                  reserved_frames: int = 4,
                  trace_maxlen: int = 65536,
                  clock: SimClock | None = None,
-                 trace: Trace | None = None,
-                 strict_accounting: bool | None = None) -> None:
+                 trace: Trace | None = None) -> None:
         self.costs = costs if costs is not None else CostModel()
-        #: raise on internal accounting anomalies (COW sharer-count
-        #: underflow ...) instead of clamping them silently; defaults to
-        #: on whenever the suite runs with the sanitizer strict, so the
-        #: chaos jobs catch what a clamp would hide
-        self.strict_accounting = (
-            strict_accounting if strict_accounting is not None
-            else os.environ.get("REPRO_SANITIZE", "") == "strict")
         # A clock and a trace (with the metrics it feeds) may be shared
         # across several machines: a cluster measures end-to-end latency
         # on one timeline and rolls its metrics into one snapshot.

@@ -2,10 +2,9 @@
 
 Delivery is synchronous and deterministic: transmitting a packet calls
 straight into the destination NIC's delivery routine, charging wire
-latency to the (shared) simulated clock.  Faults can be injected two
-ways: the legacy ``loss_rate`` drops packets uniformly, and an installed
-:class:`~repro.sim.faults.FaultPlan` can additionally duplicate,
-corrupt, or delay them.
+latency to the (shared) simulated clock.  Faults come from one place:
+an installed :class:`~repro.sim.faults.FaultPlan` can drop, duplicate,
+corrupt, or delay packets.
 
 For ``UNRELIABLE`` VIs a drop is silent (fire-and-forget).  For the
 RELIABLE levels the fabric reports what happened to the sending NIC as
@@ -22,7 +21,6 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import ViaConnectionError
-from repro.sim.rng import make_rng
 from repro.via.constants import (
     VIP_SUCCESS, DescriptorType, ReliabilityLevel, ViState,
 )
@@ -82,10 +80,8 @@ class Attempt:
 class Fabric:
     """Registry of NICs plus the wire between them."""
 
-    def __init__(self, seed: int = 0, loss_rate: float = 0.0) -> None:
+    def __init__(self) -> None:
         self.nics: dict[str, "VIANic"] = {}
-        self.loss_rate = loss_rate
-        self._rng = make_rng(seed)
         self.packets_sent = 0
         self.packets_dropped = 0
         #: implicit hardware ACKs of RELIABLE deliveries (not counted as
@@ -168,13 +164,6 @@ class Fabric:
         nic.kernel.clock.charge(costs.nic_wire_latency_ns, "wire")
         nic.kernel.clock.charge(costs.dma_ns(nbytes), "wire")
 
-    def _roll_drop(self) -> bool:
-        """One drop decision, combining the fault plan and the legacy
-        uniform ``loss_rate``."""
-        if self.fault_plan is not None and self.fault_plan.should_drop():
-            return True
-        return self.loss_rate > 0.0 and self._rng.random() < self.loss_rate
-
     def _crc_reject(self, trace: "Trace", packet: Packet,
                     reliability: ReliabilityLevel) -> Attempt:
         """Receiver CRC failure: a NACK, or a discard if unreliable."""
@@ -213,11 +202,11 @@ class Fabric:
 
         self._charge_wire(src, len(packet.payload))
 
-        # Fast path: a healthy fabric (no fault plan, no legacy loss
-        # rate) delivers without rolling for drops, corruption,
-        # duplication, or ACK loss — the common case of the hot
-        # send/receive loop pays for none of the fault machinery.
-        if plan is None and self.loss_rate == 0.0:
+        # Fast path: a healthy fabric (no fault plan) delivers without
+        # rolling for drops, corruption, duplication, or ACK loss — the
+        # common case of the hot send/receive loop pays for none of the
+        # fault machinery.
+        if plan is None:
             if (packet.checksum is not None
                     and payload_checksum(packet.payload)
                     != packet.checksum):
@@ -227,22 +216,21 @@ class Fabric:
                 self.acks_sent += 1
             return Attempt("delivered", status)
 
-        if plan is not None:
-            extra_ns = plan.delay()
-            if extra_ns:
-                src.kernel.clock.charge(extra_ns, "wire")
-                trace.emit("packet_delayed", dst=packet.dst_nic,
-                           vi=packet.dst_vi, seq=packet.seq,
-                           extra_ns=extra_ns)
+        extra_ns = plan.delay()
+        if extra_ns:
+            src.kernel.clock.charge(extra_ns, "wire")
+            trace.emit("packet_delayed", dst=packet.dst_nic,
+                       vi=packet.dst_vi, seq=packet.seq,
+                       extra_ns=extra_ns)
 
-        if self._roll_drop():
+        if plan.should_drop():
             self.packets_dropped += 1
             trace.emit("packet_lost", dst=packet.dst_nic,
                        vi=packet.dst_vi, seq=packet.seq)
             return Attempt("dropped")
 
         wire_packet = packet
-        if plan is not None and plan.should_corrupt():
+        if plan.should_corrupt():
             wire_packet = replace(packet,
                                   payload=plan.corrupt(packet.payload))
             trace.emit("packet_corrupted", dst=packet.dst_nic,
@@ -258,7 +246,7 @@ class Fabric:
         dst = self.nic(packet.dst_nic)
         status = dst.deliver(wire_packet, reliability)
 
-        if plan is not None and plan.should_duplicate():
+        if plan.should_duplicate():
             trace.emit("packet_duplicated", dst=packet.dst_nic,
                        vi=packet.dst_vi, seq=packet.seq)
             # RELIABLE receivers deduplicate on seq; UNRELIABLE VIs see
@@ -267,7 +255,7 @@ class Fabric:
 
         if reliability != ReliabilityLevel.UNRELIABLE:
             self.acks_sent += 1
-            if self._roll_drop():
+            if plan.should_drop():
                 self.acks_dropped += 1
                 trace.emit("ack_lost", dst=packet.src_nic,
                            vi=packet.src_vi, seq=packet.seq)
@@ -291,7 +279,7 @@ class Fabric:
             obs.metrics.counter("via.fabric.packets_sent").inc(2)
         self._charge_wire(src, 0)
 
-        if self._roll_drop():   # request lost
+        if plan is not None and plan.should_drop():   # request lost
             self.packets_dropped += 1
             trace.emit("packet_lost", dst=packet.dst_nic,
                        vi=packet.dst_vi, seq=packet.seq, rdma="read_req")
@@ -301,7 +289,8 @@ class Fabric:
         status, payload = dst.serve_rdma_read(packet, reliability)
         self._charge_wire(src, len(payload))
 
-        if status == VIP_SUCCESS and self._roll_drop():   # response lost
+        if (status == VIP_SUCCESS and plan is not None
+                and plan.should_drop()):            # response lost
             self.packets_dropped += 1
             trace.emit("packet_lost", dst=packet.src_nic,
                        vi=packet.src_vi, seq=packet.seq, rdma="read_resp")
@@ -339,7 +328,8 @@ class Fabric:
         # request carries two 8-byte operands, response one 8-byte word
         self._charge_wire(src, 16)
 
-        if self._roll_drop():   # request lost (never executed — safe)
+        # request lost (never executed — safe)
+        if plan is not None and plan.should_drop():
             self.packets_dropped += 1
             trace.emit("packet_lost", dst=packet.dst_nic,
                        vi=packet.dst_vi, seq=packet.seq, atomic="req")
@@ -356,7 +346,8 @@ class Fabric:
         status, original = dst.serve_atomic(packet, reliability)
         self._charge_wire(src, 8)
 
-        if status == VIP_SUCCESS and self._roll_drop():  # response lost
+        if (status == VIP_SUCCESS and plan is not None
+                and plan.should_drop()):            # response lost
             self.packets_dropped += 1
             trace.emit("packet_lost", dst=packet.src_nic,
                        vi=packet.src_vi, seq=packet.seq, atomic="resp")

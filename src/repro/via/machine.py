@@ -54,7 +54,7 @@ class Machine:
             self.kernel, self.nic, backend=backend,
             tenant_quota_pages=tenant_quota_pages,
             host_pin_ceiling_pages=host_pin_ceiling_pages)
-        self.fabric = fabric if fabric is not None else Fabric(seed=seed)
+        self.fabric = fabric if fabric is not None else Fabric()
         self.fabric.attach(self.nic)
 
     @property
@@ -128,7 +128,7 @@ class Cluster:
         self.clock = SimClock()
         self.trace = Trace(self.clock)
         self.obs = self.trace.obs
-        self.fabric = Fabric(seed=seed)
+        self.fabric = Fabric()
         self.machines: list[Machine] = []
         for i in range(n):
             # Each machine gets its own backend instance (driver state is
@@ -180,6 +180,21 @@ class Cluster:
         """Connect a VI on one machine to a VI on another."""
         self.fabric.connect(machine_a.nic, vi_a.vi_id,
                             machine_b.nic, vi_b.vi_id)
+
+
+def hosts_of(target) -> list[tuple[Kernel, list[KernelAgent]]]:
+    """``(kernel, agents)`` for each host of an armed target: a
+    :class:`Cluster`, a :class:`Machine`, a ready ``(kernel, agents)``
+    pair, or a bare Kernel (no agents) — the one target dispatch every
+    checker's ``arm`` uses."""
+    if isinstance(target, Cluster):
+        return [(m.kernel, [m.agent]) for m in target.machines]
+    if isinstance(target, Machine):
+        return [(target.kernel, [target.agent])]
+    if isinstance(target, tuple):
+        kernel, agents = target
+        return [(kernel, list(agents))]
+    return [(target, [])]
 
 
 def connected_pair(backend: LockingBackend | str = "kiobuf",

@@ -54,10 +54,13 @@ from repro.core.audit import (
 )
 from repro.errors import ProcessKilled, QueueEmpty, ViaError
 from repro.hw.physmem import PAGE_SIZE
+from repro.kernel.task import Task
 from repro.sim.faults import FaultPlan, crash_if_due
 from repro.via.constants import VIP_SUCCESS, ViState
 from repro.via.descriptor import DataSegment, Descriptor
+from repro.via.kernel_agent import Registration
 from repro.via.machine import Cluster, Machine
+from repro.via.user_agent import UserAgent
 from repro.via.vi import VirtualInterface
 
 #: the three designs, in the order the benchmark sweeps them
@@ -344,7 +347,60 @@ class _LockMem:
                               "little")
 
 
-class LockClient:
+class _WordVerbs:
+    """The one-word verbs on the lock memory, shared by the clients and
+    the janitor: each posts one descriptor on ``vi``, staging through
+    the scratch registration ``reg``, and waits for its completion."""
+
+    name: str
+    task: Task
+    ua: UserAgent
+    vi: VirtualInterface
+    reg: Registration
+    h_mem: int
+    mem_va: int
+    #: scratch offset an RDMA read lands at
+    READ_SCRATCH = 8
+
+    def _finish_send(self) -> Descriptor:
+        done = self.ua.send_done(self.vi)
+        if done.status != VIP_SUCCESS:
+            raise ViaError(
+                f"{self.name}: {done.dtype.value} failed with "
+                f"{done.status}")
+        return done
+
+    def _cas(self, off: int, compare: int, swap: int) -> int:
+        self.ua.atomic_cmpswap(self.vi, self.reg, self.h_mem,
+                               self.mem_va + off, compare, swap)
+        done = self._finish_send()
+        assert done.atomic_original_value is not None
+        return done.atomic_original_value
+
+    def _fadd(self, off: int, add: int) -> int:
+        self.ua.atomic_fetchadd(self.vi, self.reg, self.h_mem,
+                                self.mem_va + off, add)
+        done = self._finish_send()
+        assert done.atomic_original_value is not None
+        return done.atomic_original_value
+
+    def _read_word(self, off: int) -> int:
+        scratch = self.reg.va + self.READ_SCRATCH
+        seg = DataSegment(self.reg.handle, scratch, _WORD)
+        self.ua.post_send(self.vi, Descriptor.rdma_read(
+            [seg], self.h_mem, self.mem_va + off))
+        self._finish_send()
+        return int.from_bytes(self.task.read(scratch, _WORD), "little")
+
+    def _write_word(self, off: int, value: int) -> None:
+        self.task.write(self.reg.va + 16, value.to_bytes(_WORD, "little"))
+        seg = DataSegment(self.reg.handle, self.reg.va + 16, _WORD)
+        self.ua.post_send(self.vi, Descriptor.rdma_write(
+            [seg], self.h_mem, self.mem_va + off))
+        self._finish_send()
+
+
+class LockClient(_WordVerbs):
     """One lock-manager client: a process, a VI pair to m0, and a
     design-specific acquire/release state machine driven by
     :meth:`step`.
@@ -386,45 +442,6 @@ class LockClient:
         self.ticket = 0
         if config.design == "server":
             self._post_msg_recvs()
-
-    # -- raw verbs ------------------------------------------------------------
-
-    def _finish_send(self) -> Descriptor:
-        done = self.ua.send_done(self.vi)
-        if done.status != VIP_SUCCESS:
-            raise ViaError(
-                f"{self.name}: {done.dtype.value} failed with "
-                f"{done.status}")
-        return done
-
-    def _cas(self, off: int, compare: int, swap: int) -> int:
-        self.ua.atomic_cmpswap(self.vi, self.reg, self.h_mem,
-                               self.mem_va + off, compare, swap)
-        done = self._finish_send()
-        assert done.atomic_original_value is not None
-        return done.atomic_original_value
-
-    def _fadd(self, off: int, add: int) -> int:
-        self.ua.atomic_fetchadd(self.vi, self.reg, self.h_mem,
-                                self.mem_va + off, add)
-        done = self._finish_send()
-        assert done.atomic_original_value is not None
-        return done.atomic_original_value
-
-    def _read_word(self, off: int) -> int:
-        seg = DataSegment(self.reg.handle, self.reg.va + 8, _WORD)
-        self.ua.post_send(self.vi, Descriptor.rdma_read(
-            [seg], self.h_mem, self.mem_va + off))
-        self._finish_send()
-        return int.from_bytes(self.task.read(self.reg.va + 8, _WORD),
-                              "little")
-
-    def _write_word(self, off: int, value: int) -> None:
-        self.task.write(self.reg.va + 16, value.to_bytes(_WORD, "little"))
-        seg = DataSegment(self.reg.handle, self.reg.va + 16, _WORD)
-        self.ua.post_send(self.vi, Descriptor.rdma_write(
-            [seg], self.h_mem, self.mem_va + off))
-        self._finish_send()
 
     # -- server-design messaging ----------------------------------------------
 
@@ -713,11 +730,14 @@ class _LockServer:
             return
 
 
-class _Janitor:
+class _Janitor(_WordVerbs):
     """Reclaim daemon for the client-bypass designs: its own process on
     m0 with a VI pair into the lock memory, speaking only atomics to the
     atomic words (so the ``atomic-nonatomic-overlap`` check stays quiet)
     and plain RDMA to the ring/grant words."""
+
+    name = "janitor"
+    READ_SCRATCH = 0
 
     def __init__(self, harness: "DLMHarness") -> None:
         self.harness = harness
@@ -736,45 +756,6 @@ class _Janitor:
         self.mem_va = lockmem.va
         #: declock: lock -> (last serving value, first seen at ns)
         self._serving_seen: dict[int, tuple[int, int]] = {}
-
-    # -- verbs (janitor-side mirrors of the client helpers) -------------------
-
-    def _cas(self, off: int, compare: int, swap: int) -> int:
-        self.ua.atomic_cmpswap(self.vi, self.reg, self.h_mem,
-                               self.mem_va + off, compare, swap)
-        done = self.ua.send_done(self.vi)
-        if done.status != VIP_SUCCESS:
-            raise ViaError(f"janitor: CAS failed with {done.status}")
-        assert done.atomic_original_value is not None
-        return done.atomic_original_value
-
-    def _fadd(self, off: int, add: int) -> int:
-        self.ua.atomic_fetchadd(self.vi, self.reg, self.h_mem,
-                                self.mem_va + off, add)
-        done = self.ua.send_done(self.vi)
-        if done.status != VIP_SUCCESS:
-            raise ViaError(f"janitor: FETCH_ADD failed with {done.status}")
-        assert done.atomic_original_value is not None
-        return done.atomic_original_value
-
-    def _read_word(self, off: int) -> int:
-        seg = DataSegment(self.reg.handle, self.reg.va, _WORD)
-        self.ua.post_send(self.vi, Descriptor.rdma_read(
-            [seg], self.h_mem, self.mem_va + off))
-        done = self.ua.send_done(self.vi)
-        if done.status != VIP_SUCCESS:
-            raise ViaError(f"janitor: read failed with {done.status}")
-        return int.from_bytes(self.task.read(self.reg.va, _WORD), "little")
-
-    def _write_word(self, off: int, value: int) -> None:
-        self.task.write(self.reg.va + 16,
-                        value.to_bytes(_WORD, "little"))
-        seg = DataSegment(self.reg.handle, self.reg.va + 16, _WORD)
-        self.ua.post_send(self.vi, Descriptor.rdma_write(
-            [seg], self.h_mem, self.mem_va + off))
-        done = self.ua.send_done(self.vi)
-        if done.status != VIP_SUCCESS:
-            raise ViaError(f"janitor: write failed with {done.status}")
 
     # -- the sweep ------------------------------------------------------------
 

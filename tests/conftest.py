@@ -30,6 +30,7 @@ import os
 
 import pytest
 
+from repro.analysis.events import StreamChecker
 from repro.analysis.races import RaceDetector
 from repro.analysis.sanitizer import PinSanitizer
 from repro.core.audit import audit_kernel_invariants
@@ -39,24 +40,26 @@ from repro.sim import costs as costs_mod
 _live_kernels: list[Kernel] = []
 _original_kernel_init = Kernel.__init__
 
-_SANITIZE_MODE = os.environ.get("REPRO_SANITIZE", "")
-_RACE_MODE = os.environ.get("REPRO_RACE", "")
-#: the suite-level sanitizer for the current test, when arming is on
-_suite_sanitizer: list[PinSanitizer] = []
-#: the suite-level race detector for the current test, when arming is on
-_suite_detector: list[RaceDetector] = []
+#: (checker class, mode from its env var, opt-out marker, teardown
+#: label) per suite-level checker
+_CHECKERS = (
+    (PinSanitizer, os.environ.get("REPRO_SANITIZE", ""), "san_suppress",
+     "pin sanitizer recorded {n} violation(s)"),
+    (RaceDetector, os.environ.get("REPRO_RACE", ""), "race_suppress",
+     "race detector recorded {n} race(s)"),
+)
+#: the suite-level checkers armed for the current test, with their labels
+_suite_checkers: list[tuple[StreamChecker, str]] = []
 
 
 def _recording_init(self, *args, **kwargs):
     _original_kernel_init(self, *args, **kwargs)
     _live_kernels.append(self)
-    if _suite_sanitizer:
-        # Armed at construction: a fresh kernel has no pins and no
-        # registrations, so the arming baseline is trivially right even
-        # though a Machine may relabel the hub's host afterwards.
-        _suite_sanitizer[0].arm(self)
-    if _suite_detector:
-        _suite_detector[0].arm(self)
+    # Armed at construction: a fresh kernel has no pins and no
+    # registrations, so the arming baseline is trivially right even
+    # though a Machine may relabel the hub's host afterwards.
+    for checker, _label in _suite_checkers:
+        checker.arm(self)
 
 
 Kernel.__init__ = _recording_init
@@ -65,20 +68,15 @@ Kernel.__init__ = _recording_init
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_setup(item):
     _live_kernels.clear()
-    _suite_sanitizer.clear()
-    _suite_detector.clear()
-    if _SANITIZE_MODE:
-        marker = item.get_closest_marker("san_suppress")
+    _suite_checkers.clear()
+    for cls, mode, marker_name, label in _CHECKERS:
+        if not mode:
+            continue
+        marker = item.get_closest_marker(marker_name)
         if marker is None or marker.args:
-            _suite_sanitizer.append(PinSanitizer(
-                strict=_SANITIZE_MODE == "strict",
-                suppress=marker.args if marker is not None else ()))
-    if _RACE_MODE:
-        marker = item.get_closest_marker("race_suppress")
-        if marker is None or marker.args:
-            _suite_detector.append(RaceDetector(
-                strict=_RACE_MODE == "strict",
-                suppress=marker.args if marker is not None else ()))
+            _suite_checkers.append((cls(
+                strict=mode == "strict",
+                suppress=marker.args if marker is not None else ()), label))
     yield
 
 
@@ -88,21 +86,14 @@ def pytest_runtest_teardown(item, nextitem):
     # fixture/finalizer teardown (which runs inside the yield).
     yield
     kernels, _live_kernels[:] = list(_live_kernels), []
-    sanitizers, _suite_sanitizer[:] = list(_suite_sanitizer), []
-    detectors, _suite_detector[:] = list(_suite_detector), []
-    for san in sanitizers:
-        san.disarm()
-        if san.violations:
+    checkers, _suite_checkers[:] = list(_suite_checkers), []
+    for checker, label in checkers:
+        checker.disarm()
+        if checker.findings:
             raise AssertionError(
-                f"pin sanitizer recorded {len(san.violations)} "
-                f"violation(s):\n\n"
-                + "\n\n".join(v.format() for v in san.violations))
-    for det in detectors:
-        det.disarm()
-        if det.races:
-            raise AssertionError(
-                f"race detector recorded {len(det.races)} race(s):\n\n"
-                + "\n\n".join(r.format() for r in det.races))
+                label.format(n=len(checker.findings))
+                + ":\n\n"
+                + "\n\n".join(f.format() for f in checker.findings))
     if item.get_closest_marker("no_posthoc_audit") is not None:
         return
     for kernel in kernels:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import QueueEmpty
 from repro.hw.physmem import PAGE_SIZE
+from repro.sim.faults import FaultPlan
 from repro.via.constants import VIP_SUCCESS, ReliabilityLevel
 from repro.via.descriptor import Descriptor
 from repro.via.machine import connected_pair
@@ -37,7 +38,7 @@ class TestLossAccounting:
 
     def test_total_loss_drops_every_packet(self):
         cluster, ua_s, ua_r, vi_s, vi_r = unreliable_pair()
-        cluster.fabric.loss_rate = 1.0
+        cluster.inject_faults(FaultPlan(seed=0, loss_rate=1.0))
         sva = ua_s.task.mmap(1)
         sreg = ua_s.register_mem(sva, PAGE_SIZE)
         for i in range(10):
@@ -49,7 +50,7 @@ class TestLossAccounting:
 
     def test_partial_loss_sums_delivered_and_dropped(self):
         cluster, ua_s, ua_r, vi_s, vi_r = unreliable_pair(seed=7)
-        cluster.fabric.loss_rate = 0.5
+        cluster.inject_faults(FaultPlan(seed=7, loss_rate=0.5))
         sva = ua_s.task.mmap(1)
         sreg = ua_s.register_mem(sva, PAGE_SIZE)
         n = 40
@@ -64,7 +65,7 @@ class TestLossAccounting:
 
     def test_loss_events_are_traced(self):
         cluster, ua_s, ua_r, vi_s, vi_r = unreliable_pair()
-        cluster.fabric.loss_rate = 1.0
+        cluster.inject_faults(FaultPlan(seed=0, loss_rate=1.0))
         post_recv_buffer(ua_r, vi_r)
         sva = ua_s.task.mmap(1)
         sreg = ua_s.register_mem(sva, PAGE_SIZE)
@@ -78,7 +79,7 @@ class TestUnreliableNeverRaises:
         VIP_SUCCESS, nothing raises, and the receiver simply sees
         nothing."""
         cluster, ua_s, ua_r, vi_s, vi_r = unreliable_pair()
-        cluster.fabric.loss_rate = 1.0
+        cluster.inject_faults(FaultPlan(seed=0, loss_rate=1.0))
         post_recv_buffer(ua_r, vi_r)
         sva = ua_s.task.mmap(1)
         sreg = ua_s.register_mem(sva, PAGE_SIZE)
@@ -91,7 +92,7 @@ class TestUnreliableNeverRaises:
     def test_vi_stays_connected_through_sustained_loss(self):
         from repro.via.constants import ViState
         cluster, ua_s, ua_r, vi_s, vi_r = unreliable_pair()
-        cluster.fabric.loss_rate = 1.0
+        cluster.inject_faults(FaultPlan(seed=0, loss_rate=1.0))
         sva = ua_s.task.mmap(1)
         sreg = ua_s.register_mem(sva, PAGE_SIZE)
         for _ in range(20):
@@ -103,7 +104,7 @@ class TestUnreliableNeverRaises:
     def test_deterministic_given_seed(self):
         def run():
             cluster, ua_s, ua_r, vi_s, vi_r = unreliable_pair(seed=3)
-            cluster.fabric.loss_rate = 0.3
+            cluster.inject_faults(FaultPlan(seed=3, loss_rate=0.3))
             sva = ua_s.task.mmap(1)
             sreg = ua_s.register_mem(sva, PAGE_SIZE)
             for i in range(30):

@@ -144,8 +144,7 @@ class TestCowUnderflowRegression:
     silently (``cow_shares`` already 0 at the decrement).  An underflow
     means fork/munmap/exit accounting lost a decrement — the kind of
     rot the ODP eviction path, which trusts ``cow_shares``, would turn
-    into a stale DMA — so it must always leave evidence, and under
-    strict accounting it must be fatal."""
+    into a stale DMA — so it must leave evidence and be fatal."""
 
     @staticmethod
     def _broken_cow_page(kernel):
@@ -160,30 +159,17 @@ class TestCowUnderflowRegression:
         assert kernel.pagemap.page(pte.frame).cow_shares == 0
         return t, va
 
-    def test_underflow_traces_and_counts(self):
-        # Explicitly non-strict: the suite may run with REPRO_SANITIZE
-        # =strict, which flips the fixture kernel's default to fatal.
+    def test_underflow_fatal_under_strict_accounting(self):
+        from repro.errors import PageAccountingError
         from repro.kernel.kernel import Kernel
-        kernel = Kernel(num_frames=64, swap_slots=256,
-                        strict_accounting=False)
-        assert not kernel.strict_accounting
+        kernel = Kernel(num_frames=64, swap_slots=256)
         t, va = self._broken_cow_page(kernel)
-        t.write(va, b"y")               # clamped: the write still lands
-        assert t.read(va, 1) == b"y"
+        with pytest.raises(PageAccountingError):
+            t.write(va, b"y")
         events = kernel.trace.of_kind("cow_underflow")
         assert len(events) == 1
         assert events[0]["pid"] == t.pid
         assert events[0]["cow_shares"] == 0
-
-    def test_underflow_fatal_under_strict_accounting(self):
-        from repro.errors import PageAccountingError
-        from repro.kernel.kernel import Kernel
-        kernel = Kernel(num_frames=64, swap_slots=256,
-                        strict_accounting=True)
-        t, va = self._broken_cow_page(kernel)
-        with pytest.raises(PageAccountingError):
-            t.write(va, b"y")
-        assert kernel.trace.count("cow_underflow") == 1
 
     def test_healthy_cow_break_is_silent(self, kernel):
         """The fork → write path never trips the check."""
@@ -197,15 +183,3 @@ class TestCowUnderflowRegression:
         assert child.read(va, 6) == b"child!"
         assert parent.read(va, 6) == b"shared"
 
-    def test_strict_accounting_defaults_from_env(self, monkeypatch):
-        from repro.kernel.kernel import Kernel
-        monkeypatch.setenv("REPRO_SANITIZE", "strict")
-        assert Kernel(num_frames=64).strict_accounting
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        assert not Kernel(num_frames=64).strict_accounting
-        monkeypatch.delenv("REPRO_SANITIZE")
-        assert not Kernel(num_frames=64).strict_accounting
-        # An explicit argument always wins over the environment.
-        monkeypatch.setenv("REPRO_SANITIZE", "strict")
-        assert not Kernel(num_frames=64,
-                          strict_accounting=False).strict_accounting

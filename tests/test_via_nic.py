@@ -6,6 +6,7 @@ from repro.errors import (
     ViaConnectionError, DescriptorError, QueueEmpty,
 )
 from repro.hw.physmem import PAGE_SIZE
+from repro.sim.faults import FaultPlan
 from repro.via.constants import (
     VIP_ERROR_CONN_LOST, VIP_ERROR_NIC, VIP_PROTECTION_ERROR, VIP_SUCCESS,
     ReliabilityLevel, ViState,
@@ -308,7 +309,8 @@ class TestPacketLoss:
     def test_unreliable_vi_drops_packets(self):
         cluster, ua_s, ua_r, vi_s, vi_r = connected_pair(
             "kiobuf", reliability=ReliabilityLevel.UNRELIABLE)
-        cluster.fabric.loss_rate = 1.0    # drop everything
+        # drop everything
+        cluster.inject_faults(FaultPlan(seed=0, loss_rate=1.0))
         post_recv_buffer(ua_r, vi_r)
         sva = ua_s.task.mmap(1)
         sreg = ua_s.register_mem(sva, PAGE_SIZE)
@@ -382,7 +384,7 @@ class TestReliableRoundTrip:
             "atomic": lambda: Descriptor.atomic_fetchadd(
                 local, rreg.handle, rva, 1),
         }[kind]()
-        cluster.fabric.loss_rate = 1.0
+        cluster.inject_faults(FaultPlan(seed=0, loss_rate=1.0))
         ua_s.post_send(vi_s, desc)
         return cluster, ua_s.nic, vi_s, desc
 
