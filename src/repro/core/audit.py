@@ -271,7 +271,6 @@ class InvariantWatchdog:
         self.armed = False
         self._pairs: list[tuple] = []     #: (kernel, [agents])
         self._in_check = False
-        self._teardowns: list[tuple] = []  #: (hook_list, hook) to undo
         #: one mutable cell per cadence chain holding its pending event
         self._cadences: list[list] = []
 
@@ -289,9 +288,7 @@ class InvariantWatchdog:
             # each chain reschedules itself.
             self._start_cadence(clock)
         for kernel, _ in pairs:
-            hook = self._make_teardown_hook()
-            kernel.post_exit_hooks.append(hook)
-            self._teardowns.append((kernel.post_exit_hooks, hook))
+            kernel.notifiers.append(self)
         return self
 
     def _start_cadence(self, clock) -> None:
@@ -317,16 +314,18 @@ class InvariantWatchdog:
             if cell[0] is not None:
                 cell[0].cancel()
         self._cadences.clear()
-        for hook_list, hook in self._teardowns:
-            if hook in hook_list:
-                hook_list.remove(hook)
-        self._teardowns.clear()
+        for kernel, _ in self._pairs:
+            while self in kernel.notifiers:
+                kernel.notifiers.remove(self)
         self.armed = False
 
-    def _make_teardown_hook(self):
-        def on_teardown(task) -> None:
+    def release(self, task, phase: str) -> None:
+        """Kernel notifier: the teardown boundary, once the task is gone."""
+        if phase == "teardown":
             self.check(boundary=f"teardown pid {task.pid}")
-        return on_teardown
+
+    def invalidate_range(self, task, start_vpn, end_vpn, cause) -> None:
+        """Kernel notifier: range invalidations are not a boundary."""
 
     # -------------------------------------------------------------- checking
 

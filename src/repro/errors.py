@@ -179,10 +179,12 @@ class ProtectionError(ViaError):
 
 
 class NotRegistered(ViaError):
-    """A descriptor referenced memory that is not registered in the TPT."""
+    """A descriptor referenced memory that is not registered in the TPT
+    (or, with ``VIP_ERROR_RESOURCE``, whose ODP fault could not get a
+    frame)."""
 
-    def __init__(self, message: str):
-        super().__init__(message, status="VIP_INVALID_MEMORY")
+    def __init__(self, message: str, status: str = "VIP_INVALID_MEMORY"):
+        super().__init__(message, status=status)
 
 
 class TranslationFault(ViaError):

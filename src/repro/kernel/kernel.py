@@ -84,19 +84,15 @@ class Kernel:
         self._clock_hand = 0                    # shrink_mmap clock position
         self._swap_cnt: dict[int, int] = {}     # swap_out victim counters
         self._task_swap_hand: dict[int, int] = {}
-        #: drivers register here to reclaim per-task state on exit; each
-        #: hook is called with the dying task while it is still findable
-        self.exit_hooks: list = []
-        #: called after a task is fully torn down (watchdog boundary)
-        self.post_exit_hooks: list = []
-        #: drivers register here to learn of munmaps before the PTEs and
-        #: frames go away; called with (task, start_vpn, end_vpn)
-        self.munmap_hooks: list = []
-        #: pin-owner eviction hooks: ``swap_out`` consults these before
-        #: skipping a pinned frame — a hook that recognises the frame may
-        #: release its pins (ODP-style TPT invalidation) and return True,
-        #: making the frame stealable after all; called with (frame)
-        self.pin_eviction_hooks: list = []
+        #: VM→driver notifiers (Linux's ``mmu_notifier``), walked as a
+        #: copy.  ``invalidate_range(task, start_vpn, end_vpn, cause)``
+        #: runs before translations drop: ``"unmap"`` from ``sys_munmap``
+        #: (not on the exit path), ``"evict"`` from ``swap_out`` per
+        #: pinned page (an owner may fence and unpin; reclaim rereads
+        #: ``pinned``).  ``release(task, phase)`` runs on exit:
+        #: ``"drivers"`` on a clean exit while the task is findable and
+        #: mapped, ``"teardown"`` on every exit once the task is gone.
+        self.notifiers: list = []
         #: the orphan reaper, once attached (see repro.kernel.reaper);
         #: try_to_free_pages drafts it when ordinary reclaim falls short
         self.reaper = None
@@ -130,7 +126,6 @@ class Kernel:
         currently in swap are faulted back in before sharing — the real
         kernel shares swap entries through the swap cache instead.
         """
-        from repro.kernel.fault import handle_fault
         child = self.create_task(uid=parent.uid,
                                  name=name or f"{parent.name}-child")
         child.capabilities = set(parent.capabilities)
@@ -160,45 +155,45 @@ class Kernel:
         return child
 
     def exit_task(self, task: Task) -> None:
-        """Tear a task down cleanly: run driver exit hooks (VIs torn
+        """Tear a task down cleanly: release the drivers (VIs torn
         down, registrations dropped, pins released), unmap everything,
         free frames and swap."""
         self.trace.emit("task_exit", pid=task.pid, name=task.name)
-        self._teardown_task(task, run_hooks=True)
+        self._teardown_task(task, cleanup=True)
 
     def kill(self, pid: int, *, cleanup: bool = True) -> Task:
         """Kill a task by pid (fatal signal / crash).
 
-        With ``cleanup=True`` this is ``exit_task``: the exit path walks
-        the driver hooks so no pinned frame or TPT entry outlives the
+        With ``cleanup=True`` this is ``exit_task``: the exit path
+        releases the drivers so no pinned frame or TPT entry outlives the
         process.  ``cleanup=False`` models a *buggy* teardown — the
         address space is still freed (the core kernel always does that)
-        but drivers are never notified, leaking whatever they held; the
+        but the drivers are never released, leaking what they held; the
         orphan reaper exists to converge that state.  Returns the dead
         task so callers can inspect its (now unmapped) identity.
         """
         task = self.find_task(pid)
         self.trace.emit("task_kill", pid=pid, name=task.name,
                         cleanup=cleanup)
-        self._teardown_task(task, run_hooks=cleanup)
+        self._teardown_task(task, cleanup=cleanup)
         return task
 
-    def _teardown_task(self, task: Task, run_hooks: bool) -> None:
-        if run_hooks:
-            # Driver hooks run first, while the task is still findable:
-            # locking backends that need the victim's page tables (the
-            # mlock family) must unlock before the address space goes.
-            for hook in list(self.exit_hooks):
-                hook(task)
-            # Kiobufs the hooks did not release (a crash mid-registration
+    def _teardown_task(self, task: Task, cleanup: bool) -> None:
+        if cleanup:
+            # Drivers go first, while the task is still findable: locking
+            # backends that need the victim's page tables (the mlock
+            # family) must unlock before the address space goes.
+            for notifier in list(self.notifiers):
+                notifier.release(task, "drivers")
+            # Kiobufs the drivers did not release (a crash mid-registration
             # pins pages before any registration record exists).
             for kio in [k for k in self.kiobufs.values()
                         if k.pid == task.pid and k.mapped]:
                 unmap_kiobuf(self, kio)
         for area in list(task.vmas):
-            # During a clean exit the hooks already dropped every
-            # registration, so re-notifying munmap hooks is pointless;
-            # during a buggy teardown (run_hooks=False) skipping them is
+            # During a clean exit the drivers already dropped every
+            # registration, so an "unmap" invalidation is pointless;
+            # during a buggy teardown (cleanup=False) skipping it is
             # the bug being modelled.
             self.sys_munmap(task, area.start_vpn * PAGE_SIZE, area.npages,
                             notify=False)
@@ -207,10 +202,10 @@ class Kernel:
         del self.tasks_by_pid[task.pid]
         self._swap_cnt.pop(task.pid, None)
         self._task_swap_hand.pop(task.pid, None)
-        for hook in list(self.post_exit_hooks):
-            hook(task)
+        for notifier in list(self.notifiers):
+            notifier.release(task, "teardown")
         if self.events.active:
-            self.events.emit(TASK_EXIT, pid=task.pid, cleanup=run_hooks)
+            self.events.emit(TASK_EXIT, pid=task.pid, cleanup=cleanup)
 
     # ------------------------------------------------------- frame allocation
 
@@ -261,10 +256,10 @@ class Kernel:
         """Unmap ``npages`` at ``va``: drop VMAs, PTEs, frames, swap
         slots.
 
-        Munmap hooks (drivers force-deregistering overlapping
-        registrations) run *before* anything is dropped, so pins are
-        released while the frames still exist; ``notify=False`` is the
-        exit path's internal opt-out.
+        The ``"unmap"`` invalidation (drivers force-deregistering
+        overlapping registrations) runs *before* anything is dropped, so
+        pins are released while the frames still exist; ``notify=False``
+        is the exit path's internal opt-out.
         """
         self.clock.charge(self.costs.syscall_ns, "syscall")
         if va % PAGE_SIZE:
@@ -272,8 +267,8 @@ class Kernel:
         start_vpn = va // PAGE_SIZE
         end_vpn = start_vpn + npages
         if notify:
-            for hook in list(self.munmap_hooks):
-                hook(task, start_vpn, end_vpn)
+            for notifier in list(self.notifiers):
+                notifier.invalidate_range(task, start_vpn, end_vpn, "unmap")
         if self.events.active:
             self.events.emit(MUNMAP, pid=task.pid, start_vpn=start_vpn,
                              end_vpn=end_vpn)

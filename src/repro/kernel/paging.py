@@ -225,12 +225,12 @@ def _swap_out_task_one(kernel: "Kernel", task: "Task") -> "bool | None":
                               pid=task.pid, vpn=vpn, frame=pd.frame)
             continue
         if pd.pinned:
-            # Ask the pin owners before giving up: an ODP-style owner may
-            # invalidate its TPT entries and release its just-in-time
-            # pins, making the frame stealable after all.  Hooks answer
-            # True only when the frame ended up fully unpinned.
-            if not any(hook(pd.frame)
-                       for hook in list(kernel.pin_eviction_hooks)):
+            # Tell the pin owners before giving up: an ODP-style owner
+            # may invalidate its TPT entries and release its just-in-time
+            # pins, making the frame stealable after all.
+            for notifier in list(kernel.notifiers):
+                notifier.invalidate_range(task, vpn, vpn + 1, "evict")
+            if pd.pinned:
                 kernel.trace.emit("swap_skip", reason="pinned",
                                   pid=task.pid, vpn=vpn, frame=pd.frame)
                 continue

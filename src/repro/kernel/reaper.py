@@ -1,6 +1,6 @@
 """The orphan reaper: a periodic kernel daemon converging leaked state.
 
-A clean process exit reclaims everything through the driver exit hooks
+A clean process exit reclaims everything through the drivers' release
 — but teardown can be buggy (``Kernel.kill(pid, cleanup=False)``), a
 crash can land between a pin and its registration record, and a backend
 can transiently fail to unlock.  The reaper is the backstop: like

@@ -99,17 +99,15 @@ class KernelAgent:
             list[tuple[int, list[int], list[list[int]]]] | None) = None
         self.fault_plan: "FaultPlan | None" = None
         # The driver owns per-process state (VIs, registrations, pins),
-        # so it must hear about exits and munmaps: a process dying with
-        # live registrations must not leak pinned frames, and unmapping
-        # a registered range must not leave stale TPT entries.
-        kernel.exit_hooks.append(self.on_task_exit)
-        kernel.munmap_hooks.append(self.on_munmap)
-        # ODP plumbing: the NIC forwards translation faults here, and
-        # reclaim consults us before skipping a pinned frame.
+        # so it must hear about exits, munmaps and evictions: a process
+        # dying with live registrations must not leak pinned frames,
+        # unmapping a registered range must not leave stale TPT entries,
+        # and reclaim asks before skipping a pinned frame.
+        kernel.notifiers.append(self)
+        # ODP plumbing: the NIC forwards translation faults here.
         nic.fault_service = self.service_translation_fault
-        kernel.pin_eviction_hooks.append(self.try_evict_frame)
         #: frame → {(handle, page_index)}: which ODP registrations hold
-        #: a just-in-time pin on each frame (the eviction hook's index)
+        #: a just-in-time pin on each frame (try_evict_frame's index)
         self._odp_resident: dict[int, set[tuple[int, int]]] = {}
         #: bounded (handle, pages) → completion-time table; a duplicate
         #: fault request landing while its pages are already valid is
@@ -225,8 +223,8 @@ class KernelAgent:
         self.kernel.trace.emit(REGISTER, pid=task.pid, va=va,
                                nbytes=nbytes, handle=region.handle,
                                backend=self.backend.name)
-        # Crash here = died with a fully recorded registration; the exit
-        # hook deregisters it like any other.
+        # Crash here = died with a fully recorded registration; the
+        # "drivers" release deregisters it like any other.
         crash_if_due(plan, self.kernel, task, "register.installed")
         return reg
 
@@ -333,7 +331,7 @@ class KernelAgent:
                                   pid=reg.pid, backend=self.backend.name)
         self.nic.tpt.remove(handle)
         # The pins leak with the record (that is this method's contract),
-        # so the eviction index must forget them too — a later hook call
+        # so the eviction index must forget them too — a later eviction
         # must not dereference a dropped registration.
         self._purge_odp_index(handle, reg.region.lock_cookie)
         return reg
@@ -411,18 +409,17 @@ class KernelAgent:
         crash_if_due(self.fault_plan, kernel, task, "odp_fault.patched")
         return patched
 
-    def try_evict_frame(self, frame: int) -> bool:
-        """Pin-eviction hook: asked by reclaim about a pinned frame.
+    def try_evict_frame(self, frame: int) -> None:
+        """Release this driver's ODP pins on ``frame`` — the ``"evict"``
+        invalidation reclaim sends for a pinned frame it met.
 
-        If the only pins on the frame are ODP just-in-time pins, fence
-        the NIC first (invalidate the TPT entries, flushing cached
+        Fence the NIC first (invalidate the TPT entries, flushing cached
         translations), then release the pins — the inverse of the fault
-        service.  Returns True when the frame ended up unpinned, i.e.
-        reclaim may steal it after all.
+        service.  Reclaim steals the frame if that left it unpinned.
         """
         owners = self._odp_resident.pop(frame, None)
         if not owners:
-            return False
+            return
         kernel = self.kernel
         by_handle: dict[int, list[int]] = {}
         for handle, index in owners:
@@ -446,12 +443,12 @@ class KernelAgent:
             kernel.events.record(ODP_EVICT, handle=handle, frame=frame,
                                  pages=len(indices), pid=reg.pid,
                                  actor="agent")
-        return not kernel.pagemap.page(frame).pinned
 
-    # ------------------------------------------------------------ exit path
+    # ---------------------------------------------------- kernel notifier
 
-    def on_task_exit(self, task: "Task") -> None:
-        """Exit-path reclamation: walk this driver's per-pid state.
+    def release(self, task: "Task", phase: str) -> None:
+        """Exit-path reclamation (phase ``"drivers"``): walk this
+        driver's per-pid state.
 
         Order matters — VIs first (peers complete with CONN_LOST and the
         victim's descriptors flush before the memory they name is
@@ -460,6 +457,8 @@ class KernelAgent:
         entry also invalidates the NIC's translation LRU), then the
         protection tag.
         """
+        if phase != "drivers":
+            return
         pid = task.pid
         vis = descriptors = 0
         for vi in [v for v in self.nic.vis.values() if v.owner_pid == pid]:
@@ -476,14 +475,17 @@ class KernelAgent:
                                    registrations=regs,
                                    descriptors=descriptors)
 
-    def on_munmap(self, task: "Task", start_vpn: int,
-                  end_vpn: int) -> None:
-        """Force-deregister registrations overlapping an unmapped range.
-
-        Without this, ``munmap`` of a still-registered region silently
-        leaves stale TPT entries: the frames are freed (or recycled)
-        while the NIC keeps DMA-ing through the old translations.
+    def invalidate_range(self, task: "Task", start_vpn: int,
+                         end_vpn: int, cause: str) -> None:
+        """``"evict"``: offer the range's frames to :meth:`try_evict_frame`.
+        ``"unmap"``: force-deregister registrations overlapping the range;
+        else the frames are freed (or recycled) while the NIC keeps
+        DMA-ing through stale TPT entries.
         """
+        if cause == "evict":
+            for vpn in range(start_vpn, end_vpn):
+                self.try_evict_frame(task.page_table.lookup(vpn).frame)
+            return
         for reg in self.registrations_of(task.pid):
             r_first = reg.va // PAGE_SIZE
             r_last = (reg.va + reg.nbytes - 1) // PAGE_SIZE

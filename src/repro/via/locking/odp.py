@@ -44,7 +44,7 @@ class OdpCookie:
     npages: int
     #: region-relative page index → pinned frame, for every page that is
     #: currently resident; the single source of truth the exit path,
-    #: the eviction hook, and deregistration all release from
+    #: the eviction path, and deregistration all release from
     resident: dict[int, int] = field(default_factory=dict)
     released: bool = False
 
@@ -102,17 +102,27 @@ class OdpLocking(LockingBackend):
         Returns page index → frame for every page now resident.  Each
         page is committed to ``cookie.resident`` immediately after its
         pin, so a kill landing anywhere downstream is cleaned up by the
-        exit path's ``unlock`` — never leaked, never double-freed.
+        exit path's ``unlock`` — never leaked, never double-freed.  If a
+        page cannot be pinned (``OutOfMemory``, say), the pins this call
+        took are released before the error propagates: no TPT entry will
+        ever name them.
         """
         patched: dict[int, int] = {}
-        for index in pages:
-            if index in cookie.resident:
-                # Lost a race with a concurrent fault on the same extent.
-                patched[index] = cookie.resident[index]
-                continue
-            frame = kernel.pin_user_page(task, cookie.start_vpn + index)
-            cookie.resident[index] = frame
-            patched[index] = frame
+        taken: list[int] = []
+        try:
+            for index in pages:
+                if index in cookie.resident:
+                    # Lost a race with a concurrent fault on this extent.
+                    patched[index] = cookie.resident[index]
+                    continue
+                frame = kernel.pin_user_page(task, cookie.start_vpn + index)
+                cookie.resident[index] = frame
+                taken.append(index)
+                patched[index] = frame
+        except Exception:
+            for index in taken:
+                kernel.unpin_user_page(cookie.resident.pop(index), cookie.pid)
+            raise
         return patched
 
     def evict_frame(self, kernel: "Kernel", cookie: OdpCookie,

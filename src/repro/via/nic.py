@@ -25,8 +25,9 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.analysis.events import DMA_RESUME, DMA_SUSPEND, DOORBELL
 from repro.errors import (
-    DescriptorError, DMAFault, KernelError, NotRegistered, ProcessKilled,
-    ProtectionError, TranslationFault, ViaConnectionError, ViaError,
+    DescriptorError, DMAFault, KernelError, NotRegistered, OutOfMemory,
+    ProcessKilled, ProtectionError, TranslationFault, ViaConnectionError,
+    ViaError,
 )
 from repro.hw.dma import DMAEngine
 from repro.hw.physmem import PhysicalMemory
@@ -34,8 +35,9 @@ from repro.kernel.flags import VM_LOCKED
 from repro.via.constants import (
     ATOMIC_OPERAND_BYTES, ATOMIC_RESPONSE_CACHE, ATOMIC_TYPES,
     MAX_RETRANSMITS, VIP_DESCRIPTOR_ERROR, VIP_ERROR_CONN_LOST,
-    VIP_ERROR_NIC, VIP_INVALID_MEMORY, VIP_INVALID_PARAMETER,
-    VIP_NOT_DONE, VIP_SUCCESS, DescriptorType, ReliabilityLevel, ViState,
+    VIP_ERROR_NIC, VIP_ERROR_RESOURCE, VIP_INVALID_MEMORY,
+    VIP_INVALID_PARAMETER, VIP_NOT_DONE, VIP_SUCCESS, DescriptorType,
+    ReliabilityLevel, ViState,
 )
 from repro.via.cq import CompletionQueue
 from repro.via.descriptor import Descriptor
@@ -326,8 +328,10 @@ class VIANic:
 
         Failure funnels into :class:`NotRegistered` so every call site's
         existing error path completes the descriptor the same way it
-        would for an unregistered buffer — except a kill at an ODP crash
-        point, which must keep propagating after the engine is unparked.
+        would for an unregistered buffer — with ``VIP_ERROR_RESOURCE``
+        when no frame could be had (``OutOfMemory``) — except a kill at
+        an ODP crash point, which must keep propagating after the engine
+        is unparked.
         """
         kernel = self.kernel
         token = self._next_suspend_token
@@ -346,14 +350,17 @@ class VIANic:
         except ProcessKilled:
             self._resume(fault.handle, token, ok=False)
             raise
-        except (ViaError, KernelError) as exc:
-            # Owner dead, registration gone, range unmapped mid-fault:
-            # the transfer cannot make progress — unpark the engine and
-            # complete the descriptor through the error path.
+        except (ViaError, KernelError, OutOfMemory) as exc:
+            # Owner dead, registration gone, range unmapped mid-fault, no
+            # frame to fault in: the transfer cannot make progress —
+            # unpark the engine and complete the descriptor through the
+            # error path.
             self._resume(fault.handle, token, ok=False)
             raise NotRegistered(
                 f"{self.name}: fault service failed for handle "
-                f"{fault.handle}: {exc}") from exc
+                f"{fault.handle}: {exc}",
+                status=(VIP_ERROR_RESOURCE if isinstance(exc, OutOfMemory)
+                        else VIP_INVALID_MEMORY)) from exc
         self._resume(fault.handle, token, ok=True)
 
     def _resume(self, handle: int, token: int, ok: bool) -> None:

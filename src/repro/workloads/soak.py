@@ -313,8 +313,9 @@ class SoakHarness:
             sender.task.munmap(old_va, old_npages)
 
     def _op_munmap(self, tenant: _Tenant) -> None:
-        """munmap a still-registered range: the driver's munmap hook
-        must force-deregister it (no stale TPT entries, budget credited)."""
+        """munmap a still-registered range: the driver's ``"unmap"``
+        invalidation must force-deregister it (no stale TPT entries,
+        budget credited)."""
         if not tenant.scratch:
             self._op_register(tenant)
             return

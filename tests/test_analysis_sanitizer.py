@@ -337,7 +337,7 @@ class TestRuntimeClean:
         assert san.events_seen == seen   # disarm really unsubscribed
 
     def test_clean_exit_with_live_registrations_is_not_a_leak(self):
-        # The driver's exit hook deregisters before TASK_EXIT fires, so
+        # The driver's exit release deregisters before TASK_EXIT fires, so
         # dying with live registrations is *clean* teardown, not a leak.
         m = Machine("m0", backend="kiobuf")
         san = m.arm_sanitizer(strict=True)

@@ -178,16 +178,33 @@ class TestTryToFreePages:
             k.do_mlock(t2, va2, 32 * PAGE_SIZE)
 
 
+class _EvictNotifier:
+    """A kernel notifier that answers only ``"evict"`` invalidations,
+    handing each page's frame to ``on_frame``."""
+
+    def __init__(self, on_frame):
+        self.on_frame = on_frame
+
+    def invalidate_range(self, task, start_vpn, end_vpn, cause):
+        if cause == "evict":
+            for vpn in range(start_vpn, end_vpn):
+                self.on_frame(task.page_table.lookup(vpn).frame)
+
+    def release(self, task, phase):
+        pass
+
+
 class TestPinEvictionHooks:
-    """Regression for the per-frame eviction hook: reclaim used to skip
-    *every* pinned frame unconditionally; now it asks the registered
-    pin owners first, and only skips when no owner releases its pins."""
+    """Regression for the per-frame eviction invalidation: reclaim used
+    to skip *every* pinned frame unconditionally; now it tells the
+    kernel's notifiers first, and only skips when no pin owner releases
+    its pins."""
 
     def test_pinned_skip_without_hooks(self, kernel):
         t, va = fill_task(kernel, 4)
         for vpn in range(t.vpn_of(va), t.vpn_of(va) + 4):
             kernel.pin_user_page(t, vpn)
-        assert kernel.pin_eviction_hooks == []
+        assert kernel.notifiers == []
         assert paging.swap_out(kernel, 2) == 0
         assert any(e["reason"] == "pinned"
                    for e in kernel.trace.of_kind("swap_skip"))
@@ -201,8 +218,7 @@ class TestPinEvictionHooks:
         for vpn in range(t.vpn_of(va), t.vpn_of(va) + 2):
             kernel.pin_user_page(t, vpn)
         asked = []
-        kernel.pin_eviction_hooks.append(
-            lambda frame: (asked.append(frame), False)[1])
+        kernel.notifiers.append(_EvictNotifier(asked.append))
         assert paging.swap_out(kernel, 2) == 0
         assert set(asked) == set(frames)     # consulted, not bypassed
         assert t.resident_pages() == 2
@@ -217,12 +233,10 @@ class TestPinEvictionHooks:
             kernel.pin_user_page(t, vpn)
 
         def release(frame):
-            if frame not in frames:
-                return False
-            kernel.unpin_user_page(frame, t.pid)
-            return True
+            if frame in frames:
+                kernel.unpin_user_page(frame, t.pid)
 
-        kernel.pin_eviction_hooks.append(release)
+        kernel.notifiers.append(_EvictNotifier(release))
         assert paging.swap_out(kernel, 2) == 2
         assert t.resident_pages() == 0
         assert kernel.obs.counter(

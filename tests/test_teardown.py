@@ -289,7 +289,7 @@ class TestInvariantWatchdog:
         assert wd.checks_run >= 4   # two teardown boundaries x two pairs
         wd.disarm()
         for m in cluster.machines:
-            assert not m.kernel.post_exit_hooks
+            assert wd not in m.kernel.notifiers
 
     def test_manual_check_reports_boundary(self):
         m = Machine()

@@ -5,11 +5,12 @@ Four layers of coverage:
 * the backend contract (lazy lock, just-in-time ``fault_in``, pressure
   ``evict_frame``, one-shot unlock);
 * the driver's fault service (coalescing window, bounded fault table,
-  pressure eviction through the pin-eviction hook, re-fault after
+  pressure eviction through the ``"evict"`` invalidation, re-fault after
   eviction);
-* the races the ISSUE names — concurrent faults on one extent, a
-  process kill at every instrumented point of the fault path, and
-  retransmission after a suspend/resume staying exactly-once;
+* the races — concurrent faults on one extent, a process kill at every
+  instrumented point of the fault path, retransmission after a
+  suspend/resume staying exactly-once — and unservable faults (no
+  free frame) completing typed on either side;
 * the sanitizer's ``odp`` mode (fault-service pairing, dangling
   suspensions, eviction bookkeeping).
 """
@@ -34,7 +35,9 @@ from repro.hw.physmem import PAGE_SIZE
 from repro.msg.endpoint import make_pair
 from repro.sim.costs import FREE
 from repro.sim.faults import FaultPlan, ODP_CRASH_POINTS
-from repro.via.constants import VIP_SUCCESS
+from repro.via.constants import (
+    VIP_ERROR_RESOURCE, VIP_NOT_DONE, VIP_SUCCESS, ViState,
+)
 from repro.via.descriptor import Descriptor
 from repro.via.kernel_agent import ODP_FAULT_TABLE_ENTRIES
 from repro.via.locking import make_backend
@@ -330,6 +333,86 @@ class TestOdpKillSweep:
         assert any(not e["ok"] for e in resumes)
         for m in cluster.machines:
             _assert_converged(m)
+
+
+# -------------------------------------------------- unservable fault service
+
+def _drain_free_list(kernel, leave=0):
+    """Take free frames straight off the free list until ``leave``
+    remain, so the next allocation finds nothing reclaimable."""
+    held = []
+    while kernel.pagemap.free_count > leave:
+        held.append(kernel.pagemap.alloc(tag="drain").frame)
+    return held
+
+
+@pytest.mark.san_suppress
+class TestOdpUnservableFault:
+    """A fault service that cannot get a frame completes the descriptor
+    with ``VIP_ERROR_RESOURCE`` through the NIC's error path: the engine
+    is unparked, no pin is left behind, and nothing escapes untyped."""
+
+    def _setup(self, recv_pages=2):
+        cluster, ua_s, ua_r, vi_s, vi_r = connected_pair("odp")
+        san = cluster.arm_sanitizer(strict=True)
+        dst = ua_r.task.mmap(recv_pages)
+        reg_r = ua_r.register_mem(dst, recv_pages * PAGE_SIZE)
+        desc_r = Descriptor.recv([ua_r.segment(reg_r)])
+        ua_r.post_recv(vi_r, desc_r)
+        src = ua_s.task.mmap(2)
+        reg_s = ua_s.register_mem(src, 2 * PAGE_SIZE)
+        return cluster, san, ua_s, vi_s, vi_r, reg_s, desc_r
+
+    def _assert_clean(self, cluster, san, drained):
+        kernel, frames = drained
+        for frame in frames:
+            kernel.pagemap.put_page(frame)
+        for m in cluster.machines:
+            _assert_converged(m)
+        san.disarm()
+        assert san.violations == []
+
+    def test_responder_oom_completes_both_sides(self):
+        """First touch of the receive buffer finds no frame: the receive
+        completes in error and the reliable connection breaks, so the
+        sender's descriptor completes too."""
+        cluster, san, ua_s, vi_s, vi_r, reg_s, desc_r = self._setup()
+        drained = _drain_free_list(cluster[1].kernel)
+        desc_s = ua_s.send_bytes(vi_s, reg_s, b"x" * 64)
+        assert desc_s.status == VIP_ERROR_RESOURCE
+        assert desc_r.status == VIP_ERROR_RESOURCE
+        assert vi_s.state == ViState.ERROR
+        assert vi_r.state == ViState.ERROR
+        self._assert_clean(cluster, san, (cluster[1].kernel, drained))
+
+    def test_local_oom_completes_send(self):
+        """Posting from a never-touched ODP buffer with no free frame on
+        the sender: the send completes in error before anything reaches
+        the wire."""
+        cluster, san, ua_s, vi_s, vi_r, reg_s, desc_r = self._setup()
+        drained = _drain_free_list(cluster[0].kernel)
+        desc_s = Descriptor.send([ua_s.segment(reg_s)])
+        ua_s.post_send(vi_s, desc_s)
+        assert desc_s.status == VIP_ERROR_RESOURCE
+        assert desc_r.status == VIP_NOT_DONE
+        assert vi_s.state == ViState.ERROR
+        assert vi_r.state == ViState.CONNECTED
+        self._assert_clean(cluster, san, (cluster[0].kernel, drained))
+
+    def test_partial_fault_in_releases_its_pins(self):
+        """One free frame for a two-page receive: the first page pins,
+        the second cannot, and the first page's pin is released rather
+        than left where neither the TPT nor the eviction index names
+        it."""
+        cluster, san, ua_s, vi_s, vi_r, reg_s, desc_r = self._setup()
+        ua_s.task.touch_pages(reg_s.va, 2)
+        drained = _drain_free_list(cluster[1].kernel, leave=1)
+        desc_s = ua_s.send_bytes(vi_s, reg_s, b"x" * (2 * PAGE_SIZE))
+        assert desc_s.status == VIP_ERROR_RESOURCE
+        assert desc_r.status == VIP_ERROR_RESOURCE
+        assert vi_s.state == ViState.ERROR
+        assert vi_r.state == ViState.ERROR
+        self._assert_clean(cluster, san, (cluster[1].kernel, drained))
 
 
 # ------------------------------------------------------------ sanitizer mode
