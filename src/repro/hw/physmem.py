@@ -13,26 +13,38 @@ Addresses are ``(frame_number, offset)`` pairs or flat byte addresses
 
 from __future__ import annotations
 
+import mmap
+
 from repro.errors import BadPhysicalAddress
 
 #: Page size of the simulated machine — 4 KiB, the x86 page size the paper
 #: assumes throughout ("4kB since the primary target system is a x86 one").
 PAGE_SIZE = 4096
 
+#: one page of zeros, the source of every frame clear and tail pad
+_ZERO_PAGE = memoryview(bytes(PAGE_SIZE))
+
 
 class PhysicalMemory:
     """``num_frames`` page frames of :data:`PAGE_SIZE` bytes each.
 
-    Storage is one contiguous :class:`bytearray`; frame ``i`` occupies
-    bytes ``[i*PAGE_SIZE, (i+1)*PAGE_SIZE)``.  No access policy lives
-    here — policy is the kernel's and the NIC's job.
+    Storage is one private anonymous memory mapping; frame ``i``
+    occupies bytes ``[i*PAGE_SIZE, (i+1)*PAGE_SIZE)``.  The host OS
+    zero-fills the mapping and commits a host page only when a frame is
+    first written, so host memory follows the frames the simulation
+    touches rather than the frames installed — the same demand paging
+    the simulated kernel models.  ``MAP_PRIVATE`` keeps a host ``fork``
+    from sharing simulated RAM.  Every slice assignment here is
+    equal-length, as a mapping requires.  No access policy lives here —
+    policy is the kernel's and the NIC's job.
     """
 
     def __init__(self, num_frames: int) -> None:
         if num_frames <= 0:
             raise ValueError("need at least one page frame")
         self.num_frames = num_frames
-        self._mem = bytearray(num_frames * PAGE_SIZE)
+        self._mem = mmap.mmap(-1, num_frames * PAGE_SIZE,
+                              flags=mmap.MAP_PRIVATE)
 
     # -- validation ---------------------------------------------------------
 
@@ -59,7 +71,7 @@ class PhysicalMemory:
         """Return the full contents of ``frame``."""
         self._check_frame(frame)
         base = frame * PAGE_SIZE
-        return bytes(self._mem[base:base + PAGE_SIZE])
+        return self._mem[base:base + PAGE_SIZE]
 
     def write_frame(self, frame: int, data: bytes) -> None:
         """Overwrite the full contents of ``frame``.
@@ -74,13 +86,13 @@ class PhysicalMemory:
         self._mem[base:base + len(data)] = data
         if len(data) < PAGE_SIZE:
             self._mem[base + len(data):base + PAGE_SIZE] = \
-                bytes(PAGE_SIZE - len(data))
+                _ZERO_PAGE[len(data):]
 
     def zero_frame(self, frame: int) -> None:
         """Clear ``frame`` to all-zero bytes (demand-zero fault path)."""
         self._check_frame(frame)
         base = frame * PAGE_SIZE
-        self._mem[base:base + PAGE_SIZE] = bytes(PAGE_SIZE)
+        self._mem[base:base + PAGE_SIZE] = _ZERO_PAGE
 
     def copy_frame(self, src: int, dst: int) -> None:
         """Copy frame ``src`` over frame ``dst`` (COW fault path)."""
@@ -97,7 +109,7 @@ class PhysicalMemory:
         frame boundary."""
         self._check_span(frame, offset, length)
         base = frame * PAGE_SIZE + offset
-        return bytes(self._mem[base:base + length])
+        return self._mem[base:base + length]
 
     def write(self, frame: int, offset: int, data: bytes) -> None:
         """Write ``data`` at ``(frame, offset)``; must not cross the frame
@@ -119,11 +131,6 @@ class PhysicalMemory:
                 f"span [{addr:#x}, {addr + length:#x}) outside installed "
                 f"memory (0..{self.size_bytes:#x})")
 
-    def view(self, addr: int, length: int) -> memoryview:
-        """A read-only window onto ``[addr, addr+length)`` — no copy."""
-        self._check_flat_span(addr, length)
-        return memoryview(self._mem)[addr:addr + length].toreadonly()
-
     def read_iovec(self, iovec: list[tuple[int, int]]) -> bytes:
         """Gather-read ``(addr, length)`` spans into one ``bytes``.
 
@@ -135,7 +142,7 @@ class PhysicalMemory:
         if len(iovec) == 1:
             addr, length = iovec[0]
             self._check_flat_span(addr, length)
-            return bytes(memoryview(self._mem)[addr:addr + length])
+            return self._mem[addr:addr + length]
         total = sum(length for _, length in iovec)
         out = bytearray(total)
         mv_out = memoryview(out)

@@ -316,10 +316,7 @@ class MpiRank:
         desc = Descriptor.rdma_write(
             [DataSegment(sreg.handle, pending.va, pending.nbytes)],
             remote_handle=env.arg0, remote_va=env.arg1)
-        ep.ua.post_send(ep.vi, desc)
-        if desc.status != "VIP_SUCCESS":
-            raise ViaError(f"rendezvous RDMA failed: {desc.status}",
-                           status=desc.status)
+        ep.post(desc, "rendezvous RDMA")
         ep.cache.release(pending.va, pending.nbytes)
         fin = Envelope(KIND_FIN, self.index, env.tag, env.context,
                        pending.nbytes, env.seq)

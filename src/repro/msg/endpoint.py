@@ -103,9 +103,23 @@ class Endpoint:
             [DataSegment(self.staging_reg.handle, self._staging_va,
                          len(data))],
             immediate=immediate)
+        self.post(desc, "send")
+
+    def post(self, desc: Descriptor, what: str) -> None:
+        """Post ``desc`` on this endpoint's VI and reap its completion.
+
+        Whoever posts a send pops it off ``send_done``, so the queue
+        holds nothing between operations.  Raises :class:`ViaError` if
+        the popped completion is not ``desc`` or ``desc`` did not
+        succeed; ``what`` names the operation in the message."""
         self.ua.post_send(self.vi, desc)
+        done = self.ua.send_done(self.vi)
+        if done is not desc:
+            raise ViaError(f"{what}: reaped a completion for another "
+                           f"descriptor ({done.dtype.value}, "
+                           f"{done.status})")
         if desc.status != "VIP_SUCCESS":
-            raise ViaError(f"send failed: {desc.status}",
+            raise ViaError(f"{what} failed: {desc.status}",
                            status=desc.status)
 
     def recv_chunk(self) -> tuple[bytes, bytes | None]:

@@ -345,10 +345,7 @@ class RendezvousZeroCopyProtocol(Protocol):
         desc = Descriptor.rdma_write(
             [DataSegment(sreg.handle, src_va, nbytes)],
             remote_handle=rhandle, remote_va=rva)
-        sender.ua.post_send(sender.vi, desc)
-        if desc.status != "VIP_SUCCESS":
-            raise ViaError(f"RDMA write failed: {desc.status}",
-                           status=desc.status)
+        sender.post(desc, "RDMA write")
         self._crash(sender, "xfer.rdma_done")
 
         # FIN so the receiver knows the data landed.

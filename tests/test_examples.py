@@ -1,19 +1,24 @@
 """Smoke tests: every example must run to completion and produce its
 key output lines."""
 
+import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
-EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+EXAMPLES = ROOT / "examples"
+#: the examples import ``repro`` from the source tree, installed or not
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
 
 
 def run_example(name: str) -> str:
     proc = subprocess.run(
         [sys.executable, str(EXAMPLES / name)],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, timeout=300, env=ENV)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 

@@ -1,5 +1,10 @@
 """Tests for simulated physical memory."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro.errors import BadPhysicalAddress
@@ -83,14 +88,6 @@ class TestPhysicalMemory:
 
 
 class TestIovec:
-    def test_view_is_readonly(self):
-        pm = PhysicalMemory(2)
-        pm.write(0, 0, b"abc")
-        v = pm.view(0, 3)
-        assert bytes(v) == b"abc"
-        with pytest.raises(TypeError):
-            v[0] = 0
-
     def test_read_iovec_single_span_crosses_frames(self):
         """Unlike `read`, an iovec span may cross frame boundaries —
         physically-contiguous frames are one flat run of bytes."""
@@ -128,3 +125,48 @@ class TestIovec:
             pm.read_iovec([(PAGE_SIZE - 1, 2)])
         with pytest.raises(BadPhysicalAddress):
             pm.write_iovec([(PAGE_SIZE - 1, 2)], b"ab")
+
+
+class TestHostMemory:
+    """Simulated RAM costs host memory only once it is written."""
+
+    def test_installed_frames_commit_no_host_memory(self):
+        # A fresh interpreter, so the peak RSS is this test's alone.
+        script = textwrap.dedent("""
+            import resource
+            from repro.hw.physmem import PhysicalMemory
+            def rss_kib():
+                return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            before = rss_kib()
+            pm = PhysicalMemory(65536)          # 256 MiB installed
+            for frame in range(0, 65536, 4096):
+                pm.write_frame(frame, b"x" * 4096)
+            print(rss_kib() - before)
+        """)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert int(out.stdout) < 32 * 1024
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_does_not_share_frames(self):
+        pm = PhysicalMemory(2)
+        pm.write_frame(1, b"parent")
+        pid = os.fork()
+        if pid == 0:   # child: scribble over the frame and leave at once
+            pm.write_frame(1, b"child!")
+            os._exit(0 if pm.read(1, 0, 6) == b"child!" else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.WEXITSTATUS(status) == 0
+        assert pm.read(1, 0, 6) == b"parent"
+
+    def test_unwritten_frames_read_as_zeros(self):
+        pm = PhysicalMemory(4)
+        pm.write_frame(1, b"\xff" * PAGE_SIZE)
+        zeros = bytes(PAGE_SIZE)
+        for frame in (0, 2, 3):
+            assert pm.read_frame(frame) == zeros
+            assert pm.read(frame, 10, 20) == bytes(20)
+        assert pm.read_iovec([(2 * PAGE_SIZE, 2 * PAGE_SIZE)]) == zeros * 2
+        assert pm.read_iovec([(0, 8), (3 * PAGE_SIZE + 5, 8)]) == bytes(16)

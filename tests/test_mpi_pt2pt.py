@@ -187,6 +187,27 @@ class TestRequests:
         r1.recv(0, 81, bufs[1], 64)
 
 
+class TestCompletionReaping:
+    def test_ping_pong_leaves_no_completions(self):
+        """Eager and rendezvous sends both reap what they post."""
+        world = MpiWorld(2, num_frames=2048, eager_threshold=16 * 1024)
+        vas = []
+        for r in world.ranks:
+            va = r.task.mmap(8)
+            r.task.touch_pages(va, 8)
+            vas.append(va)
+        r0, r1 = world.rank(0), world.rank(1)
+        for size in (64, 4 * PAGE_SIZE, 8 * PAGE_SIZE):   # 32 KiB > 16 KiB
+            r0.isend(1, 5, vas[0], size)
+            r1.recv(0, 5, vas[1], size)
+            r1.isend(0, 6, vas[1], size)
+            r0.recv(1, 6, vas[0], size)
+        assert r0.eager_sent and r0.rendezvous_sent
+        for rank in world.ranks:
+            for ep in rank.endpoints.values():
+                assert not ep.vi.send_done
+
+
 class TestValidation:
     def test_self_send_rejected(self, world, bufs):
         with pytest.raises(ViaError):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import ViaError
 from repro.hw.physmem import PAGE_SIZE
 from repro.msg.endpoint import Endpoint, make_pair
 from repro.msg.mpi_like import MpiPair
@@ -10,6 +11,7 @@ from repro.msg.protocols import (
     EagerProtocol, PioProtocol, RendezvousCopyProtocol,
     RendezvousZeroCopyProtocol,
 )
+from repro.via.descriptor import DataSegment, Descriptor
 from repro.via.machine import Cluster
 
 
@@ -173,6 +175,39 @@ class TestEndpointMechanics:
         cluster, s, r = pair
         s.send_control(b"hello-control")
         assert r.recv_control() == b"hello-control"
+
+
+class TestCompletionReaping:
+    """Whoever posts a send pops its completion: ``send_done`` holds
+    nothing between operations, however long a run goes."""
+
+    def test_send_chunk_loop_leaves_no_completions(self, pair):
+        cluster, s, r = pair
+        for i in range(40):
+            s.send_chunk(b"chunk %d" % i)
+            assert r.recv_chunk()[0] == b"chunk %d" % i
+        assert not s.vi.send_done and not r.vi.send_done
+
+    def test_zero_copy_loop_leaves_no_completions(self, pair, rng):
+        cluster, s, r = pair
+        size = 3 * PAGE_SIZE + 5
+        src, dst = alloc_buffers(s, r, size)
+        s.task.write(src, payload_bytes(rng, size))
+        proto = RendezvousZeroCopyProtocol(use_cache=True)
+        for _ in range(10):
+            assert proto.transfer(s, r, src, dst, size).ok
+        assert not s.vi.send_done and not r.vi.send_done
+
+    def test_stray_completion_is_never_skipped(self, pair):
+        cluster, s, r = pair
+        stray = Descriptor.send([])
+        s.vi.send_done.appendleft(stray)
+        desc = Descriptor.send([DataSegment(s.staging_reg.handle,
+                                            s.staging_reg.va, 4)])
+        with pytest.raises(ViaError, match="probe"):
+            s.post(desc, "probe")
+        # the stray was consumed and reported, not passed over
+        assert s.vi.send_done[0] is desc
 
 
 class TestMpiPair:
