@@ -78,6 +78,8 @@ bench-quick:
 tables:
 	$(PY) -m pytest benchmarks/ -s
 
+# The examples import ``repro`` from the source tree, installed or not.
+examples: export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 examples:
 	$(PY) examples/quickstart.py
 	$(PY) examples/locktest_swapping.py

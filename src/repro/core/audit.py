@@ -258,21 +258,16 @@ class InvariantWatchdog:
     deadline realigns from the current time.
     """
 
-    def __init__(self, *, interval_ns: int = 1_000_000,
-                 check_kernel: bool = True,
-                 check_tpt: bool = True,
-                 check_pins: bool = True) -> None:
+    def __init__(self, *, interval_ns: int = 1_000_000) -> None:
         self.interval_ns = interval_ns
-        self.check_kernel = check_kernel
-        self.check_tpt = check_tpt
-        self.check_pins = check_pins
         self.checks_run = 0
         self.violations = 0
         self.armed = False
         self._pairs: list[tuple] = []     #: (kernel, [agents])
         self._in_check = False
-        #: one mutable cell per cadence chain holding its pending event
-        self._cadences: list[list] = []
+        #: one ``(clock, cell)`` per cadence chain; the mutable cell
+        #: holds the chain's pending event
+        self._cadences: list[tuple] = []
 
     # --------------------------------------------------------------- arming
 
@@ -306,13 +301,13 @@ class InvariantWatchdog:
 
         cell[0] = clock.schedule_after(
             self.interval_ns, fire, name="watchdog.cadence")
-        self._cadences.append(cell)
+        self._cadences.append((clock, cell))
 
     def disarm(self) -> None:
         """Stop all sampling."""
-        for cell in self._cadences:
+        for clock, cell in self._cadences:
             if cell[0] is not None:
-                cell[0].cancel()
+                clock.cancel(cell[0])
         self._cadences.clear()
         for kernel, _ in self._pairs:
             while self in kernel.notifiers:
@@ -330,7 +325,7 @@ class InvariantWatchdog:
     # -------------------------------------------------------------- checking
 
     def check(self, boundary: str = "manual") -> None:
-        """Run every enabled audit over every armed pair now."""
+        """Run all three audits over every armed pair now."""
         if self._in_check:
             return
         self._in_check = True
@@ -342,29 +337,26 @@ class InvariantWatchdog:
 
     def _check_one(self, kernel, agents, boundary: str) -> None:
         self.checks_run += 1
-        if self.check_kernel:
-            try:
-                audit_kernel_invariants(kernel)
-            except PageAccountingError as exc:
-                raise self._violation(
-                    "kernel", kernel, boundary, str(exc)) from exc
+        try:
+            audit_kernel_invariants(kernel)
+        except PageAccountingError as exc:
+            raise self._violation(
+                "kernel", kernel, boundary, str(exc)) from exc
         for agent in agents:
-            if self.check_tpt:
-                stale = audit_tpt_consistency(agent)
-                if stale:
-                    raise self._violation(
-                        "stale_tpt", kernel, boundary,
-                        f"{len(stale)} stale TPT entries",
-                        stale=[asdict(s) for s in stale])
-        if self.check_pins:
-            # count_kiobufs: a cadence sample can land mid-registration,
-            # where the pin exists but the record does not yet.
-            leaks = audit_pin_leaks(kernel, *agents, count_kiobufs=True)
-            if leaks:
+            stale = audit_tpt_consistency(agent)
+            if stale:
                 raise self._violation(
-                    "pin_leak", kernel, boundary,
-                    f"{len(leaks)} leaked pins",
-                    leaks=[asdict(leak) for leak in leaks])
+                    "stale_tpt", kernel, boundary,
+                    f"{len(stale)} stale TPT entries",
+                    stale=[asdict(s) for s in stale])
+        # count_kiobufs: a cadence sample can land mid-registration,
+        # where the pin exists but the record does not yet.
+        leaks = audit_pin_leaks(kernel, *agents, count_kiobufs=True)
+        if leaks:
+            raise self._violation(
+                "pin_leak", kernel, boundary,
+                f"{len(leaks)} leaked pins",
+                leaks=[asdict(leak) for leak in leaks])
 
     def _violation(self, kind: str, kernel, boundary: str,
                    detail: str, **extra) -> InvariantViolation:

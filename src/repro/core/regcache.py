@@ -91,19 +91,20 @@ class CacheStats:
         return self.hits / total if total else 0.0
 
 
+#: how many times a failing registration is tried when there is
+#: nothing left to evict (transient VIP_ERROR_RESOURCE)
+MAX_REGISTER_ATTEMPTS = 3
+
+
 class RegistrationCache:
     """LRU cache of registrations for one (agent, task) pair."""
 
     def __init__(self, agent: "KernelAgent", task: "Task",
-                 max_pages: int | None = None,
-                 max_register_attempts: int = 3) -> None:
+                 max_pages: int | None = None) -> None:
         self.agent = agent
         self.task = task
         #: page budget; None = bounded only by the TPT
         self.max_pages = max_pages
-        #: how many times a failing registration is retried when there
-        #: is nothing left to evict (transient VIP_ERROR_RESOURCE)
-        self.max_register_attempts = max_register_attempts
         #: entries in LRU order: oldest acquire first (acquire moves an
         #: entry to the hot end; release does not change recency)
         self._entries: OrderedDict[tuple[int, int, int, bool, bool],
@@ -119,19 +120,18 @@ class RegistrationCache:
         # unused entries (tenant-local first) instead of denying.
         agent.tenants.attach_cache(self)
 
-    def _publish_stats(self, obs) -> None:
-        """Bridge :class:`CacheStats` into the metrics registry (called
-        only when observability is enabled)."""
-        stats = self.stats
+    @staticmethod
+    def _count(obs, stat: str) -> None:
+        """Add one to the ``core.regcache.<stat>`` counter (callers check
+        ``obs.enabled``).  Every cache sharing ``obs`` adds to the same
+        counters, so the hit rate is derived from their totals rather
+        than from one cache's :class:`CacheStats`."""
         metrics = obs.metrics
-        metrics.counter("core.regcache.hits").value = stats.hits
-        metrics.counter("core.regcache.misses").value = stats.misses
-        metrics.counter("core.regcache.evictions").value = stats.evictions
-        metrics.counter("core.regcache.retries").value = stats.retries
-        metrics.counter("core.regcache.capacity_failures").value = \
-            stats.capacity_failures
-        metrics.gauge("core.regcache.hit_rate").set(stats.hit_rate)
-        metrics.gauge("core.regcache.cached_pages").set(self._pages_total)
+        metrics.counter(f"core.regcache.{stat}").inc()
+        hits = metrics.counter("core.regcache.hits").value
+        lookups = hits + metrics.counter("core.regcache.misses").value
+        if lookups:
+            metrics.gauge("core.regcache.hit_rate").set(hits / lookups)
 
     # -- internals -----------------------------------------------------------
 
@@ -196,6 +196,9 @@ class RegistrationCache:
         self._index_remove(victim)
         self.agent.deregister_memory(victim.registration.handle)
         self.stats.evictions += 1
+        obs = self.agent.kernel.obs
+        if obs.enabled:
+            self._count(obs, "evictions")
         return True
 
     # -- interface -------------------------------------------------------------
@@ -207,6 +210,7 @@ class RegistrationCache:
         Pair every acquire with a :meth:`release` of the same range.
         """
         self._tick += 1
+        obs = self.agent.kernel.obs
         entry = self._find_covering(va, nbytes, rdma_write, rdma_read)
         if entry is not None:
             entry.users += 1
@@ -214,12 +218,13 @@ class RegistrationCache:
             entry.last_use = self._tick
             self._entries.move_to_end(entry.key)
             self.stats.hits += 1
-            obs = self.agent.kernel.obs
             if obs.enabled:
-                self._publish_stats(obs)
+                self._count(obs, "hits")
             return entry.registration
 
         self.stats.misses += 1
+        if obs.enabled:
+            self._count(obs, "misses")
         base, length = aligned_range(va, nbytes)
         want_pages = length // PAGE_SIZE
         if self.max_pages is not None:
@@ -239,26 +244,27 @@ class RegistrationCache:
                 # Resource pressure: shed an unused cached entry (freeing
                 # TPT capacity *and* pinned pages) and retry.  When
                 # nothing is evictable the failure may still be
-                # transient, so retry up to max_register_attempts times
+                # transient, so try up to MAX_REGISTER_ATTEMPTS times
                 # before surfacing it.
                 attempts += 1
                 evicted = self._evict_one()
-                retry = evicted or attempts < self.max_register_attempts
+                retry = evicted or attempts < MAX_REGISTER_ATTEMPTS
                 self.agent.kernel.trace.emit(
                     "regcache_retry", pid=self.task.pid, va=base,
                     nbytes=length, attempt=attempts, evicted=evicted,
                     giving_up=not retry)
                 if not retry:
                     self.stats.capacity_failures += 1
+                    if obs.enabled:
+                        self._count(obs, "capacity_failures")
                     raise
                 self.stats.retries += 1
+                if obs.enabled:
+                    self._count(obs, "retries")
         entry = CacheEntry(registration=reg, users=1, last_use=self._tick,
                            rdma_write=rdma_write, rdma_read=rdma_read)
         self._entries[entry.key] = entry
         self._index_add(entry)
-        obs = self.agent.kernel.obs
-        if obs.enabled:
-            self._publish_stats(obs)
         return reg
 
     def release(self, va: int, nbytes: int) -> None:
@@ -279,6 +285,7 @@ class RegistrationCache:
         underneath the cache — are purged as pure bookkeeping, without a
         kernel call and without counting toward the released total.
         Returns pinned pages actually released."""
+        obs = self.agent.kernel.obs
         freed = 0
         for key in list(self._entries):
             if target_pages is not None and freed >= target_pages:
@@ -292,6 +299,8 @@ class RegistrationCache:
             if handle in self.agent.registrations:
                 self.agent.deregister_memory(handle)
                 self.stats.evictions += 1
+                if obs.enabled:
+                    self._count(obs, "evictions")
                 freed += entry.registration.region.npages
         return freed
 

@@ -44,7 +44,6 @@ class Kernel:
                  seed: int = 0,
                  min_free_pages: int = 8,
                  reserved_frames: int = 4,
-                 trace_maxlen: int = 65536,
                  clock: SimClock | None = None,
                  trace: Trace | None = None) -> None:
         self.costs = costs if costs is not None else CostModel()
@@ -52,8 +51,7 @@ class Kernel:
         # across several machines: a cluster measures end-to-end latency
         # on one timeline and rolls its metrics into one snapshot.
         self.clock = clock if clock is not None else SimClock()
-        self.trace = trace if trace is not None else Trace(
-            self.clock, maxlen=trace_maxlen)
+        self.trace = trace if trace is not None else Trace(self.clock)
         self.obs = self.trace.obs
         # The analysis event stream is always per-kernel (frame numbers
         # and pids are host-local, so a shared hub would alias them);
@@ -225,12 +223,10 @@ class Kernel:
                     f"(free={self.pagemap.free_count})") from None
             return self.pagemap.alloc(tag=tag)
 
-    def apply_pressure(self, target_free: int = 0) -> int:
-        """Force reclaim until at most ``target_free`` extra frames could
-        be freed — a direct handle for tests that want pressure without
-        an allocator task."""
-        return paging.try_to_free_pages(
-            self, max(1, self.pagemap.free_count + 1 + target_free))
+    def apply_pressure(self) -> int:
+        """Force reclaim of one frame more than is free — a direct
+        handle for tests that want pressure without an allocator task."""
+        return paging.try_to_free_pages(self, self.pagemap.free_count + 1)
 
     # ------------------------------------------------------------- mmap/munmap
 
@@ -382,8 +378,7 @@ class Kernel:
 
     # ----------------------------------------------- get/pin_user_pages
 
-    def pin_user_page(self, task: Task, vpn: int, write: bool = True,
-                      charge_tag: str = "odp") -> int:
+    def pin_user_page(self, task: Task, vpn: int, write: bool = True) -> int:
         """Fault one user page in and pin it — the audited
         ``pin_user_pages``-style entry point the ODP fault service uses.
 
@@ -396,17 +391,16 @@ class Kernel:
             pte = fault_in(self, task, vpn, write=write)
         pd = self.pagemap.get_page(pte.frame)
         pd.pin()
-        self.clock.charge(self.costs.page_lock_ns, charge_tag)
+        self.clock.charge(self.costs.page_lock_ns, "odp")
         if self.events.active:
             self.events.emit(PIN, frames=(pte.frame,), pid=task.pid)
         return pte.frame
 
-    def unpin_user_page(self, frame: int, pid: int,
-                        charge_tag: str = "odp") -> None:
+    def unpin_user_page(self, frame: int, pid: int) -> None:
         """Drop one (reference, pin) pair taken by :meth:`pin_user_page`."""
         pd = self.pagemap.page(frame)
         pd.unpin()
-        self.clock.charge(self.costs.page_lock_ns, charge_tag)
+        self.clock.charge(self.costs.page_lock_ns, "odp")
         self.pagemap.put_page(frame)
         if self.events.active:
             self.events.emit(UNPIN, frames=(frame,), pid=pid)

@@ -119,12 +119,10 @@ class OrphanReaper:
         self._backoff: dict[tuple, _Backoff] = {}
         self._next_due_ns = 0
         self._in_scan = False
-        #: pending calendar event, if any
+        #: pending calendar event, if any; :meth:`stop` cancels exactly
+        #: this one, so one host's teardown on a shared cluster clock
+        #: never touches another host's daemon
         self._event: ScheduledEvent | None = None
-        #: calendar-shard label: all of this reaper's events carry it,
-        #: so one host's teardown on a shared cluster clock cancels only
-        #: its own daemon (SimClock.cancel_shard).
-        self.shard = f"reaper@{id(kernel):#x}"
         # try_to_free_pages drafts the attached reaper directly.
         kernel.reaper = self
 
@@ -140,14 +138,13 @@ class OrphanReaper:
         """
         if self._event is None or not self._event.pending:
             self._event = self.kernel.clock.schedule_after(
-                self.interval_ns, self._on_event,
-                name="reaper.cadence", shard=self.shard)
+                self.interval_ns, self._on_event, name="reaper.cadence")
         return self
 
     def stop(self) -> None:
         """Stop the periodic scans (manual ``scan()`` still works)."""
         if self._event is not None:
-            self._event.cancel()
+            self.kernel.clock.cancel(self._event)
             self._event = None
 
     def _on_event(self, now_ns: int) -> None:
@@ -167,8 +164,7 @@ class OrphanReaper:
             self.scan()     # sets _next_due_ns = now + interval_ns
         deadline = max(self._next_due_ns, clock.now_ns + 1)
         self._event = clock.schedule_at(
-            deadline, self._on_event,
-            name="reaper.cadence", shard=self.shard)
+            deadline, self._on_event, name="reaper.cadence")
 
     def run_if_due(self) -> ReaperReport | None:
         """Scan iff the cadence interval has elapsed since the last scan."""

@@ -81,7 +81,6 @@ class _PendingRdvRecv:
     source: int
     va: int
     nbytes: int
-    cached: bool
 
 
 class MpiRank:
@@ -224,7 +223,7 @@ class MpiRank:
         ep = self.endpoints[msg.source]
         reg = ep.cache.acquire(req.va, msg.nbytes, rdma_write=True)
         self._pending_rdv_recvs[(msg.source, msg.seq)] = _PendingRdvRecv(
-            req, msg.source, req.va, msg.nbytes, cached=True)
+            req, msg.source, req.va, msg.nbytes)
         env = Envelope(KIND_CTS, self.index, msg.tag, msg.context,
                        msg.nbytes, msg.seq, arg0=reg.handle,
                        arg1=req.va)
@@ -334,8 +333,7 @@ class MpiRank:
                 f"rank {self.index}: FIN for unknown rendezvous "
                 f"seq {env.seq}")
         ep = self.endpoints[pending.source]
-        if pending.cached:
-            ep.cache.release(pending.va, pending.nbytes)
+        ep.cache.release(pending.va, pending.nbytes)
         pending.request.complete(
             Status(pending.source, env.tag, pending.nbytes))
 

@@ -111,7 +111,25 @@ class Protocol(abc.ABC):
                 metrics.counter("msg.transfers_corrupt").inc()
         return result
 
-    # -- verification shared by protocols ------------------------------------
+    # -- steps shared by protocols -------------------------------------------
+
+    def _copy_through_bounce(self, sender: Endpoint, receiver: Endpoint,
+                             src_va: int, dst_va: int, nbytes: int,
+                             result: TransferResult) -> None:
+        """Move the payload chunk by chunk through the preregistered
+        bounce buffers — one CPU copy on the receive side — then
+        verify it."""
+        offset = 0
+        while offset < nbytes:
+            n = min(Endpoint.CHUNK, nbytes - offset)
+            data = sender.task.read(src_va + offset, n)
+            sender.send_chunk(data)
+            payload, _ = receiver.recv_chunk()
+            receiver.task.write(dst_va + offset, payload)
+            receiver.copies_bytes += len(payload)
+            offset += n
+        self._verify(sender, receiver, src_va, dst_va, nbytes, result)
+
 
     @staticmethod
     def _verify(sender: Endpoint, receiver: Endpoint, src_va: int,
@@ -133,119 +151,12 @@ class Protocol(abc.ABC):
                 result.notes.append("payload mismatch in tail")
 
 
-class EagerProtocol(Protocol):
-    """Copy through bounce buffers, chunk by chunk."""
-
-    name = "eager"
-
-    def _transfer(self, sender: Endpoint, receiver: Endpoint,
-                  src_va: int, dst_va: int, nbytes: int,
-                  result: TransferResult) -> None:
-        offset = 0
-        while offset < nbytes:
-            n = min(Endpoint.CHUNK, nbytes - offset)
-            data = sender.task.read(src_va + offset, n)
-            sender.send_chunk(data)
-            payload, _ = receiver.recv_chunk()
-            receiver.task.write(dst_va + offset, payload)
-            receiver.copies_bytes += len(payload)
-            offset += n
-        self._verify(sender, receiver, src_va, dst_va, nbytes, result)
-
-
-class RendezvousCopyProtocol(Protocol):
-    """RTS/CTS handshake, data through bounce buffers, one receive copy."""
-
-    name = "rendezvous-copy"
-
-    def _transfer(self, sender: Endpoint, receiver: Endpoint,
-                  src_va: int, dst_va: int, nbytes: int,
-                  result: TransferResult) -> None:
-        sender.send_control(_RTS.pack(b"RTS!", nbytes, 1))
-        rts = receiver.recv_control()
-        magic, size, _ = _RTS.unpack(rts)
-        assert magic == b"RTS!" and size == nbytes
-        receiver.send_control(_CTS.pack(b"CTS!", 0, 0, 1))
-        cts = sender.recv_control()
-        assert _CTS.unpack(cts)[0] == b"CTS!"
-        offset = 0
-        while offset < nbytes:
-            n = min(Endpoint.CHUNK, nbytes - offset)
-            data = sender.task.read(src_va + offset, n)
-            sender.send_chunk(data)
-            payload, _ = receiver.recv_chunk()
-            receiver.task.write(dst_va + offset, payload)
-            receiver.copies_bytes += len(payload)
-            offset += n
-        self._verify(sender, receiver, src_va, dst_va, nbytes, result)
-
-
-class PioProtocol(Protocol):
-    """Programmed-I/O transfer — the SCI shared-memory baseline.
-
-    The sender's **CPU** stores the payload directly into the receiver's
-    exported (registered, RDMA-write-enabled) buffer through a mapped
-    window: minimal latency, but the CPU is busy for the whole transfer
-    — the companion papers' "the CPU participates actively on the data
-    transfer" case whose cost motivates protected user-level DMA.
-
-    Implemented over the same TPT translation the NIC uses (an imported
-    window is exactly a remote translation), with the transfer time
-    charged to the CPU-busy ``pio`` category.
-    """
-
-    name = "pio"
+class _UserBufferProtocol(Protocol):
+    """A protocol that registers user buffers on the critical path,
+    through the endpoint's registration cache or directly."""
 
     def __init__(self, use_cache: bool = True) -> None:
         self.use_cache = use_cache
-
-    def _transfer(self, sender: Endpoint, receiver: Endpoint,
-                  src_va: int, dst_va: int, nbytes: int,
-                  result: TransferResult) -> None:
-        kernel_r = receiver.machine.kernel
-        clock = sender.machine.kernel.clock
-        costs = sender.machine.kernel.costs
-        # The receiver exports its buffer (registration pins it so the
-        # window's physical pages cannot move — same requirement as DMA).
-        if self.use_cache:
-            hits0 = receiver.cache.stats.hits
-            rreg = receiver.cache.acquire(dst_va, nbytes, rdma_write=True)
-            if receiver.cache.stats.hits > hits0:
-                result.cache_hits += 1
-            else:
-                result.registrations += 1
-        else:
-            rreg = receiver.ua.register_mem(dst_va, nbytes,
-                                            rdma_write=True)
-            result.registrations += 1
-        # The NIC-level wrapper (not tpt.translate directly) so an ODP
-        # registration's first touch fault-services instead of failing.
-        segs = receiver.machine.nic._tpt_translate(
-            rreg.handle, dst_va, nbytes, rreg.region.prot_tag,
-            rdma_write=True)
-        # CPU-driven stores: first-word latency plus streaming cost.
-        # The stores land through the translated window as one iovec —
-        # no per-page slicing of the payload.
-        payload = sender.task.read(src_va, nbytes)
-        clock.charge(costs.pio_word_ns, "pio")
-        clock.charge(int(costs.pio_stream_per_byte_ns * nbytes), "pio")
-        clock.charge(costs.nic_wire_latency_ns, "wire")
-        kernel_r.phys.write_iovec(segs, payload)
-        if not self.use_cache:
-            receiver.ua.deregister_mem(rreg)
-        else:
-            receiver.cache.release(dst_va, nbytes)
-        self._verify(sender, receiver, src_va, dst_va, nbytes, result)
-
-
-class RendezvousZeroCopyProtocol(Protocol):
-    """RTS → receiver registers user buffer → CTS(handle) → sender RDMA
-    writes → FIN.  Dynamic registration on the critical path."""
-
-    def __init__(self, use_cache: bool = True) -> None:
-        self.use_cache = use_cache
-        self.name = ("rendezvous-zerocopy+cache" if use_cache
-                     else "rendezvous-zerocopy")
 
     def _register(self, ep: Endpoint, va: int, nbytes: int,
                   result: TransferResult, **attrs):
@@ -268,6 +179,90 @@ class RendezvousZeroCopyProtocol(Protocol):
         else:
             ep.ua.deregister_mem(reg)
 
+
+class EagerProtocol(Protocol):
+    """Copy through bounce buffers, chunk by chunk."""
+
+    name = "eager"
+
+    def _transfer(self, sender: Endpoint, receiver: Endpoint,
+                  src_va: int, dst_va: int, nbytes: int,
+                  result: TransferResult) -> None:
+        self._copy_through_bounce(sender, receiver, src_va, dst_va,
+                                  nbytes, result)
+
+
+class RendezvousCopyProtocol(Protocol):
+    """RTS/CTS handshake, data through bounce buffers, one receive copy."""
+
+    name = "rendezvous-copy"
+
+    def _transfer(self, sender: Endpoint, receiver: Endpoint,
+                  src_va: int, dst_va: int, nbytes: int,
+                  result: TransferResult) -> None:
+        sender.send_control(_RTS.pack(b"RTS!", nbytes, 1))
+        rts = receiver.recv_control()
+        magic, size, _ = _RTS.unpack(rts)
+        assert magic == b"RTS!" and size == nbytes
+        receiver.send_control(_CTS.pack(b"CTS!", 0, 0, 1))
+        cts = sender.recv_control()
+        assert _CTS.unpack(cts)[0] == b"CTS!"
+        self._copy_through_bounce(sender, receiver, src_va, dst_va,
+                                  nbytes, result)
+
+
+class PioProtocol(_UserBufferProtocol):
+    """Programmed-I/O transfer — the SCI shared-memory baseline.
+
+    The sender's **CPU** stores the payload directly into the receiver's
+    exported (registered, RDMA-write-enabled) buffer through a mapped
+    window: minimal latency, but the CPU is busy for the whole transfer
+    — the companion papers' "the CPU participates actively on the data
+    transfer" case whose cost motivates protected user-level DMA.
+
+    Implemented over the same TPT translation the NIC uses (an imported
+    window is exactly a remote translation), with the transfer time
+    charged to the CPU-busy ``pio`` category.
+    """
+
+    name = "pio"
+
+    def _transfer(self, sender: Endpoint, receiver: Endpoint,
+                  src_va: int, dst_va: int, nbytes: int,
+                  result: TransferResult) -> None:
+        kernel_r = receiver.machine.kernel
+        clock = sender.machine.kernel.clock
+        costs = sender.machine.kernel.costs
+        # The receiver exports its buffer (registration pins it so the
+        # window's physical pages cannot move — same requirement as DMA).
+        rreg, cached = self._register(receiver, dst_va, nbytes, result,
+                                      rdma_write=True)
+        # The NIC-level wrapper (not tpt.translate directly) so an ODP
+        # registration's first touch fault-services instead of failing.
+        segs = receiver.machine.nic._tpt_translate(
+            rreg.handle, dst_va, nbytes, rreg.region.prot_tag,
+            rdma_write=True)
+        # CPU-driven stores: first-word latency plus streaming cost.
+        # The stores land through the translated window as one iovec —
+        # no per-page slicing of the payload.
+        payload = sender.task.read(src_va, nbytes)
+        clock.charge(costs.pio_word_ns, "pio")
+        clock.charge(int(costs.pio_stream_per_byte_ns * nbytes), "pio")
+        clock.charge(costs.nic_wire_latency_ns, "wire")
+        kernel_r.phys.write_iovec(segs, payload)
+        self._release(receiver, rreg, cached, dst_va, nbytes)
+        self._verify(sender, receiver, src_va, dst_va, nbytes, result)
+
+
+class RendezvousZeroCopyProtocol(_UserBufferProtocol):
+    """RTS → receiver registers user buffer → CTS(handle) → sender RDMA
+    writes → FIN.  Dynamic registration on the critical path."""
+
+    def __init__(self, use_cache: bool = True) -> None:
+        super().__init__(use_cache)
+        self.name = ("rendezvous-zerocopy+cache" if use_cache
+                     else "rendezvous-zerocopy")
+
     def _degrade_to_copy(self, sender: Endpoint, receiver: Endpoint,
                          src_va: int, dst_va: int, nbytes: int,
                          result: TransferResult, exc: ViaError,
@@ -289,16 +284,8 @@ class RendezvousZeroCopyProtocol(Protocol):
         else:
             sender.send_control(_CPY.pack(b"CPY!", 1))
             assert _CPY.unpack(receiver.recv_control())[0] == b"CPY!"
-        offset = 0
-        while offset < nbytes:
-            n = min(Endpoint.CHUNK, nbytes - offset)
-            data = sender.task.read(src_va + offset, n)
-            sender.send_chunk(data)
-            payload, _ = receiver.recv_chunk()
-            receiver.task.write(dst_va + offset, payload)
-            receiver.copies_bytes += len(payload)
-            offset += n
-        self._verify(sender, receiver, src_va, dst_va, nbytes, result)
+        self._copy_through_bounce(sender, receiver, src_va, dst_va,
+                                  nbytes, result)
 
     @staticmethod
     def _crash(ep: Endpoint, point: str) -> None:

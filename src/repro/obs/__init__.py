@@ -52,12 +52,11 @@ class Observability:
     dropped by :meth:`reset`).
     """
 
-    def __init__(self, clock, enabled: bool = False,
-                 span_maxlen: int = 65536) -> None:
+    def __init__(self, clock) -> None:
         self.clock = clock
-        self.enabled = enabled
+        self.enabled = False
         self.metrics = MetricsRegistry()
-        self.spans = SpanRecorder(clock, maxlen=span_maxlen)
+        self.spans = SpanRecorder(clock)
         #: snapshot-time collectors (see :meth:`add_collector`)
         self._collectors: list = []
 

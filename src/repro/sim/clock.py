@@ -92,23 +92,20 @@ class CalendarHook:
 class ScheduledEvent:
     """Handle for one entry in the event calendar.
 
-    Returned by :meth:`SimClock.schedule_at`; the only supported
-    operations are :meth:`cancel` and reading :attr:`pending`.  Handles
-    outlive :meth:`SimClock.reset`: a stale handle is simply no longer
-    pending and its ``cancel()`` is a no-op.
+    Returned by :meth:`SimClock.schedule_at`; cancel it with
+    :meth:`SimClock.cancel` and read :attr:`pending`.  Handles outlive
+    :meth:`SimClock.reset`: a stale handle is simply no longer pending
+    and cancelling it is a no-op.
     """
 
-    __slots__ = ("deadline_ns", "seq", "fn", "name", "shard", "_fired",
-                 "_cancelled")
+    __slots__ = ("deadline_ns", "seq", "fn", "name", "_fired", "_cancelled")
 
     def __init__(self, deadline_ns: int, seq: int,
-                 fn: Callable[[int], None], name: str, shard: str | None,
-                 ) -> None:
+                 fn: Callable[[int], None], name: str) -> None:
         self.deadline_ns = deadline_ns
         self.seq = seq
         self.fn = fn
         self.name = name
-        self.shard = shard
         self._fired = False
         self._cancelled = False
 
@@ -117,17 +114,6 @@ class ScheduledEvent:
         """True while the event is scheduled and neither fired nor
         cancelled."""
         return not (self._fired or self._cancelled)
-
-    def cancel(self) -> bool:
-        """Tombstone the event; returns True if it was still pending.
-
-        O(1): the heap entry stays put and is discarded when it
-        surfaces (or during compaction).
-        """
-        if self._fired or self._cancelled:
-            return False
-        self._cancelled = True
-        return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = ("fired" if self._fired
@@ -267,8 +253,7 @@ class SimClock:
     # -- the event calendar ------------------------------------------------
 
     def schedule_at(self, deadline_ns: int, fn: Callable[[int], None],
-                    *, name: str = "", shard: str | None = None,
-                    ) -> ScheduledEvent:
+                    *, name: str = "") -> ScheduledEvent:
         """Schedule ``fn(now_ns)`` to run once the clock reaches
         ``deadline_ns``.
 
@@ -279,16 +264,13 @@ class SimClock:
         or before the current time fires on the next non-frozen, nonzero
         charge, never synchronously inside ``schedule_at``.
 
-        ``name`` labels the event for diagnostics; ``shard`` groups
-        events for bulk cancellation (see :meth:`cancel_shard`) — per-
-        kernel daemons on a shared cluster clock tag their events with a
-        machine shard so one host's teardown never touches another's.
+        ``name`` labels the event for diagnostics.
         """
         if deadline_ns < 0:
             raise ValueError(f"cannot schedule in negative time: "
                              f"{deadline_ns}")
         self._seq += 1
-        event = ScheduledEvent(deadline_ns, self._seq, fn, name, shard)
+        event = ScheduledEvent(deadline_ns, self._seq, fn, name)
         seed = self._tiebreak_seed
         key = 0 if seed is None else tiebreak_key(seed, self._seq)
         heapq.heappush(self._events, (deadline_ns, key, self._seq, event))
@@ -298,51 +280,39 @@ class SimClock:
         return event
 
     def schedule_after(self, delay_ns: int, fn: Callable[[int], None],
-                       *, name: str = "", shard: str | None = None,
-                       ) -> ScheduledEvent:
+                       *, name: str = "") -> ScheduledEvent:
         """Schedule ``fn`` to run ``delay_ns`` from now (see
         :meth:`schedule_at`)."""
         if delay_ns < 0:
             raise ValueError(f"cannot schedule in negative time: {delay_ns}")
-        return self.schedule_at(self._now_ns + delay_ns, fn,
-                                name=name, shard=shard)
+        return self.schedule_at(self._now_ns + delay_ns, fn, name=name)
 
     def cancel(self, event: ScheduledEvent) -> bool:
         """Cancel ``event``; returns True if it was still pending.
 
-        Lazy: the heap entry is tombstoned in place.  When more than
-        half the heap (beyond a small floor) is tombstones, the live
-        entries are re-heapified so the calendar never degenerates.
+        The calendar's one cancel path.  O(1) and lazy: the heap entry
+        is tombstoned in place and discarded when it surfaces.  When
+        more than half the heap (beyond a small floor) is tombstones,
+        the live entries are re-heapified so the calendar never
+        degenerates.
         """
-        if not event.cancel():
+        if not event.pending:
             return False
+        event._cancelled = True
         self._tombstones += 1
         if self._tombstones > 16 and self._tombstones * 2 > len(self._events):
             self._compact()
         return True
 
-    def cancel_shard(self, shard: str) -> int:
-        """Cancel every pending event tagged with ``shard``; returns how
-        many were cancelled."""
-        cancelled = 0
-        for _, _, _, event in self._events:
-            if event.shard == shard and event.cancel():
-                cancelled += 1
-        self._tombstones += cancelled
-        if self._tombstones > 16 and self._tombstones * 2 > len(self._events):
-            self._compact()
-        return cancelled
-
-    def pending_events(self, shard: str | None = None) -> int:
-        """Number of pending (non-tombstoned) events, optionally only
-        those tagged ``shard``."""
-        return sum(1 for _, _, _, ev in self._events
-                   if ev.pending and (shard is None or ev.shard == shard))
+    def pending_events(self) -> int:
+        """Number of pending (non-tombstoned) events."""
+        return sum(1 for _, _, _, ev in self._events if ev.pending)
 
     def _compact(self) -> None:
+        # In place: a dispatch pass in progress holds this list.
         live = [entry for entry in self._events if entry[3].pending]
         heapq.heapify(live)
-        self._events = live
+        self._events[:] = live
         self._tombstones = 0
 
     # -- tie-break permutation & calendar hooks ----------------------------
@@ -415,7 +385,7 @@ class SimClock:
         """Zero the clock: time, category totals, and the event calendar.
 
         Pending events are cancelled (their handles report
-        ``pending == False`` and a later ``cancel()`` is a no-op), so
+        ``pending == False`` and a later :meth:`cancel` is a no-op), so
         periodic daemons from a previous benchmark phase cannot misfire
         into the next one.
         Daemons that should survive a reset must be re-started against

@@ -29,7 +29,6 @@ class CostModel:
     syscall_ns: int = 1_500          #: user→kernel→user transition
     capability_check_ns: int = 50    #: uid / CAP_IPC_LOCK check
     pagetable_walk_ns: int = 120     #: resolve one PTE in software
-    vma_lookup_ns: int = 180         #: find_vma + checks
     vma_split_ns: int = 600          #: split/merge a VM area (mlock path)
     memcpy_per_byte_ns: float = 3.0   #: CPU copy (≈330 MB/s, PIII-era)
 
@@ -119,7 +118,7 @@ class CostModel:
 #: not care about time and want maximal speed.
 FREE = CostModel(
     syscall_ns=0, capability_check_ns=0, pagetable_walk_ns=0,
-    vma_lookup_ns=0, vma_split_ns=0, memcpy_per_byte_ns=0.0,
+    vma_split_ns=0, memcpy_per_byte_ns=0.0,
     minor_fault_ns=0, major_fault_base_ns=0, disk_io_page_ns=0,
     frame_alloc_ns=0, reclaim_scan_page_ns=0, page_lock_ns=0,
     kiobuf_setup_ns=0, mlock_range_ns=0, tpt_update_ns=0,

@@ -54,9 +54,11 @@ if TYPE_CHECKING:  # pragma: no cover
 class VIANic:
     """One VIA network interface controller."""
 
+    #: reliable-mode resends before the connection is declared lost
+    max_retransmits = MAX_RETRANSMITS
+
     def __init__(self, name: str, kernel: "Kernel",
-                 tpt_entries: int = 8192,
-                 max_retransmits: int = MAX_RETRANSMITS) -> None:
+                 tpt_entries: int = 8192) -> None:
         self.name = name
         self.kernel = kernel
         self.tpt = TranslationProtectionTable(
@@ -68,7 +70,6 @@ class VIANic:
         self.vis: dict[int, VirtualInterface] = {}
         self.fabric: "Fabric | None" = None
         self.fault_plan: "FaultPlan | None" = None
-        self.max_retransmits = max_retransmits
         self._next_vi_id = 1
         # counters
         self.sends_completed = 0

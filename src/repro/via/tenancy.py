@@ -13,9 +13,9 @@ the budget layer the Kernel Agent consults before any pin is taken:
   shed unused registration-cache entries (tenant-local for a quota
   shortage, everyone's for a host shortage), draft the orphan reaper,
   and back off in simulated time to let in-flight teardown settle.
-  Only when the budget is still short after ``max_admission_attempts``
-  rounds does the request fail, with a typed error
-  (:class:`~repro.errors.QuotaExceeded` /
+  Only when the budget is still short after
+  :data:`MAX_ADMISSION_ATTEMPTS` rounds does the request fail, with a
+  typed error (:class:`~repro.errors.QuotaExceeded` /
   :class:`~repro.errors.PinCeilingExceeded`) whose
   ``VIP_ERROR_RESOURCE`` status rides the existing resource-pressure
   recovery paths (regcache retry, protocol degrade-to-copy);
@@ -43,6 +43,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.kernel import Kernel
     from repro.kernel.task import Task
     from repro.via.kernel_agent import KernelAgent, Registration
+
+#: degrade-ladder rounds before an over-budget registration is denied
+MAX_ADMISSION_ATTEMPTS = 3
+#: first backoff of the ladder; each later round doubles it
+ADMISSION_BACKOFF_NS = 50_000
 
 
 @dataclass
@@ -77,9 +82,7 @@ class TenantService:
 
     def __init__(self, kernel: "Kernel", *,
                  default_quota_pages: int | None = None,
-                 host_ceiling_pages: int | None = None,
-                 max_admission_attempts: int = 3,
-                 admission_backoff_ns: int = 50_000) -> None:
+                 host_ceiling_pages: int | None = None) -> None:
         if default_quota_pages is not None and default_quota_pages < 0:
             raise ValueError(
                 f"default_quota_pages must be >= 0, got "
@@ -91,8 +94,6 @@ class TenantService:
         self.kernel = kernel
         self.default_quota_pages = default_quota_pages
         self.host_ceiling_pages = host_ceiling_pages
-        self.max_admission_attempts = max_admission_attempts
-        self.admission_backoff_ns = admission_backoff_ns
         self.accounts: dict[int, TenantAccount] = {}
         self.total_pinned_pages = 0
         self.peak_total_pinned_pages = 0
@@ -246,7 +247,7 @@ class TenantService:
                          and self.total_pinned_pages + npages > ceiling)
             if not over_quota and not over_host:
                 break
-            if attempts >= self.max_admission_attempts:
+            if attempts >= MAX_ADMISSION_ATTEMPTS:
                 acct.denied += 1
                 acct.wait_ns += waited_ns
                 self._publish_admission(denied=True, waited_ns=waited_ns)
@@ -284,7 +285,7 @@ class TenantService:
                 reaper = self.kernel.reaper
                 if reaper is not None and not reaper._in_scan:
                     reaper.scan()
-            wait = self.admission_backoff_ns * (2 ** (attempts - 1))
+            wait = ADMISSION_BACKOFF_NS * (2 ** (attempts - 1))
             self.kernel.clock.charge(wait, "admission_wait")
             waited_ns += wait
         acct.accepted += 1

@@ -175,22 +175,22 @@ class UserAgent:
 
     def atomic_cmpswap(self, vi: VirtualInterface, reg: Registration,
                        remote_handle: int, remote_va: int, compare: int,
-                       swap: int, local_offset: int = 0) -> Descriptor:
+                       swap: int) -> Descriptor:
         """Post a remote compare-and-swap and return the completed
         descriptor; the original value is in ``atomic_original_value``
-        (and in the local 8-byte landing at ``reg.va + local_offset``)."""
-        seg = DataSegment(reg.handle, reg.va + local_offset, 8)
+        (and in the local 8-byte landing at ``reg.va``)."""
+        seg = DataSegment(reg.handle, reg.va, 8)
         desc = Descriptor.atomic_cmpswap([seg], remote_handle, remote_va,
                                          compare, swap)
         self.post_send(vi, desc)
         return desc
 
     def atomic_fetchadd(self, vi: VirtualInterface, reg: Registration,
-                        remote_handle: int, remote_va: int, add: int,
-                        local_offset: int = 0) -> Descriptor:
+                        remote_handle: int, remote_va: int,
+                        add: int) -> Descriptor:
         """Post a remote fetch-and-add and return the completed
         descriptor (see :meth:`atomic_cmpswap`)."""
-        seg = DataSegment(reg.handle, reg.va + local_offset, 8)
+        seg = DataSegment(reg.handle, reg.va, 8)
         desc = Descriptor.atomic_fetchadd([seg], remote_handle, remote_va,
                                           add)
         self.post_send(vi, desc)

@@ -5,6 +5,7 @@ import pytest
 from repro.core.audit import audit_kernel_invariants
 from repro.hw.physmem import PAGE_SIZE
 from repro.kernel import paging
+from repro.via.machine import Machine
 
 
 @pytest.fixture
@@ -116,3 +117,32 @@ class TestFork:
             assert kernel.pagemap.page(frame).count >= 1
         audit_kernel_invariants(kernel)
         del child
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="known fork hazard: the parent's first write after fork "
+           "breaks copy-on-write onto a new frame, while the TPT keeps "
+           "naming the old one, which now belongs to the child")
+@pytest.mark.parametrize("backend", ["kiobuf", "mlock", "pageflags", "odp"])
+def test_nic_translation_follows_the_parent_after_fork(backend):
+    """The paper's promise: a registered page keeps its frame.  After a
+    fork and one parent write, the NIC must still reach the frame the
+    parent reads and writes."""
+    machine = Machine(backend=backend)
+    parent = machine.spawn("parent")
+    va = parent.mmap(4)
+    parent.touch_pages(va, 4)
+    reg = machine.user_agent(parent).register_mem(va, 4 * PAGE_SIZE,
+                                                  rdma_write=True)
+
+    def nic_frame() -> int:
+        [(addr, _)] = machine.nic._tpt_translate(
+            reg.handle, va, 1, reg.region.prot_tag, rdma_write=True)
+        return addr // PAGE_SIZE
+
+    # One NIC touch before the fork: odp maps a page on first touch.
+    assert nic_frame() == parent.physical_pages(va, 1)[0]
+    machine.kernel.fork_task(parent)
+    parent.write(va, b"x")
+    assert nic_frame() == parent.physical_pages(va, 1)[0]

@@ -303,6 +303,31 @@ class TestEndToEnd:
         assert snap["spans"]["by_name"][
             "msg.transfer.rendezvous-zerocopy+cache"]["count"] == 4
 
+    def test_regcache_metrics_total_every_cache_on_the_facade(self):
+        """Both endpoints' caches feed one registry: each counter is the
+        sum of the caches' stats, not the last writer's copy."""
+        cluster = Cluster(2, num_frames=1024, backend="kiobuf")
+        cluster.obs.enable()
+        s, r = make_pair(cluster)
+        src = s.task.mmap(2)
+        s.task.touch_pages(src, 2)
+        dst = r.task.mmap(2)
+        r.task.touch_pages(dst, 2)
+        proto = RendezvousZeroCopyProtocol(use_cache=True)
+        for _ in range(5):
+            assert proto.transfer(s, r, src, dst, 8192).ok
+        assert s.cache.shed() + r.cache.shed() == 4
+        caches = (s.cache, r.cache)
+        hits = sum(c.stats.hits for c in caches)
+        misses = sum(c.stats.misses for c in caches)
+        assert (hits, misses) == (8, 2)
+        metrics = cluster.obs.snapshot()["metrics"]
+        assert metrics["core.regcache.hits"] == 8
+        assert metrics["core.regcache.misses"] == 2
+        assert metrics["core.regcache.evictions"] == 2
+        assert metrics["core.regcache.hit_rate"]["value"] == 0.8
+        assert "core.regcache.cached_pages" not in metrics
+
     @pytest.mark.san_suppress   # suite gauges differ between the runs
     def test_snapshot_deterministic_under_fixed_seed(self):
         a = run_workload(seed=7)

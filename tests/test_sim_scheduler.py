@@ -3,6 +3,7 @@ reset, catch-up semantics, and shim equivalence."""
 
 import pytest
 
+from repro.core.audit import InvariantWatchdog
 from repro.kernel.reaper import OrphanReaper
 from repro.sim.clock import SimClock
 
@@ -82,19 +83,6 @@ class TestCancellation:
         assert not other.pending
         assert not clock.cancel(other)
 
-    def test_cancel_shard_only_touches_that_shard(self):
-        clock = SimClock()
-        fired = []
-        clock.schedule_after(10, lambda now: fired.append("a"), shard="a")
-        clock.schedule_after(10, lambda now: fired.append("b"), shard="b")
-        clock.schedule_after(10, lambda now: fired.append("a2"), shard="a")
-        assert clock.pending_events(shard="a") == 2
-        assert clock.cancel_shard("a") == 2
-        assert clock.pending_events(shard="a") == 0
-        assert clock.pending_events() == 1
-        clock.charge(10)
-        assert fired == ["b"]
-
     def test_mass_cancellation_compacts_without_losing_events(self):
         clock = SimClock()
         fired = []
@@ -105,6 +93,54 @@ class TestCancellation:
         assert clock.pending_events() == 50
         clock.charge(200)
         assert len(fired) == 50
+
+    def test_compaction_during_dispatch_fires_each_event_once(self):
+        # A callback that cancels most of the calendar compacts it while
+        # the dispatch pass is still popping from it.
+        clock = SimClock()
+        fired = []
+        later = [clock.schedule_at(10, fired.append) for _ in range(40)]
+
+        def cancel_most(now_ns):
+            for event in later[:30]:
+                clock.cancel(event)
+
+        clock.schedule_at(5, cancel_most)
+        clock.charge(10)
+        clock.charge(10)
+        assert len(fired) == 10
+        assert clock.pending_events() == 0
+
+
+class TestDaemonCancellation:
+    """The reaper and the watchdog cancel through :meth:`SimClock.cancel`,
+    so the calendar counts their tombstones and compacts them away."""
+
+    def test_reaper_stop_start_cycles_keep_the_calendar_small(self, kernel):
+        reaper = OrphanReaper(kernel, interval_ns=1_000).start()
+        for _ in range(1_000):
+            reaper.stop()
+            reaper.start()
+        assert kernel.clock.pending_events() == 1
+        assert len(kernel.clock._events) <= 40
+        reaper.stop()
+
+    def test_watchdog_arm_disarm_cycles_keep_the_calendar_small(
+            self, kernel):
+        for _ in range(1_000):
+            InvariantWatchdog(interval_ns=1_000).arm((kernel, [])).disarm()
+        assert kernel.clock.pending_events() == 0
+        assert len(kernel.clock._events) <= 40
+
+    def test_stopped_daemons_leave_no_tombstone_debt(self, kernel):
+        reaper = OrphanReaper(kernel, interval_ns=1_000).start()
+        watchdog = InvariantWatchdog(interval_ns=1_000).arm((kernel, []))
+        reaper.stop()
+        watchdog.disarm()
+        kernel.clock.charge(10_000)    # both tombstones surface
+        assert reaper.scans == 0 and watchdog.checks_run == 0
+        assert kernel.clock._tombstones == 0
+        assert kernel.clock._events == []
 
 
 class TestDispatchReentrancy:

@@ -176,7 +176,7 @@ class TestDegradeLadder:
 
     def test_exhausted_ladder_still_denies(self):
         """When nothing is sheddable the ladder runs out and the typed
-        denial fires after max_admission_attempts backoffs."""
+        denial fires after MAX_ADMISSION_ATTEMPTS backoffs."""
         m = Machine(backend="kiobuf", tenant_quota_pages=4)
         task = m.spawn("app", uid=1001)
         _register(m, task, 4)            # live, not cached: unsheddable
