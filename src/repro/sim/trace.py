@@ -19,11 +19,18 @@ Two correctness properties the querying API guarantees:
   snapshots the detail mapping at emission time (mutable container
   values — list/set/dict — are shallow-copied), so a caller mutating its
   object later cannot rewrite what the trace says happened at ``ts_ns``.
+  Reads copy too: every :class:`TraceEvent` a query returns carries a
+  fresh ``detail`` dict whose list/set/dict values are copies, so a
+  reader mutating it cannot rewrite what later reads see either.
 
-The ring holds raw ``(ts_ns, kind, detail)`` records; ``detail`` is the
-``**detail`` dict ``emit`` received, which Python builds fresh for every
-call.  Emission sits on hot paths such as reclaim, so
-:class:`TraceEvent` objects are built only when the trace is read.
+Each ring record is one flat tuple ``(ts_ns, kind, keys, *values)``.
+``keys`` is the tuple of detail field names in emission order, interned
+once per distinct shape in :attr:`Trace._shapes`, so every record of a
+shape shares it; the values follow in the same order.  A reclaim storm
+fills the 65 536-record ring, and a dict per record would cost several
+times the values it holds.  Emission sits on hot paths such as reclaim,
+so :class:`TraceEvent` objects and their dicts are built only when the
+trace is read.
 
 A fact the live analysis stream also watches is written through the
 kernel's event hub, ``kernel.events.record(kind, **detail)`` (see
@@ -52,8 +59,11 @@ class TraceEvictionWarning(UserWarning):
     queried kind were evicted from the ring."""
 
 
-#: detail value types ``emit`` copies (exact types; a set lookup is
-#: cheaper than scanning a tuple of types)
+#: detail value types ``emit`` and the reads copy (exact types; a set
+#: lookup is cheaper than scanning a tuple of types).  All three are
+#: unhashable, so a record whose ``hash`` succeeds holds none of them:
+#: one C-level hash clears the common record, and only a ``TypeError``
+#: pays for the per-value scan.
 _MUTABLE = frozenset((list, set, dict))
 
 
@@ -75,6 +85,24 @@ class TraceEvent:
         return self.detail.get(key, default)
 
 
+def _copy_mutables(detail: dict) -> None:
+    """Replace the list/set/dict values of ``detail`` by copies."""
+    for key, value in detail.items():
+        if type(value) in _MUTABLE:
+            detail[key] = value.copy()
+
+
+def _event(record: tuple) -> TraceEvent:
+    """The :class:`TraceEvent` of one ring record, with a fresh detail
+    dict whose list/set/dict values are copies of the record's."""
+    detail = dict(zip(record[2], record[3:]))
+    try:
+        hash(record)
+    except TypeError:
+        _copy_mutables(detail)
+    return TraceEvent(record[0], record[1], detail)
+
+
 class Trace:
     """Bounded event log with simple querying.
 
@@ -88,8 +116,11 @@ class Trace:
         self._clock = clock
         #: the (initially disabled) facade whose counters records feed
         self.obs = Observability(clock)
-        #: raw ``(ts_ns, kind, detail)`` records, oldest first
-        self._events: Deque[tuple[int, str, dict]] = deque(maxlen=maxlen)
+        #: flat ``(ts_ns, kind, keys, *values)`` records, oldest first;
+        #: ``keys`` names the values and is one of :attr:`_shapes`
+        self._events: Deque[tuple[Any, ...]] = deque(maxlen=maxlen)
+        #: interned field-name tuples, one per distinct detail shape
+        self._shapes: dict[tuple[str, ...], tuple[str, ...]] = {}
         self._counts: dict[str, int] = {}
         self._dropped: dict[str, int] = {}
         self._warned: set[str] = set()
@@ -103,16 +134,22 @@ class Trace:
         The detail mapping is snapshotted: ``detail`` is already a fresh
         dict, and any list/set/dict values in it are replaced by copies,
         so the event's history is immune to later mutation of
-        caller-owned objects.
+        caller-owned objects.  The record stores the values flat, after
+        the shape's interned field names.
         """
-        for key, value in detail.items():
-            if type(value) in _MUTABLE:
-                detail[key] = value.copy()
+        keys = tuple(detail)
+        keys = self._shapes.setdefault(keys, keys)
+        record = (self._clock.now_ns, kind, keys, *detail.values())
+        try:
+            hash(record)
+        except TypeError:
+            _copy_mutables(detail)
+            record = (record[0], kind, keys, *detail.values())
         events = self._events
         if len(events) == events.maxlen:
             evicted = events[0][1]
             self._dropped[evicted] = self._dropped.get(evicted, 0) + 1
-        events.append((self._clock.now_ns, kind, detail))
+        events.append(record)
         self._counts[kind] = self._counts.get(kind, 0) + 1
         obs = self.obs
         if obs.enabled:
@@ -124,8 +161,7 @@ class Trace:
         return len(self._events)
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        return (TraceEvent(ts, kind, detail)
-                for ts, kind, detail in self._events)
+        return map(_event, self._events)
 
     def count(self, kind: str) -> int:
         """Total number of events of ``kind`` ever emitted (survives ring
@@ -158,8 +194,8 @@ class Trace:
         list is incomplete.
         """
         self._check_evicted(kind)
-        return [TraceEvent(ts, k, detail)
-                for ts, k, detail in self._events if k == kind]
+        return [_event(record) for record in self._events
+                if record[1] == kind]
 
     def where(self, pred: Callable[[TraceEvent], bool]) -> list[TraceEvent]:
         """All retained events satisfying ``pred`` (retained only: events
@@ -176,9 +212,9 @@ class Trace:
         evicted, so the check keeps both cases honest).
         """
         self._check_evicted(kind)
-        for ts, k, detail in reversed(self._events):
-            if k == kind:
-                return TraceEvent(ts, k, detail)
+        for record in reversed(self._events):
+            if record[1] == kind:
+                return _event(record)
         return None
 
     def clear(self) -> None:

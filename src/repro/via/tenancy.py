@@ -25,7 +25,9 @@ the budget layer the Kernel Agent consults before any pin is taken:
   the exit path's deregistrations credit tenants automatically.
 
 Observability (all under ``obs.enabled``): ``tenant.<uid>.pinned_pages``
-gauges, ``via.admission.{accepted,denied,degraded}`` counters, and a
+and ``via.tenancy.total_pinned_pages`` gauges, summed over every service
+that shares the facade (a cluster's machines share one),
+``via.admission.{accepted,denied,degraded}`` counters, and a
 ``via.admission.wait_ns`` histogram of time spent inside the degrade
 ladder.
 """
@@ -35,6 +37,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
+from weakref import WeakKeyDictionary, WeakSet
 
 from repro.errors import PinCeilingExceeded, QuotaExceeded
 
@@ -42,12 +45,18 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.regcache import RegistrationCache
     from repro.kernel.kernel import Kernel
     from repro.kernel.task import Task
+    from repro.obs import Observability
     from repro.via.kernel_agent import KernelAgent, Registration
 
 #: degrade-ladder rounds before an over-budget registration is denied
 MAX_ADMISSION_ATTEMPTS = 3
 #: first backoff of the ladder; each later round doubles it
 ADMISSION_BACKOFF_NS = 50_000
+
+#: the live services publishing to each observability facade, so a
+#: pinned-page gauge can report the sum over all of them
+_PEERS: WeakKeyDictionary[Observability, WeakSet[TenantService]] = \
+    WeakKeyDictionary()
 
 
 @dataclass
@@ -102,6 +111,7 @@ class TenantService:
         self._pid_uids: dict[int, int] = {}
         #: per-uid registration-cache shards (admission sheds these)
         self._caches: dict[int, list["RegistrationCache"]] = {}
+        _PEERS.setdefault(kernel.obs, WeakSet()).add(self)
 
     # ------------------------------------------------------------- accounts
 
@@ -338,13 +348,19 @@ class TenantService:
     # -------------------------------------------------------------- obs
 
     def _publish_account(self, acct: TenantAccount) -> None:
+        """Set the tenant's and the total pinned-page gauges to their
+        sums over every service on the facade, including pins taken
+        before observability was enabled."""
         obs = self.kernel.obs
         if obs.enabled:
+            uid = acct.uid
+            peers = _PEERS[obs]
             metrics = obs.metrics
-            metrics.gauge(f"tenant.{acct.uid}.pinned_pages").set(
-                acct.pinned_pages)
+            metrics.gauge(f"tenant.{uid}.pinned_pages").set(
+                sum(peer.accounts[uid].pinned_pages for peer in peers
+                    if uid in peer.accounts))
             metrics.gauge("via.tenancy.total_pinned_pages").set(
-                self.total_pinned_pages)
+                sum(peer.total_pinned_pages for peer in peers))
 
     def _publish_admission(self, *, denied: bool = False,
                            degraded: bool = False,

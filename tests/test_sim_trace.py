@@ -2,11 +2,13 @@
 
 import copy
 import random
+import tracemalloc
 import warnings
 from collections import Counter
 
 import pytest
 
+from repro.kernel.kernel import Kernel
 from repro.sim.clock import SimClock
 from repro.sim.trace import (
     Trace, TraceEvent, TraceEvicted, TraceEvictionWarning,
@@ -165,9 +167,10 @@ class TestDetailSnapshot:
 
 
 class TestRawRecords:
-    """The ring stores raw ``(ts_ns, kind, detail)`` records and builds
-    :class:`TraceEvent` objects on read: every read path must return
-    exactly what was emitted, and eviction accounting must not change."""
+    """The ring stores flat ``(ts_ns, kind, keys, *values)`` records and
+    builds :class:`TraceEvent` objects on read: every read path must
+    return exactly what was emitted, and eviction accounting must not
+    change."""
 
     @staticmethod
     def _emit_seeded(t, clock, n, seed=0):
@@ -232,3 +235,142 @@ class TestRawRecords:
         detail["frame"] = 4
         detail["frames"].append(2)
         assert t.last("k").detail == {"frame": 3, "frames": [1]}
+
+
+class TestReadCopies:
+    """Regression: every read used to share the ring's detail dict, so a
+    reader mutating an event rewrote what every later read returned."""
+
+    def test_mutating_a_read_event_leaves_the_ring_unchanged(self):
+        _, t = make()
+        t.emit("x", a=1, frames=[1, 2], pins={3}, owners={"p": 1})
+        for read in (lambda: t.of_kind("x")[0], lambda: t.last("x"),
+                     lambda: next(iter(t)),
+                     lambda: t.where(lambda e: True)[0]):
+            e = read()
+            e.detail["a"] = 5
+            e.detail["frames"].append(9)
+            e.detail["pins"].add(9)
+            e.detail["owners"]["q"] = 2
+            e.detail["extra"] = True
+        assert t.last("x").detail == {"a": 1, "frames": [1, 2],
+                                      "pins": {3}, "owners": {"p": 1}}
+
+    def test_each_read_gets_its_own_dict(self):
+        _, t = make()
+        t.emit("x", a=1)
+        first, second = t.of_kind("x")[0], t.of_kind("x")[0]
+        assert first == second
+        assert first.detail is not second.detail
+
+
+#: the reclaim mix that fills odp_pressure's ring, one record each
+def _reclaim_mix(t, clock, n):
+    for i in range(n):
+        clock.charge(1_000)
+        vpn, frame = 0x40000 + i, 1_000 + i % 7_000
+        shape = i % 3
+        if shape == 0:
+            t.emit("swap_out", pid=100 + i % 8, vpn=vpn, frame=frame,
+                   slot=50_000 + i, refs_before=1, freed=True,
+                   actor="reclaim")
+        elif shape == 1:
+            t.emit("swap_in", pid=100 + i % 8, vpn=vpn, frame=frame,
+                   slot=50_000 + i)
+        else:
+            t.emit("frame_freed", frame=frame)
+
+
+class TestFlatRecords:
+    """Each record is one flat tuple after an interned field-name tuple;
+    the shapes a kind is emitted with must each round-trip."""
+
+    def test_key_orders_and_optional_fields_round_trip(self):
+        clock, t = make()
+        t.emit("dma", frame=1, length=64)
+        t.emit("dma", length=128, frame=2)
+        t.emit("dma", frame=3, length=256, fault=True)
+        t.emit("dma")
+        got = [e.detail for e in t.of_kind("dma")]
+        assert got == [{"frame": 1, "length": 64},
+                       {"length": 128, "frame": 2},
+                       {"frame": 3, "length": 256, "fault": True},
+                       {}]
+        assert [list(d) for d in got] == [["frame", "length"],
+                                         ["length", "frame"],
+                                         ["frame", "length", "fault"],
+                                         []]
+
+    def test_intern_table_holds_one_entry_per_shape(self):
+        clock = SimClock()
+        t = Trace(clock, maxlen=1_000)
+        rng = random.Random(7)
+        shapes = set()
+        for i in range(100_000):
+            fields = rng.sample("abcde", rng.randrange(0, 3))
+            shapes.add(tuple(fields))
+            t.emit("k", **{f: i for f in fields})
+        assert t.count("k") == 100_000
+        assert len(t._shapes) <= len(shapes)
+        assert all(record[2] is t._shapes[record[2]]
+                   for record in t._events)
+
+    def test_eviction_accounting_spans_shapes(self):
+        clock = SimClock()
+        t = Trace(clock, maxlen=30)
+        _reclaim_mix(t, clock, 100)
+        # 100 records, 70 evicted: the first 70 of the i % 3 rotation.
+        assert [t.count(k) for k in ("swap_out", "swap_in",
+                                     "frame_freed")] == [34, 33, 33]
+        assert [t.dropped_count(k) for k in ("swap_out", "swap_in",
+                                             "frame_freed")] == \
+            [24, 23, 23]
+        with pytest.warns(TraceEvictionWarning, match="23 of 33"):
+            freed = t.of_kind("frame_freed")
+        assert [e["frame"] for e in freed] == \
+            [1_000 + i for i in range(71, 100, 3)]
+        t.strict = True
+        for kind in ("swap_out", "swap_in", "frame_freed"):
+            with pytest.raises(TraceEvicted):
+                t.of_kind(kind)
+        t.clear()
+        assert len(t) == 0 and t.count("swap_out") == 0
+        assert t.dropped_count("swap_out") == 0
+        _reclaim_mix(t, clock, 3)
+        assert t.last("swap_out")["actor"] == "reclaim"
+        assert t.last("swap_in").detail == {
+            "pid": 101, "vpn": 0x40001, "frame": 1_001, "slot": 50_001}
+
+    def test_table_counter_equals_its_tally_after_eviction(self):
+        """``kernel.paging.swap_outs`` comes from the counter table; it
+        must equal the swap device's write tally while the ring, full of
+        several record shapes, evicts."""
+        clock = SimClock()
+        kernel = Kernel(num_frames=64, clock=clock,
+                        trace=Trace(clock, maxlen=32))
+        kernel.obs.enable()
+        task = kernel.create_task()
+        va = task.mmap(160)
+        task.touch_pages(va, 160)
+        for i in range(160):
+            task.read(va + i * 4096, 1)
+        trace = kernel.trace
+        assert trace.dropped_count("swap_out") > 0
+        assert trace.count("swap_in") > 0
+        swap_outs = kernel.obs.counter("kernel.paging.swap_outs").value
+        assert swap_outs == kernel.swap.writes == trace.count("swap_out")
+
+    def test_full_reclaim_ring_retention(self):
+        """65 536 reclaim records retain about 13 MiB; with a detail
+        dict per record they took about 24.5 MiB."""
+        clock = SimClock()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            t = Trace(clock)
+            _reclaim_mix(t, clock, 65_536)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(t) == 65_536
+        assert retained <= 16 * 2**20, retained / 2**20

@@ -13,7 +13,7 @@ from repro.errors import (
 )
 from repro.hw.physmem import PAGE_SIZE
 from repro.via.constants import VIP_ERROR_RESOURCE
-from repro.via.machine import Machine
+from repro.via.machine import Cluster, Machine
 from repro.via.tenancy import audit_tenant_accounting
 
 
@@ -295,6 +295,37 @@ class TestObservability:
         assert metrics.histogram("via.admission.wait_ns").count == 2
         ua.deregister_mem(reg)
         assert metrics.gauge("tenant.1001.pinned_pages").value == 0
+
+    @staticmethod
+    def _gauges(cluster, uid):
+        metrics = cluster.obs.metrics
+        return (metrics.gauge(f"tenant.{uid}.pinned_pages").value,
+                metrics.gauge("via.tenancy.total_pinned_pages").value)
+
+    def test_shared_facade_gauges_sum_over_machines(self):
+        """A cluster shares one facade: the pinned-page gauges report
+        the sum over its machines, not whichever machine wrote last."""
+        cluster = Cluster(2, backend="kiobuf")
+        cluster.obs.enable()
+        m0, m1 = cluster.machines
+        _, _, reg0 = _register(m0, m0.spawn("a", uid=1001), 6)
+        ua1, _, reg1 = _register(m1, m1.spawn("b", uid=1001), 2)
+        assert self._gauges(cluster, 1001) == (8, 8)
+        _register(m1, m1.spawn("c", uid=1002), 3)
+        assert self._gauges(cluster, 1001) == (8, 11)
+        assert self._gauges(cluster, 1002) == (3, 11)
+        ua1.deregister_mem(reg1)
+        assert self._gauges(cluster, 1001) == (6, 9)
+
+    def test_gauges_count_pins_taken_before_enable(self):
+        cluster = Cluster(2, backend="kiobuf")
+        m0, m1 = cluster.machines
+        _register(m0, m0.spawn("a", uid=1001), 6)
+        cluster.obs.enable()
+        ua1, _, reg1 = _register(m1, m1.spawn("b", uid=1001), 2)
+        assert self._gauges(cluster, 1001) == (8, 8)
+        ua1.deregister_mem(reg1)
+        assert self._gauges(cluster, 1001) == (6, 6)
 
 
 class TestSanitizerQuotaBreach:
