@@ -10,6 +10,7 @@ the kernel's own accounting invariants.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import chain
@@ -105,6 +106,14 @@ class LeakedPin:
     expected: int
 
 
+def _registered_frames(agents: "Iterable[KernelAgent]") -> array:
+    """Every page's recorded frame across ``agents``, one
+    ``array('q')``: an agent's own cached array when there is one
+    agent, their concatenation otherwise."""
+    arrays = [agent.registered_frames() for agent in agents]
+    return arrays[0] if len(arrays) == 1 else sum(arrays, array("q"))
+
+
 def _explaining_frames(agents: "Iterable[KernelAgent]",
                        kiobufs: "Iterable[Kiobuf]" = ()) -> Iterator[int]:
     """Every frame that live state explains one pin on, with
@@ -150,17 +159,22 @@ def audit_pin_leaks(kernel: "Kernel", *agents: "KernelAgent",
     Cost model: the common, clean case is one
     :meth:`~repro.kernel.page.FrameTable.pins_exceed` pass — a
     ``bincount`` of the registered frames compared with the whole
-    ``pin_counts`` column, C-level, a few µs at a thousand frames.
+    ``pin_counts`` column, C-level, a few µs at a thousand frames.  The
+    registered frames are each agent's cached
+    :meth:`~repro.via.kernel_agent.KernelAgent.registered_frames`
+    array, so a sample between registration changes builds nothing.
     Only if a frame is short are the mapped kiobuf frames added and the
     pass repeated, and only if a frame is still short does the
     per-frame walk over the page map's pinned set build the report.
     """
     table = kernel.pagemap.table
-    if not table.pins_exceed(_explaining_frames(agents)):
+    registered = _registered_frames(agents)
+    if not table.pins_exceed(registered):
         return []
     kiobufs = kernel.kiobufs.values() if count_kiobufs else ()
-    if count_kiobufs and not table.pins_exceed(
-            _explaining_frames(agents, kiobufs)):
+    if count_kiobufs and not table.pins_exceed(registered + array(
+            "q", chain.from_iterable(
+                kio.frames for kio in kiobufs if kio.mapped))):
         return []
     return _unexplained(kernel.pagemap, explained_pins(agents, kiobufs))
 

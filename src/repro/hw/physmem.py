@@ -134,25 +134,21 @@ class PhysicalMemory:
     def read_iovec(self, iovec: list[tuple[int, int]]) -> bytes:
         """Gather-read ``(addr, length)`` spans into one ``bytes``.
 
-        Spans may cross frame boundaries.  The single-span case (a fully
-        coalesced DMA burst) costs exactly one copy; multi-span gathers
-        assemble through a preallocated buffer with no per-span
-        intermediate ``bytes`` objects.
+        Spans may cross frame boundaries.  Either way the gather costs
+        exactly one copy: the single-span case (a fully coalesced DMA
+        burst) slices the mapping, and a multi-span gather joins
+        memoryview slices of it.
         """
         if len(iovec) == 1:
             addr, length = iovec[0]
             self._check_flat_span(addr, length)
             return self._mem[addr:addr + length]
-        total = sum(length for _, length in iovec)
-        out = bytearray(total)
-        mv_out = memoryview(out)
         mv_mem = memoryview(self._mem)
-        pos = 0
+        spans = []
         for addr, length in iovec:
             self._check_flat_span(addr, length)
-            mv_out[pos:pos + length] = mv_mem[addr:addr + length]
-            pos += length
-        return bytes(out)
+            spans.append(mv_mem[addr:addr + length])
+        return b"".join(spans)
 
     def write_iovec(self, iovec: list[tuple[int, int]], data) -> None:
         """Scatter-write ``data`` across ``(addr, length)`` spans.

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from typing import Iterable
 
 import numpy as np
 
@@ -172,16 +171,16 @@ class FrameTable:
         counts = np.frombuffer(self.counts, dtype=np.int64)
         return not counts[listed].any()
 
-    def pins_exceed(self, frames: Iterable[int]) -> bool:
+    def pins_exceed(self, frames: array) -> bool:
         """True iff some frame holds more pins than the number of times
-        ``frames`` lists it.
+        ``frames`` (an ``array('q')``) lists it.
 
         Entries outside the table (``INVALID_FRAME``, a corrupted
         translation) explain no pin and are dropped; the rest are
         counted with one ``bincount`` and compared with the
         ``pin_counts`` column in one pass.
         """
-        listed = np.fromiter(frames, dtype=np.int64)
+        listed = np.frombuffer(frames, dtype=np.int64)
         # Unsigned, negative entries compare above every frame number.
         listed = listed[listed.view(np.uint64) < self.num_frames]
         expected = np.bincount(listed, minlength=self.num_frames)

@@ -6,6 +6,17 @@ latency to the (shared) simulated clock.  Faults come from one place:
 an installed :class:`~repro.sim.faults.FaultPlan` can drop, duplicate,
 corrupt, or delay packets.
 
+The link-layer CRC is checked at the receiver, but hashed only when the
+wire could have changed the bytes.  A sending NIC stamps a packet with
+the payload object it read out of memory (:attr:`Packet.stamped`); a
+DMA gather yields an immutable ``bytes``, so when the delivered payload
+*is* that object the CRC of both sides is the same by construction and
+:func:`crc_ok` passes it without hashing.  A corrupted attempt carries a
+new ``bytes`` from :meth:`~repro.sim.faults.FaultPlan.corrupt`, so it
+is hashed on both sides and compared, as a CRC check does; so is a
+payload of any other buffer type, whose identity says nothing about its
+bytes.  Simulated time charges neither case: the check is hardware.
+
 For ``UNRELIABLE`` VIs a drop is silent (fire-and-forget).  For the
 RELIABLE levels the fabric reports what happened to the sending NIC as
 an :class:`Attempt` — delivered-and-ACKed, dropped, NACKed (the
@@ -37,6 +48,23 @@ def payload_checksum(payload: bytes) -> int:
     return zlib.crc32(payload)
 
 
+def crc_ok(packet: "Packet") -> bool:
+    """The receiver's link-layer CRC check of ``packet``.
+
+    A packet with nothing stamped (legacy/control path) is not
+    verified.  A payload that is the very ``bytes`` object the sender
+    stamped cannot differ from it, so only a payload the wire replaced,
+    or one of a mutable buffer type, is hashed.
+    """
+    stamped = packet.stamped
+    if stamped is None:
+        return True
+    payload = packet.payload
+    if payload is stamped and type(payload) is bytes:
+        return True
+    return payload_checksum(payload) == payload_checksum(stamped)
+
+
 @dataclass
 class Packet:
     """One fabric packet (a VIA transfer fits in one simulator packet;
@@ -60,8 +88,10 @@ class Packet:
     add: int | None = None
     #: sequence number on RELIABLE VIs (0 = unsequenced)
     seq: int = 0
-    #: link-layer CRC of ``payload`` (None = sender did not stamp one)
-    checksum: int | None = None
+    #: the payload as the sender stamped it (None = not stamped); the
+    #: receiver hashes both only when ``payload`` is not this ``bytes``
+    #: object (see :func:`crc_ok`)
+    stamped: bytes | None = None
 
 
 @dataclass
@@ -207,9 +237,7 @@ class Fabric:
         # common case of the hot send/receive loop pays for none of the
         # fault machinery.
         if plan is None:
-            if (packet.checksum is not None
-                    and payload_checksum(packet.payload)
-                    != packet.checksum):
+            if not crc_ok(packet):
                 return self._crc_reject(trace, packet, reliability)
             status = self.nic(packet.dst_nic).deliver(packet, reliability)
             if reliability != ReliabilityLevel.UNRELIABLE:
@@ -236,11 +264,8 @@ class Fabric:
             trace.emit("packet_corrupted", dst=packet.dst_nic,
                        vi=packet.dst_vi, seq=packet.seq)
 
-        # Link-layer CRC check at the receiving NIC.  A sender that
-        # stamped no checksum (legacy/control path) is not verified.
-        if (wire_packet.checksum is not None
-                and payload_checksum(wire_packet.payload)
-                != wire_packet.checksum):
+        # Link-layer CRC check at the receiving NIC.
+        if not crc_ok(wire_packet):
             return self._crc_reject(trace, packet, reliability)
 
         dst = self.nic(packet.dst_nic)

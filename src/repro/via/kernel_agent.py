@@ -12,6 +12,7 @@ creation, and connection setup.
 from __future__ import annotations
 
 import itertools
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -31,7 +32,7 @@ from repro.via.locking import make_backend
 from repro.via.locking.base import LockingBackend
 from repro.via.locking.odp import OdpCookie, OdpLocking
 from repro.via.tenancy import TenantService
-from repro.via.tpt import INVALID_FRAME, MemoryRegion
+from repro.via.tpt import INVALID_FRAME, FrameList, MemoryRegion
 from repro.via.vi import VirtualInterface
 
 #: Bound on the in-flight/recently-served fault table: real ODP NICs
@@ -97,6 +98,9 @@ class KernelAgent:
         #: whenever the registration set changes
         self._owner_pages: (
             list[tuple[int, list[int], list[list[int]]]] | None) = None
+        #: registered_frames()'s answer and the FrameList epoch it was
+        #: built at; dropped with _owner_pages
+        self._frame_array: tuple[array, int] | None = None
         self.fault_plan: "FaultPlan | None" = None
         # The driver owns per-process state (VIs, registrations, pins),
         # so it must hear about exits, munmaps and evictions: a process
@@ -280,10 +284,32 @@ class KernelAgent:
                     [region.frames for region in regions]))
         return self._owner_pages
 
+    def registered_frames(self) -> array:
+        """The recorded frame of every registered page, as one
+        ``array('q')`` in :meth:`owner_pages` order — the pin-leak
+        audit's input.
+
+        Cached like :meth:`owner_pages` and also rebuilt after any
+        in-place write to a :class:`~repro.via.tpt.FrameList`
+        (:attr:`~repro.via.tpt.FrameList.epoch`).  An agent with a
+        region whose frames are some other list cannot see such writes,
+        so it builds the array afresh on every call.  Not to be mutated.
+        """
+        cached = self._frame_array
+        if cached is not None and cached[1] == FrameList.epoch[0]:
+            return cached[0]
+        frame_lists = [frames for _pid, _vpns, lists in self.owner_pages()
+                       for frames in lists]
+        frames = array("q", itertools.chain.from_iterable(frame_lists))
+        if all(type(lst) is FrameList for lst in frame_lists):
+            self._frame_array = (frames, FrameList.epoch[0])
+        return frames
+
     def _record(self, reg: Registration) -> None:
         self.registrations[reg.handle] = reg
         self._by_owner.setdefault(reg.pid, {})[reg.handle] = reg
         self._owner_pages = None
+        self._frame_array = None
 
     def _unrecord(self, handle: int) -> Registration | None:
         reg = self.registrations.pop(handle, None)
@@ -293,6 +319,7 @@ class KernelAgent:
             if not owned:
                 del self._by_owner[reg.pid]
             self._owner_pages = None
+            self._frame_array = None
         return reg
 
     def reclaim_registration(self, handle: int) -> None:

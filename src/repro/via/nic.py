@@ -41,7 +41,7 @@ from repro.via.constants import (
 )
 from repro.via.cq import CompletionQueue
 from repro.via.descriptor import Descriptor
-from repro.via.fabric import Attempt, Packet, payload_checksum
+from repro.via.fabric import Attempt, Packet
 from repro.via.tpt import TranslationProtectionTable
 from repro.via.vi import VirtualInterface
 
@@ -470,7 +470,7 @@ class VIANic:
         else:
             vi.tx_seq += 1
             packet.seq = vi.tx_seq
-            packet.checksum = payload_checksum(payload)
+            packet.stamped = payload
             status, _ = self._round_trip(vi, packet,
                                          self.fabric.attempt_delivery)
         if not self._complete_send(vi, desc, status, len(payload)):

@@ -26,7 +26,9 @@ the budget layer the Kernel Agent consults before any pin is taken:
 
 Observability (all under ``obs.enabled``): ``tenant.<uid>.pinned_pages``
 and ``via.tenancy.total_pinned_pages`` gauges, summed over every service
-that shares the facade (a cluster's machines share one),
+that shares the facade (a cluster's machines share one), a
+``tenant.<uid>.over_budget`` gauge that reads 1 while any of those
+services has the tenant over budget,
 ``via.admission.{accepted,denied,degraded}`` counters, and a
 ``via.admission.wait_ns`` histogram of time spent inside the degrade
 ladder.
@@ -158,10 +160,7 @@ class TenantService:
             "quota_reload", uid=uid, quota_pages=effective,
             pinned_pages=acct.pinned_pages, deficit_pages=deficit,
             shed_pages=freed)
-        obs = self.kernel.obs
-        if obs.enabled:
-            obs.metrics.gauge(f"tenant.{uid}.over_budget").set(
-                int(acct.over_budget))
+        self._publish_over_budget(uid)
         return deficit
 
     def quota_of(self, uid: int) -> int | None:
@@ -339,10 +338,7 @@ class TenantService:
                 self.kernel.trace.emit(
                     "quota_recovered", uid=acct.uid,
                     pinned_pages=acct.pinned_pages, quota_pages=quota)
-                obs = self.kernel.obs
-                if obs.enabled:
-                    obs.metrics.gauge(
-                        f"tenant.{acct.uid}.over_budget").set(0)
+                self._publish_over_budget(acct.uid)
         self._publish_account(acct)
 
     # -------------------------------------------------------------- obs
@@ -361,6 +357,15 @@ class TenantService:
                     if uid in peer.accounts))
             metrics.gauge("via.tenancy.total_pinned_pages").set(
                 sum(peer.total_pinned_pages for peer in peers))
+
+    def _publish_over_budget(self, uid: int) -> None:
+        """Set the tenant's ``over_budget`` gauge to 1 while any service
+        on the facade has the tenant over budget."""
+        obs = self.kernel.obs
+        if obs.enabled:
+            obs.metrics.gauge(f"tenant.{uid}.over_budget").set(int(any(
+                peer.accounts[uid].over_budget for peer in _PEERS[obs]
+                if uid in peer.accounts)))
 
     def _publish_admission(self, *, denied: bool = False,
                            degraded: bool = False,

@@ -57,10 +57,18 @@ class FrameList(list):
     recorded frames; tests (and the staleness experiments) simulate "the
     kernel moved a page" by assigning ``region.frames[i]`` directly, so
     every mutating operation bumps :attr:`version` and derived state is
-    rebuilt on the next translation.
+    rebuilt on the next translation.  It also bumps the class-wide
+    ``epoch[0]``, which state derived from many lists at once (a Kernel
+    Agent's registered-frame array) compares instead of every version.
     """
 
     __slots__ = ("version",)
+
+    #: ``[n]``: n counts the in-place mutations of every FrameList.  The
+    #: count is bumped inside the list; rebinding a class attribute on
+    #: every write would invalidate the interpreter's caches for the
+    #: class each time.
+    epoch = [0]
 
     def __init__(self, iterable=()) -> None:
         super().__init__(iterable)
@@ -68,6 +76,7 @@ class FrameList(list):
 
     def _mutated(self) -> None:
         self.version += 1
+        self.epoch[0] += 1
 
     def __setitem__(self, *args):
         self._mutated()

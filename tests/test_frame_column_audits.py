@@ -358,3 +358,77 @@ def test_held_pin_leak_violation_leaves_page_map_usable():
     assert pm.put_page(leaked.frame)
     exercise_page_map(pm)
     assert info.value.snapshot["kind"] == "pin_leak"
+
+
+# --------------------------------------------------------------------------
+# The agent's cached registered-frame array
+# --------------------------------------------------------------------------
+
+def registered_machine(backend):
+    """A machine with one resident 4-page registration."""
+    m = Machine(num_frames=SMALL, backend=backend)
+    task = m.spawn()
+    ua = m.user_agent(task)
+    va = task.mmap(4)
+    task.touch_pages(va, 4)
+    reg = ua.register_mem(va, 4 * PAGE_SIZE)
+    if backend == "odp":
+        m.agent.service_translation_fault(reg.handle, range(4))
+    return m, reg
+
+
+class TestRegisteredFrameCache:
+    """Samples between registration changes reuse one array; an
+    in-place write to a region's frames must still reach the next
+    audit and the next reaper scan."""
+
+    @pytest.mark.parametrize("backend", ["kiobuf", "odp"])
+    def test_in_place_frame_write_reaches_the_next_audit(self, backend):
+        m, reg = registered_machine(backend)
+        assert audit_pin_leaks(m.kernel, m.agent) == []
+        assert m.agent.registered_frames() is m.agent.registered_frames()
+        frames = reg.region.frames
+        moved = frames[1]
+        frames[1] = frames[2]
+        assert audit_pin_leaks(m.kernel, m.agent) == [
+            LeakedPin(frame=moved, pin_count=1, expected=0)]
+        frames[1] = moved
+        assert audit_pin_leaks(m.kernel, m.agent) == []
+
+    def test_in_place_frame_write_reaches_the_next_reaper_scan(self):
+        # ODP pins are not held by a kiobuf, so the reaper's
+        # count_kiobufs pass cannot explain the moved frame's pin.
+        m, reg = registered_machine("odp")
+        reaper = m.start_reaper()
+        assert reaper.scan().deferred == 0
+        frames = reg.region.frames
+        moved = frames[1]
+        frames[1] = frames[2]
+        assert reaper.scan().deferred == 1
+        assert ("pin", moved) in reaper._backoff
+        frames[1] = moved
+        assert reaper.scan().deferred == 0
+        reaper.stop()
+
+    def test_registration_change_rebuilds_the_array(self):
+        m, reg = registered_machine("kiobuf")
+        before = m.agent.registered_frames()
+        assert list(before) == list(reg.region.frames)
+        m.agent.deregister_memory(reg.handle)
+        assert len(m.agent.registered_frames()) == 0
+
+    def test_plain_list_frames_are_never_cached(self):
+        m, reg = registered_machine("kiobuf")
+        reg.region.frames = list(reg.region.frames)
+        # a registration change drops the cache built over the old list
+        task = m.kernel.find_task(reg.pid)
+        va = task.mmap(1)
+        task.touch_pages(va, 1)
+        m.agent.register_memory(task, va, PAGE_SIZE)
+        assert m.agent.registered_frames() \
+            is not m.agent.registered_frames()
+        moved = reg.region.frames[1]
+        reg.region.frames[1] = reg.region.frames[2]
+        assert audit_pin_leaks(m.kernel, m.agent) == [
+            LeakedPin(frame=moved, pin_count=1, expected=0)]
+        reg.region.frames[1] = moved

@@ -317,6 +317,22 @@ class TestObservability:
         ua1.deregister_mem(reg1)
         assert self._gauges(cluster, 1001) == (6, 9)
 
+    def test_over_budget_holds_while_any_machine_is_over(self):
+        """m0 over budget, then m1 reloads within budget: the shared
+        gauge stays 1 until m0 itself drains under its budget."""
+        cluster = Cluster(2, backend="kiobuf")
+        cluster.obs.enable()
+        m0, m1 = cluster.machines
+        ua0, _, reg0 = _register(m0, m0.spawn("a", uid=1001), 6)
+        _register(m1, m1.spawn("b", uid=1001), 2)
+        gauge = cluster.obs.metrics.gauge("tenant.1001.over_budget")
+        assert m0.tenants.set_quota(1001, 4) == 2
+        assert gauge.value == 1
+        assert m1.tenants.set_quota(1001, 4) == 0
+        assert gauge.value == 1
+        ua0.deregister_mem(reg0)
+        assert gauge.value == 0
+
     def test_gauges_count_pins_taken_before_enable(self):
         cluster = Cluster(2, backend="kiobuf")
         m0, m1 = cluster.machines
