@@ -49,6 +49,13 @@ kind a reviewer has to re-derive on every PR:
     backends the paper critiques do exactly that — on purpose — and
     carry ``allow(kernel-mutation)`` pragmas saying so.
 
+    Anywhere in ``src/repro``, a PTE's ``present``, ``frame`` and
+    ``swap_slot`` are written only by :class:`PageTable`'s methods in
+    ``repro/kernel/pagetable.py``, each of which bumps the table's
+    ``gen``; the invariant watchdog trusts an unchanged ``gen`` to mean
+    unchanged entries.  ``PageDescriptor.frame`` in
+    ``repro/kernel/page.py`` is not a PTE field and is exempt.
+
 ``faultplan-validation``
     Every public knob of :class:`~repro.sim.faults.FaultPlan` must be
     validated in ``__post_init__``: a typo'd or out-of-range fault plan
@@ -87,7 +94,8 @@ RULES: dict[str, str] = {
         "registry access or hub emit outside its guard, or a hub "
         "record inside one",
     "kernel-mutation":
-        "kernel page state mutated above the kernel layer",
+        "kernel page state mutated above the kernel layer, or a PTE "
+        "field written outside the page table",
     "faultplan-validation":
         "FaultPlan knob not validated in __post_init__",
     "column-view":
@@ -116,11 +124,15 @@ _WALL_CLOCK_EXEMPT_FILES = ("repro/sim/rng.py",)
 #: Path prefixes (posix, relative to the scan root) of the layers that
 #: sit above the kernel and must use its audited entry points.
 _ABOVE_KERNEL_LAYERS = ("repro/via/", "repro/msg/", "repro/mpi/")
-#: Page/PTE state attributes those layers must never assign directly.
+#: Page state attributes those layers must never assign directly.
 _KERNEL_STATE_ATTRS = frozenset({
-    "pin_count", "count", "present", "frame", "swapped", "swap_slot",
-    "flags", "reserved", "mapping",
+    "pin_count", "count", "swapped", "flags", "reserved", "mapping",
 })
+#: PTE fields no module but the page table's own may assign.
+_PTE_STATE_ATTRS = frozenset({"present", "frame", "swap_slot"})
+_PTE_WRITER_FILE = "repro/kernel/pagetable.py"
+#: The page descriptor's own ``frame`` is not a PTE field.
+_PTE_FRAME_EXEMPT_FILE = "repro/kernel/page.py"
 #: Page/pagemap mutator methods those layers must never call directly.
 _KERNEL_MUTATOR_METHODS = frozenset({
     "pin", "unpin", "get_page", "put_page", "set_flag", "clear_flag",
@@ -238,6 +250,15 @@ def _guarded(node: ast.AST, is_guard: Callable[[ast.expr], bool]) -> bool:
     return False
 
 
+def _pte_attrs_guarded_in(rel: str) -> frozenset[str]:
+    """The PTE fields a module at ``rel`` must not assign."""
+    if rel.endswith(_PTE_WRITER_FILE):
+        return frozenset()
+    if rel.endswith(_PTE_FRAME_EXEMPT_FILE):
+        return _PTE_STATE_ATTRS - {"frame"}
+    return _PTE_STATE_ATTRS
+
+
 class Linter:
     """The repro-lint engine: parse, visit, report.
 
@@ -286,9 +307,11 @@ class Linter:
             findings += self._check_instrumentation(
                 tree, path, registry=not rel.startswith(_OBS_EXEMPT_PREFIX),
                 hub=not rel.startswith(_HUB_EXEMPT_PREFIX))
-        if "kernel-mutation" in self.rules \
-                and rel.startswith(_ABOVE_KERNEL_LAYERS):
-            findings += self._check_kernel_mutation(tree, path)
+        if "kernel-mutation" in self.rules:
+            findings += self._check_kernel_mutation(
+                tree, path,
+                above_kernel=rel.startswith(_ABOVE_KERNEL_LAYERS),
+                pte_attrs=_pte_attrs_guarded_in(rel))
         if "faultplan-validation" in self.rules:
             findings += self._check_faultplan(tree, path)
         if "column-view" in self.rules \
@@ -476,9 +499,12 @@ class Linter:
             in _COLUMN_VIEW_CALLS]
 
     @staticmethod
-    def _check_kernel_mutation(tree: ast.AST,
-                               path: str) -> list[LintFinding]:
+    def _check_kernel_mutation(tree: ast.AST, path: str,
+                               above_kernel: bool,
+                               pte_attrs: frozenset[str]
+                               ) -> list[LintFinding]:
         findings = []
+        state_attrs = _KERNEL_STATE_ATTRS if above_kernel else frozenset()
 
         def is_self(expr: ast.expr) -> bool:
             node = expr
@@ -493,16 +519,24 @@ class Linter:
             elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
                 targets = [node.target]
             for target in targets:
-                if isinstance(target, ast.Attribute) \
-                        and target.attr in _KERNEL_STATE_ATTRS \
-                        and not is_self(target.value):
+                if not isinstance(target, ast.Attribute) \
+                        or is_self(target.value):
+                    continue
+                if target.attr in state_attrs:
                     findings.append(LintFinding(
                         path, target.lineno, target.col_offset,
                         "kernel-mutation",
                         f"direct assignment to `.{target.attr}` of a "
                         f"kernel object; go through an audited kernel "
                         f"entry point"))
-            if isinstance(node, ast.Call) \
+                elif target.attr in pte_attrs:
+                    findings.append(LintFinding(
+                        path, target.lineno, target.col_offset,
+                        "kernel-mutation",
+                        f"direct assignment to PTE field "
+                        f"`.{target.attr}`; go through a PageTable "
+                        f"method, which bumps its `gen`"))
+            if above_kernel and isinstance(node, ast.Call) \
                     and isinstance(node.func, ast.Attribute) \
                     and node.func.attr in _KERNEL_MUTATOR_METHODS \
                     and not is_self(node.func.value):

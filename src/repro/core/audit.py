@@ -14,13 +14,14 @@ from array import array
 from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import chain
+from operator import is_
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.errors import (
     InvalidArgument, InvariantViolation, PageAccountingError,
 )
 from repro.hw.physmem import PAGE_SIZE
-from repro.via.tpt import INVALID_FRAME
+from repro.via.tpt import INVALID_FRAME, FrameList
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.kernel import Kernel
@@ -210,7 +211,16 @@ def audit_kernel_invariants(kernel: "Kernel") -> None:
     frame.
     """
     kernel.pagemap.check_free_list()
+    _audit_page_tables(kernel)
+    _audit_frame_counters(kernel)
 
+
+def _audit_page_tables(kernel: "Kernel") -> None:
+    """Invariants 2, 3, 4 and 6: one walk over every task's PTEs.
+
+    It reads the task list, each page table's entries (``present``,
+    ``frame``, ``swap_slot``) and resident counter, and the frame
+    table's ``counts`` and ``tags`` columns."""
     slot_owner: dict[int, tuple[int, int]] = {}
     table = kernel.pagemap.table
     counts = table.counts
@@ -243,6 +253,14 @@ def audit_kernel_invariants(kernel: "Kernel") -> None:
                 f"pid {task.pid} resident counter "
                 f"{page_table.resident_count()} != {present} present PTEs")
 
+
+def _audit_frame_counters(kernel: "Kernel") -> None:
+    """Invariant 5, a walk over the pinned set, and the counters' signs.
+
+    It reads the pinned set and the ``counts`` and ``pin_counts``
+    columns."""
+    table = kernel.pagemap.table
+    counts = table.counts
     for frame in table.pinned:
         if counts[frame] == 0:
             raise PageAccountingError(
@@ -253,6 +271,72 @@ def audit_kernel_invariants(kernel: "Kernel") -> None:
             if pd.pin_count < 0 or pd.count < 0:
                 raise PageAccountingError(
                     f"frame {pd.frame} has negative counters")
+
+
+class _WalkedState:
+    """An exact fingerprint of everything the watchdog's walks read —
+    :func:`_audit_page_tables`, :func:`_audit_frame_counters` and
+    :func:`audit_tpt_consistency` — taken at a clean sample.  While
+    :meth:`holds`, every walk would pass again.
+
+    * Tasks: the identity of every task and of its page table, in
+      order, with the table's :attr:`~repro.kernel.pagetable.PageTable.gen`
+      (bumped by every write of ``present``, ``frame`` or ``swap_slot``
+      and by every entry removed) and its resident counter by value.
+    * Frame columns: copies of ``counts``, ``pin_counts``, ``tags``
+      and the pinned set, compared with the live ones at C level, so a
+      direct write such as ``table.counts[f] = 0`` is seen.
+    * Agents: each agent's cached :meth:`owner_pages` list, compared by
+      identity (the reference held here keeps the identity from being
+      reused), which changes with the registration set; and
+      :attr:`FrameList.epoch <repro.via.tpt.FrameList.epoch>`, which
+      changes with any in-place write to a registration's frames.
+    """
+
+    __slots__ = ("tasks", "counts", "pin_counts", "tags", "pinned",
+                 "owner_pages", "epoch")
+
+    def __init__(self, kernel: "Kernel",
+                 agents: "list[KernelAgent]") -> None:
+        table = kernel.pagemap.table
+        self.tasks = _task_generations(kernel)
+        self.counts = table.counts[:]
+        self.pin_counts = table.pin_counts[:]
+        self.tags = table.tags[:]
+        self.pinned = set(table.pinned)
+        self.owner_pages = [agent.owner_pages() for agent in agents]
+        self.epoch = FrameList.epoch[0]
+
+    @classmethod
+    def take(cls, kernel: "Kernel", agents: "list[KernelAgent]"
+             ) -> "_WalkedState | None":
+        """The fingerprint of the state now; None while a registration's
+        frames are a list whose writes the epoch cannot see."""
+        state = cls(kernel, agents)
+        if all(type(frames) is FrameList
+               for pages in state.owner_pages
+               for _pid, _vpns, frame_lists in pages
+               for frames in frame_lists):
+            return state
+        return None
+
+    def holds(self, kernel: "Kernel", agents: "list[KernelAgent]") -> bool:
+        """Would every walk read exactly what it read at the clean
+        sample this fingerprint was taken at?"""
+        table = kernel.pagemap.table
+        return (self.epoch == FrameList.epoch[0]
+                and self.tasks == _task_generations(kernel)
+                and self.counts == table.counts
+                and self.pin_counts == table.pin_counts
+                and self.tags == table.tags
+                and self.pinned == table.pinned
+                and all(map(is_, self.owner_pages,
+                            [agent.owner_pages() for agent in agents])))
+
+
+def _task_generations(kernel: "Kernel") -> list[tuple]:
+    return [(task, task.page_table, task.page_table.gen,
+             task.page_table._resident) for task in kernel.tasks]
 
 
 class InvariantWatchdog:
@@ -267,6 +351,17 @@ class InvariantWatchdog:
     snapshot, so the violation surfaces at the operation that caused it
     instead of at the end of the run.
 
+    Every sample evaluates every check, and a walk re-runs exactly when
+    its inputs changed.  The free-list check and the pin-leak audit are
+    column passes and run in full each time.  The walks — every task's
+    PTEs, the pinned set, and every registration's TPT frames — read
+    only the state a :class:`_WalkedState` fingerprints.
+    A sample that passes stores that fingerprint per armed pair; while
+    it still holds, the next sample keeps the walks' clean verdict
+    instead of repeating them.  Any violation drops it, so the sample
+    after one walks again.  ``checks_run`` counts every sample;
+    ``walks_run`` counts those that walked.
+
     Cadence catch-up follows the calendar's fire-once semantics: a
     charge that jumps several intervals yields one sample, and the next
     deadline realigns from the current time.
@@ -275,9 +370,12 @@ class InvariantWatchdog:
     def __init__(self, *, interval_ns: int = 1_000_000) -> None:
         self.interval_ns = interval_ns
         self.checks_run = 0
+        self.walks_run = 0
         self.violations = 0
         self.armed = False
         self._pairs: list[tuple] = []     #: (kernel, [agents])
+        #: pair index → the fingerprint of its last clean sample
+        self._clean: dict[int, _WalkedState] = {}
         self._in_check = False
         #: one ``(clock, cell)`` per cadence chain; the mutable cell
         #: holds the chain's pending event
@@ -344,25 +442,34 @@ class InvariantWatchdog:
             return
         self._in_check = True
         try:
-            for kernel, agents in self._pairs:
-                self._check_one(kernel, agents, boundary)
+            for index, (kernel, agents) in enumerate(self._pairs):
+                self._check_one(index, kernel, agents, boundary)
         finally:
             self._in_check = False
 
-    def _check_one(self, kernel, agents, boundary: str) -> None:
+    def _check_one(self, index: int, kernel, agents,
+                   boundary: str) -> None:
         self.checks_run += 1
+        # Popped, not read: only a sample that passes puts one back.
+        clean = self._clean.pop(index, None)
+        walk = clean is None or not clean.holds(kernel, agents)
+        self.walks_run += walk
         try:
-            audit_kernel_invariants(kernel)
+            kernel.pagemap.check_free_list()
+            if walk:
+                _audit_page_tables(kernel)
+                _audit_frame_counters(kernel)
         except PageAccountingError as exc:
             raise self._violation(
                 "kernel", kernel, boundary, str(exc)) from exc
-        for agent in agents:
-            stale = audit_tpt_consistency(agent)
-            if stale:
-                raise self._violation(
-                    "stale_tpt", kernel, boundary,
-                    f"{len(stale)} stale TPT entries",
-                    stale=[asdict(s) for s in stale])
+        if walk:
+            for agent in agents:
+                stale = audit_tpt_consistency(agent)
+                if stale:
+                    raise self._violation(
+                        "stale_tpt", kernel, boundary,
+                        f"{len(stale)} stale TPT entries",
+                        stale=[asdict(s) for s in stale])
         # count_kiobufs: a cadence sample can land mid-registration,
         # where the pin exists but the record does not yet.
         leaks = audit_pin_leaks(kernel, *agents, count_kiobufs=True)
@@ -371,6 +478,10 @@ class InvariantWatchdog:
                 "pin_leak", kernel, boundary,
                 f"{len(leaks)} leaked pins",
                 leaks=[asdict(leak) for leak in leaks])
+        if walk:
+            clean = _WalkedState.take(kernel, agents)
+        if clean is not None:
+            self._clean[index] = clean
 
     def _violation(self, kind: str, kernel, boundary: str,
                    detail: str, **extra) -> InvariantViolation:

@@ -51,6 +51,11 @@ class PageTable:
         #: present-entry counter; only set_mapping, set_swapped and
         #: clear write ``PTE.present``, and each keeps this in step
         self._resident = 0
+        #: bumped by every write of an entry's ``present``, ``frame``
+        #: or ``swap_slot`` and by every entry removed: an unchanged
+        #: ``gen`` means every entry reads as it did in those fields (an
+        #: entry ``ensure`` creates is empty, so it changes no reading)
+        self.gen = 0
 
     def _sorted(self) -> list[int]:
         if self._sorted_vpns is None:
@@ -76,6 +81,7 @@ class PageTable:
         pte = self.ensure(vpn)
         if not pte.present:
             self._resident += 1
+        self.gen += 1
         pte.present = True
         pte.frame = frame
         pte.writable = writable
@@ -89,6 +95,7 @@ class PageTable:
         pte = self.ensure(vpn)
         if pte.present:
             self._resident -= 1
+        self.gen += 1
         pte.present = False
         pte.frame = -1
         pte.swap_slot = slot
@@ -99,6 +106,7 @@ class PageTable:
         pte = self._entries.pop(vpn, None)
         if pte is not None:
             self._sorted_vpns = None
+            self.gen += 1
             if pte.present:
                 self._resident -= 1
 

@@ -235,9 +235,14 @@ class FaultPlan:
             return True
         return False
 
-    def should_corrupt(self) -> bool:
-        """Corrupt this packet's payload in flight?"""
-        if self._roll(self.corrupt_rate):
+    def should_corrupt(self, flippable: bool = True) -> bool:
+        """Corrupt this packet's payload in flight?
+
+        The roll is taken even for a packet with no byte to flip
+        (``flippable=False``, an empty payload), so the random stream
+        does not depend on payload sizes; such a packet is never
+        corrupted, and nothing is counted."""
+        if self._roll(self.corrupt_rate) and flippable:
             self.stats.corruptions += 1
             return True
         return False

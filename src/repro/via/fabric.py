@@ -258,7 +258,7 @@ class Fabric:
             return Attempt("dropped")
 
         wire_packet = packet
-        if plan.should_corrupt():
+        if plan.should_corrupt(flippable=bool(packet.payload)):
             wire_packet = replace(packet,
                                   payload=plan.corrupt(packet.payload))
             trace.emit("packet_corrupted", dst=packet.dst_nic,

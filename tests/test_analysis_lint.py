@@ -101,6 +101,20 @@ def test_kernel_mutation_scoped_to_layers_above_the_kernel():
         "bad_kernel_mutation.py", relpath="repro/kernel/paging.py") == []
 
 
+def test_kernel_mutation_keeps_pte_writes_in_the_page_table():
+    # Anywhere in the tree, not only above the kernel.
+    for relpath in ("repro/kernel/fault.py", "repro/via/nic.py"):
+        findings = lint_fixture("bad_pte_write.py", relpath=relpath)
+        assert rules_of(findings) == ["kernel-mutation"] * 3
+        assert [f.line for f in findings] == [10, 11, 12]
+    assert lint_fixture("bad_pte_write.py",
+                        relpath="repro/kernel/pagetable.py") == []
+    # The page descriptor's own frame number is not a PTE field.
+    findings = lint_fixture("bad_pte_write.py",
+                            relpath="repro/kernel/page.py")
+    assert [f.line for f in findings] == [10, 12]
+
+
 # -------------------------------------------------------- faultplan-validation
 
 def test_faultplan_flags_unvalidated_knobs():

@@ -184,6 +184,23 @@ def test_a_corrupted_attempt_is_hashed(monkeypatch):
     assert len(calls) == 2 * corrupted
 
 
+def test_an_empty_payload_is_never_corrupted():
+    """A zero-byte send has no byte to flip: even at ``corrupt_rate=1``
+    it completes, and no corruption is counted or reported."""
+    cluster, ua_s, ua_r, vi_s, vi_r = connected_pair(
+        "kiobuf", num_frames=64, seed=SEED)
+    sreg = ua_s.register_mem(ua_s.task.mmap(1), PAGE_SIZE)
+    rreg = ua_r.register_mem(ua_r.task.mmap(1), PAGE_SIZE)
+    plan = FaultPlan(seed=SEED, corrupt_rate=1.0)
+    cluster.inject_faults(plan)
+    ua_r.post_recv(vi_r, Descriptor.recv([ua_r.segment(rreg)]))
+    desc = ua_s.send_bytes(vi_s, sreg, b"")
+    assert desc.status == VIP_SUCCESS
+    assert ua_r.recv_done(vi_r).length_transferred == 0
+    assert cluster.trace.count("packet_corrupted") == 0
+    assert plan.stats.corruptions == 0
+
+
 class TestGathersReturnBytes:
     """The identity shortcut needs an immutable payload: ``read_gather``
     hands the NIC ``bytes`` however many spans it joins."""

@@ -145,9 +145,11 @@ def run_sequence(backend, seed, check, steps=120):
             bufs.append(va)
         tasks.append((task, m.user_agent(task), bufs))
     kiobufs = []
+    leaked = []                 #: (frame, pid) of pins nothing explains
     ops = ["register", "register", "nested", "deregister", "swap",
-           "kiobuf", "unmap_kiobuf", "leak_pin", "outside_frame",
-           "pin_corrupt", "count_corrupt", "drain"]
+           "kiobuf", "unmap_kiobuf", "leak_pin", "unleak_pin",
+           "unleak_pin", "outside_frame", "pin_corrupt", "count_corrupt",
+           "drain"]
     if backend == "odp":
         ops += ["fault", "fault", "invalidate"]
     for _ in range(steps):
@@ -175,8 +177,13 @@ def run_sequence(backend, seed, check, steps=120):
         elif op == "unmap_kiobuf" and kiobufs:
             kernel.unmap_kiobuf(kiobufs.pop(rng.randrange(len(kiobufs))))
         elif op == "leak_pin":
-            kernel.pin_user_page(task, task.vpn_of(rng.choice(bufs))
-                                 + rng.randrange(BUF_PAGES))
+            leaked.append((kernel.pin_user_page(
+                task, task.vpn_of(rng.choice(bufs))
+                + rng.randrange(BUF_PAGES)), task.pid))
+        elif op == "unleak_pin" and leaked:
+            # Repaired leaks leave the state clean again, so the cached
+            # registered-frame array is trusted between them.
+            kernel.unpin_user_page(*leaked.pop(rng.randrange(len(leaked))))
         elif op == "outside_frame" and regs:
             frames = rng.choice(regs).region.frames
             index = rng.randrange(len(frames))
