@@ -71,6 +71,13 @@ kind a reviewer has to re-derive on every PR:
     returns plain Python values; every other module goes through those
     methods.
 
+``eager-numpy``
+    numpy is loaded on first use: a module may import it inside the
+    function that needs it, or under ``if TYPE_CHECKING:`` for
+    annotations, but not at module level (class bodies included),
+    where every ``import repro`` would pay numpy's start-up time and
+    resident memory though most runs never call it.
+
 Findings on a line carrying ``# repro-lint: allow(<rule>, ...)`` (or
 whose preceding line carries it) are suppressed; rules can also be
 enabled/disabled wholesale per :class:`Linter`.
@@ -100,6 +107,8 @@ RULES: dict[str, str] = {
         "FaultPlan knob not validated in __post_init__",
     "column-view":
         "numpy buffer view taken outside the frame table's module",
+    "eager-numpy":
+        "numpy imported at module level outside `if TYPE_CHECKING:`",
 }
 
 _PRAGMA_RE = re.compile(r"#\s*repro-lint:\s*allow\(([^)]*)\)")
@@ -317,6 +326,8 @@ class Linter:
         if "column-view" in self.rules \
                 and not rel.endswith(_COLUMN_VIEW_EXEMPT_FILES):
             findings += self._check_column_view(tree, path)
+        if "eager-numpy" in self.rules:
+            findings += self._check_eager_numpy(tree, path)
         findings = [f for f in findings
                     if f.rule not in allowed.get(f.line, ())
                     and f.rule not in allowed.get(f.line - 1, ())]
@@ -497,6 +508,40 @@ class Linter:
             if isinstance(node, ast.Call)
             and (dotted := cls._resolve_call(node.func, aliases))
             in _COLUMN_VIEW_CALLS]
+
+    @staticmethod
+    def _check_eager_numpy(tree: ast.Module,
+                           path: str) -> list[LintFinding]:
+        findings: list[LintFinding] = []
+
+        def visit(stmts: Iterable[ast.AST]) -> None:
+            """Walk what runs at import: not function bodies, and not
+            the body of an ``if TYPE_CHECKING:``."""
+            for stmt in stmts:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if isinstance(stmt, ast.If) \
+                        and _last_name(stmt.test) == "TYPE_CHECKING":
+                    visit(stmt.orelse)
+                    continue
+                if isinstance(stmt, ast.Import):
+                    modules = [alias.name for alias in stmt.names]
+                elif isinstance(stmt, ast.ImportFrom) and stmt.level == 0:
+                    modules = [stmt.module or ""]
+                else:
+                    modules = []
+                if any(m == "numpy" or m.startswith("numpy.")
+                       for m in modules):
+                    findings.append(LintFinding(
+                        path, stmt.lineno, stmt.col_offset, "eager-numpy",
+                        "numpy imported at module level; import it in "
+                        "the function that uses it (or under "
+                        "`if TYPE_CHECKING:` for annotations)"))
+                for field in ("body", "orelse", "finalbody", "handlers"):
+                    visit(getattr(stmt, field, ()))
+
+        visit(tree.body)
+        return findings
 
     @staticmethod
     def _check_kernel_mutation(tree: ast.AST, path: str,

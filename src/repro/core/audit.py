@@ -115,25 +115,39 @@ def _registered_frames(agents: "Iterable[KernelAgent]") -> array:
     return arrays[0] if len(arrays) == 1 else sum(arrays, array("q"))
 
 
+def _in_flight_frames(agents: "Iterable[KernelAgent]",
+                      kiobufs: "Iterable[Kiobuf]") -> Iterator[list[int]]:
+    """The frame lists whose pins live state explains beyond the
+    recorded registrations: every registration an agent is still
+    deregistering (:attr:`~repro.via.kernel_agent.KernelAgent.releasing`:
+    record dropped, pins not yet), then every *mapped* kiobuf in
+    ``kiobufs``."""
+    for agent in agents:
+        yield from agent.releasing
+    for kio in kiobufs:
+        if kio.mapped:
+            yield kio.frames
+
+
 def _explaining_frames(agents: "Iterable[KernelAgent]",
                        kiobufs: "Iterable[Kiobuf]" = ()) -> Iterator[int]:
     """Every frame that live state explains one pin on, with
     repetition: each page of every registration recorded in
-    ``agents``, then each frame of every *mapped* kiobuf in
-    ``kiobufs``."""
+    ``agents``, then each page of :func:`_in_flight_frames`."""
+    agents = list(agents)
     registered = chain.from_iterable(
         frame_lists
         for agent in agents
         for _pid, _vpns, frame_lists in agent.owner_pages())
-    held = (kio.frames for kio in kiobufs if kio.mapped)
-    return chain.from_iterable(chain(registered, held))
+    return chain.from_iterable(
+        chain(registered, _in_flight_frames(agents, kiobufs)))
 
 
 def explained_pins(agents: "Iterable[KernelAgent]",
                    kiobufs: "Iterable[Kiobuf]" = ()) -> Counter[int]:
     """How many pins live state explains on each frame: one per page of
-    every registration recorded in ``agents``, plus one per frame of
-    every *mapped* kiobuf in ``kiobufs``."""
+    every registration recorded in ``agents`` or being deregistered by
+    one, plus one per frame of every *mapped* kiobuf in ``kiobufs``."""
     return Counter(_explaining_frames(agents, kiobufs))
 
 
@@ -164,32 +178,33 @@ def audit_pin_leaks(kernel: "Kernel", *agents: "KernelAgent",
     registered frames are each agent's cached
     :meth:`~repro.via.kernel_agent.KernelAgent.registered_frames`
     array, so a sample between registration changes builds nothing.
-    Only if a frame is short are the mapped kiobuf frames added and the
-    pass repeated, and only if a frame is still short does the
-    per-frame walk over the page map's pinned set build the report.
+    Only if a frame is short are the in-flight frames added (the
+    registrations an agent is deregistering, and the mapped kiobufs)
+    and the pass repeated, and only if a frame is still short does the
+    per-frame walk over the whole ``pin_counts`` column build the
+    report.
     """
     table = kernel.pagemap.table
     registered = _registered_frames(agents)
     if not table.pins_exceed(registered):
         return []
     kiobufs = kernel.kiobufs.values() if count_kiobufs else ()
-    if count_kiobufs and not table.pins_exceed(registered + array(
-            "q", chain.from_iterable(
-                kio.frames for kio in kiobufs if kio.mapped))):
+    in_flight = array("q", chain.from_iterable(
+        _in_flight_frames(agents, kiobufs)))
+    if in_flight and not table.pins_exceed(registered + in_flight):
         return []
     return _unexplained(kernel.pagemap, explained_pins(agents, kiobufs))
 
 
 def _unexplained(pagemap: "PageMap",
                  expected: Counter[int]) -> list[LeakedPin]:
-    pin_counts = pagemap.table.pin_counts
-    leaks: list[LeakedPin] = []
-    for frame in pagemap.pinned_frames():
-        if pin_counts[frame] > expected.get(frame, 0):
-            leaks.append(LeakedPin(frame=frame,
-                                   pin_count=pin_counts[frame],
-                                   expected=expected.get(frame, 0)))
-    return leaks
+    """Every frame holding more pins than ``expected`` explains.  The
+    walk reads the whole column, not the pinned set: a pin count
+    written behind the set's back is a leak too."""
+    return [LeakedPin(frame=frame, pin_count=pins,
+                      expected=expected.get(frame, 0))
+            for frame, pins in enumerate(pagemap.table.pin_counts)
+            if pins > expected.get(frame, 0)]
 
 
 def audit_kernel_invariants(kernel: "Kernel") -> None:
@@ -203,12 +218,14 @@ def audit_kernel_invariants(kernel: "Kernel") -> None:
     3. a frame mapped by a present PTE has refcount ≥ 1,
     4. every swap slot is referenced by at most one PTE,
     5. pinned frames are in use (pin without reference is impossible),
+       and every frame with pins is in the frame table's pinned set,
     6. each page table's resident counter equals its present PTEs.
 
-    Invariant 5 visits only the frame table's pinned set, and the
+    Invariant 5 visits only the frame table's pinned set, and compares
+    its size with the ``pin_counts`` column's zero count; the
     negative-counter check reads the counters' sign bytes straight out
-    of the columns; only a hit there walks the descriptors to name the
-    frame.
+    of the columns.  Only a hit there walks the descriptors or the
+    column to name the frame.
     """
     kernel.pagemap.check_free_list()
     _audit_page_tables(kernel)
@@ -261,16 +278,23 @@ def _audit_frame_counters(kernel: "Kernel") -> None:
     columns."""
     table = kernel.pagemap.table
     counts = table.counts
+    pin_counts = table.pin_counts
     for frame in table.pinned:
         if counts[frame] == 0:
             raise PageAccountingError(
-                f"frame {frame} pinned ({table.pin_counts[frame]}) "
-                f"but free")
+                f"frame {frame} pinned ({pin_counts[frame]}) but free")
     if table.any_negative_counter():
         for pd in kernel.pagemap:
             if pd.pin_count < 0 or pd.count < 0:
                 raise PageAccountingError(
                     f"frame {pd.frame} has negative counters")
+    # No count is negative now, so every nonzero one should be listed.
+    if len(table.pinned) + pin_counts.count(0) != len(pin_counts):
+        for frame, pins in enumerate(pin_counts):
+            if pins and frame not in table.pinned:
+                raise PageAccountingError(
+                    f"frame {frame} has {pins} pins but is missing "
+                    f"from the pinned set")
 
 
 class _WalkedState:

@@ -30,7 +30,6 @@ from repro.kernel.task import Task
 from repro.kernel.vma import VMArea
 from repro.sim.clock import SimClock
 from repro.sim.costs import CostModel
-from repro.sim.rng import make_rng
 from repro.sim.trace import Trace
 
 
@@ -61,7 +60,6 @@ class Kernel:
         #: the installed FaultPlan, if any (see repro.sim.faults.install);
         #: kernel-internal crash points (kiobuf pinning) consult it
         self.fault_plan: object | None = None
-        self.rng = make_rng(seed)
         self.phys = PhysicalMemory(num_frames)
         self.swap = SwapDevice(swap_slots, self.clock, self.costs)
         self.pagemap = PageMap(num_frames, self.clock, self.costs,

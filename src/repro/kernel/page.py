@@ -29,15 +29,14 @@ returns a plain Python value: an ``array`` exporting its buffer cannot
 be resized, so a view that outlived its call (held, say, by the
 traceback of a chained :class:`~repro.errors.InvariantViolation`)
 would break the next ``put_page``.  This module is the only one that
-may take such views.
+may take such views.  numpy is imported by the first of those passes,
+not with this module.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-
-import numpy as np
 
 from repro.errors import PageAccountingError
 from repro.kernel.flags import (
@@ -163,6 +162,7 @@ class FrameTable:
         negative entry is larger than any frame number, so a single
         ``max`` bounds the list from both sides.
         """
+        import numpy as np
         listed = np.frombuffer(frames, dtype=np.int64)
         if not listed.size:
             return True
@@ -180,6 +180,7 @@ class FrameTable:
         counted with one ``bincount`` and compared with the
         ``pin_counts`` column in one pass.
         """
+        import numpy as np
         listed = np.frombuffer(frames, dtype=np.int64)
         # Unsigned, negative entries compare above every frame number.
         listed = listed[listed.view(np.uint64) < self.num_frames]

@@ -4,14 +4,11 @@ Collectives follow the classic algorithms (dissemination barrier,
 binomial-tree broadcast and reduction, pairwise exchange for alltoall),
 executed as a deterministic per-rank schedule over real point-to-point
 traffic — every hop moves real bytes through the VIA stack and charges
-real simulated costs.
+real simulated costs.  The reductions do their arithmetic in numpy,
+which the first reduction imports.
 """
 
 from __future__ import annotations
-
-from typing import Callable
-
-import numpy as np
 
 from repro.errors import InvalidArgument
 from repro.mpi.rank import MpiRank
@@ -21,12 +18,12 @@ from repro.via.machine import Cluster
 #: context id used by collective traffic so it can never match user tags
 SYSTEM_CONTEXT = 1
 
-#: reduction operators on numpy arrays
-OPS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
-    "sum": np.add,
-    "max": np.maximum,
-    "min": np.minimum,
-    "prod": np.multiply,
+#: reduction operator → the numpy ufunc that combines two partials
+OPS: dict[str, str] = {
+    "sum": "add",
+    "max": "maximum",
+    "min": "minimum",
+    "prod": "multiply",
 }
 
 
@@ -146,6 +143,8 @@ class MpiWorld:
         if op not in OPS:
             raise InvalidArgument(
                 f"unknown op {op!r}; choose from {sorted(OPS)}")
+        import numpy as np
+        combine = getattr(np, OPS[op])
         nbytes = count * np.dtype(dtype).itemsize
         n = self.size
         # Accumulate into a per-rank local copy first (rank buffers are
@@ -172,7 +171,7 @@ class MpiWorld:
                 incoming = np.frombuffer(
                     self.ranks[dst].task.read(self._scratch[dst],
                                               nbytes), dtype=dtype)
-                acc[dst] = OPS[op](acc[dst], incoming)
+                acc[dst] = combine(acc[dst], incoming)
             dist *= 2
         self.ranks[root].task.write(out_va, acc[root].tobytes())
 
@@ -182,6 +181,7 @@ class MpiWorld:
         self._check_vas(vas)
         self._check_vas(out_vas)
         self.reduce(0, vas, out_vas[0], count, op=op, dtype=dtype)
+        import numpy as np
         nbytes = count * np.dtype(dtype).itemsize
         self.bcast(0, out_vas, nbytes)
 

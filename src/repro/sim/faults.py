@@ -32,9 +32,14 @@ stack survived them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 from repro.errors import ProcessKilled
 from repro.sim.rng import make_rng
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 #: Default extra latency of a delayed packet (one disk-seek-ish stall).
 DEFAULT_DELAY_NS = 20_000
@@ -178,11 +183,13 @@ class FaultPlan:
             raise ValueError(
                 f"seed must be >= 0, got {self.seed} "
                 f"(the RNG rejects negative seeds)")
+        rolls = False
         for attr in ("loss_rate", "duplicate_rate", "corrupt_rate",
                      "delay_rate", "dma_fail_rate"):
             rate = getattr(self, attr)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{attr} must be in [0, 1], got {rate}")
+            rolls = rolls or rate > 0.0
         for attr in ("registration_failures", "pin_failures"):
             budget = getattr(self, attr)
             if budget < 0:
@@ -212,9 +219,21 @@ class FaultPlan:
         if self.nic_reset_at_ns is not None and self.nic_reset_at_ns < 0:
             raise ValueError(
                 f"nic_reset_at_ns must be >= 0, got {self.nic_reset_at_ns}")
-        self._rng = make_rng(self.seed)
         self._reset_fired = False
         self._crash_fired = False
+        if rolls:
+            # A plan that rolls makes its stream, and loads numpy, now,
+            # while the system is being built: first imported in the
+            # middle of a run, numpy slowed the ops after it too
+            # (EXPERIMENTS.md, E18).
+            self._rng
+
+    @cached_property
+    def _rng(self) -> np.random.Generator:
+        """The roll stream, made from ``seed``: at construction by a
+        plan with a rate above zero, else by a direct :meth:`corrupt`.
+        A plan that rolls nothing never loads numpy."""
+        return make_rng(self.seed)
 
     # -- wire faults --------------------------------------------------------
 

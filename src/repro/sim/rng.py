@@ -1,13 +1,18 @@
 """Deterministic RNG helpers.
 
-Everything stochastic in the simulator (reclaim victim choice when ages
-tie, allocator touch order, workload payloads) draws from RNGs created
-here, so a seed fully determines an experiment run.
+Everything stochastic in the simulator (fault plans' wire and DMA
+rolls, the soak's tenant churn, the buffer-reuse traces) draws
+from generators created here, so a seed fully determines an experiment
+run.  numpy is imported by the first :func:`make_rng` call, not with
+this module: a run that draws nothing never loads it.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 def make_rng(seed: int | None = 0) -> np.random.Generator:
@@ -17,13 +22,5 @@ def make_rng(seed: int | None = 0) -> np.random.Generator:
     to be accidentally nondeterministic; callers wanting entropy must ask
     for it explicitly by passing a varying seed.
     """
+    import numpy as np
     return np.random.default_rng(0 if seed is None else seed)
-
-
-def derive(rng: np.random.Generator, salt: int) -> np.random.Generator:
-    """Derive an independent child stream from ``rng`` and a salt.
-
-    Used to give each simulated task its own stream so adding a task does
-    not perturb the draws of existing ones.
-    """
-    return np.random.default_rng([int(rng.integers(0, 2**63)), salt])

@@ -101,6 +101,10 @@ class KernelAgent:
         #: registered_frames()'s answer and the FrameList epoch it was
         #: built at; dropped with _owner_pages
         self._frame_array: tuple[array, int] | None = None
+        #: the frames of every registration deregister_memory has
+        #: dropped the record of but whose backend is still unpinning,
+        #: innermost last; they explain those pins to the pin-leak audit
+        self.releasing: list[list[int]] = []
         self.fault_plan: "FaultPlan | None" = None
         # The driver owns per-process state (VIs, registrations, pins),
         # so it must hear about exits, munmaps and evictions: a process
@@ -246,11 +250,19 @@ class KernelAgent:
         # could not tell a legitimate last-unlock from an annulment.
         self.kernel.events.record(DEREGISTER, handle=handle,
                                   backend=self.backend.name, pid=reg.pid)
-        region = self.nic.tpt.remove(handle)
-        self.kernel.clock.charge(
-            region.npages * self.kernel.costs.tpt_update_ns, "register")
-        self._purge_odp_index(handle, region.lock_cookie)
-        self.backend.unlock(self.kernel, region.lock_cookie)
+        # Until the unlock returns, the dropped record's frames still
+        # explain its pins: a watchdog sample fired by a charge below
+        # (the TPT update, an ODP unpin) must not report them leaked.
+        self.releasing.append(reg.region.frames)
+        try:
+            region = self.nic.tpt.remove(handle)
+            self.kernel.clock.charge(
+                region.npages * self.kernel.costs.tpt_update_ns,
+                "register")
+            self._purge_odp_index(handle, region.lock_cookie)
+            self.backend.unlock(self.kernel, region.lock_cookie)
+        finally:
+            self.releasing.pop()
 
     def registrations_of(self, pid: int) -> list[Registration]:
         """All live registrations of one process, in registration

@@ -1,8 +1,8 @@
 """Fixture: numpy views taken outside the frame table (3 findings)."""
 
-import numpy
-import numpy as np
-from numpy import frombuffer
+import numpy  # repro-lint: allow(eager-numpy)
+import numpy as np  # repro-lint: allow(eager-numpy)
+from numpy import frombuffer  # repro-lint: allow(eager-numpy)
 
 
 def free_counts(pagemap):

@@ -5,7 +5,7 @@ import random
 import time as walltime
 from time import monotonic
 
-import numpy as np
+import numpy as np  # repro-lint: allow(eager-numpy)
 
 
 def stamp():

@@ -1,6 +1,6 @@
 """Fixture: column passes through FrameTable methods (0 findings)."""
 
-import numpy as np
+import numpy as np  # repro-lint: allow(eager-numpy)
 
 
 def free_list_ok(pagemap):

@@ -181,7 +181,7 @@ def test_merged_guard_rules_are_gone():
     assert "instrumentation-unguarded" in RULES
     assert "obs-unguarded" not in RULES
     assert "hub-emit-unguarded" not in RULES
-    assert len(RULES) == 6
+    assert len(RULES) == 7
 
 
 # ----------------------------------------------------------------- column-view
@@ -203,6 +203,18 @@ def test_column_view_exempts_the_frame_table_module():
     assert linter.check_source(source, relpath="repro/kernel/page.py") == []
     assert len(linter.check_source(
         source, relpath="repro/kernel/pagemap.py")) == 1
+
+
+# ----------------------------------------------------------------- eager-numpy
+
+def test_eager_numpy_flags_module_level_imports():
+    findings = lint_fixture("bad_eager_numpy.py")
+    assert rules_of(findings) == ["eager-numpy"] * 6
+    assert [f.line for f in findings] == [3, 4, 5, 9, 16, 20]
+
+
+def test_eager_numpy_accepts_local_type_checking_and_pragma():
+    assert lint_fixture("good_eager_numpy.py") == []
 
 
 # ------------------------------------------------------------------- machinery

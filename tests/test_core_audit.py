@@ -129,6 +129,10 @@ def oracle_kernel_invariants(kernel):
     for pd in pm:
         if pd.pin_count < 0 or pd.count < 0:
             return f"frame {pd.frame} has negative counters"
+    for pd in pm:
+        if pd.pin_count > 0 and pd.frame not in pm.table.pinned:
+            return (f"frame {pd.frame} has {pd.pin_count} pins but is "
+                    f"missing from the pinned set")
     return None
 
 
@@ -497,6 +501,39 @@ class TestKernelInvariants:
             audit_kernel_invariants(kernel)
 
 
+class TestPinCountBehindThePinnedSet:
+    """``pin_counts[f] = 3`` written straight into the column leaves
+    ``f`` out of the pinned set, which the audits' walks start from."""
+
+    @pytest.fixture
+    def bypassed(self):
+        m = Machine(num_frames=64, backend="kiobuf")
+        task = m.spawn()
+        va = task.mmap(2)
+        task.touch_pages(va, 2)
+        frame = task.physical_pages(va, 2)[1]
+        table = m.kernel.pagemap.table
+        table.pin_counts[frame] = 3
+        assert frame not in table.pinned
+        yield m, frame
+        table.pin_counts[frame] = 0
+
+    def test_pin_leak_audit_reports_the_frame(self, bypassed):
+        m, frame = bypassed
+        leak = LeakedPin(frame=frame, pin_count=3, expected=0)
+        assert audit_pin_leaks(m.kernel, m.agent) == [leak]
+        assert audit_pin_leaks(m.kernel, m.agent,
+                               count_kiobufs=True) == [leak]
+        assert oracle_pin_leaks(m.kernel, m.agent) == [leak]
+
+    def test_invariant_5_flags_the_frame(self, bypassed):
+        m, frame = bypassed
+        detail = (f"frame {frame} has 3 pins but is missing from the "
+                  f"pinned set")
+        assert kernel_verdict(m.kernel) == detail
+        assert oracle_kernel_invariants(m.kernel) == detail
+
+
 class TestSummaries:
     def test_frame_ownership_sums_to_total(self, kernel):
         t = kernel.create_task()
@@ -652,5 +689,13 @@ class TestWatchdogGoldens:
     def test_corrupted_resident_counter(self, armed):
         armed.task.page_table._resident -= 1
         detail = f"pid {armed.task.pid} resident counter 7 != 8 present PTEs"
+        assert oracle_kernel_invariants(armed.kernel) == detail
+        armed.next_sample("kernel", detail)
+
+    def test_pin_count_behind_the_pinned_set(self, armed):
+        frame = armed.frame(6)                  # mapped, not registered
+        armed.table.pin_counts[frame] = 3
+        detail = f"frame {frame} has 3 pins but is missing from the " \
+                 f"pinned set"
         assert oracle_kernel_invariants(armed.kernel) == detail
         armed.next_sample("kernel", detail)

@@ -66,10 +66,12 @@ def walk_explained(agents, kiobufs=()):
 
 
 def walk_unexplained(pagemap, expected):
+    """Every frame, pinned set or not: a pin count written behind the
+    set is a leak too."""
     pin_counts = pagemap.table.pin_counts
     return [LeakedPin(frame=frame, pin_count=pin_counts[frame],
                       expected=expected.get(frame, 0))
-            for frame in pagemap.pinned_frames()
+            for frame in range(len(pin_counts))
             if pin_counts[frame] > expected.get(frame, 0)]
 
 

@@ -241,8 +241,6 @@ def odp_pressure_run(seed, transfers=24):
     rng = random.Random(seed)
     cluster = Cluster(2, num_frames=256, swap_slots=2048, backend="odp",
                       seed=seed)
-    # No cache budget: an eviction deregisters, and a sample inside an
-    # ODP deregistration reports a leak (see the xfail tests below).
     sender, receiver = make_pair(cluster)
     pages = 8
     bufs = []
@@ -313,11 +311,9 @@ def test_a_sample_inside_a_kiobuf_registration_is_clean():
 
 
 @pytest.mark.no_posthoc_audit
-@pytest.mark.xfail(strict=True, raises=InvariantViolation, reason=(
-    "deregister_memory drops the record before the ODP backend unpins; "
-    "a sample fired by the TPT-update charge in between sees the pins "
-    "unexplained"))
 def test_a_sample_inside_an_odp_deregistration_is_clean():
+    # The record is dropped before the TPT-update charge and the ODP
+    # unpins; the agent's releasing list explains the pins meanwhile.
     m = Machine(num_frames=64, backend="odp")
     task = m.spawn()
     ua = m.user_agent(task)
@@ -330,6 +326,8 @@ def test_a_sample_inside_an_odp_deregistration_is_clean():
         ua.deregister_mem(reg)
     finally:
         wd.disarm()
+    assert wd.checks_run >= 3 and wd.violations == 0
+    assert m.agent.releasing == [] and not m.kernel.pagemap.table.pinned
 
 
 # --------------------------------------------------------------------------
