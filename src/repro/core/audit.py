@@ -120,10 +120,17 @@ def _in_flight_frames(agents: "Iterable[KernelAgent]",
     """The frame lists whose pins live state explains beyond the
     recorded registrations: every registration an agent is still
     deregistering (:attr:`~repro.via.kernel_agent.KernelAgent.releasing`:
-    record dropped, pins not yet), then every *mapped* kiobuf in
+    record dropped, pins not yet), every kiobuf the agents' kernels are
+    still building (:attr:`~repro.kernel.kernel.Kernel.pinning`: pins
+    taken, record not yet), then every *mapped* kiobuf in
     ``kiobufs``."""
+    kernels: list = []
     for agent in agents:
         yield from agent.releasing
+        if agent.kernel not in kernels:
+            kernels.append(agent.kernel)
+    for kernel in kernels:
+        yield from kernel.pinning
     for kio in kiobufs:
         if kio.mapped:
             yield kio.frames
@@ -147,7 +154,9 @@ def explained_pins(agents: "Iterable[KernelAgent]",
                    kiobufs: "Iterable[Kiobuf]" = ()) -> Counter[int]:
     """How many pins live state explains on each frame: one per page of
     every registration recorded in ``agents`` or being deregistered by
-    one, plus one per frame of every *mapped* kiobuf in ``kiobufs``."""
+    one, one per frame pinned so far by a kiobuf their kernels are
+    building, plus one per frame of every *mapped* kiobuf in
+    ``kiobufs``."""
     return Counter(_explaining_frames(agents, kiobufs))
 
 
@@ -179,7 +188,8 @@ def audit_pin_leaks(kernel: "Kernel", *agents: "KernelAgent",
     :meth:`~repro.via.kernel_agent.KernelAgent.registered_frames`
     array, so a sample between registration changes builds nothing.
     Only if a frame is short are the in-flight frames added (the
-    registrations an agent is deregistering, and the mapped kiobufs)
+    registrations an agent is deregistering, the kiobufs being built,
+    and the mapped kiobufs)
     and the pass repeated, and only if a frame is still short does the
     per-frame walk over the whole ``pin_counts`` column build the
     report.
@@ -218,14 +228,14 @@ def audit_kernel_invariants(kernel: "Kernel") -> None:
     3. a frame mapped by a present PTE has refcount ≥ 1,
     4. every swap slot is referenced by at most one PTE,
     5. pinned frames are in use (pin without reference is impossible),
-       and every frame with pins is in the frame table's pinned set,
+       and the frame table's pinned set is exactly the frames with pins,
     6. each page table's resident counter equals its present PTEs.
 
-    Invariant 5 visits only the frame table's pinned set, and compares
-    its size with the ``pin_counts`` column's zero count; the
-    negative-counter check reads the counters' sign bytes straight out
-    of the columns.  Only a hit there walks the descriptors or the
-    column to name the frame.
+    Invariant 5 visits only the frame table's pinned set, where every
+    frame must have pins, and compares its size with the ``pin_counts``
+    column's nonzero count; the negative-counter check reads the
+    counters' sign bytes straight out of the columns.  Only a hit there
+    walks the descriptors or the column to name the frame.
     """
     kernel.pagemap.check_free_list()
     _audit_page_tables(kernel)
@@ -283,12 +293,16 @@ def _audit_frame_counters(kernel: "Kernel") -> None:
         if counts[frame] == 0:
             raise PageAccountingError(
                 f"frame {frame} pinned ({pin_counts[frame]}) but free")
+        if pin_counts[frame] == 0:
+            raise PageAccountingError(
+                f"frame {frame} is in the pinned set with no pins")
     if table.any_negative_counter():
         for pd in kernel.pagemap:
             if pd.pin_count < 0 or pd.count < 0:
                 raise PageAccountingError(
                     f"frame {pd.frame} has negative counters")
-    # No count is negative now, so every nonzero one should be listed.
+    # No count is negative and every listed frame has pins, so equal
+    # sizes mean the listed frames are exactly the nonzero ones.
     if len(table.pinned) + pin_counts.count(0) != len(pin_counts):
         for frame, pins in enumerate(pin_counts):
             if pins and frame not in table.pinned:
@@ -298,10 +312,15 @@ def _audit_frame_counters(kernel: "Kernel") -> None:
 
 
 class _WalkedState:
-    """An exact fingerprint of everything the watchdog's walks read —
-    :func:`_audit_page_tables`, :func:`_audit_frame_counters` and
-    :func:`audit_tpt_consistency` — taken at a clean sample.  While
-    :meth:`holds`, every walk would pass again.
+    """An exact fingerprint of everything a daemon sample reads, taken
+    at a clean sample.  While :meth:`holds`, the sample would pass
+    again, so it is skipped.
+
+    Every fingerprint covers what the watchdog's audits read —
+    :func:`~repro.kernel.pagemap.PageMap.check_free_list`,
+    :func:`_audit_page_tables`, :func:`_audit_frame_counters`,
+    :func:`audit_tpt_consistency` and the first pass of
+    :func:`audit_pin_leaks`:
 
     * Tasks: the identity of every task and of its page table, in
       order, with the table's :attr:`~repro.kernel.pagetable.PageTable.gen`
@@ -310,33 +329,65 @@ class _WalkedState:
     * Frame columns: copies of ``counts``, ``pin_counts``, ``tags``
       and the pinned set, compared with the live ones at C level, so a
       direct write such as ``table.counts[f] = 0`` is seen.
+    * Free list: a copy of ``PageMap._free`` and the size of the free
+      set.
     * Agents: each agent's cached :meth:`owner_pages` list, compared by
       identity (the reference held here keeps the identity from being
       reused), which changes with the registration set; and
       :attr:`FrameList.epoch <repro.via.tpt.FrameList.epoch>`, which
       changes with any in-place write to a registration's frames.
+    * ``pins_clean``: whether the registered frames alone explained
+      every pin.  Only then is the pin-leak verdict kept; a state that
+      needed the in-flight frames (a kiobuf being built, a registration
+      being released) re-runs that audit at every sample.  The
+      in-flight lists themselves need no copy: each starts with a pin
+      or a record dropped and ends with a pin released or a kiobuf
+      recorded, which the fields above see.
+
+    The orphan reaper's fingerprint (``reaper=True``) also copies what
+    only its scan phases read: the kernel's ``kiobufs`` dict, each
+    agent's NIC ``vis`` dict and protection ``_tags``, and the frame
+    table's ``orphan_candidates`` and ``mappings``.  The copies are made
+    once, here, and compared with the live objects at each scan.
     """
 
     __slots__ = ("tasks", "counts", "pin_counts", "tags", "pinned",
-                 "owner_pages", "epoch")
+                 "free", "free_set_len", "owner_pages", "epoch",
+                 "pins_clean", "kiobufs", "vis", "agent_tags", "orphans",
+                 "mappings")
 
-    def __init__(self, kernel: "Kernel",
-                 agents: "list[KernelAgent]") -> None:
-        table = kernel.pagemap.table
+    def __init__(self, kernel: "Kernel", agents: "list[KernelAgent]",
+                 reaper: bool) -> None:
+        pagemap = kernel.pagemap
+        table = pagemap.table
         self.tasks = _task_generations(kernel)
         self.counts = table.counts[:]
         self.pin_counts = table.pin_counts[:]
         self.tags = table.tags[:]
         self.pinned = set(table.pinned)
+        self.free = pagemap._free[:]
+        self.free_set_len = len(pagemap._free_set)
         self.owner_pages = [agent.owner_pages() for agent in agents]
         self.epoch = FrameList.epoch[0]
+        self.pins_clean = not table.pins_exceed(_registered_frames(agents))
+        self.kiobufs = self.vis = self.agent_tags = None
+        self.orphans = self.mappings = None
+        if reaper:
+            self.kiobufs = dict(kernel.kiobufs)
+            self.vis = [dict(agent.nic.vis) for agent in agents]
+            self.agent_tags = [dict(agent._tags) for agent in agents]
+            self.orphans = set(table.orphan_candidates)
+            self.mappings = table.mappings[:]
 
     @classmethod
-    def take(cls, kernel: "Kernel", agents: "list[KernelAgent]"
-             ) -> "_WalkedState | None":
+    def take(cls, kernel: "Kernel", agents: "list[KernelAgent]", *,
+             reaper: bool = False) -> "_WalkedState | None":
         """The fingerprint of the state now; None while a registration's
-        frames are a list whose writes the epoch cannot see."""
-        state = cls(kernel, agents)
+        frames are a list whose writes the epoch cannot see, and, for
+        the reaper, unless the pin-leak verdict is kept."""
+        state = cls(kernel, agents, reaper)
+        if reaper and not state.pins_clean:
+            return None
         if all(type(frames) is FrameList
                for pages in state.owner_pages
                for _pid, _vpns, frame_lists in pages
@@ -345,17 +396,27 @@ class _WalkedState:
         return None
 
     def holds(self, kernel: "Kernel", agents: "list[KernelAgent]") -> bool:
-        """Would every walk read exactly what it read at the clean
+        """Would the sample read exactly what it read at the clean
         sample this fingerprint was taken at?"""
-        table = kernel.pagemap.table
+        pagemap = kernel.pagemap
+        table = pagemap.table
         return (self.epoch == FrameList.epoch[0]
                 and self.tasks == _task_generations(kernel)
                 and self.counts == table.counts
                 and self.pin_counts == table.pin_counts
                 and self.tags == table.tags
                 and self.pinned == table.pinned
+                and self.free == pagemap._free
+                and self.free_set_len == len(pagemap._free_set)
                 and all(map(is_, self.owner_pages,
-                            [agent.owner_pages() for agent in agents])))
+                            [agent.owner_pages() for agent in agents]))
+                and (self.kiobufs is None
+                     or (self.kiobufs == kernel.kiobufs
+                         and self.orphans == table.orphan_candidates
+                         and self.mappings == table.mappings
+                         and self.vis == [agent.nic.vis for agent in agents]
+                         and self.agent_tags == [agent._tags
+                                                 for agent in agents])))
 
 
 def _task_generations(kernel: "Kernel") -> list[tuple]:
@@ -375,16 +436,19 @@ class InvariantWatchdog:
     snapshot, so the violation surfaces at the operation that caused it
     instead of at the end of the run.
 
-    Every sample evaluates every check, and a walk re-runs exactly when
-    its inputs changed.  The free-list check and the pin-leak audit are
-    column passes and run in full each time.  The walks — every task's
-    PTEs, the pinned set, and every registration's TPT frames — read
-    only the state a :class:`_WalkedState` fingerprints.
-    A sample that passes stores that fingerprint per armed pair; while
-    it still holds, the next sample keeps the walks' clean verdict
-    instead of repeating them.  Any violation drops it, so the sample
-    after one walks again.  ``checks_run`` counts every sample;
-    ``walks_run`` counts those that walked.
+    A sample re-runs its audits exactly when their inputs changed.  A
+    sample that passes stores a :class:`_WalkedState` per armed pair, an
+    exact fingerprint of everything the audits read: the free list,
+    every task's PTEs, the frame columns and the pinned set, and every
+    registration's TPT frames.  While it still holds, the next sample
+    costs one fingerprint compare and keeps the clean verdict instead
+    of running the free-list check, the walks and the TPT check.  The
+    pin-leak verdict is kept too, but only when the registered frames
+    alone explained every pin; a state that needed the in-flight frames
+    (a kiobuf being built, a registration being released) runs the
+    pin-leak audit at every sample.  Any violation drops the
+    fingerprint, so the sample after one audits again.  ``checks_run``
+    counts every sample; ``walks_run`` counts those that audited.
 
     Cadence catch-up follows the calendar's fire-once semantics: a
     charge that jumps several intervals yields one sample, and the next
@@ -413,6 +477,9 @@ class InvariantWatchdog:
         pairs = hosts_of(target)
         self._pairs.extend(pairs)
         self.armed = True
+        # The first sample's column passes need numpy: load it now,
+        # while the system is being built, not inside a timed operation.
+        import numpy  # noqa: F401
         clocks = {id(k.clock): k.clock for k, _ in pairs}
         for clock in clocks.values():
             # First cadence sample is one interval out, not immediately;
@@ -476,24 +543,35 @@ class InvariantWatchdog:
         self.checks_run += 1
         # Popped, not read: only a sample that passes puts one back.
         clean = self._clean.pop(index, None)
-        walk = clean is None or not clean.holds(kernel, agents)
-        self.walks_run += walk
+        if clean is None or not clean.holds(kernel, agents):
+            self.walks_run += 1
+            self._audit(kernel, agents, boundary)
+            clean = _WalkedState.take(kernel, agents)
+        elif not clean.pins_clean:
+            self._audit_pins(kernel, agents, boundary)
+        if clean is not None:
+            self._clean[index] = clean
+
+    def _audit(self, kernel, agents, boundary: str) -> None:
+        """Every audit, in order: the free list, the walks, the TPT and
+        the pin leaks."""
         try:
             kernel.pagemap.check_free_list()
-            if walk:
-                _audit_page_tables(kernel)
-                _audit_frame_counters(kernel)
+            _audit_page_tables(kernel)
+            _audit_frame_counters(kernel)
         except PageAccountingError as exc:
             raise self._violation(
                 "kernel", kernel, boundary, str(exc)) from exc
-        if walk:
-            for agent in agents:
-                stale = audit_tpt_consistency(agent)
-                if stale:
-                    raise self._violation(
-                        "stale_tpt", kernel, boundary,
-                        f"{len(stale)} stale TPT entries",
-                        stale=[asdict(s) for s in stale])
+        for agent in agents:
+            stale = audit_tpt_consistency(agent)
+            if stale:
+                raise self._violation(
+                    "stale_tpt", kernel, boundary,
+                    f"{len(stale)} stale TPT entries",
+                    stale=[asdict(s) for s in stale])
+        self._audit_pins(kernel, agents, boundary)
+
+    def _audit_pins(self, kernel, agents, boundary: str) -> None:
         # count_kiobufs: a cadence sample can land mid-registration,
         # where the pin exists but the record does not yet.
         leaks = audit_pin_leaks(kernel, *agents, count_kiobufs=True)
@@ -502,10 +580,6 @@ class InvariantWatchdog:
                 "pin_leak", kernel, boundary,
                 f"{len(leaks)} leaked pins",
                 leaks=[asdict(leak) for leak in leaks])
-        if walk:
-            clean = _WalkedState.take(kernel, agents)
-        if clean is not None:
-            self._clean[index] = clean
 
     def _violation(self, kind: str, kernel, boundary: str,
                    detail: str, **extra) -> InvariantViolation:

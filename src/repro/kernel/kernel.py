@@ -75,6 +75,10 @@ class Kernel:
         self.page_cache: set[int] = set()
         #: live kiobufs by id
         self.kiobufs: dict[int, Kiobuf] = {}
+        #: the frames of every kiobuf map_user_kiobuf has pinned pages
+        #: for but not yet recorded, innermost last; they explain those
+        #: pins to the pin-leak audit
+        self.pinning: list[list[int]] = []
         self._next_pid = 1
         self._next_kiobuf_id = 1
         self._clock_hand = 0                    # shrink_mmap clock position

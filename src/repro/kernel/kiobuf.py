@@ -87,7 +87,10 @@ def map_user_kiobuf(kernel: "Kernel", task: "Task", va: int,
     is charged before anything that can read the clock (the fault
     handler, a hub emit, an armed crash point, an unwind, the closing
     trace emit).  So every callback fires at the same charge and the
-    same ``now_ns`` as with one charge per step.
+    same ``now_ns`` as with one charge per step.  Until the kiobuf is
+    recorded (or its pins are unwound), the frames pinned so far are
+    listed in ``kernel.pinning``, so a watchdog sample or reaper scan
+    fired by one of those charges finds them explained.
 
     Raises :class:`~repro.errors.SegmentationFault` (propagated from the
     fault handler) if the range is not fully mapped by VMAs or lacks
@@ -114,6 +117,10 @@ def map_user_kiobuf(kernel: "Kernel", task: "Task", va: int,
     # The VMA found for an earlier page covers the range up to
     # ``vma_end``; anything that may run a callback forgets it.
     vma_end = -1
+    # Until the kiobuf is recorded or unwound, its frames explain its
+    # pins: a watchdog sample fired by a charge below must not report
+    # them leaked.
+    kernel.pinning.append(frames)
     try:
         for vpn in range(start_vpn, end_vpn):
             pending += walk_ns
@@ -175,12 +182,14 @@ def map_user_kiobuf(kernel: "Kernel", task: "Task", va: int,
         clock.charge(pending, "kiobuf")
         _unwind_pins(kernel, frames, task.pid)
         raise
-    clock.charge(pending, "kiobuf")
-
-    kio = Kiobuf(kiobuf_id=kernel._next_kiobuf_id, pid=task.pid,
-                 va=va, nbytes=nbytes, frames=frames)
-    kernel._next_kiobuf_id += 1
-    kernel.kiobufs[kio.kiobuf_id] = kio
+    else:
+        clock.charge(pending, "kiobuf")
+        kio = Kiobuf(kiobuf_id=kernel._next_kiobuf_id, pid=task.pid,
+                     va=va, nbytes=nbytes, frames=frames)
+        kernel._next_kiobuf_id += 1
+        kernel.kiobufs[kio.kiobuf_id] = kio
+    finally:
+        kernel.pinning.pop()
     kernel.trace.emit("kiobuf_map", kiobuf=kio.kiobuf_id, pid=task.pid,
                       va=va, npages=len(frames))
     return kio

@@ -31,7 +31,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Callable
 
 from repro.analysis.events import PIN_RELEASED
-from repro.core.audit import audit_pin_leaks, explained_pins
+from repro.core.audit import _WalkedState, audit_pin_leaks, explained_pins
 from repro.errors import ReproError
 from repro.sim.clock import ScheduledEvent
 
@@ -98,7 +98,22 @@ class _Backoff:
 
 
 class OrphanReaper:
-    """Periodic scanner reclaiming state leaked past a process's death."""
+    """Periodic scanner reclaiming state leaked past a process's death.
+
+    A scan re-runs its six phases exactly when their inputs changed.
+    After a scan that reclaimed, deferred and failed nothing, with no
+    item in backoff and no descriptor deadline, the reaper stores a
+    :class:`~repro.core.audit._WalkedState` taken with ``reaper=True``:
+    the watchdog's fingerprint (tasks, frame columns, free list, owner
+    index, and a clean first pin-leak pass) plus copies of what only
+    the phases read — ``kernel.kiobufs``, each NIC's ``vis``, each
+    agent's ``_tags``, ``orphan_candidates`` and ``mappings``.  While it
+    holds, a scan skips the phases, whose finding would again be
+    nothing, but still charges ``syscall_ns``, sets ``last_report`` and
+    feeds the same obs counters, so the simulated clock and every
+    digest are the same.  ``scans`` counts every scan; ``sweeps_run``
+    counts those that ran the phases.
+    """
 
     def __init__(self, kernel: "Kernel",
                  agents: "list[KernelAgent] | tuple[KernelAgent, ...]" = (),
@@ -115,7 +130,10 @@ class OrphanReaper:
         self.max_attempts = max_attempts
         self.backoff_base_ns = backoff_base_ns
         self.scans = 0
+        self.sweeps_run = 0
         self.last_report: ReaperReport | None = None
+        #: the fingerprint of the last scan that found nothing
+        self._clean: _WalkedState | None = None
         self._backoff: dict[tuple, _Backoff] = {}
         self._next_due_ns = 0
         self._in_scan = False
@@ -136,6 +154,9 @@ class OrphanReaper:
         ``clock.subscribe`` cadence was retired once E18 established the
         A/B baseline — the calendar is the only model now.)
         """
+        # The first scan's column passes need numpy: load it now, while
+        # the system is being built, not inside a timed operation.
+        import numpy  # noqa: F401
         if self._event is None or not self._event.pending:
             self._event = self.kernel.clock.schedule_after(
                 self.interval_ns, self._on_event, name="reaper.cadence")
@@ -175,22 +196,40 @@ class OrphanReaper:
     # ------------------------------------------------------------------ scan
 
     def scan(self) -> ReaperReport:
-        """One full reaper pass; returns what it found and reclaimed."""
+        """One reaper pass; returns what it found and reclaimed.  The
+        phases are skipped while the last clean scan's fingerprint
+        holds."""
         kernel = self.kernel
         report = ReaperReport(scan_index=self.scans,
                               now_ns=kernel.clock.now_ns)
         self.scans += 1
         self._in_scan = True
         free_before = kernel.pagemap.free_count
+        # Taken, not read: only a scan that finds nothing puts one back.
+        clean, self._clean = self._clean, None
         try:
-            self._reap_dead_registrations(report)
-            self._reap_dead_kiobufs(report)
-            self._reap_dead_vis(report)
-            self._reap_stale_descriptors(report)
-            self._reap_orphan_frames(report)
-            self._reap_unexplained_pins(report)
+            if (clean is None or self.descriptor_deadline_ns is not None
+                    or not clean.holds(kernel, self.agents)):
+                self.sweeps_run += 1
+                self._reap_dead_registrations(report)
+                self._reap_dead_kiobufs(report)
+                self._reap_dead_vis(report)
+                self._reap_stale_descriptors(report)
+                self._reap_orphan_frames(report)
+                self._reap_unexplained_pins(report)
+                # Only a scan that attempted nothing is a fingerprint of
+                # its own finding: an attempt can charge the clock (and
+                # run callbacks mid-scan), and a later phase's reclaim
+                # can leave work for an earlier one.
+                clean = None
+                if not (report.reclaimed_total or report.failures
+                        or report.deferred or self._backoff
+                        or self.descriptor_deadline_ns is not None):
+                    clean = _WalkedState.take(kernel, self.agents,
+                                              reaper=True)
         finally:
             self._in_scan = False
+        self._clean = clean
         kernel.clock.charge(kernel.costs.syscall_ns, "reaper")
         self._next_due_ns = kernel.clock.now_ns + self.interval_ns
         report.frames_freed = max(

@@ -126,6 +126,9 @@ def oracle_kernel_invariants(kernel):
     for pd in pm:
         if pd.pin_count > 0 and pd.count == 0:
             return f"frame {pd.frame} pinned ({pd.pin_count}) but free"
+    for frame in sorted(pm.table.pinned):
+        if pm.pages[frame].pin_count == 0:
+            return f"frame {frame} is in the pinned set with no pins"
     for pd in pm:
         if pd.pin_count < 0 or pd.count < 0:
             return f"frame {pd.frame} has negative counters"
@@ -689,6 +692,21 @@ class TestWatchdogGoldens:
     def test_corrupted_resident_counter(self, armed):
         armed.task.page_table._resident -= 1
         detail = f"pid {armed.task.pid} resident counter 7 != 8 present PTEs"
+        assert oracle_kernel_invariants(armed.kernel) == detail
+        armed.next_sample("kernel", detail)
+
+    def test_pin_moved_off_a_listed_frame(self, armed):
+        # The pinned set and the column's nonzero count stay the same
+        # size; only the listed frame's own count shows the move.
+        a = armed.kernel.pagemap.alloc("driver").frame
+        b = armed.kernel.pagemap.alloc("driver").frame
+        armed.table.set_pin_count(a, 1)
+        armed.table.pin_counts[a] = 0
+        armed.table.pin_counts[b] = 1
+        detail = f"frame {a} is in the pinned set with no pins"
+        with pytest.raises(PageAccountingError) as info:
+            audit_kernel_invariants(armed.kernel)
+        assert str(info.value) == detail
         assert oracle_kernel_invariants(armed.kernel) == detail
         armed.next_sample("kernel", detail)
 

@@ -3,8 +3,10 @@
 Its only users are the frame table's column audits, a fault plan's
 rolls, the MPI reductions and :func:`repro.sim.rng.make_rng`.  A run
 that calls none of them — a kiobuf or ODP transfer, an MPI
-point-to-point message, a memory hog — never loads it.  Each check
-that needs a fresh interpreter runs in its own subprocess.
+point-to-point message, a memory hog — never loads it.  Arming the
+invariant watchdog or starting a reaper loads it at once, since their
+first sample runs the column passes.  Each check that needs a fresh
+interpreter runs in its own subprocess.
 """
 
 from __future__ import annotations
@@ -158,3 +160,54 @@ def test_numpy_first_imported_inside_a_user(body):
 
         assert "numpy" not in sys.modules
     """) + textwrap.dedent(body) + 'assert "numpy" in sys.modules\n')
+
+
+@pytest.mark.parametrize("arm", [
+    "machine.arm_watchdog()",
+    "machine.start_reaper()",
+    "Cluster(2).arm_watchdog()",
+    "Cluster(2).start_reapers()[1]",
+])
+def test_arming_a_daemon_loads_numpy_before_its_first_sample(arm):
+    # The first sample or scan runs the column passes; numpy is loaded
+    # while the system is being built, not inside a timed operation.
+    run_fresh(f"""
+        import sys
+
+        from repro.via.machine import Cluster, Machine
+
+        machine = Machine(num_frames=64)
+        assert "numpy" not in sys.modules
+        daemon = {arm}
+        assert "numpy" in sys.modules
+        assert getattr(daemon, "checks_run", 0) == 0
+        assert getattr(daemon, "scans", 0) == 0
+    """)
+
+
+def test_no_daemon_and_no_rolling_plan_never_load_numpy():
+    run_fresh("""
+        import sys
+
+        from repro.hw.physmem import PAGE_SIZE
+        from repro.sim.faults import FaultPlan
+        from repro.via.machine import Machine
+        from repro.errors import ViaError
+
+        machine = Machine(num_frames=64, backend="kiobuf")
+        task = machine.spawn()
+        ua = machine.user_agent(task)
+        va = task.mmap(4)
+        task.touch_pages(va, 4)
+        machine.inject_faults(FaultPlan(seed=1, registration_failures=1))
+        try:
+            ua.register_mem(va, 4 * PAGE_SIZE)
+        except ViaError:
+            pass
+        else:
+            raise AssertionError("the planned registration failure passed")
+        reg = ua.register_mem(va, 4 * PAGE_SIZE)
+        ua.deregister_mem(reg)
+        task.exit()
+        assert "numpy" not in sys.modules, "numpy was imported"
+    """)

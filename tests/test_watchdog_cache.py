@@ -1,9 +1,11 @@
 """The invariant watchdog keeps a clean verdict only while it is exact.
 
-A watchdog sample skips its walks — every task's PTEs, the pinned set
-and every registration's TPT frames — when a fingerprint of what they
-read equals the one stored at the last clean sample.  These tests hold
-that shortcut to the full audits from two sides:
+A watchdog sample skips its audits — the free-list check, every task's
+PTEs, the pinned set, every registration's TPT frames and, when the
+registered frames alone explained every pin, the pin-leak audit — when
+a fingerprint of what they read equals the one stored at the last
+clean sample.  These tests hold that shortcut to the full audits from
+two sides:
 
 * **Oracle.**  Seeded runs of two shapes — a lossy two-machine cluster
   with reapers and tenant traffic, and the ODP backend under swap
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import os
 import random
+from collections import Counter
 from dataclasses import asdict, replace
 
 import pytest
@@ -70,6 +73,25 @@ def full_walk(kernel, agents, boundary):
     return None
 
 
+def free_list_and_pin_verdicts(kernel, agents):
+    """Whether the free-list check passes, and whether the registered
+    frames alone explain every pin (the pin-leak audit's first pass),
+    each from a walk of its own."""
+    try:
+        kernel.pagemap.check_free_list()
+    except PageAccountingError:
+        free_list_ok = False
+    else:
+        free_list_ok = True
+    registered = Counter(
+        frame for agent in agents
+        for reg in agent.registrations.values()
+        for frame in reg.region.frames)
+    pins_clean = all(pins <= registered[frame] for frame, pins
+                     in enumerate(kernel.pagemap.table.pin_counts))
+    return free_list_ok, pins_clean
+
+
 class Shadow:
     """Wraps a watchdog so that every sample of every armed pair is
     compared with :func:`full_walk` of the same state."""
@@ -77,10 +99,14 @@ class Shadow:
     def __init__(self, wd):
         self.wd = wd
         self.samples = self.skipped = self.violations = 0
+        #: skipped samples that kept the pin-leak verdict too
+        self.kept_pins = 0
         sample = wd._check_one
 
         def shadowed(index, kernel, agents, boundary):
             want = full_walk(kernel, agents, boundary)
+            free_list_ok, pins_clean = free_list_and_pin_verdicts(
+                kernel, agents)
             walks = wd.walks_run
             self.samples += 1
             try:
@@ -95,6 +121,13 @@ class Shadow:
             finally:
                 self.skipped += wd.walks_run == walks
             assert want is None
+            if wd.walks_run == walks:
+                # A skipped sample ran neither the free-list check nor,
+                # when it kept the pin verdict, the pin-leak audit.
+                assert free_list_ok
+                if wd._clean[index].pins_clean:
+                    assert pins_clean
+                    self.kept_pins += 1
 
         wd._check_one = shadowed
 
@@ -107,6 +140,7 @@ class Shadow:
         assert self.samples > 50
         assert 0 < self.wd.walks_run < self.wd.checks_run
         assert self.skipped == self.wd.checks_run - self.wd.walks_run
+        assert self.kept_pins > 0
 
 
 def corrupt_and_repair(rng, shadow, machine):
@@ -209,24 +243,23 @@ def tenant_soak_run(seed, rounds=60):
         rng.choice(tenants).round(rng)
         machine = rng.choice(cluster.machines)
         action = rng.randrange(8)
-        # Registration changes run on a frozen clock: a cadence sample
-        # inside one reports pins no record explains yet (see the xfail
-        # tests below).  The next sample sees the finished change.
-        with cluster.clock.frozen():
-            if action == 0:
-                # A registration change rebuilds the owner index.
-                ua = rng.choice(tenants).ua_s
-                va = ua.task.mmap(2)
-                ua.task.touch_pages(va, 2)
-                extra.append((ua, ua.register_mem(va, 2 * PAGE_SIZE)))
-            elif action == 1 and extra:
-                ua, reg = extra.pop(rng.randrange(len(extra)))
-                ua.deregister_mem(reg)
-            elif action == 2:
-                # The task set changes, with a teardown-boundary sample.
-                task = machine.spawn("short")
-                task.touch_pages(task.mmap(3), 3)
-                task.exit()
+        # Cadence samples can land inside these changes: the kernel's
+        # pinning list and the agent's releasing list explain the pins
+        # of a registration being built or torn down.
+        if action == 0:
+            # A registration change rebuilds the owner index.
+            ua = rng.choice(tenants).ua_s
+            va = ua.task.mmap(2)
+            ua.task.touch_pages(va, 2)
+            extra.append((ua, ua.register_mem(va, 2 * PAGE_SIZE)))
+        elif action == 1 and extra:
+            ua, reg = extra.pop(rng.randrange(len(extra)))
+            ua.deregister_mem(reg)
+        elif action == 2:
+            # The task set changes, with a teardown-boundary sample.
+            task = machine.spawn("short")
+            task.touch_pages(task.mmap(3), 3)
+            task.exit()
         if action == 3:
             corrupt_and_repair(rng, shadow, machine)
     for reaper in reapers:
@@ -289,14 +322,10 @@ def test_odp_pressure_samples_match_a_full_walk(seed):
 
 
 @pytest.mark.no_posthoc_audit
-# The violation escapes between a pin and its PIN event, so the unwind's
-# unpin reaches the sanitizer unmatched.
-@pytest.mark.san_suppress("pin-underflow")
-@pytest.mark.xfail(strict=True, raises=InvariantViolation, reason=(
-    "map_user_kiobuf charges after each pin under a fault plan, before "
-    "the kiobuf is recorded; a sample fired there sees the pins "
-    "unexplained"))
 def test_a_sample_inside_a_kiobuf_registration_is_clean():
+    # A fault plan makes map_user_kiobuf charge after each pin, before
+    # the kiobuf is recorded; the kernel's pinning list explains the
+    # pins meanwhile.
     m = Machine(num_frames=64, backend="kiobuf")
     task = m.spawn()
     ua = m.user_agent(task)
@@ -305,9 +334,13 @@ def test_a_sample_inside_a_kiobuf_registration_is_clean():
     m.inject_faults(FaultPlan(seed=SEED))    # armed, injects nothing
     wd = m.arm_watchdog(interval_ns=1)      # a sample at every charge
     try:
-        ua.register_mem(va, 2 * PAGE_SIZE)
+        reg = ua.register_mem(va, 2 * PAGE_SIZE)
     finally:
         wd.disarm()
+    assert wd.checks_run >= 2 and wd.violations == 0
+    assert m.kernel.pinning == []
+    ua.deregister_mem(reg)
+    assert not m.kernel.pagemap.table.pinned
 
 
 @pytest.mark.no_posthoc_audit
