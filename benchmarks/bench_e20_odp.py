@@ -44,8 +44,7 @@ def run_point(backend: str, factor: float, seed: int = 0) -> dict:
     """One sweep point: register under pressure, first-touch a message,
     audit, and report the observables."""
     m = Machine(name=f"e20-{backend}", backend=backend,
-                num_frames=NUM_FRAMES, swap_slots=NUM_FRAMES * 8,
-                seed=seed)
+                num_frames=NUM_FRAMES, swap_slots=NUM_FRAMES * 8)
     app = m.spawn("app")
     ua = m.user_agent(app)
     va = app.mmap(BUFFER_PAGES, name="buffer")

@@ -46,7 +46,7 @@ def _build_unpin_vs_dma(run: ExploreRun) -> None:
     drops — ordinary teardown).  A permuted schedule unpins first and
     then DMAs through the stale pin: the paper's central corruption.
     """
-    kernel = Machine(name="race", num_frames=32, seed=0).kernel
+    kernel = Machine(name="race", num_frames=32).kernel
     task = kernel.create_task(name="app")
     va = task.mmap(1)
     task.write(va, b"payload")
@@ -73,7 +73,7 @@ def _build_invalidate_vs_translate(run: ExploreRun) -> None:
     ordering edge, which the engine reports even though the simulated
     NIC survived it.
     """
-    m = Machine(name="race", backend="odp", num_frames=64, seed=0)
+    m = Machine(name="race", backend="odp", num_frames=64)
     task = m.spawn("app")
     ua = m.user_agent(task)
     va = task.mmap(2)
@@ -107,7 +107,7 @@ def _build_fault_service_vs_evict(run: ExploreRun) -> None:
     service answers from a frame the eviction is concurrently tearing
     down, with no edge between them.
     """
-    m = Machine(name="race", backend="odp", num_frames=64, seed=0)
+    m = Machine(name="race", backend="odp", num_frames=64)
     task = m.spawn("app")
     ua = m.user_agent(task)
     va = task.mmap(1)
@@ -134,7 +134,7 @@ def _build_kill_sweep(run: ExploreRun) -> None:
     crash point.  Every pin the victim leaves behind flows to the
     reaper's calendar context — whose ordering edges must make the
     sweep race-clean under every schedule."""
-    m = Machine(name="sweep", backend="kiobuf", seed=0)
+    m = Machine(name="sweep", backend="kiobuf")
     run.attach(m)
     reaper = OrphanReaper(m.kernel, interval_ns=10_000).start()
     victim = m.spawn("victim")
@@ -161,7 +161,7 @@ def _build_odp_fault(run: ExploreRun) -> None:
     conflicting tie that forces a permuted schedule to actually run) —
     while an evictor applies pressure on an offset cadence.  The
     protocol's ordering edges must keep every schedule race-clean."""
-    m = Machine(name="odp", backend="odp", num_frames=96, seed=0)
+    m = Machine(name="odp", backend="odp", num_frames=96)
     task = m.spawn("app")
     ua = m.user_agent(task)
     va = task.mmap(8)

@@ -96,7 +96,7 @@ class LocktestExperiment:
                  seed: int = 0) -> None:
         self.machine = Machine(name="locktest-box", num_frames=num_frames,
                                swap_slots=max(4096, num_frames * 4),
-                               costs=costs, seed=seed, backend=backend)
+                               costs=costs, backend=backend)
         self.buffer_pages = buffer_pages
         #: how much memory (relative to installed RAM) the allocator
         #: touches — >1 guarantees reclaim

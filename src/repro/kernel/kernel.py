@@ -40,7 +40,6 @@ class Kernel:
                  num_frames: int = 1024,
                  swap_slots: int = 4096,
                  costs: CostModel | None = None,
-                 seed: int = 0,
                  min_free_pages: int = 8,
                  reserved_frames: int = 4,
                  clock: SimClock | None = None,

@@ -46,26 +46,27 @@ def try_to_free_pages(kernel: "Kernel", target: int) -> int:
 
     Mirrors ``do_try_to_free_pages``: several passes of decreasing
     "priority", each first shrinking the page/buffer cache and then
-    swapping out process pages.
+    swapping out process pages.  The ``reclaim_start`` and
+    ``reclaim_done`` records around the run are its ``kernel.reclaim``
+    span; a run that raises leaves the span open.
     """
     freed = 0
     kernel.trace.emit("reclaim_start", target=target,
                       free=kernel.pagemap.free_count)
-    with kernel.obs.span("kernel.reclaim", target=target):
-        for priority in range(6, 0, -1):
-            if freed >= target:
-                break
-            scan_budget = max(16, kernel.pagemap.num_frames // priority)
-            freed += shrink_mmap(kernel, scan_budget)
-            if freed >= target:
-                break
-            freed += swap_out(kernel, target - freed)
-        if (freed < target and kernel.reaper is not None
-                and not kernel.reaper._in_scan):
-            # Ordinary reclaim fell short: draft the orphan reaper, whose
-            # dead-owner reclamation can free pages pinned by nothing live.
-            report = kernel.reaper.scan()
-            freed += report.frames_freed
+    for priority in range(6, 0, -1):
+        if freed >= target:
+            break
+        scan_budget = max(16, kernel.pagemap.num_frames // priority)
+        freed += shrink_mmap(kernel, scan_budget)
+        if freed >= target:
+            break
+        freed += swap_out(kernel, target - freed)
+    if (freed < target and kernel.reaper is not None
+            and not kernel.reaper._in_scan):
+        # Ordinary reclaim fell short: draft the orphan reaper, whose
+        # dead-owner reclamation can free pages pinned by nothing live.
+        report = kernel.reaper.scan()
+        freed += report.frames_freed
     kernel.trace.emit("reclaim_done", target=target, freed=freed)
     return freed
 

@@ -80,19 +80,25 @@ class Protocol(abc.ABC):
 
     def transfer(self, sender: Endpoint, receiver: Endpoint,
                  src_va: int, dst_va: int, nbytes: int) -> TransferResult:
-        """Run the protocol and collect observables."""
+        """Run the protocol and collect observables.
+
+        The transfer is a span: a ``msg_transfer_start`` record before
+        it and a ``msg_transfer_done`` record once it returns (none if
+        it raises)."""
         kernel = sender.machine.kernel
         clock = kernel.clock
+        trace = kernel.trace
         obs = kernel.obs
         copies0 = sender.copies_bytes + receiver.copies_bytes
         ctrl0 = sender.control_messages + receiver.control_messages
         retries0 = sender.cache.stats.retries + receiver.cache.stats.retries
         result = TransferResult(protocol=self.name, nbytes=nbytes,
                                 ok=False, sim_ns=0)
-        with obs.span(f"msg.transfer.{self.name}", nbytes=nbytes):
-            with clock.measure() as span:
-                self._transfer(sender, receiver, src_va, dst_va, nbytes,
-                               result)
+        trace.emit("msg_transfer_start", protocol=self.name, nbytes=nbytes)
+        with clock.measure() as span:
+            self._transfer(sender, receiver, src_va, dst_va, nbytes, result)
+        trace.emit("msg_transfer_done", protocol=self.name, nbytes=nbytes,
+                   corrupt=result.corrupt)
         result.sim_ns = span.elapsed_ns
         result.copies_bytes = (sender.copies_bytes
                                + receiver.copies_bytes - copies0)
@@ -103,12 +109,7 @@ class Protocol(abc.ABC):
                                        - retries0)
         result.ok = not result.corrupt
         if obs.enabled:
-            metrics = obs.metrics
-            metrics.counter(f"msg.transfers.{self.name}").inc()
-            metrics.counter("msg.bytes_transferred").inc(nbytes)
-            metrics.histogram("msg.transfer_ns").observe(result.sim_ns)
-            if result.corrupt:
-                metrics.counter("msg.transfers_corrupt").inc()
+            obs.metrics.histogram("msg.transfer_ns").observe(result.sim_ns)
         return result
 
     # -- steps shared by protocols -------------------------------------------

@@ -6,16 +6,20 @@ actually did — E1 catches the refcount backend's failure by finding a
 the quantitative counterpart of that trace: per-subsystem counters,
 gauges, and sim-ns latency histograms (the style U-Net and VMMC-2 used
 to attribute microseconds to doorbell, DMA, and retransmit paths), plus
-nestable simulated-time spans exportable as Chrome ``chrome://tracing``
+nested simulated-time spans exportable as Chrome ``chrome://tracing``
 JSON.
 
 Each trace holds one :class:`Observability` facade (so one per kernel,
 or one shared across a cluster).  A counted fact is written once, as a
 trace record, and :meth:`Observability.count` derives its counters via
 :mod:`repro.obs.counters`; anything else is a direct metric call at its
-site.  Observability is **disabled by default** and the disabled path is
-one ``if obs.enabled:`` branch per trace emit and per direct site, so
-the data plane's fast path stays fast (benchmark E15 asserts this).
+site.  A span is a pair of trace records too: :data:`SPAN_PAIRS` maps
+each start kind to its done kind, and the spans are read from the ring
+whenever they are asked for, so they exist whenever the trace holds
+their records (enabled or not) and ``trace.clear()`` is what drops
+them.  Observability is **disabled by default** and the disabled path
+is one ``if obs.enabled:`` branch per trace emit and per direct site,
+so the data plane's fast path stays fast (benchmark E15 asserts this).
 
 Usage::
 
@@ -31,18 +35,26 @@ from repro.obs.counters import RULES_BY_KIND
 from repro.obs.metrics import (
     Counter, Gauge, Histogram, MetricsRegistry, NS_BUCKETS, SIZE_BUCKETS,
 )
-from repro.obs.spans import SpanRecord, SpanRecorder
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "NS_BUCKETS", "SIZE_BUCKETS",
-    "SpanRecord", "SpanRecorder",
-    "Observability",
+    "Observability", "SPAN_PAIRS",
 ]
 
 
+#: span start kind → (its done kind, span name template over the start
+#: record's fields)
+SPAN_PAIRS: dict[str, tuple[str, str]] = {
+    "reclaim_start": ("reclaim_done", "kernel.reclaim"),
+    "msg_transfer_start": ("msg_transfer_done", "msg.transfer.{protocol}"),
+}
+#: span done kind → its start kind
+_START_OF = {done: start for start, (done, _) in SPAN_PAIRS.items()}
+
+
 class Observability:
-    """One kernel's (or cluster's) metrics registry + span recorder.
+    """One trace's metrics registry, and the spans read from its ring.
 
     ``enabled`` gates every emit.  Hot call sites read it once and skip
     all observability work when False — the shipped default — so the
@@ -52,11 +64,11 @@ class Observability:
     dropped by :meth:`reset`).
     """
 
-    def __init__(self, clock) -> None:
-        self.clock = clock
+    def __init__(self, trace) -> None:
+        #: the trace whose records feed the counters and hold the spans
+        self.trace = trace
         self.enabled = False
         self.metrics = MetricsRegistry()
-        self.spans = SpanRecorder(clock)
         #: snapshot-time collectors (see :meth:`add_collector`)
         self._collectors: list = []
 
@@ -91,9 +103,9 @@ class Observability:
         return self
 
     def reset(self) -> None:
-        """Drop every metric and span recorded so far."""
+        """Drop every metric recorded so far (spans are the trace's
+        records: ``trace.clear()`` drops them)."""
         self.metrics.reset()
-        self.spans.reset()
 
     # -- emission (all no-ops while disabled) -------------------------------
 
@@ -139,12 +151,49 @@ class Observability:
         """Get-or-create histogram ``name``."""
         return self.metrics.histogram(name, buckets=buckets)
 
-    def span(self, name: str, **args):
-        """Context manager timing a sim-time span (cheap shared no-op
-        while disabled)."""
-        if not self.enabled:
-            return _NULL_SPAN
-        return self.spans.span(name, **args)
+    # -- spans ---------------------------------------------------------------
+
+    def _spans(self) -> tuple[list[tuple], dict[str, int]]:
+        """Pair the ring's start and done records in one pass.
+
+        Returns the finished spans in the order they closed, each as
+        ``(name, start_ns, end_ns, depth, args)`` with the start
+        record's fields as ``args``, and what could not be paired:
+        ``dropped`` done records the ring evicted, ``open`` starts with
+        no done (the work is still running, or raised) and
+        ``truncated`` dones whose start the ring evicted.  A done closes
+        the innermost open start of its kind, and any start opened
+        inside it that is still open is counted open.  A start whose
+        work raised out of every span stays on the stack, so the spans
+        after it are one level deeper.
+        """
+        spans = []
+        stack: list[tuple] = []       # open start records, innermost last
+        unwound = truncated = 0
+        for record in self.trace._events:
+            kind = record[1]
+            if kind in SPAN_PAIRS:
+                stack.append(record)
+                continue
+            start_kind = _START_OF.get(kind)
+            if start_kind is None:
+                continue
+            depth = len(stack) - 1
+            while depth >= 0 and stack[depth][1] != start_kind:
+                depth -= 1
+            if depth < 0:
+                truncated += 1
+                continue
+            start = stack[depth]
+            unwound += len(stack) - depth - 1
+            del stack[depth:]
+            args = dict(zip(start[2], start[3:]))
+            name = SPAN_PAIRS[start_kind][1].format_map(args)
+            spans.append((name, start[0], record[0], depth, args))
+        dropped = sum(self.trace.dropped_count(done)
+                      for done, _ in SPAN_PAIRS.values())
+        return spans, {"dropped": dropped, "open": unwound + len(stack),
+                       "truncated": truncated}
 
     # -- export ------------------------------------------------------------
 
@@ -154,32 +203,38 @@ class Observability:
             collector(self)
         return {
             "enabled": self.enabled,
-            "now_ns": self.clock.now_ns,
+            "now_ns": self.trace._clock.now_ns,
             "metrics": self.metrics.snapshot(),
-            "spans": self.spans.summary(),
+            "spans": self._span_summary(),
         }
 
+    def _span_summary(self) -> dict:
+        """Per-name count and total/mean sim-ns of the retained spans,
+        plus how many were dropped, are open or are truncated."""
+        spans, unpaired = self._spans()
+        by_name: dict[str, dict] = {}
+        for name, start_ns, end_ns, _, _ in spans:
+            agg = by_name.setdefault(name, {"count": 0, "total_ns": 0})
+            agg["count"] += 1
+            agg["total_ns"] += end_ns - start_ns
+        for agg in by_name.values():
+            agg["mean_ns"] = agg["total_ns"] / agg["count"]
+        return {"recorded": len(spans), **unpaired,
+                "by_name": dict(sorted(by_name.items()))}
+
     def export_chrome_trace(self) -> dict:
-        """The recorded spans as a ``chrome://tracing`` JSON object."""
-        return self.spans.to_chrome()
+        """The retained spans as a ``chrome://tracing`` JSON object:
+        complete events (``"ph": "X"``) with µs timestamps, all on one
+        pid/tid, so the viewer nests them by containment."""
+        spans, unpaired = self._spans()
+        events = [{"name": name, "ph": "X", "ts": start_ns / 1000.0,
+                   "dur": (end_ns - start_ns) / 1000.0, "pid": 0, "tid": 0,
+                   "args": dict(args, depth=depth)}
+                  for name, start_ns, end_ns, depth, args in spans]
+        return {"traceEvents": events, "displayTimeUnit": "ms",
+                "otherData": {"clock": "sim-ns", **unpaired}}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "enabled" if self.enabled else "disabled"
-        return (f"Observability({state}, {len(self.metrics)} metrics, "
-                f"{len(self.spans)} spans)")
+        return f"Observability({state}, {len(self.metrics)} metrics)"
 
-
-class _NullSpan:
-    """Shared no-op context manager returned by ``span`` while disabled
-    (no per-call allocation on the disabled path)."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-
-_NULL_SPAN = _NullSpan()

@@ -64,6 +64,11 @@ TRACE_COUNTERS: tuple[CounterRule, ...] = (
     CounterRule("via_atomic_replay", "via.atomic.replays"),
     CounterRule("via_atomic_reject", "via.atomic.rejects"),
     CounterRule("protocol_fallback", "msg.transfers_degraded"),
+    CounterRule("msg_transfer_done", "msg.transfers.{protocol}"),
+    CounterRule("msg_transfer_done", "msg.bytes_transferred",
+                amount="nbytes"),
+    CounterRule("msg_transfer_done", "msg.transfers_corrupt",
+                when=lambda d: d["corrupt"]),
     CounterRule("dlm_reclaim", "workload.dlm.reclaims"),
     CounterRule("dlm_reclaim", "workload.dlm.reclaims.{by}"),
 )

@@ -4,7 +4,10 @@ A bounded ring buffer of structured events.  Subsystems emit events
 ("swap_out", "dma_write", "tpt_stale", ...) and tests/benchmarks assert on
 them — e.g. E1 verifies that the refcount backend's failure is caused by a
 ``swap_out`` of a registered page, not by some unrelated path.  Records
-are also the counted facts of :mod:`repro.obs.counters`.
+are also the counted facts of :mod:`repro.obs.counters`, and a start
+record with its done record is a span (:data:`repro.obs.SPAN_PAIRS`):
+the Chrome trace export reads the ring, so :meth:`Trace.clear` drops
+the spans with the records.
 
 Two correctness properties the querying API guarantees:
 
@@ -115,7 +118,8 @@ class Trace:
                  strict: bool = False) -> None:
         self._clock = clock
         #: the (initially disabled) facade whose counters records feed
-        self.obs = Observability(clock)
+        #: and which reads its spans from this ring
+        self.obs = Observability(self)
         #: flat ``(ts_ns, kind, keys, *values)`` records, oldest first;
         #: ``keys`` names the values and is one of :attr:`_shapes`
         self._events: Deque[tuple[Any, ...]] = deque(maxlen=maxlen)

@@ -30,7 +30,6 @@ class Machine:
                  num_frames: int = 1024,
                  swap_slots: int = 8192,
                  costs: CostModel | None = None,
-                 seed: int = 0,
                  backend: LockingBackend | str = "kiobuf",
                  tpt_entries: int = 8192,
                  clock: SimClock | None = None,
@@ -41,8 +40,7 @@ class Machine:
                  host_pin_ceiling_pages: int | None = None) -> None:
         self.name = name
         self.kernel = Kernel(num_frames=num_frames, swap_slots=swap_slots,
-                             costs=costs, seed=seed, clock=clock,
-                             trace=trace,
+                             costs=costs, clock=clock, trace=trace,
                              min_free_pages=min_free_pages)
         # Analysis events carry the machine name: frame numbers and pids
         # are host-local, so a cluster-wide sanitizer needs the label to
@@ -113,7 +111,12 @@ class Machine:
 
 
 class Cluster:
-    """Several machines on one fabric with one shared clock."""
+    """Several machines on one fabric with one shared clock.
+
+    ``seed`` selects nothing: every random draw comes from a
+    :class:`~repro.sim.faults.FaultPlan` or a workload's own generator.
+    It is accepted because workload drivers pass their seed through.
+    """
 
     def __init__(self, n: int = 2,
                  num_frames: int = 1024,
@@ -139,7 +142,7 @@ class Cluster:
                   else backend)
             self.machines.append(Machine(
                 name=f"m{i}", num_frames=num_frames, swap_slots=swap_slots,
-                costs=costs, seed=seed + i, backend=be,
+                costs=costs, backend=be,
                 tpt_entries=tpt_entries, clock=self.clock,
                 trace=self.trace, fabric=self.fabric,
                 min_free_pages=min_free_pages,
@@ -201,14 +204,12 @@ def connected_pair(backend: LockingBackend | str = "kiobuf",
                    reliability: ReliabilityLevel =
                    ReliabilityLevel.RELIABLE_DELIVERY,
                    num_frames: int = 1024,
-                   seed: int = 0,
                    **kwargs) -> tuple["Cluster", UserAgent, UserAgent,
                                       VirtualInterface, VirtualInterface]:
     """Test/bench helper: a two-machine cluster with one task per machine
     and one connected VI pair.  Returns
     ``(cluster, ua_sender, ua_receiver, vi_sender, vi_receiver)``."""
-    cluster = Cluster(2, backend=backend, num_frames=num_frames, seed=seed,
-                      **kwargs)
+    cluster = Cluster(2, backend=backend, num_frames=num_frames, **kwargs)
     sender = cluster[0].spawn("sender")
     receiver = cluster[1].spawn("receiver")
     ua_s = cluster[0].user_agent(sender)

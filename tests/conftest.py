@@ -103,17 +103,16 @@ def pytest_runtest_teardown(item, nextitem):
 @pytest.fixture
 def kernel() -> Kernel:
     """A small machine: 256 frames (1 MiB), plenty of swap."""
-    return Kernel(num_frames=256, swap_slots=2048, seed=0)
+    return Kernel(num_frames=256, swap_slots=2048)
 
 
 @pytest.fixture
 def tiny_kernel() -> Kernel:
     """A very small machine (64 frames) where pressure is trivial."""
-    return Kernel(num_frames=64, swap_slots=1024, seed=0)
+    return Kernel(num_frames=64, swap_slots=1024)
 
 
 @pytest.fixture
 def free_kernel() -> Kernel:
     """A machine with a zero-cost model, for pure-correctness tests."""
-    return Kernel(num_frames=256, swap_slots=2048, costs=costs_mod.FREE,
-                  seed=0)
+    return Kernel(num_frames=256, swap_slots=2048, costs=costs_mod.FREE)

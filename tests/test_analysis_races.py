@@ -260,7 +260,7 @@ class TestReporting:
 # ------------------------------------------------------------- live mode
 
 def _pinned_kernel() -> tuple[Kernel, int, int]:
-    kernel = Kernel(num_frames=64, seed=0)
+    kernel = Kernel(num_frames=64)
     task = kernel.create_task(name="app")
     va = task.mmap(1)
     task.write(va, b"x")

@@ -251,7 +251,7 @@ class TestModes:
         # Regression: an expect() block whose violation never fires used
         # to pass silently — the assertion on the capture list becomes
         # vacuous when the scenario stops exercising the hazard.
-        san = PinSanitizer().arm(Machine(num_frames=32, seed=0))
+        san = PinSanitizer().arm(Machine(num_frames=32))
         with san.expect("pin-underflow") as got:
             pass                                # hazard never provoked
         assert got == []
@@ -261,7 +261,7 @@ class TestModes:
         san.disarm()
 
     def test_met_expectation_disarms_quietly(self):
-        san = PinSanitizer().arm(Machine(num_frames=32, seed=0))
+        san = PinSanitizer().arm(Machine(num_frames=32))
         with san.expect("pin-underflow") as got:
             san.feed([(UNPIN, dict(frames=(9,), pid=1))])
         assert [v.check for v in got] == ["pin-underflow"]
@@ -271,7 +271,7 @@ class TestModes:
     def test_exception_in_expect_block_is_not_masked(self):
         # An exception unwinding through the block is the usual reason
         # nothing fired; the expectation must not pile on top of it.
-        san = PinSanitizer().arm(Machine(num_frames=32, seed=0))
+        san = PinSanitizer().arm(Machine(num_frames=32))
         with pytest.raises(RuntimeError, match="workload died"):
             with san.expect("pin-underflow"):
                 raise RuntimeError("workload died")

@@ -254,7 +254,7 @@ def run_sequence(backend, seed, reaper_cls=OrphanReaper, steps=80,
     """Drive one machine through ``steps`` seeded operations, running
     ``check(machine)`` and then one reaper scan after each; returns a
     per-step record of the scan report and the resulting state."""
-    m = Machine(num_frames=160, swap_slots=2048, backend=backend, seed=seed)
+    m = Machine(num_frames=160, swap_slots=2048, backend=backend)
     kernel, agent = m.kernel, m.agent
     reaper = reaper_cls(kernel, agents=[agent], max_attempts=2,
                         backoff_base_ns=1)

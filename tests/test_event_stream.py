@@ -82,11 +82,11 @@ def _pinning_host(machine, rng):
     reaper.scan()
 
 
-def _odp_pair(seed, rng, arm):
+def _odp_pair(rng, arm):
     """First-touch ODP sends before and after the receiver is put under
     memory pressure, plus a duplicate fault request."""
     cluster, ua_s, ua_r, vi_s, vi_r = connected_pair(
-        "odp", num_frames=128, seed=seed)
+        "odp", num_frames=128)
     for machine in cluster.machines:
         arm(machine)
     npages = rng.randint(2, 4)
@@ -134,11 +134,11 @@ def run_scenario(seed, armed=False):
     traces = []
     for i, backend in enumerate(("kiobuf", "mlock")):
         machine = Machine(f"m{i}", backend=backend, num_frames=128,
-                          swap_slots=2048, seed=seed)
+                          swap_slots=2048)
         arm(machine)
         _pinning_host(machine, rng)
         traces.append(machine.kernel.trace)
-    traces.append(_odp_pair(seed, rng, arm).trace)
+    traces.append(_odp_pair(rng, arm).trace)
     for checker in checkers:
         checker.disarm()
     records = [[(e.ts_ns, e.kind, _stable(e.detail, agent_ids))

@@ -60,7 +60,7 @@ def _traffic(plan: FaultPlan | None, rounds: int, seed: int) -> dict:
     connected reliable pair, checking every delivered byte, and return
     the observables the CRC decides."""
     cluster, ua_s, ua_r, vi_s, vi_r = connected_pair(
-        "kiobuf", num_frames=256, seed=seed)
+        "kiobuf", num_frames=256)
     nbytes = BUF_PAGES * PAGE_SIZE
     lva = ua_s.task.mmap(BUF_PAGES)
     ua_s.task.touch_pages(lva, BUF_PAGES)
@@ -188,7 +188,7 @@ def test_an_empty_payload_is_never_corrupted():
     """A zero-byte send has no byte to flip: even at ``corrupt_rate=1``
     it completes, and no corruption is counted or reported."""
     cluster, ua_s, ua_r, vi_s, vi_r = connected_pair(
-        "kiobuf", num_frames=64, seed=SEED)
+        "kiobuf", num_frames=64)
     sreg = ua_s.register_mem(ua_s.task.mmap(1), PAGE_SIZE)
     rreg = ua_r.register_mem(ua_r.task.mmap(1), PAGE_SIZE)
     plan = FaultPlan(seed=SEED, corrupt_rate=1.0)

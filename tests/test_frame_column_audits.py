@@ -132,8 +132,7 @@ def run_sequence(backend, seed, check, steps=120):
     """Drive one machine through ``steps`` seeded operations and the
     corruptions the audits must report, calling ``check(machine)``
     after every step and inside every corruption."""
-    m = Machine(num_frames=NUM_FRAMES, swap_slots=2048, backend=backend,
-                seed=seed)
+    m = Machine(num_frames=NUM_FRAMES, swap_slots=2048, backend=backend)
     kernel, agent = m.kernel, m.agent
     pm, table = kernel.pagemap, kernel.pagemap.table
     rng = random.Random(seed)

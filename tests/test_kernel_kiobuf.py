@@ -276,7 +276,7 @@ class TestRunChargedOracle:
             pagetable_walk_ns=walk_ns, page_lock_ns=lock_ns,
             minor_fault_ns=500, major_fault_base_ns=900,
             disk_io_page_ns=2_500)
-        k = Kernel(num_frames=224, swap_slots=512, seed=seed, costs=costs)
+        k = Kernel(num_frames=224, swap_slots=512, costs=costs)
         rng = random.Random(seed)
         task = k.create_task(name="user")
         va = task.mmap(_REGION)

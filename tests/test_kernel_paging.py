@@ -257,7 +257,7 @@ class TestReclaimGolden:
 
     @staticmethod
     def _pressure_run():
-        k = Kernel(num_frames=128, swap_slots=1024, seed=0)
+        k = Kernel(num_frames=128, swap_slots=1024)
         for i in range(6):
             pd = k.add_page_cache_page()
             if i % 2:
@@ -362,8 +362,7 @@ class TestShrinkMmapRuns:
     @staticmethod
     def _build(seed, scan_ns):
         rng = random.Random(seed)
-        k = Kernel(num_frames=160, swap_slots=256, seed=seed,
-                   min_free_pages=2,
+        k = Kernel(num_frames=160, swap_slots=256, min_free_pages=2,
                    costs=CostModel().scaled(reclaim_scan_page_ns=scan_ns))
         task = k.create_task(name="user")
         va = task.mmap(40)

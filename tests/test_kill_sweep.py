@@ -46,7 +46,7 @@ class TestRegistrationCrashPoints:
     def test_kill_during_registration(self, point, backend):
         """Dying before, between, and after the pin and the TPT install
         leaks nothing."""
-        m = Machine(backend=backend, seed=SEED)
+        m = Machine(backend=backend)
         task = m.spawn("victim")
         ua = m.user_agent(task)
         m.inject_faults(FaultPlan(seed=SEED, crash_point=point,
@@ -67,7 +67,7 @@ class TestRegistrationCrashPoints:
     def test_crash_point_is_one_shot(self):
         """After the crash fires once, a second process registers
         normally under the same plan."""
-        m = Machine(seed=SEED)
+        m = Machine()
         t1 = m.spawn("victim")
         ua1 = m.user_agent(t1)
         m.inject_faults(FaultPlan(seed=SEED,

@@ -1,13 +1,14 @@
 """Tests for the observability layer (repro.obs).
 
-Covers the metric primitives, the span recorder's nesting and exports,
-the facade's enabled/disabled gating, and end-to-end snapshots of an
+Covers the metric primitives, the spans read from trace record pairs
+and their exports, the facade's enabled/disabled gating, and end-to-end snapshots of an
 instrumented workload (including determinism under a fixed seed).
 """
 
 import ast
 import json
 import os
+import random
 import re
 from pathlib import Path
 
@@ -16,21 +17,21 @@ import pytest
 
 from repro.analysis import events as ev
 from repro.hw.physmem import PAGE_SIZE
+from repro.kernel import paging
 from repro.kernel.kernel import Kernel
 from repro.msg.endpoint import make_pair
-from repro.msg.protocols import RendezvousZeroCopyProtocol
-from repro.obs import Observability
+from repro.msg.protocols import Protocol, RendezvousZeroCopyProtocol
 from repro.obs.counters import TRACE_COUNTERS
 from repro.obs.metrics import (
     Counter, Gauge, Histogram, MetricsRegistry, NS_BUCKETS, SIZE_BUCKETS,
 )
-from repro.obs.spans import SpanRecorder
 from repro.sim.clock import SimClock
 from repro.sim.faults import FaultPlan
 from repro.sim.trace import Trace
 from repro.via.constants import VIP_ERROR_CONN_LOST, VIP_SUCCESS, ViState
 from repro.via.descriptor import DataSegment, Descriptor
 from repro.via.machine import Cluster, Machine, connected_pair
+from repro.workloads.allocator import MemoryHog
 
 
 class TestCounter:
@@ -140,104 +141,129 @@ class TestMetricsRegistry:
         assert "c" in reg
 
 
-class TestSpanRecorder:
-    def make(self):
+def reclaim(trace, clock, ns, target=4):
+    """A ``kernel.reclaim`` span of ``ns`` simulated nanoseconds."""
+    trace.emit("reclaim_start", target=target, free=0)
+    clock.charge(ns)
+    trace.emit("reclaim_done", target=target, freed=target)
+
+
+class TestTraceSpans:
+    """Spans read from start/done record pairs in the trace ring."""
+
+    def make(self, maxlen=65536):
         clock = SimClock()
-        return clock, SpanRecorder(clock)
+        return clock, Trace(clock, maxlen=maxlen)
 
     def test_span_records_sim_elapsed(self):
-        clock, rec = self.make()
-        with rec.span("work"):
-            clock.charge(500)
-        (s,) = rec.of_name("work")
-        assert s.duration_ns == 500
-        assert s.depth == 0 and s.parent is None
+        clock, trace = self.make()
+        clock.charge(300)
+        reclaim(trace, clock, 500)
+        (ev,) = trace.obs.export_chrome_trace()["traceEvents"]
+        assert ev["name"] == "kernel.reclaim"
+        assert ev["ts"] == 0.3 and ev["dur"] == 0.5      # µs
+        assert ev["args"]["depth"] == 0
 
-    def test_nesting_depth_and_parent(self):
-        clock, rec = self.make()
-        with rec.span("outer"):
-            clock.charge(10)
-            with rec.span("inner"):
-                clock.charge(5)
-        (inner,) = rec.of_name("inner")
-        (outer,) = rec.of_name("outer")
-        assert inner.depth == 1
-        assert inner.parent == outer.index
-        assert outer.duration_ns == 15
-        assert rec.open_depth == 0
-
-    def test_mismatched_exit_unwinds_children(self):
-        clock, rec = self.make()
-        outer = rec.enter("outer")
-        rec.enter("inner")
-        rec.exit(outer)            # closes inner too
-        assert rec.open_depth == 0
-        assert len(rec.of_name("inner")) == 1
-        with pytest.raises(ValueError, match="not open"):
-            rec.exit(outer)
-
-    def test_ring_eviction_counts_dropped(self):
-        clock = SimClock()
-        rec = SpanRecorder(clock, maxlen=4)
-        for _ in range(6):
-            with rec.span("s"):
-                clock.charge(1)
-        assert len(rec) == 4
-        assert rec.dropped == 2
-        assert rec.summary()["dropped"] == 2
+    def test_reclaim_nests_inside_transfer(self):
+        clock, trace = self.make()
+        trace.emit("msg_transfer_start", protocol="eager", nbytes=64)
+        clock.charge(10)
+        trace.emit("dma_write", addr=0, length=64)
+        reclaim(trace, clock, 5)
+        clock.charge(1)
+        trace.emit("msg_transfer_done", protocol="eager", nbytes=64,
+                   corrupt=False)
+        doc = trace.obs.export_chrome_trace()
+        assert [(e["name"], e["ts"], e["dur"], e["args"]["depth"])
+                for e in doc["traceEvents"]] == [
+            ("kernel.reclaim", 0.01, 0.005, 1),
+            ("msg.transfer.eager", 0.0, 0.016, 0)]
+        assert doc["otherData"]["open"] == 0
 
     def test_summary_aggregates_per_name(self):
-        clock, rec = self.make()
+        clock, trace = self.make()
         for ns in (100, 300):
-            with rec.span("a"):
-                clock.charge(ns)
-        with rec.span("b"):
-            clock.charge(50)
-        summary = rec.summary()
-        assert summary["by_name"]["a"] == {
+            reclaim(trace, clock, ns)
+        trace.emit("msg_transfer_start", protocol="eager", nbytes=8)
+        clock.charge(50)
+        trace.emit("msg_transfer_done", protocol="eager", nbytes=8,
+                   corrupt=False)
+        summary = trace.obs.snapshot()["spans"]
+        assert summary["by_name"]["kernel.reclaim"] == {
             "count": 2, "total_ns": 400, "mean_ns": 200.0}
-        assert list(summary["by_name"]) == ["a", "b"]
+        assert list(summary["by_name"]) == ["kernel.reclaim",
+                                            "msg.transfer.eager"]
+        assert (summary["recorded"], summary["dropped"], summary["open"],
+                summary["truncated"]) == (3, 0, 0, 0)
 
     def test_chrome_export_round_trips(self):
-        clock, rec = self.make()
-        with rec.span("xfer", nbytes=4096):
-            clock.charge(2000)
-        doc = json.loads(json.dumps(rec.to_chrome()))
+        clock, trace = self.make()
+        trace.emit("msg_transfer_start", protocol="eager", nbytes=4096)
+        clock.charge(2000)
+        trace.emit("msg_transfer_done", protocol="eager", nbytes=4096,
+                   corrupt=False)
+        doc = json.loads(json.dumps(trace.obs.export_chrome_trace()))
         (ev,) = doc["traceEvents"]
-        assert ev["name"] == "xfer" and ev["ph"] == "X"
+        assert ev["name"] == "msg.transfer.eager" and ev["ph"] == "X"
         assert ev["ts"] == 0.0 and ev["dur"] == 2.0   # µs
-        assert ev["args"] == {"nbytes": 4096, "depth": 0}
+        assert ev["args"] == {"protocol": "eager", "nbytes": 4096,
+                              "depth": 0}
+        assert doc["otherData"] == {"clock": "sim-ns", "dropped": 0,
+                                    "open": 0, "truncated": 0}
 
-    def test_jsonl_export_one_object_per_line(self):
-        clock, rec = self.make()
-        with rec.span("a"):
-            clock.charge(1)
-        with rec.span("b"):
-            clock.charge(2)
-        lines = rec.to_jsonl().splitlines()
-        assert [json.loads(li)["name"] for li in lines] == ["a", "b"]
+    def test_evicted_start_counts_truncated(self):
+        clock, trace = self.make(maxlen=4)
+        reclaim(trace, clock, 1)                   # evicted whole
+        trace.emit("reclaim_start", target=2, free=0)
+        for i in range(3):
+            trace.emit("filler", i=i)              # evicts the start
+        trace.emit("reclaim_done", target=2, freed=2)
+        summary = trace.obs.snapshot()["spans"]
+        assert (summary["recorded"], summary["dropped"], summary["open"],
+                summary["truncated"]) == (0, 1, 0, 1)
+        other = trace.obs.export_chrome_trace()["otherData"]
+        assert other["truncated"] == 1 and other["dropped"] == 1
+
+    def test_start_without_done_is_open(self):
+        """A reclaim that raised wrote no done: the transfer around it
+        still closes, and the reclaim is counted open, as is a transfer
+        still running."""
+        clock, trace = self.make()
+        trace.emit("msg_transfer_start", protocol="eager", nbytes=8)
+        trace.emit("reclaim_start", target=4, free=0)
+        clock.charge(7)
+        trace.emit("msg_transfer_done", protocol="eager", nbytes=8,
+                   corrupt=False)
+        trace.emit("msg_transfer_start", protocol="eager", nbytes=8)
+        doc = trace.obs.export_chrome_trace()
+        assert [(e["name"], e["dur"], e["args"]["depth"])
+                for e in doc["traceEvents"]] == [
+            ("msg.transfer.eager", 0.007, 0)]
+        assert doc["otherData"]["open"] == 2
+        assert trace.obs.snapshot()["spans"]["open"] == 2
+
+    def test_clear_drops_spans(self):
+        clock, trace = self.make()
+        reclaim(trace, clock, 5)
+        trace.clear()
+        assert trace.obs.export_chrome_trace()["traceEvents"] == []
 
 
 class TestObservabilityFacade:
     def make(self):
         clock = SimClock()
-        return clock, Observability(clock)
+        return clock, Trace(clock).obs
 
     def test_disabled_by_default_and_emits_nothing(self):
-        _, obs = self.make()
+        clock, obs = self.make()
         assert not obs.enabled
         obs.inc("c")
         obs.set_gauge("g", 1)
         obs.observe("h", 5)
-        with obs.span("s"):
-            pass
+        reclaim(obs.trace, clock, 1)
         assert len(obs.metrics) == 0
-        assert len(obs.spans) == 0
-
-    def test_disabled_span_is_shared_noop(self):
-        from repro.obs import _NULL_SPAN
-        _, obs = self.make()
-        assert obs.span("a") is obs.span("b") is _NULL_SPAN
+        # spans are trace records, so they exist while disabled too
+        assert obs.snapshot()["spans"]["recorded"] == 1
 
     def test_enable_disable_chain(self):
         _, obs = self.make()
@@ -248,14 +274,16 @@ class TestObservabilityFacade:
         assert obs.counter("c").value == 2      # accumulations survive
 
     def test_reset_drops_everything(self):
+        """``reset`` drops every metric the facade holds; the spans are
+        the trace's records and stay until ``trace.clear()``."""
         clock, obs = self.make()
         obs.enable()
         obs.inc("c")
-        with obs.span("s"):
-            clock.charge(1)
+        reclaim(obs.trace, clock, 1)
         obs.reset()
         assert obs.counter("c").value == 0
-        assert len(obs.spans) == 0
+        assert obs.counter("kernel.paging.reclaim_runs").value == 0
+        assert obs.snapshot()["spans"]["recorded"] == 1
 
     def test_snapshot_shape(self):
         clock, obs = self.make()
@@ -263,16 +291,77 @@ class TestObservabilityFacade:
         obs.inc("a.count", 3)
         obs.set_gauge("a.depth", 2)
         obs.observe("a.lat", 150)
-        with obs.span("a.work"):
-            clock.charge(42)
+        reclaim(obs.trace, clock, 42)
         snap = obs.snapshot()
         assert snap["enabled"] is True
         assert snap["now_ns"] == clock.now_ns
         assert snap["metrics"]["a.count"] == 3
         assert snap["metrics"]["a.depth"]["value"] == 2
         assert snap["metrics"]["a.lat"]["count"] == 1
-        assert snap["spans"]["by_name"]["a.work"]["total_ns"] == 42
+        assert snap["spans"]["by_name"]["kernel.reclaim"]["total_ns"] == 42
         json.dumps(snap)                        # JSON-safe throughout
+
+
+def test_spans_match_a_reference_log_under_pressure(monkeypatch):
+    """An odp_pressure-shaped run: cached zero-copy transfers on the ODP
+    backend while memory hogs keep reclaim busy, so some reclaims run
+    inside transfers and some on their own.  A log kept by wrapping the
+    two producers must equal the spans read from the trace, span for
+    span: name, start, duration and depth, in the order they closed."""
+    log = []
+    depth = [0]
+
+    def logged(fn, name_of, clock_of):
+        def wrapper(*args, **kwargs):
+            name, clock = name_of(args), clock_of(args)
+            start, d = clock.now_ns, depth[0]
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+                log.append((name, start / 1000.0,
+                            (clock.now_ns - start) / 1000.0, d))
+        return wrapper
+
+    monkeypatch.setattr(paging, "try_to_free_pages", logged(
+        paging.try_to_free_pages, lambda a: "kernel.reclaim",
+        lambda a: a[0].clock))
+    monkeypatch.setattr(Protocol, "transfer", logged(
+        Protocol.transfer, lambda a: f"msg.transfer.{a[0].name}",
+        lambda a: a[1].machine.kernel.clock))
+
+    rng = random.Random(SEED)
+    frames = 256
+    cluster = Cluster(2, num_frames=frames, swap_slots=8 * frames,
+                      backend="odp")
+    s, r = make_pair(cluster, cache_max_pages=32)
+    buffers = []
+    for _ in range(4):
+        src, dst = s.task.mmap(16), r.task.mmap(16)
+        s.task.touch_pages(src, 16)
+        r.task.touch_pages(dst, 16)
+        buffers.append((src, dst))
+    hogs = [MemoryHog(m.kernel, name="hog") for m in cluster.machines]
+    for hog in hogs:
+        hog.grow(int(frames * 0.75))
+    proto = RendezvousZeroCopyProtocol(use_cache=True)
+    for i in range(24):
+        if i % 3 == 2:
+            for hog in hogs:
+                hog.churn()
+        src, dst = rng.choice(buffers)
+        assert proto.transfer(s, r, src, dst,
+                              rng.randrange(4, 17) * PAGE_SIZE).ok
+
+    doc = cluster.obs.export_chrome_trace()
+    spans = [(e["name"], e["ts"], e["dur"], e["args"]["depth"])
+             for e in doc["traceEvents"]]
+    assert spans == log
+    assert doc["otherData"] == {"clock": "sim-ns", "dropped": 0,
+                                "open": 0, "truncated": 0}
+    reclaim_depths = {d for name, _, _, d in log if name == "kernel.reclaim"}
+    assert reclaim_depths == {0, 1}
 
 
 def run_workload(seed: int) -> dict:
@@ -511,8 +600,7 @@ class TestCountersMatchTallies:
 
     @staticmethod
     def pair():
-        cluster, ua_s, ua_r, vi_s, vi_r = connected_pair("kiobuf",
-                                                         seed=SEED)
+        cluster, ua_s, ua_r, vi_s, vi_r = connected_pair("kiobuf")
         cluster.obs.enable()
         return cluster, ua_s, ua_r, vi_s, vi_r
 

@@ -168,8 +168,7 @@ def test_heavy_churn_preserves_data_and_invariants(seed):
     """Deterministic heavy-churn scenario: two tasks write stamped pages
     while pressure and kiobuf pinning interleave; everything must read
     back and invariants must hold at every checkpoint."""
-    kernel = Kernel(num_frames=128, swap_slots=2048, costs=FREE,
-                    seed=seed)
+    kernel = Kernel(num_frames=128, swap_slots=2048, costs=FREE)
     tasks = [kernel.create_task(name=f"w{i}") for i in range(3)]
     regions = []
     for i, t in enumerate(tasks):

@@ -291,7 +291,7 @@ class TestOdpKillSweep:
         """Dying before, between, and after the pin and the TPT patch
         leaks nothing: pins committed so far are released by the exit
         path, the registration and its TPT entries are gone."""
-        m = Machine(backend="odp", seed=SEED)
+        m = Machine(backend="odp")
         task = m.spawn("victim")
         ua = m.user_agent(task)
         va = task.mmap(4)
@@ -311,8 +311,7 @@ class TestOdpKillSweep:
     def test_kill_mid_transfer_fault(self, point):
         """Same sweep through the NIC: the suspended transfer is resumed
         in error (never left parked) and both machines converge."""
-        cluster, ua_s, ua_r, vi_s, vi_r = connected_pair("odp",
-                                                         seed=SEED)
+        cluster, ua_s, ua_r, vi_s, vi_r = connected_pair("odp")
         dst = ua_r.task.mmap(2)
         reg_r = ua_r.register_mem(dst, 2 * PAGE_SIZE)
         ua_r.post_recv(vi_r, Descriptor.recv([ua_r.segment(reg_r)]))
