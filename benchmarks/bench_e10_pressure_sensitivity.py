@@ -25,10 +25,10 @@ BUFFER_PAGES = 48
 NUM_FRAMES = 512
 
 
-def relocated_fraction(backend: str, factor: float, seed: int) -> float:
+def relocated_fraction(backend: str, factor: float) -> float:
     r = LocktestExperiment(backend, buffer_pages=BUFFER_PAGES,
                            num_frames=NUM_FRAMES,
-                           allocator_factor=factor, seed=seed).run()
+                           allocator_factor=factor).run()
     return r.pages_relocated / r.npages
 
 
@@ -36,10 +36,8 @@ def relocated_fraction(backend: str, factor: float, seed: int) -> float:
 def sweep_rows():
     rows = []
     for factor in FACTORS:
-        ref = sum(relocated_fraction("refcount", factor, seed)
-                  for seed in range(3)) / 3
-        kio = sum(relocated_fraction("kiobuf", factor, seed)
-                  for seed in range(3)) / 3
+        ref = relocated_fraction("refcount", factor)
+        kio = relocated_fraction("kiobuf", factor)
         rows.append([factor, f"{ref:.0%}", f"{kio:.0%}"])
     return rows
 
@@ -48,8 +46,7 @@ def test_e10_pressure_sweep(sweep_rows, report):
     if report("E10: failure vs memory pressure"):
         print_table(
             f"E10 — registered pages relocated vs allocator footprint "
-            f"({BUFFER_PAGES}-page buffer, {NUM_FRAMES}-frame RAM, "
-            f"mean of 3 seeds)",
+            f"({BUFFER_PAGES}-page buffer, {NUM_FRAMES}-frame RAM)",
             ["allocator / RAM", "refcount lost", "kiobuf lost"],
             sweep_rows)
     by_factor = {row[0]: row for row in sweep_rows}
@@ -67,4 +64,4 @@ def test_e10_pressure_sweep(sweep_rows, report):
 
 def test_e10_single_point(benchmark):
     """Host time of one sweep point."""
-    benchmark(lambda: relocated_fraction("refcount", 1.5, 0))
+    benchmark(lambda: relocated_fraction("refcount", 1.5))

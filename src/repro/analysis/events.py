@@ -150,9 +150,10 @@ class StreamChecker:
     and :attr:`counts`, ``disarm()``.  Each armed kernel gets its own
     *scope* token, so two kernels that share a host label never alias
     each other's frames or handles; :meth:`feed` scopes by host label.
-    A finding of a suppressed kind is dropped, one inside an
-    :meth:`expect` block is captured, and any other is counted, kept,
-    and — in strict mode — raised as the subclass's :attr:`ERROR`.
+    A finding of a kind passed to :meth:`suppress` is dropped, one
+    inside an :meth:`expect` block is captured, and any other is
+    counted, kept, and — in strict mode — raised as the subclass's
+    :attr:`ERROR`.
 
     A subclass names its catalog and error and supplies the model:
     :meth:`_arm_kernel` seeds per-kernel state, :meth:`_observe`
@@ -167,23 +168,17 @@ class StreamChecker:
     #: raised at the offending event in strict mode, as
     #: ``ERROR(message, violation=finding)``
     ERROR: Callable[..., Exception]
-    #: events a finding's trail shows by default
+    #: events the trail ring keeps
+    TRAIL_MAXLEN = 256
+    #: events a finding's trail shows
     TRAIL_REPORT = 32
 
-    def __init__(self, *, strict: bool = False,
-                 suppress: Iterable[str] = (),
-                 trail_maxlen: int = 256,
-                 trail_report: int | None = None) -> None:
+    def __init__(self, *, strict: bool = False) -> None:
         self.strict = strict
         self.suppressed: set[str] = set()
-        for kind in suppress:
-            self.suppress(kind)
         self.findings: list = []
         self.events_seen = 0
         self.armed = False
-        self._trail_maxlen = trail_maxlen
-        self._trail_report = (trail_report if trail_report is not None
-                              else self.TRAIL_REPORT)
         self._ring: list[tuple] = []
         self._counts: dict[str, int] = {kind: 0 for kind in self.KINDS}
         self._expectations: list[_Expectation] = []
@@ -314,8 +309,8 @@ class StreamChecker:
         """Append one entry to the bounded trail ring."""
         ring = self._ring
         ring.append(entry)
-        if len(ring) > self._trail_maxlen:
-            del ring[:len(ring) - self._trail_maxlen]
+        if len(ring) > self.TRAIL_MAXLEN:
+            del ring[:len(ring) - self.TRAIL_MAXLEN]
 
     # -------------------------------------------------------------- reporting
 

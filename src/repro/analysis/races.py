@@ -477,4 +477,4 @@ class RaceDetector(StreamChecker):
     def _trail(self, scope: Any, ctx: str) -> tuple[TraceEvent, ...]:
         related = [e for e_scope, e_ctx, e in self._ring
                    if e_scope == scope and e_ctx == ctx]
-        return tuple(related[-self._trail_report:])
+        return tuple(related[-self.TRAIL_REPORT:])

@@ -304,7 +304,7 @@ class PinSanitizer(StreamChecker):
                 continue
             if e is trigger or self._related(e, frames, pid, handle):
                 related.append(e)
-        return tuple(related[-self._trail_report:])
+        return tuple(related[-self.TRAIL_REPORT:])
 
     @staticmethod
     def _related(e: TraceEvent, frames: frozenset[int], pid: int | None,

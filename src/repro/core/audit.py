@@ -382,18 +382,12 @@ class _WalkedState:
     @classmethod
     def take(cls, kernel: "Kernel", agents: "list[KernelAgent]", *,
              reaper: bool = False) -> "_WalkedState | None":
-        """The fingerprint of the state now; None while a registration's
-        frames are a list whose writes the epoch cannot see, and, for
-        the reaper, unless the pin-leak verdict is kept."""
+        """The fingerprint of the state now; for the reaper, None unless
+        the pin-leak verdict is kept."""
         state = cls(kernel, agents, reaper)
         if reaper and not state.pins_clean:
             return None
-        if all(type(frames) is FrameList
-               for pages in state.owner_pages
-               for _pid, _vpns, frame_lists in pages
-               for frames in frame_lists):
-            return state
-        return None
+        return state
 
     def holds(self, kernel: "Kernel", agents: "list[KernelAgent]") -> bool:
         """Would the sample read exactly what it read at the clean

@@ -92,8 +92,7 @@ class LocktestExperiment:
                  buffer_pages: int = 64,
                  num_frames: int = 512,
                  allocator_factor: float = 2.0,
-                 costs: CostModel | None = None,
-                 seed: int = 0) -> None:
+                 costs: CostModel | None = None) -> None:
         self.machine = Machine(name="locktest-box", num_frames=num_frames,
                                swap_slots=max(4096, num_frames * 4),
                                costs=costs, backend=backend)
@@ -101,7 +100,6 @@ class LocktestExperiment:
         #: how much memory (relative to installed RAM) the allocator
         #: touches — >1 guarantees reclaim
         self.allocator_factor = allocator_factor
-        self.seed = seed
 
     def run(self) -> LocktestResult:
         """Execute steps 1–8 and return the observables."""
@@ -213,12 +211,11 @@ class LocktestExperiment:
 
 
 def run_matrix(backends: list[str], buffer_pages: int = 64,
-               num_frames: int = 512, seed: int = 0
-               ) -> list[LocktestResult]:
+               num_frames: int = 512) -> list[LocktestResult]:
     """Run the experiment for each backend on identical machines —
     the E1 survival matrix."""
     return [
         LocktestExperiment(name, buffer_pages=buffer_pages,
-                           num_frames=num_frames, seed=seed).run()
+                           num_frames=num_frames).run()
         for name in backends
     ]

@@ -51,7 +51,6 @@ class DMAEngine:
         self.bytes_read = 0
         self.bytes_written = 0
         self.bursts_issued = 0        #: coalesced gather/scatter bursts
-        self.faults_injected = 0
 
     # -- scatter helpers ----------------------------------------------------
 
@@ -137,7 +136,6 @@ class DMAEngine:
         """Raise an injected :class:`DMAFault` when the plan says so —
         the simulator's stand-in for a PCI abort or parity error."""
         if self.fault_plan is not None and self.fault_plan.should_fail_dma():
-            self.faults_injected += 1
             self._trace.emit("dma_fault_injected", engine=self.name,
                              op=op, phys_addr=phys_addr, length=length)
             raise DMAFault(

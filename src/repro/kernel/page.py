@@ -14,13 +14,12 @@ skipped by ``swap_out`` exactly as a ``PG_locked`` page is.
 Storage layout: the per-frame state lives in a :class:`FrameTable` — a
 structure-of-arrays column store (``array('q')`` per numeric field) —
 and :class:`PageDescriptor` is a lightweight *view* binding one frame of
-one table.  This keeps cluster-scale page maps cheap (seven machine
+one table.  This keeps cluster-scale page maps cheap (six machine
 words per frame instead of a Python object per frame) and lets the
 table maintain incremental index sets (:attr:`FrameTable.pinned`,
 :attr:`FrameTable.orphan_candidates`) so the post-test audits and the
-orphan reaper stop scanning every frame.  A ``PageDescriptor``
-constructed standalone (as unit tests do) gets a private single-frame
-table and behaves exactly like the old dataclass.
+orphan reaper stop scanning every frame.  Views exist only bound to a
+table (:meth:`PageDescriptor.bound`); a page map caches one per frame.
 
 The whole-table audit passes (:meth:`FrameTable.all_free`,
 :meth:`FrameTable.pins_exceed`) read the columns through numpy views.
@@ -73,7 +72,7 @@ class FrameTable:
     sets can never go stale.
     """
 
-    __slots__ = ("num_frames", "counts", "flags", "pin_counts", "ages",
+    __slots__ = ("num_frames", "counts", "flags", "pin_counts",
                  "cow_shares", "mappings", "tags", "pinned",
                  "orphan_candidates")
 
@@ -83,7 +82,6 @@ class FrameTable:
         self.counts = array("q", zeros)
         self.flags = array("q", zeros)
         self.pin_counts = array("q", zeros)
-        self.ages = array("q", zeros)
         self.cow_shares = array("q", zeros)
         self.mappings: list[tuple[int, int] | None] = [None] * num_frames
         self.tags: list[str] = [""] * num_frames
@@ -129,7 +127,6 @@ class FrameTable:
         self.counts[frame] = 1
         self.flags[frame] = 0
         self.set_pin_count(frame, 0)
-        self.ages[frame] = 0
         self.mappings[frame] = None
         self.cow_shares[frame] = 0
         self.set_tag(frame, tag)
@@ -192,31 +189,12 @@ class FrameTable:
 class PageDescriptor:
     """State of one physical page frame — a view over a FrameTable.
 
-    Normally created bound to a :class:`~repro.kernel.pagemap.PageMap`'s
-    shared table (one cached view per frame); constructing one directly
-    (``PageDescriptor(frame=0)``) allocates a private single-frame table
-    so the object behaves like the historical standalone dataclass.
+    Made by :meth:`bound` over a :class:`~repro.kernel.pagemap.PageMap`'s
+    shared table, which caches one view per frame, so two views of a
+    frame are the same object.
     """
 
-    __slots__ = ("frame", "_table", "_index")
-
-    def __init__(self, frame: int = 0, count: int = 0, flags: int = 0,
-                 pin_count: int = 0, age: int = 0,
-                 mapping: tuple[int, int] | None = None,
-                 cow_shares: int = 0, tag: str = "") -> None:
-        self.frame = frame
-        table = FrameTable(1)
-        # Standalone views always index slot 0 of their private table;
-        # ``frame`` is just the reported frame number.
-        table.counts[0] = count
-        table.flags[0] = flags
-        table.set_pin_count(0, pin_count)
-        table.ages[0] = age
-        table.mappings[0] = mapping
-        table.cow_shares[0] = cow_shares
-        table.set_tag(0, tag)
-        self._table = table
-        self._index = 0
+    __slots__ = ("frame", "_table")
 
     @classmethod
     def bound(cls, table: FrameTable, frame: int) -> "PageDescriptor":
@@ -224,7 +202,6 @@ class PageDescriptor:
         pd = object.__new__(cls)
         pd.frame = frame
         pd._table = table
-        pd._index = frame
         return pd
 
     # -- columns -----------------------------------------------------------
@@ -232,38 +209,29 @@ class PageDescriptor:
     @property
     def count(self) -> int:
         """Reference counter; 0 ⇔ free."""
-        return self._table.counts[self._index]
+        return self._table.counts[self.frame]
 
     @count.setter
     def count(self, value: int) -> None:
-        self._table.counts[self._index] = value
+        self._table.counts[self.frame] = value
 
     @property
     def flags(self) -> int:
         """PG_* flag word."""
-        return self._table.flags[self._index]
+        return self._table.flags[self.frame]
 
     @flags.setter
     def flags(self, value: int) -> None:
-        self._table.flags[self._index] = value
+        self._table.flags[self.frame] = value
 
     @property
     def pin_count(self) -> int:
         """Kiobuf pins (reconstruction; see DESIGN.md)."""
-        return self._table.pin_counts[self._index]
+        return self._table.pin_counts[self.frame]
 
     @pin_count.setter
     def pin_count(self, value: int) -> None:
-        self._table.set_pin_count(self._index, value)
-
-    @property
-    def age(self) -> int:
-        """Clock-algorithm age."""
-        return self._table.ages[self._index]
-
-    @age.setter
-    def age(self, value: int) -> None:
-        self._table.ages[self._index] = value
+        self._table.set_pin_count(self.frame, value)
 
     @property
     def mapping(self) -> tuple[int, int] | None:
@@ -271,45 +239,45 @@ class PageDescriptor:
         mapping, or None.  Anonymous pages in this simulator are never
         shared between page tables except via COW, which tracks sharing
         through ``count``."""
-        return self._table.mappings[self._index]
+        return self._table.mappings[self.frame]
 
     @mapping.setter
     def mapping(self, value: tuple[int, int] | None) -> None:
-        self._table.mappings[self._index] = value
+        self._table.mappings[self.frame] = value
 
     @property
     def cow_shares(self) -> int:
         """COW sharers: number of PTEs mapping this frame read-only via
         fork-style sharing.  Kept distinct from ``count`` for audit
         clarity."""
-        return self._table.cow_shares[self._index]
+        return self._table.cow_shares[self.frame]
 
     @cow_shares.setter
     def cow_shares(self, value: int) -> None:
-        self._table.cow_shares[self._index] = value
+        self._table.cow_shares[self.frame] = value
 
     @property
     def tag(self) -> str:
         """Debugging label."""
-        return self._table.tags[self._index]
+        return self._table.tags[self.frame]
 
     @tag.setter
     def tag(self, value: str) -> None:
-        self._table.set_tag(self._index, value)
+        self._table.set_tag(self.frame, value)
 
     # -- flag helpers --------------------------------------------------------
 
     def set_flag(self, bit: int) -> None:
         """Set a PG_* flag bit."""
-        self._table.flags[self._index] |= bit
+        self._table.flags[self.frame] |= bit
 
     def clear_flag(self, bit: int) -> None:
         """Clear a PG_* flag bit."""
-        self._table.flags[self._index] &= ~bit
+        self._table.flags[self.frame] &= ~bit
 
     def test_flag(self, bit: int) -> bool:
         """True iff the PG_* flag bit is set."""
-        return bool(self._table.flags[self._index] & bit)
+        return bool(self._table.flags[self.frame] & bit)
 
     @property
     def locked(self) -> bool:
@@ -345,42 +313,24 @@ class PageDescriptor:
 
     def get(self) -> None:
         """``get_page`` — take a reference."""
-        self._table.counts[self._index] += 1
+        self._table.counts[self.frame] += 1
 
     def put(self) -> int:
         """``put_page``/``__free_page`` — drop a reference; returns the
         new count.  Underflow is an accounting violation."""
-        idx = self._index
-        if self._table.counts[idx] <= 0:
+        if self._table.counts[self.frame] <= 0:
             raise PageAccountingError(
                 f"refcount underflow on frame {self.frame}")
-        self._table.counts[idx] -= 1
-        return self._table.counts[idx]
+        self._table.counts[self.frame] -= 1
+        return self._table.counts[self.frame]
 
     def pin(self) -> None:
         """Take one kiobuf pin."""
-        self._table.incr_pin(self._index)
+        self._table.incr_pin(self.frame)
 
     def unpin(self) -> None:
         """Drop one kiobuf pin; underflow is an accounting violation."""
-        idx = self._index
-        if self._table.pin_counts[idx] <= 0:
-            raise PageAccountingError(
-                f"pin-count underflow on frame {self.frame}")
-        self._table.decr_pin(idx)
-
-    # -- dataclass-compatible comparison (tag excluded, as before) -----------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PageDescriptor):
-            return NotImplemented
-        return (self.frame == other.frame
-                and self.count == other.count
-                and self.flags == other.flags
-                and self.pin_count == other.pin_count
-                and self.age == other.age
-                and self.mapping == other.mapping
-                and self.cow_shares == other.cow_shares)
+        self._table.decr_pin(self.frame)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"PageDescriptor(frame={self.frame}, count={self.count}, "

@@ -46,27 +46,32 @@ def try_to_free_pages(kernel: "Kernel", target: int) -> int:
 
     Mirrors ``do_try_to_free_pages``: several passes of decreasing
     "priority", each first shrinking the page/buffer cache and then
-    swapping out process pages.  The ``reclaim_start`` and
-    ``reclaim_done`` records around the run are its ``kernel.reclaim``
-    span; a run that raises leaves the span open.
+    swapping out process pages.  The ``reclaim_start`` record and the
+    ``reclaim_done`` record after the run (``reclaim_raised`` if it
+    raises) are its ``kernel.reclaim`` span.
     """
     freed = 0
     kernel.trace.emit("reclaim_start", target=target,
                       free=kernel.pagemap.free_count)
-    for priority in range(6, 0, -1):
-        if freed >= target:
-            break
-        scan_budget = max(16, kernel.pagemap.num_frames // priority)
-        freed += shrink_mmap(kernel, scan_budget)
-        if freed >= target:
-            break
-        freed += swap_out(kernel, target - freed)
-    if (freed < target and kernel.reaper is not None
-            and not kernel.reaper._in_scan):
-        # Ordinary reclaim fell short: draft the orphan reaper, whose
-        # dead-owner reclamation can free pages pinned by nothing live.
-        report = kernel.reaper.scan()
-        freed += report.frames_freed
+    try:
+        for priority in range(6, 0, -1):
+            if freed >= target:
+                break
+            scan_budget = max(16, kernel.pagemap.num_frames // priority)
+            freed += shrink_mmap(kernel, scan_budget)
+            if freed >= target:
+                break
+            freed += swap_out(kernel, target - freed)
+        if (freed < target and kernel.reaper is not None
+                and not kernel.reaper._in_scan):
+            # Ordinary reclaim fell short: draft the orphan reaper, whose
+            # dead-owner reclamation can free pages pinned by nothing live.
+            report = kernel.reaper.scan()
+            freed += report.frames_freed
+    except Exception as exc:
+        kernel.trace.emit("reclaim_raised", target=target,
+                          error=type(exc).__name__)
+        raise
     kernel.trace.emit("reclaim_done", target=target, freed=freed)
     return freed
 

@@ -12,15 +12,16 @@ short) and scans for
 * registrations whose owning pid is dead (stale TPT entries included),
 * kiobufs pinning pages for a dead pid with no backing registration,
 * VIs owned by a dead pid (peers complete ``VIP_ERROR_CONN_LOST``),
-* descriptors older than a configurable deadline,
+* pinned frames no live registration or kiobuf explains,
 * orphan frames (swap_out's unmapped-but-referenced leftovers) that no
-  live registration explains,
-* pinned frames no live registration or kiobuf explains.
+  live registration explains — after the pin phase, so an orphan whose
+  leaked pin that phase released is freed by the same scan.
 
 Every reclaim attempt is retried with exponential backoff; after
-``max_attempts`` failures the reaper escalates to force-dropping the
-record (:meth:`~repro.via.kernel_agent.KernelAgent.forget_registration`)
-so even a permanently failing backend converges to a clean TPT.  Each
+:attr:`OrphanReaper.max_attempts` failures the reaper escalates to
+force-dropping the record
+(:meth:`~repro.via.kernel_agent.KernelAgent.forget_registration`) so
+even a permanently failing backend converges to a clean TPT.  Each
 scan produces a :class:`ReaperReport` of what it found and freed.
 """
 
@@ -52,7 +53,6 @@ class ReaperReport:
     registrations_forced: int = 0        #: forget_registration escalations
     kiobufs_reclaimed: int = 0
     vis_reclaimed: int = 0
-    descriptors_flushed: int = 0         #: past the descriptor deadline
     orphan_frames_freed: int = 0
     pins_force_released: int = 0
     frames_freed: int = 0                #: net frames returned to the free list
@@ -60,7 +60,7 @@ class ReaperReport:
     deferred: int = 0                    #: items still in their backoff window
     notes: list[str] = field(default_factory=list)
     #: reclaimed items by owning pid (items with an identifiable owner:
-    #: registrations, kiobufs, VIs, flushed descriptors)
+    #: registrations, kiobufs, VIs)
     reclaimed_by_pid: dict[int, int] = field(default_factory=dict)
     #: the same, attributed to the owning tenant's uid — so obs and the
     #: soak harness can tell *which tenant's* debris the reaper is
@@ -71,7 +71,7 @@ class ReaperReport:
     def reclaimed_total(self) -> int:
         return (self.registrations_reclaimed + self.registrations_forced
                 + self.kiobufs_reclaimed + self.vis_reclaimed
-                + self.descriptors_flushed + self.orphan_frames_freed
+                + self.orphan_frames_freed
                 + self.pins_force_released)
 
     def attribute(self, pid: int | None, uid: int | None,
@@ -100,9 +100,9 @@ class _Backoff:
 class OrphanReaper:
     """Periodic scanner reclaiming state leaked past a process's death.
 
-    A scan re-runs its six phases exactly when their inputs changed.
+    A scan re-runs its five phases exactly when their inputs changed.
     After a scan that reclaimed, deferred and failed nothing, with no
-    item in backoff and no descriptor deadline, the reaper stores a
+    item in backoff, the reaper stores a
     :class:`~repro.core.audit._WalkedState` taken with ``reaper=True``:
     the watchdog's fingerprint (tasks, frame columns, free list, owner
     index, and a clean first pin-leak pass) plus copies of what only
@@ -115,20 +115,19 @@ class OrphanReaper:
     counts those that ran the phases.
     """
 
+    #: failed attempts (or sightings of an unexplained pin) before the
+    #: reaper escalates to force-dropping the item
+    max_attempts = 3
+    #: the first retry's backoff; each further failure doubles it
+    backoff_base_ns = 10_000
+
     def __init__(self, kernel: "Kernel",
                  agents: "list[KernelAgent] | tuple[KernelAgent, ...]" = (),
                  *,
-                 interval_ns: int = 1_000_000,
-                 descriptor_deadline_ns: int | None = None,
-                 max_attempts: int = 3,
-                 backoff_base_ns: int = 10_000) -> None:
+                 interval_ns: int = 1_000_000) -> None:
         self.kernel = kernel
         self.agents = list(agents)
         self.interval_ns = interval_ns
-        #: flush descriptors posted longer ago than this (None = never)
-        self.descriptor_deadline_ns = descriptor_deadline_ns
-        self.max_attempts = max_attempts
-        self.backoff_base_ns = backoff_base_ns
         self.scans = 0
         self.sweeps_run = 0
         self.last_report: ReaperReport | None = None
@@ -187,12 +186,6 @@ class OrphanReaper:
         self._event = clock.schedule_at(
             deadline, self._on_event, name="reaper.cadence")
 
-    def run_if_due(self) -> ReaperReport | None:
-        """Scan iff the cadence interval has elapsed since the last scan."""
-        if self._in_scan or self.kernel.clock.now_ns < self._next_due_ns:
-            return None
-        return self.scan()
-
     # ------------------------------------------------------------------ scan
 
     def scan(self) -> ReaperReport:
@@ -208,23 +201,20 @@ class OrphanReaper:
         # Taken, not read: only a scan that finds nothing puts one back.
         clean, self._clean = self._clean, None
         try:
-            if (clean is None or self.descriptor_deadline_ns is not None
-                    or not clean.holds(kernel, self.agents)):
+            if clean is None or not clean.holds(kernel, self.agents):
                 self.sweeps_run += 1
                 self._reap_dead_registrations(report)
                 self._reap_dead_kiobufs(report)
                 self._reap_dead_vis(report)
-                self._reap_stale_descriptors(report)
-                self._reap_orphan_frames(report)
                 self._reap_unexplained_pins(report)
+                self._reap_orphan_frames(report)
                 # Only a scan that attempted nothing is a fingerprint of
-                # its own finding: an attempt can charge the clock (and
-                # run callbacks mid-scan), and a later phase's reclaim
-                # can leave work for an earlier one.
+                # its own finding: an attempt can charge the clock and
+                # run callbacks mid-scan, which change what the phases
+                # read.
                 clean = None
                 if not (report.reclaimed_total or report.failures
-                        or report.deferred or self._backoff
-                        or self.descriptor_deadline_ns is not None):
+                        or report.deferred or self._backoff):
                     clean = _WalkedState.take(kernel, self.agents,
                                               reaper=True)
         finally:
@@ -393,36 +383,6 @@ class OrphanReaper:
             for pid in [p for p in agent._tags if not self._alive(p)]:
                 agent._tags.pop(pid, None)
 
-    def _reap_stale_descriptors(self, report: ReaperReport) -> None:
-        """Descriptors posted longer ago than the configured deadline.
-
-        Flushing completes them with ``VIP_ERROR_CONN_LOST`` so a poller
-        learns its transfer died of old age instead of waiting forever.
-        """
-        deadline = self.descriptor_deadline_ns
-        if deadline is None:
-            return
-        cutoff = self.kernel.clock.now_ns - deadline
-        for agent in self.agents:
-            for vi in list(agent.nic.vis.values()):
-                for queue, complete in ((vi.send_queue, vi.complete_send),
-                                        (vi.recv_queue, vi.complete_recv)):
-                    expired = [d for d in queue
-                               if d.posted_at_ns is not None
-                               and d.posted_at_ns <= cutoff]
-                    for desc in expired:
-                        queue.remove(desc)
-                        desc.complete("VIP_ERROR_CONN_LOST", 0)
-                        complete(desc)
-                        report.descriptors_flushed += 1
-                        report.attribute(vi.owner_pid,
-                                         self._uid_of(vi.owner_pid))
-                        self.kernel.trace.emit(
-                            "reaper_descriptor_flush", vi=vi.vi_id,
-                            posted_at_ns=desc.posted_at_ns,
-                            age_ns=self.kernel.clock.now_ns
-                            - desc.posted_at_ns)
-
     def _reap_orphan_frames(self, report: ReaperReport) -> None:
         """swap_out's orphans — unmapped frames kept alive by leaked
         references — that no recorded registration still explains.
@@ -463,7 +423,7 @@ class OrphanReaper:
         """Pinned frames with no backing registration or kiobuf.
 
         A pin only the leak created keeps the frame unreclaimable
-        forever, so after ``max_attempts`` consecutive sightings (spaced
+        forever, so after :attr:`max_attempts` consecutive sightings (spaced
         by the backoff schedule — a transiently in-flight pin must not
         be stripped) the excess pins are force-released.
 

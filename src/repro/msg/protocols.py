@@ -83,8 +83,8 @@ class Protocol(abc.ABC):
         """Run the protocol and collect observables.
 
         The transfer is a span: a ``msg_transfer_start`` record before
-        it and a ``msg_transfer_done`` record once it returns (none if
-        it raises)."""
+        it and a ``msg_transfer_done`` record once it returns, or a
+        ``msg_transfer_raised`` record if it raises."""
         kernel = sender.machine.kernel
         clock = kernel.clock
         trace = kernel.trace
@@ -95,8 +95,14 @@ class Protocol(abc.ABC):
         result = TransferResult(protocol=self.name, nbytes=nbytes,
                                 ok=False, sim_ns=0)
         trace.emit("msg_transfer_start", protocol=self.name, nbytes=nbytes)
-        with clock.measure() as span:
-            self._transfer(sender, receiver, src_va, dst_va, nbytes, result)
+        try:
+            with clock.measure() as span:
+                self._transfer(sender, receiver, src_va, dst_va, nbytes,
+                               result)
+        except Exception as exc:
+            trace.emit("msg_transfer_raised", protocol=self.name,
+                       error=type(exc).__name__)
+            raise
         trace.emit("msg_transfer_done", protocol=self.name, nbytes=nbytes,
                    corrupt=result.corrupt)
         result.sim_ns = span.elapsed_ns

@@ -14,10 +14,10 @@ or one shared across a cluster).  A counted fact is written once, as a
 trace record, and :meth:`Observability.count` derives its counters via
 :mod:`repro.obs.counters`; anything else is a direct metric call at its
 site.  A span is a pair of trace records too: :data:`SPAN_PAIRS` maps
-each start kind to its done kind, and the spans are read from the ring
-whenever they are asked for, so they exist whenever the trace holds
-their records (enabled or not) and ``trace.clear()`` is what drops
-them.  Observability is **disabled by default** and the disabled path
+each start kind to the kinds that end it, and the spans are read from
+the ring whenever they are asked for, so they exist whenever the trace
+holds their records (enabled or not) and ``trace.clear()`` is what
+drops them.  Observability is **disabled by default** and the disabled path
 is one ``if obs.enabled:`` branch per trace emit and per direct site,
 so the data plane's fast path stays fast (benchmark E15 asserts this).
 
@@ -43,14 +43,16 @@ __all__ = [
 ]
 
 
-#: span start kind → (its done kind, span name template over the start
-#: record's fields)
-SPAN_PAIRS: dict[str, tuple[str, str]] = {
-    "reclaim_start": ("reclaim_done", "kernel.reclaim"),
-    "msg_transfer_start": ("msg_transfer_done", "msg.transfer.{protocol}"),
+#: span start kind → (its done kind, the kind written instead when the
+#: work raises, span name template over the start record's fields)
+SPAN_PAIRS: dict[str, tuple[str, str, str]] = {
+    "reclaim_start": ("reclaim_done", "reclaim_raised", "kernel.reclaim"),
+    "msg_transfer_start": ("msg_transfer_done", "msg_transfer_raised",
+                           "msg.transfer.{protocol}"),
 }
-#: span done kind → its start kind
-_START_OF = {done: start for start, (done, _) in SPAN_PAIRS.items()}
+#: span done or raised kind → its start kind
+_START_OF = {end: start for start, (done, raised, _) in SPAN_PAIRS.items()
+             for end in (done, raised)}
 
 
 class Observability:
@@ -158,14 +160,13 @@ class Observability:
 
         Returns the finished spans in the order they closed, each as
         ``(name, start_ns, end_ns, depth, args)`` with the start
-        record's fields as ``args``, and what could not be paired:
-        ``dropped`` done records the ring evicted, ``open`` starts with
-        no done (the work is still running, or raised) and
-        ``truncated`` dones whose start the ring evicted.  A done closes
-        the innermost open start of its kind, and any start opened
-        inside it that is still open is counted open.  A start whose
-        work raised out of every span stays on the stack, so the spans
-        after it are one level deeper.
+        record's fields as ``args``, plus ``raised`` (the exception's
+        type name) when the work raised, and what could not be paired:
+        ``dropped`` done or raised records the ring evicted, ``open``
+        starts with neither (the work is still running) and
+        ``truncated`` ends whose start the ring evicted.  A done or
+        raised record closes the innermost open start of its kind, and
+        any start opened inside it that is still open is counted open.
         """
         spans = []
         stack: list[tuple] = []       # open start records, innermost last
@@ -188,10 +189,12 @@ class Observability:
             unwound += len(stack) - depth - 1
             del stack[depth:]
             args = dict(zip(start[2], start[3:]))
-            name = SPAN_PAIRS[start_kind][1].format_map(args)
+            done, _, template = SPAN_PAIRS[start_kind]
+            name = template.format_map(args)
+            if kind != done:
+                args["raised"] = dict(zip(record[2], record[3:]))["error"]
             spans.append((name, start[0], record[0], depth, args))
-        dropped = sum(self.trace.dropped_count(done)
-                      for done, _ in SPAN_PAIRS.values())
+        dropped = sum(map(self.trace.dropped_count, _START_OF))
         return spans, {"dropped": dropped, "open": unwound + len(stack),
                        "truncated": truncated}
 

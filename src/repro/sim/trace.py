@@ -5,9 +5,9 @@ A bounded ring buffer of structured events.  Subsystems emit events
 them — e.g. E1 verifies that the refcount backend's failure is caused by a
 ``swap_out`` of a registered page, not by some unrelated path.  Records
 are also the counted facts of :mod:`repro.obs.counters`, and a start
-record with its done record is a span (:data:`repro.obs.SPAN_PAIRS`):
-the Chrome trace export reads the ring, so :meth:`Trace.clear` drops
-the spans with the records.
+record with its done (or raised) record is a span
+(:data:`repro.obs.SPAN_PAIRS`): the Chrome trace export reads the
+ring, so :meth:`Trace.clear` drops the spans with the records.
 
 Two correctness properties the querying API guarantees:
 

@@ -114,9 +114,8 @@ class Fabric:
         self.nics: dict[str, "VIANic"] = {}
         self.packets_sent = 0
         self.packets_dropped = 0
-        #: implicit hardware ACKs of RELIABLE deliveries (not counted as
-        #: packets, so unreliable accounting is unchanged)
-        self.acks_sent = 0
+        #: implicit hardware ACKs of RELIABLE deliveries lost on the wire
+        #: (ACKs are not counted as packets)
         self.acks_dropped = 0
         self.packets_nacked = 0
         self.fault_plan: "FaultPlan | None" = None
@@ -240,8 +239,6 @@ class Fabric:
             if not crc_ok(packet):
                 return self._crc_reject(trace, packet, reliability)
             status = self.nic(packet.dst_nic).deliver(packet, reliability)
-            if reliability != ReliabilityLevel.UNRELIABLE:
-                self.acks_sent += 1
             return Attempt("delivered", status)
 
         extra_ns = plan.delay()
@@ -278,13 +275,11 @@ class Fabric:
             # the duplicate, exactly as on a real unreliable link.
             dst.deliver(wire_packet, reliability)
 
-        if reliability != ReliabilityLevel.UNRELIABLE:
-            self.acks_sent += 1
-            if plan.should_drop():
-                self.acks_dropped += 1
-                trace.emit("ack_lost", dst=packet.src_nic,
-                           vi=packet.src_vi, seq=packet.seq)
-                return Attempt("ack_lost", status)
+        if reliability != ReliabilityLevel.UNRELIABLE and plan.should_drop():
+            self.acks_dropped += 1
+            trace.emit("ack_lost", dst=packet.src_nic,
+                       vi=packet.src_vi, seq=packet.seq)
+            return Attempt("ack_lost", status)
         return Attempt("delivered", status)
 
     def attempt_rdma_read(self, src: "VIANic", packet: Packet,

@@ -303,18 +303,15 @@ class KernelAgent:
 
         Cached like :meth:`owner_pages` and also rebuilt after any
         in-place write to a :class:`~repro.via.tpt.FrameList`
-        (:attr:`~repro.via.tpt.FrameList.epoch`).  An agent with a
-        region whose frames are some other list cannot see such writes,
-        so it builds the array afresh on every call.  Not to be mutated.
+        (:attr:`~repro.via.tpt.FrameList.epoch`).  Not to be mutated.
         """
         cached = self._frame_array
         if cached is not None and cached[1] == FrameList.epoch[0]:
             return cached[0]
-        frame_lists = [frames for _pid, _vpns, lists in self.owner_pages()
-                       for frames in lists]
-        frames = array("q", itertools.chain.from_iterable(frame_lists))
-        if all(type(lst) is FrameList for lst in frame_lists):
-            self._frame_array = (frames, FrameList.epoch[0])
+        frames = array("q", itertools.chain.from_iterable(
+            lst for _pid, _vpns, lists in self.owner_pages()
+            for lst in lists))
+        self._frame_array = (frames, FrameList.epoch[0])
         return frames
 
     def _record(self, reg: Registration) -> None:

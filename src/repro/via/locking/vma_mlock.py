@@ -38,23 +38,12 @@ class MlockLocking(LockingBackend):
     walks_page_tables = True
     reliable = True
 
-    def __init__(self, track_ranges: bool = True,
-                 use_cap_dance: bool = True) -> None:
+    def __init__(self, track_ranges: bool = True) -> None:
         self.track_ranges = track_ranges
-        self.use_cap_dance = use_cap_dance
         self.name = "mlock" if track_ranges else "mlock_naive"
         self.supports_multiple_registration = track_ranges
         #: per-(pid, vpn) registration counts (tracked flavour only)
         self._lock_counts: dict[tuple[int, int], int] = {}
-
-    # -- helpers -----------------------------------------------------------
-
-    def _mlock(self, kernel: "Kernel", task: "Task", va: int,
-               nbytes: int) -> None:
-        if self.use_cap_dance:
-            kernel.mlock_with_cap_dance(task, va, nbytes)
-        else:
-            kernel.do_mlock(task, va, nbytes)
 
     # -- interface -----------------------------------------------------------
 
@@ -62,7 +51,7 @@ class MlockLocking(LockingBackend):
              nbytes: int) -> LockResult:
         kernel.clock.charge(kernel.costs.syscall_ns, "register")
         start_vpn, end_vpn = range_vpns(va, nbytes)
-        self._mlock(kernel, task, va, nbytes)
+        kernel.mlock_with_cap_dance(task, va, nbytes)
         # do_mlock made the pages present; now the driver must learn
         # their physical addresses the only way it can:
         frames = [

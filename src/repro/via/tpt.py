@@ -53,13 +53,16 @@ INVALID_FRAME = -1
 class FrameList(list):
     """A frame list that versions in-place mutation.
 
-    The extent map and the translation cache are derived from the
-    recorded frames; tests (and the staleness experiments) simulate "the
-    kernel moved a page" by assigning ``region.frames[i]`` directly, so
-    every mutating operation bumps :attr:`version` and derived state is
-    rebuilt on the next translation.  It also bumps the class-wide
-    ``epoch[0]``, which state derived from many lists at once (a Kernel
-    Agent's registered-frame array) compares instead of every version.
+    Every region's recorded frames are one: ``install`` wraps them, and
+    they are only ever written in place.  The extent map and the
+    translation cache are derived from them; the ODP fault service
+    patches entries, and tests (and the staleness experiments) simulate
+    "the kernel moved a page" by assigning ``region.frames[i]``
+    directly, so every mutating operation bumps :attr:`version` and
+    derived state is rebuilt on the next translation.  It also bumps
+    the class-wide ``epoch[0]``, which state derived from many lists at
+    once (a Kernel Agent's registered-frame array) compares instead of
+    every version.
     """
 
     __slots__ = ("version",)
@@ -152,7 +155,7 @@ class MemoryRegion:
     va_base: int                 #: user virtual base address
     nbytes: int
     prot_tag: int
-    frames: list[int]            #: physical frame per page, captured at
+    frames: FrameList            #: physical frame per page, captured at
                                  #: registration time
     rdma_write_enable: bool = False
     rdma_read_enable: bool = False
@@ -176,19 +179,12 @@ class MemoryRegion:
     def first_vpn(self) -> int:
         return self.va_base // PAGE_SIZE
 
-    @property
-    def frames_version(self) -> int | None:
-        """Version stamp of the recorded frames (None for plain lists,
-        which are then treated as always-stale)."""
-        return getattr(self.frames, "version", None)
-
     def extent_map(self) -> tuple[list[int], list[tuple[int, int]]]:
         """The coalesced extent map, rebuilt when the recorded frames
         were mutated since the last build."""
         cached = self._extent_map
-        version = self.frames_version
-        if cached is not None and version is not None \
-                and cached[2] == version:
+        version = self.frames.version
+        if cached is not None and cached[2] == version:
             return cached[0], cached[1]
         starts, extents = coalesce_frames(self.frames)
         self._extent_map = (starts, extents, version)
@@ -238,14 +234,11 @@ class TranslationProtectionTable:
     cache hit when the translation cache served it.
     """
 
+    #: capacity of the bounded LRU of memoized translations
+    translation_cache_entries = DEFAULT_TRANSLATION_CACHE_ENTRIES
+
     def __init__(self, capacity_entries: int = DEFAULT_TPT_ENTRIES,
-                 clock=None, costs=None,
-                 translation_cache_entries: int =
-                 DEFAULT_TRANSLATION_CACHE_ENTRIES, events=None) -> None:
-        if translation_cache_entries < 1:
-            raise ValueError(
-                f"translation cache needs at least one entry, got "
-                f"{translation_cache_entries}")
+                 clock=None, costs=None, events=None) -> None:
         self.capacity_entries = capacity_entries
         self.regions: dict[int, MemoryRegion] = {}
         self.entries_used = 0
@@ -253,8 +246,6 @@ class TranslationProtectionTable:
         self._costs = costs
         #: analysis EventHub for TPT lifecycle events (optional)
         self._events = events
-        #: capacity of the bounded LRU of memoized translations
-        self.translation_cache_entries = translation_cache_entries
         self._xcache: OrderedDict[tuple, tuple] = OrderedDict()
         self._xcache_by_handle: dict[int, set[tuple]] = {}
         self.cache_hits = 0
@@ -380,7 +371,7 @@ class TranslationProtectionTable:
         return dropped
 
     def _cache_put(self, key: tuple, segments: list[tuple[int, int]],
-                   version: int | None) -> None:
+                   version: int) -> None:
         cache = self._xcache
         limit = self.translation_cache_entries
         while len(cache) >= limit:
@@ -445,11 +436,10 @@ class TranslationProtectionTable:
                     f"handle {handle}: pages {missing} not resident",
                     handle=handle, va=va, length=length, pages=missing)
 
-        version = region.frames_version
+        version = region.frames.version
         key = (handle, va, length)
         cached = self._xcache.get(key)
-        if cached is not None and version is not None \
-                and cached[1] == version:
+        if cached is not None and cached[1] == version:
             self._xcache.move_to_end(key)
             self.cache_hits += 1
             self._charge(self._costs.tpt_cache_hit_ns if self._costs else 0)

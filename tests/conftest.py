@@ -74,9 +74,10 @@ def pytest_runtest_setup(item):
             continue
         marker = item.get_closest_marker(marker_name)
         if marker is None or marker.args:
-            _suite_checkers.append((cls(
-                strict=mode == "strict",
-                suppress=marker.args if marker is not None else ()), label))
+            checker = cls(strict=mode == "strict")
+            for kind in marker.args if marker is not None else ():
+                checker.suppress(kind)
+            _suite_checkers.append((checker, label))
     yield
 
 

@@ -245,7 +245,7 @@ class TestReporting:
         assert det.counts["swap-vs-dma"] == 0
 
     def test_suppress_and_unsuppress(self):
-        det = RaceDetector(suppress=("unpin-vs-dma",))
+        det = RaceDetector().suppress("unpin-vs-dma")
         det.feed(self.RACY)
         assert det.races == []
         det.unsuppress("unpin-vs-dma")
@@ -254,7 +254,7 @@ class TestReporting:
 
     def test_suppress_checks_spelling(self):
         with pytest.raises(ValueError, match="unknown race kind"):
-            RaceDetector(suppress=("unpin_vs_dma",))
+            RaceDetector().suppress("unpin_vs_dma")
 
 
 # ------------------------------------------------------------- live mode

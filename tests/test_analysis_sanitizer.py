@@ -192,7 +192,9 @@ class TestTrail:
         assert "=> " in report and "unpin" in report
 
     def test_trail_is_bounded(self):
-        san = PinSanitizer(trail_maxlen=64, trail_report=8)
+        san = PinSanitizer()
+        san.TRAIL_MAXLEN = 64
+        san.TRAIL_REPORT = 8
         san.feed([(PIN, dict(frames=(5,), pid=1))] * 200)
         san.feed([(DMA_BEGIN, dict(frames=(5,), op="read"))])
         san.feed([(UNPIN, dict(frames=(5,), pid=1))] * 200)
@@ -211,7 +213,7 @@ class TestModes:
         assert "pin-underflow" in str(err.value)
 
     def test_suppress_silences_one_check(self):
-        san = PinSanitizer(strict=True, suppress=("pin-underflow",))
+        san = PinSanitizer(strict=True).suppress("pin-underflow")
         san.feed([(UNPIN, dict(frames=(9,), pid=1))])
         assert san.violations == []
         assert san.counts["pin-underflow"] == 0
@@ -222,7 +224,7 @@ class TestModes:
 
     def test_suppress_rejects_typos(self):
         with pytest.raises(ValueError, match="unknown check"):
-            PinSanitizer(suppress=("pin-underfow",))
+            PinSanitizer().suppress("pin-underfow")
         with pytest.raises(ValueError, match="unknown check"):
             PinSanitizer().expect("dma-unpined").__enter__()
 

@@ -256,8 +256,9 @@ def run_sequence(backend, seed, reaper_cls=OrphanReaper, steps=80,
     per-step record of the scan report and the resulting state."""
     m = Machine(num_frames=160, swap_slots=2048, backend=backend)
     kernel, agent = m.kernel, m.agent
-    reaper = reaper_cls(kernel, agents=[agent], max_attempts=2,
-                        backoff_base_ns=1)
+    reaper = reaper_cls(kernel, agents=[agent])
+    reaper.max_attempts = 2
+    reaper.backoff_base_ns = 1
     rng = random.Random(seed)
     uas, bufs = {}, {}
 

@@ -114,15 +114,6 @@ class TestMiscKernelPaths:
         assert freed > 0
         assert kernel.trace.count("swap_out") > 0
 
-    def test_mlock_backend_without_cap_dance(self, kernel):
-        from repro.via.locking.vma_mlock import MlockLocking
-        be = MlockLocking(track_ranges=True, use_cap_dance=False)
-        t = kernel.create_task(uid=1000)
-        va = t.mmap(2)
-        res = be.lock(kernel, t, va, 2 * PAGE_SIZE)   # do_mlock direct
-        assert t.vmas.locked_pages() == 2
-        be.unlock(kernel, res.cookie)
-
     def test_deregister_before_delivery_faults_cleanly(self):
         """A posted receive whose region is deregistered before the
         matching send arrives completes with VIP_INVALID_MEMORY."""

@@ -55,8 +55,9 @@ def _pinning_host(machine, rng):
     teardowns the reaper finishes: a forgotten registration, a leaked
     pin and a process killed without driver cleanup."""
     kernel, agent = machine.kernel, machine.agent
-    reaper = OrphanReaper(kernel, agents=[agent], max_attempts=2,
-                          backoff_base_ns=1)
+    reaper = OrphanReaper(kernel, agents=[agent])
+    reaper.max_attempts = 2
+    reaper.backoff_base_ns = 1
     app = machine.spawn("app")
     ua = machine.user_agent(app)
     va = app.mmap(8)

@@ -58,23 +58,20 @@ class TestViewCompatibility:
 
     def test_view_writes_land_in_the_columns(self, pm):
         pd = pm.alloc("buf")
-        pd.age = 3
         pd.cow_shares = 2
         pd.mapping = (7, 42)
-        assert pm.table.ages[pd.frame] == 3
         assert pm.table.cow_shares[pd.frame] == 2
         assert pm.table.mappings[pd.frame] == (7, 42)
 
     def test_alloc_resets_every_column(self, pm):
         pd = pm.alloc("first")
-        pd.age = 9
         pd.mapping = (1, 2)
         pd.cow_shares = 3
         frame = pd.frame
         pm.put_page(frame)
         pd2 = pm.alloc("second")
         assert pd2.frame == frame      # LIFO free list hands it back
-        assert (pd2.count, pd2.age, pd2.cow_shares) == (1, 0, 0)
+        assert (pd2.count, pd2.cow_shares) == (1, 0)
         assert pd2.mapping is None
         assert pd2.tag == "second"
 

@@ -4,21 +4,26 @@ import pytest
 
 from repro.errors import OutOfMemory, PageAccountingError
 from repro.kernel.flags import PG_LOCKED, PG_REFERENCED, PG_RESERVED
-from repro.kernel.page import PageDescriptor
+from repro.kernel.page import FrameTable, PageDescriptor
 from repro.kernel.pagemap import PageMap
 from repro.sim.clock import SimClock
 from repro.sim.costs import CostModel
 from repro.sim.trace import Trace
 
 
+def view() -> PageDescriptor:
+    """A descriptor over a fresh one-frame table."""
+    return PageDescriptor.bound(FrameTable(1), 0)
+
+
 class TestPageDescriptor:
     def test_initially_free(self):
-        pd = PageDescriptor(frame=0)
+        pd = view()
         assert pd.free
         assert not pd.pinned
 
     def test_flag_helpers(self):
-        pd = PageDescriptor(frame=0)
+        pd = view()
         pd.set_flag(PG_LOCKED)
         assert pd.locked
         pd.set_flag(PG_RESERVED)
@@ -29,7 +34,7 @@ class TestPageDescriptor:
         assert pd.referenced
 
     def test_get_put(self):
-        pd = PageDescriptor(frame=0)
+        pd = view()
         pd.get()
         pd.get()
         assert pd.count == 2
@@ -37,12 +42,12 @@ class TestPageDescriptor:
         assert pd.put() == 0
 
     def test_put_underflow(self):
-        pd = PageDescriptor(frame=0)
+        pd = view()
         with pytest.raises(PageAccountingError):
             pd.put()
 
     def test_pin_unpin(self):
-        pd = PageDescriptor(frame=0)
+        pd = view()
         pd.pin()
         pd.pin()
         assert pd.pinned and pd.pin_count == 2
@@ -51,7 +56,7 @@ class TestPageDescriptor:
         assert not pd.pinned
 
     def test_unpin_underflow(self):
-        pd = PageDescriptor(frame=0)
+        pd = view()
         with pytest.raises(PageAccountingError):
             pd.unpin()
 

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import events as ev
+from repro.errors import ViaError
 from repro.hw.physmem import PAGE_SIZE
 from repro.kernel import paging
 from repro.kernel.kernel import Kernel
@@ -362,6 +363,49 @@ def test_spans_match_a_reference_log_under_pressure(monkeypatch):
                                 "open": 0, "truncated": 0}
     reclaim_depths = {d for name, _, _, d in log if name == "kernel.reclaim"}
     assert reclaim_depths == {0, 1}
+
+
+def test_a_transfer_that_raised_closes_its_span():
+    cluster = Cluster(2, num_frames=512, backend="kiobuf")
+
+    def buffers():
+        s, r = make_pair(cluster)
+        src, dst = s.task.mmap(4), r.task.mmap(4)
+        s.task.touch_pages(src, 4)
+        r.task.touch_pages(dst, 4)
+        return s, r, src, dst
+
+    proto = RendezvousZeroCopyProtocol()
+    lossy = buffers()
+    cluster.inject_faults(FaultPlan(seed=0, loss_rate=0.95))
+    with pytest.raises(ViaError):
+        proto.transfer(*lossy, 4 * PAGE_SIZE)
+    cluster.inject_faults(None)
+    clean = buffers()
+    for _ in range(2):
+        assert proto.transfer(*clean, 4 * PAGE_SIZE).ok
+    doc = cluster.obs.export_chrome_trace()
+    assert [(e["args"].get("raised"), e["args"]["depth"])
+            for e in doc["traceEvents"]] == [
+        ("ViaError", 0), (None, 0), (None, 0)]
+    assert doc["otherData"]["open"] == 0
+
+
+def test_a_reclaim_that_raised_closes_its_span(monkeypatch):
+    kernel = Kernel(num_frames=64)
+
+    def fail(kernel, budget):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(paging, "shrink_mmap", fail)
+    with pytest.raises(RuntimeError):
+        paging.try_to_free_pages(kernel, 4)
+    assert kernel.trace.count("reclaim_done") == 0
+    doc = kernel.obs.export_chrome_trace()
+    assert [(e["name"], e["args"]) for e in doc["traceEvents"]] == [
+        ("kernel.reclaim", {"target": 4, "free": kernel.pagemap.free_count,
+                            "raised": "RuntimeError", "depth": 0})]
+    assert doc["otherData"]["open"] == 0
 
 
 def run_workload(seed: int) -> dict:

@@ -1,6 +1,5 @@
 """The orphan reaper: dead-owner reclamation, retry/backoff,
-force-escalation, swap-pressure drafting, descriptor deadlines, and
-cadence scheduling."""
+force-escalation, swap-pressure drafting, and cadence scheduling."""
 
 from __future__ import annotations
 
@@ -13,8 +12,6 @@ from repro.errors import KiobufError
 from repro.hw.physmem import PAGE_SIZE
 from repro.kernel import paging
 from repro.kernel.reaper import OrphanReaper
-from repro.via.constants import VIP_ERROR_CONN_LOST
-from repro.via.descriptor import DataSegment, Descriptor
 from repro.via.machine import Machine
 
 
@@ -111,8 +108,8 @@ class TestRetryAndEscalation:
             real_unmap(kio)
 
         m.kernel.unmap_kiobuf = flaky_unmap
-        reaper = OrphanReaper(m.kernel, agents=[m.agent],
-                              backoff_base_ns=1_000_000)
+        reaper = OrphanReaper(m.kernel, agents=[m.agent])
+        reaper.backoff_base_ns = 1_000_000
         r1 = reaper.scan()
         assert r1.failures == 1 and r1.registrations_reclaimed == 0
         # Inside the backoff window: deferred, not retried.
@@ -138,8 +135,9 @@ class TestRetryAndEscalation:
             raise KiobufError("backend permanently wedged (injected)")
 
         m.agent.backend.unlock = broken_unlock
-        reaper = OrphanReaper(m.kernel, agents=[m.agent],
-                              max_attempts=3, backoff_base_ns=0)
+        reaper = OrphanReaper(m.kernel, agents=[m.agent])
+        reaper.max_attempts = 3
+        reaper.backoff_base_ns = 0
         reports = [reaper.scan() for _ in range(4)]
         assert sum(r.failures for r in reports) == 3
         assert reports[3].registrations_forced == 1
@@ -198,46 +196,6 @@ class TestReaperUnderSwapPressure:
         audit_kernel_invariants(m.kernel)
 
 
-class TestDescriptorDeadline:
-    def test_stale_descriptor_flushed_with_conn_lost(self):
-        m = Machine()
-        t1, t2 = m.spawn("a"), m.spawn("b")
-        ua1, ua2 = m.user_agent(t1), m.user_agent(t2)
-        vi1, vi2 = ua1.create_vi(), ua2.create_vi()
-        m.connect_loopback(vi1, vi2)
-        va = t1.mmap(1)
-        t1.touch_pages(va, 1)
-        reg = ua1.register_mem(va, PAGE_SIZE)
-        desc = Descriptor.recv([DataSegment(reg.handle, va, PAGE_SIZE)])
-        ua1.post_recv(vi1, desc)
-
-        reaper = OrphanReaper(m.kernel, agents=[m.agent],
-                              descriptor_deadline_ns=1_000_000)
-        m.kernel.clock.charge(2_000_000, "test")
-        report = reaper.scan()
-        assert report.descriptors_flushed == 1
-        assert desc.status == VIP_ERROR_CONN_LOST
-        assert ua1.recv_done(vi1) is desc
-        assert vi1.vi_id in m.nic.vis      # owner alive: VI survives
-
-    def test_fresh_descriptors_survive(self):
-        m = Machine()
-        t1, t2 = m.spawn("a"), m.spawn("b")
-        ua1, ua2 = m.user_agent(t1), m.user_agent(t2)
-        vi1, vi2 = ua1.create_vi(), ua2.create_vi()
-        m.connect_loopback(vi1, vi2)
-        va = t1.mmap(1)
-        t1.touch_pages(va, 1)
-        reg = ua1.register_mem(va, PAGE_SIZE)
-        desc = Descriptor.recv([DataSegment(reg.handle, va, PAGE_SIZE)])
-        ua1.post_recv(vi1, desc)
-        reaper = OrphanReaper(m.kernel, agents=[m.agent],
-                              descriptor_deadline_ns=10**9)
-        report = reaper.scan()
-        assert report.descriptors_flushed == 0
-        assert desc in vi1.recv_queue
-
-
 class TestCadence:
     def test_started_reaper_scans_on_clock(self):
         m = Machine(backend="kiobuf")
@@ -252,14 +210,16 @@ class TestCadence:
         m.kernel.clock.charge(50_000, "test")
         assert reaper.scans == scans1
 
-    def test_run_if_due_respects_interval(self):
+    def test_a_scan_between_firings_delays_the_next(self):
         m = Machine()
-        reaper = OrphanReaper(m.kernel, agents=[m.agent],
-                              interval_ns=1_000_000)
-        assert reaper.run_if_due() is not None    # first scan: due at 0
-        assert reaper.run_if_due() is None        # inside the interval
-        m.kernel.clock.charge(2_000_000, "test")
-        assert reaper.run_if_due() is not None
+        reaper = m.start_reaper(interval_ns=1_000_000)
+        m.kernel.clock.charge(500_000, "test")
+        reaper.scan()                        # drafted mid-interval
+        m.kernel.clock.charge(600_000, "test")
+        assert reaper.scans == 1             # the firing fell inside it
+        m.kernel.clock.charge(500_000, "test")
+        assert reaper.scans == 2
+        reaper.stop()
 
     def test_scan_emits_report_trace_only_when_work_found(self):
         m = Machine(backend="kiobuf")

@@ -1,6 +1,6 @@
 """The orphan reaper skips a scan only while its finding is exact.
 
-A reaper scan skips its six phases when a fingerprint of what they read
+A reaper scan skips its five phases when a fingerprint of what they read
 equals the one stored after the last scan that found nothing.  These
 tests hold that shortcut to the state from two sides:
 
@@ -32,7 +32,7 @@ from repro.kernel import paging
 from repro.kernel.kiobuf import Kiobuf
 from repro.kernel.reaper import OrphanReaper
 from repro.sim.faults import FaultPlan
-from repro.via.constants import VIP_ERROR_CONN_LOST, VIP_SUCCESS
+from repro.via.constants import VIP_SUCCESS
 from repro.via.descriptor import DataSegment, Descriptor
 from repro.via.machine import Cluster, Machine
 
@@ -180,8 +180,9 @@ def leaky_run(seed, rounds=80):
     tenants = [Tenant(cluster, i) for i in range(TENANTS)]
     for machine in cluster.machines:
         flaky_unlock(machine.agent, random.Random(rng.random()))
-    reapers = cluster.start_reapers(interval_ns=50_000,
-                                    backoff_base_ns=20_000)
+    reapers = cluster.start_reapers(interval_ns=50_000)
+    for reaper in reapers:
+        reaper.backoff_base_ns = 20_000
     shadows = [ReaperShadow(reaper) for reaper in reapers]
     cluster.inject_faults(FaultPlan(
         seed=seed, loss_rate=0.05, duplicate_rate=0.02,
@@ -421,19 +422,29 @@ def test_pins_only_a_kiobuf_explains_keep_no_verdict(quiet):
     quiet.kernel.unmap_kiobuf(kio)
 
 
+def test_a_scan_that_reclaimed_keeps_no_fingerprint(quiet):
+    # The next scan reads again what the reclaim changed instead of
+    # trusting a fingerprint taken around the attempt.
+    victim = quiet.m.spawn("victim")
+    va = victim.mmap(2)
+    victim.touch_pages(va, 2)
+    quiet.m.user_agent(victim).register_mem(va, 2 * PAGE_SIZE)
+    quiet.kernel.kill(victim.pid, cleanup=False)
+    assert quiet.next_scan_sweeps().registrations_reclaimed == 1
+    assert quiet.reaper._clean is None
+    assert quiet.next_scan_sweeps().reclaimed_total == 0
+    quiet.settle()
+
+
 # The leaked pin is written straight into the column, so the sanitizer
 # never saw it taken and reads its release as an underflow.
 @pytest.mark.san_suppress("pin-underflow")
-def test_a_scan_that_reclaimed_keeps_no_fingerprint(quiet):
-    # A later phase can leave work for an earlier one: releasing a
-    # leaked pin makes an orphan frame reclaimable, which only the next
-    # scan's orphan phase sees.
+def test_an_orphan_whose_leaked_pin_is_released_is_freed_in_that_scan(quiet):
     frame = quiet.pagemap.alloc("orphan").frame
     quiet.table.set_pin_count(frame, 1)
     quiet.reaper.max_attempts = 1
     first = quiet.next_scan_sweeps()
-    assert (first.pins_force_released, first.orphan_frames_freed) == (1, 0)
-    assert quiet.next_scan_sweeps().orphan_frames_freed == 1
+    assert (first.pins_force_released, first.orphan_frames_freed) == (1, 1)
     assert quiet.table.counts[frame] == 0
     quiet.settle()
 
@@ -457,20 +468,6 @@ def test_a_scan_that_failed_keeps_no_fingerprint(quiet):
     reports = [quiet.next_scan_sweeps() for _ in range(3)]
     assert [r.failures for r in reports] == [1, 1, 0]
     assert reports[2].registrations_reclaimed == 1
-    quiet.settle()
-
-
-def test_a_descriptor_deadline_runs_every_scan(quiet):
-    vi = quiet.ua.create_vi()
-    desc = Descriptor.recv([DataSegment(quiet.reg.handle, quiet.va,
-                                        PAGE_SIZE)])
-    quiet.ua.post_recv(vi, desc)
-    quiet.settle()
-    quiet.reaper.descriptor_deadline_ns = 0
-    assert quiet.next_scan_sweeps().descriptors_flushed == 1
-    assert desc.status == VIP_ERROR_CONN_LOST
-    quiet.next_scan_sweeps()
-    quiet.reaper.descriptor_deadline_ns = None
     quiet.settle()
 
 

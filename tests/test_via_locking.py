@@ -222,7 +222,7 @@ class TestMlockBackends:
 
     def test_cap_dance_leaves_capabilities_clean(self, setup):
         kernel, t, va = setup
-        be = MlockLocking(track_ranges=True, use_cap_dance=True)
+        be = MlockLocking(track_ranges=True)
         res = be.lock(kernel, t, va, PAGE_SIZE)
         assert t.capabilities == set()
         be.unlock(kernel, res.cookie)

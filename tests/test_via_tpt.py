@@ -234,7 +234,8 @@ class TestTranslationCache:
         assert tpt.cache_hits == 0
 
     def test_cache_is_bounded_lru(self):
-        tpt = TranslationProtectionTable(translation_cache_entries=2)
+        tpt = TranslationProtectionTable()
+        tpt.translation_cache_entries = 2
         region = install(tpt)
         for off in (0, 8, 16):
             tpt.translate(region.handle, 0x10000 + off, 4, TAG_A)
@@ -245,11 +246,6 @@ class TestTranslationCache:
         assert tpt.cache_hits == 2
         tpt.translate(region.handle, 0x10000, 4, TAG_A)
         assert tpt.cache_misses == 4
-
-    def test_cache_cannot_be_sized_to_zero(self):
-        """The cache is part of the translation path, not an option."""
-        with pytest.raises(ValueError, match="at least one entry"):
-            TranslationProtectionTable(translation_cache_entries=0)
 
     def test_protection_checked_even_on_cached_span(self):
         """Memoization covers only the segment list — the protection

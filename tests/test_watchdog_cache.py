@@ -596,17 +596,3 @@ def test_a_task_exit_walks_again():
     armed.kernel.clock.charge(INTERVAL, "test")
     assert armed.wd.walks_run == walks + 1
     armed.wd.disarm()
-
-
-def test_plain_list_frames_are_never_trusted():
-    armed = Armed()
-    armed.reg.region.frames = list(armed.reg.region.frames)
-    va = armed.task.mmap(1)
-    armed.task.touch_pages(va, 1)
-    # A registration change rebuilds the owner index over the plain list.
-    armed.m.user_agent(armed.task).register_mem(va, PAGE_SIZE)
-    walks = armed.wd.walks_run
-    for _ in range(3):
-        armed.kernel.clock.charge(INTERVAL, "test")
-    assert armed.wd.walks_run == walks + 3
-    armed.wd.disarm()
