@@ -45,6 +45,7 @@ def __getattr__(name):
     # Machine lives in repro.via.machine; imported lazily to keep the
     # kernel layer importable on its own.
     if name == "Machine":
+        # repro-lint: allow(local-import) -- the package's lazy attribute
         from repro.via.machine import Machine
         return Machine
     raise AttributeError(f"module 'repro' has no attribute {name!r}")

@@ -239,6 +239,8 @@ class StreamChecker:
     def arm(self, target: Any) -> "StreamChecker":
         """Subscribe to every kernel of ``target`` (see
         :func:`repro.via.machine.hosts_of`), each under a fresh scope."""
+        # repro.via imports this module
+        # repro-lint: allow(local-import) -- import cycle
         from repro.via.machine import hosts_of
         for kernel, agents in hosts_of(target):
             self._n_scopes += 1

@@ -84,6 +84,8 @@ class ExploreRun:
         """Arm the race detector and sanitizer on ``target`` (Machine,
         Cluster, or Kernel) and install this run's tie-break seed on
         every reachable clock.  Returns ``target`` for chaining."""
+        # repro.via imports this package
+        # repro-lint: allow(local-import) -- import cycle
         from repro.via.machine import hosts_of
         self.detector.arm(target)
         self.sanitizer.arm(target)

@@ -78,6 +78,14 @@ kind a reviewer has to re-derive on every PR:
     where every ``import repro`` would pay numpy's start-up time and
     resident memory though most runs never call it.
 
+``local-import``
+    A function body may not import a ``repro`` module (outside
+    ``if TYPE_CHECKING:``): the import statement runs on every call,
+    and on a hot path its lookup costs more than the work around it.
+    Import at module level.  An import that breaks a cycle, or that
+    only set-up code runs, carries ``allow(local-import)`` and says
+    which.
+
 Findings on a line carrying ``# repro-lint: allow(<rule>, ...)`` (or
 whose preceding line carries it) are suppressed; rules can also be
 enabled/disabled wholesale per :class:`Linter`.
@@ -109,6 +117,8 @@ RULES: dict[str, str] = {
         "numpy buffer view taken outside the frame table's module",
     "eager-numpy":
         "numpy imported at module level outside `if TYPE_CHECKING:`",
+    "local-import":
+        "repro module imported inside a function body",
 }
 
 _PRAGMA_RE = re.compile(r"#\s*repro-lint:\s*allow\(([^)]*)\)")
@@ -328,6 +338,8 @@ class Linter:
             findings += self._check_column_view(tree, path)
         if "eager-numpy" in self.rules:
             findings += self._check_eager_numpy(tree, path)
+        if "local-import" in self.rules:
+            findings += self._check_local_import(tree, path)
         findings = [f for f in findings
                     if f.rule not in allowed.get(f.line, ())
                     and f.rule not in allowed.get(f.line - 1, ())]
@@ -541,6 +553,43 @@ class Linter:
                     visit(getattr(stmt, field, ()))
 
         visit(tree.body)
+        return findings
+
+    @staticmethod
+    def _check_local_import(tree: ast.Module,
+                            path: str) -> list[LintFinding]:
+        findings: list[LintFinding] = []
+
+        def visit(stmts: Iterable[ast.AST], in_function: bool) -> None:
+            """Walk every statement, noting whether a function body
+            encloses it; skip the body of an ``if TYPE_CHECKING:``."""
+            for stmt in stmts:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    visit(stmt.body, True)
+                    continue
+                if isinstance(stmt, ast.If) \
+                        and _last_name(stmt.test) == "TYPE_CHECKING":
+                    visit(stmt.orelse, in_function)
+                    continue
+                if isinstance(stmt, ast.Import):
+                    modules = [alias.name for alias in stmt.names]
+                elif isinstance(stmt, ast.ImportFrom):
+                    modules = [("." * stmt.level) + (stmt.module or "")]
+                else:
+                    modules = []
+                local = [m for m in modules
+                         if m == "repro" or m.startswith(("repro.", "."))]
+                if in_function and local:
+                    findings.append(LintFinding(
+                        path, stmt.lineno, stmt.col_offset, "local-import",
+                        f"`{local[0]}` imported inside a function runs "
+                        f"the import on every call; import it at module "
+                        f"level, or mark a cycle or set-up-only import "
+                        f"`allow(local-import)` with the reason"))
+                for field in ("body", "orelse", "finalbody", "handlers"):
+                    visit(getattr(stmt, field, ()), in_function)
+
+        visit(tree.body, False)
         return findings
 
     @staticmethod

@@ -21,6 +21,7 @@ from repro.errors import (
     InvalidArgument, InvariantViolation, PageAccountingError,
 )
 from repro.hw.physmem import PAGE_SIZE
+from repro.via.machine import hosts_of
 from repro.via.tpt import INVALID_FRAME, FrameList
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -467,7 +468,6 @@ class InvariantWatchdog:
 
     def arm(self, target) -> "InvariantWatchdog":
         """Arm on a Machine, a Cluster, or a ``(kernel, agents)`` pair."""
-        from repro.via.machine import hosts_of
         pairs = hosts_of(target)
         self._pairs.extend(pairs)
         self.armed = True

@@ -72,15 +72,18 @@ class DMAEngine:
         """Merge physically-adjacent ``(addr, length)`` segments into
         maximal runs — the bus sees one burst per contiguous span, not
         one per 4 KiB page."""
-        runs: list[list[int]] = []
+        runs: list[tuple[int, int]] = []
+        end = -1
         for addr, length in segments:
             if length <= 0:
                 continue
-            if runs and runs[-1][0] + runs[-1][1] == addr:
-                runs[-1][1] += length
+            if addr == end:
+                start, run = runs[-1]
+                runs[-1] = (start, run + length)
             else:
-                runs.append([addr, length])
-        return [(addr, length) for addr, length in runs]
+                runs.append((addr, length))
+            end = addr + length
+        return runs
 
     def _charge_bursts(self, nruns: int, total: int) -> None:
         """Charge one engine setup, per-extra-burst re-arm, and the wire

@@ -25,7 +25,9 @@ from typing import TYPE_CHECKING
 from repro.analysis.events import MLOCK, MUNLOCK
 from repro.errors import InvalidArgument, PermissionDenied
 from repro.hw.physmem import PAGE_SIZE
-from repro.kernel.capabilities import CAP_IPC_LOCK, capable
+from repro.kernel.capabilities import (
+    CAP_IPC_LOCK, cap_lower, cap_raise, capable,
+)
 from repro.kernel.fault import handle_fault
 from repro.kernel.flags import VM_LOCKED, VM_WRITE
 from repro.sim.faults import crash_if_due
@@ -118,7 +120,6 @@ def mlock_with_cap_dance(kernel: "Kernel", task: "Task", va: int,
     crash point) — must not leave an unprivileged task holding
     CAP_IPC_LOCK, or one crashed registration would mint a permanently
     privileged process."""
-    from repro.kernel.capabilities import cap_lower, cap_raise
     had = CAP_IPC_LOCK in task.capabilities
     cap_raise(task, CAP_IPC_LOCK)
     try:

@@ -20,10 +20,12 @@ from typing import TYPE_CHECKING
 
 from repro.errors import ViaError
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG, MAX_TAG
+from repro.mpi.datatypes import pack, unpack
 from repro.mpi.envelope import (
     HEADER_SIZE, KIND_CTS, KIND_EAGER_BODY, KIND_EAGER_FIRST, KIND_FIN,
     KIND_RTS, Envelope, deframe, frame,
 )
+from repro.mpi.persistent import PersistentRequest
 from repro.mpi.requests import Request, Status
 from repro.msg.endpoint import Endpoint
 from repro.via.descriptor import DataSegment, Descriptor
@@ -362,7 +364,6 @@ class MpiRank:
         :class:`~repro.mpi.datatypes.Datatype` at ``va``: pack →
         send → wait (the classic MPICH pack-before-communication
         path)."""
-        from repro.mpi.datatypes import pack
         scratch = self._typed_scratch(dtype.size)
         data = pack(self.task, va, dtype)
         self.task.write(scratch, data)
@@ -371,7 +372,6 @@ class MpiRank:
     def recv_typed(self, source: int, tag: int, va: int, dtype,
                    context: int = 0) -> Status:
         """Blocking receive into a datatype layout: recv → unpack."""
-        from repro.mpi.datatypes import unpack
         scratch = self._typed_scratch(dtype.size)
         status = self.recv(source, tag, scratch, dtype.size, context)
         if status.nbytes != dtype.size:
@@ -385,7 +385,6 @@ class MpiRank:
     def send_init(self, dest: int, tag: int, va: int, nbytes: int,
                   context: int = 0):
         """Create a persistent send request (``MPI_Send_init``)."""
-        from repro.mpi.persistent import PersistentRequest
         self._check_args(dest, tag)
         return PersistentRequest(self, "send", dest, tag, va, nbytes,
                                  context)
@@ -393,7 +392,6 @@ class MpiRank:
     def recv_init(self, source: int, tag: int, va: int, nbytes: int,
                   context: int = 0):
         """Create a persistent receive request (``MPI_Recv_init``)."""
-        from repro.mpi.persistent import PersistentRequest
         return PersistentRequest(self, "recv", source, tag, va, nbytes,
                                  context)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.regcache import RegistrationCache
-from repro.errors import QueueEmpty, ViaError
+from repro.errors import ViaError
 from repro.hw.physmem import PAGE_SIZE
 from repro.via.constants import ReliabilityLevel
 from repro.via.descriptor import DataSegment, Descriptor
@@ -137,11 +137,12 @@ class Endpoint:
         return payload, immediate
 
     def try_recv_chunk(self) -> tuple[bytes, bytes | None] | None:
-        """Like :meth:`recv_chunk` but returns None when nothing arrived."""
-        try:
-            return self.recv_chunk()
-        except QueueEmpty:
+        """Like :meth:`recv_chunk` but returns None when nothing arrived
+        (an empty poll raises nothing: the MPI progress loop makes one
+        per peer per pass)."""
+        if not self.vi.recv_done:
             return None
+        return self.recv_chunk()
 
     # -- control messages ----------------------------------------------------------
 

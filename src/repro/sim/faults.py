@@ -27,10 +27,20 @@ Wire a plan into a running system with :func:`install`::
 Every decision the plan takes is counted in :class:`FaultStats`, so
 chaos tests can assert both that faults actually fired and that the
 stack survived them.
+
+The rolls are one stream of uniforms from the plan's PCG64 generator,
+drawn :attr:`FaultPlan.ROLL_BLOCK` at a time: one ``random(n)`` call
+yields the same doubles as n scalar ``random()`` calls, at a fraction
+of the host cost.  :meth:`FaultPlan.corrupt` draws an ``integers``
+index from the same generator, so it first cuts the block: it restores
+the state saved before the block was drawn, re-draws the uniforms the
+rolls used, and drops the rest.  Every verdict and flipped byte is
+therefore the one scalar draws would give.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -174,6 +184,9 @@ class FaultPlan:
 
     stats: FaultStats = field(default_factory=FaultStats)
 
+    #: uniforms :meth:`_roll` draws from the generator at a time
+    ROLL_BLOCK = 256
+
     def __post_init__(self) -> None:
         # Every public knob is validated here — a typo'd or out-of-range
         # fault plan must fail at construction, not half-way through a
@@ -221,6 +234,10 @@ class FaultPlan:
                 f"nic_reset_at_ns must be >= 0, got {self.nic_reset_at_ns}")
         self._reset_fired = False
         self._crash_fired = False
+        #: the undrawn rest of the current block of uniforms, last
+        #: first, and the generator state the block was drawn from
+        self._block = array("d")
+        self._block_state: dict | None = None
         if rolls:
             # A plan that rolls makes its stream, and loads numpy, now,
             # while the system is being built: first imported in the
@@ -238,7 +255,32 @@ class FaultPlan:
     # -- wire faults --------------------------------------------------------
 
     def _roll(self, rate: float) -> bool:
-        return rate > 0.0 and self._rng.random() < rate
+        """One Bernoulli draw: the next uniform of the stream is below
+        ``rate``.  A rate of zero draws nothing."""
+        if rate <= 0.0:
+            return False
+        block = self._block
+        if not block:
+            rng = self._rng
+            self._block_state = rng.bit_generator.state
+            # Reversed, so that pop() takes the uniforms in order.  An
+            # array of doubles keeps no float object per uniform, which
+            # a list of 256 would spread over the heap.
+            block = self._block = array(
+                "d", rng.random(self.ROLL_BLOCK)[::-1].tobytes())
+        return block.pop() < rate
+
+    def _cut_block(self) -> None:
+        """Rewind the generator to just after the last uniform a roll
+        used, and drop the rest of the block, so that a draw of another
+        kind comes next in the stream, as with scalar draws."""
+        block = self._block
+        if not block:
+            return
+        rng = self._rng
+        rng.bit_generator.state = self._block_state
+        rng.random(self.ROLL_BLOCK - len(block))
+        del block[:]
 
     def should_drop(self) -> bool:
         """Drop this packet (or this ACK)?"""
@@ -271,6 +313,7 @@ class FaultPlan:
         come back empty — there is nothing to corrupt)."""
         if not payload:
             return payload
+        self._cut_block()
         index = int(self._rng.integers(0, len(payload)))
         out = bytearray(payload)
         out[index] ^= 0xFF
@@ -366,8 +409,11 @@ def install(plan: FaultPlan | None, target) -> FaultPlan | None:
     Passing ``plan=None`` uninstalls fault injection again.  Returns the
     plan for chaining.
     """
-    # Local imports: sim must stay importable without the via layer.
+    # Local imports: the via layer imports this module, and sim must
+    # stay importable without it.
+    # repro-lint: allow(local-import) -- import cycle
     from repro.via.fabric import Fabric
+    # repro-lint: allow(local-import) -- import cycle
     from repro.via.machine import Cluster, Machine
 
     if isinstance(target, Cluster):

@@ -35,8 +35,10 @@ class DescriptorType(enum.Enum):
 
 
 #: The remote-atomic descriptor types (compare-and-swap, fetch-and-add).
-ATOMIC_TYPES = frozenset({DescriptorType.ATOMIC_CMPSWAP,
-                          DescriptorType.ATOMIC_FETCHADD})
+#: A tuple, not a set: ``in`` tests identity first, where a set would
+#: call the Python-level ``Enum.__hash__`` on every descriptor.
+ATOMIC_TYPES = (DescriptorType.ATOMIC_CMPSWAP,
+                DescriptorType.ATOMIC_FETCHADD)
 
 
 class ReliabilityLevel(enum.Enum):

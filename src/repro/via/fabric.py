@@ -65,7 +65,7 @@ def crc_ok(packet: "Packet") -> bool:
     return payload_checksum(payload) == payload_checksum(stamped)
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """One fabric packet (a VIA transfer fits in one simulator packet;
     segmentation does not change any behaviour the paper reasons about)."""
@@ -94,7 +94,7 @@ class Packet:
     stamped: bytes | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Attempt:
     """Outcome of one wire attempt of a RELIABLE packet."""
 
@@ -125,6 +125,9 @@ class Fabric:
     def connmgr(self):
         """The fabric's client/server connection manager (lazy)."""
         if self._connmgr is None:
+            # Loaded by the first connection through the manager, so
+            # that a run which connects VIs directly never loads it.
+            # repro-lint: allow(local-import) -- set-up only
             from repro.via.connmgr import ConnectionManager
             self._connmgr = ConnectionManager(self)
         return self._connmgr

@@ -10,13 +10,16 @@ from __future__ import annotations
 
 from repro.kernel.kernel import Kernel
 from repro.kernel.task import Task
+from repro.analysis.sanitizer import PinSanitizer
 from repro.obs import Observability
 from repro.sim.clock import SimClock
 from repro.sim.costs import CostModel
+from repro.sim.faults import install
 from repro.sim.trace import Trace
 from repro.via.constants import ReliabilityLevel
 from repro.via.fabric import Fabric
 from repro.via.kernel_agent import KernelAgent
+from repro.via.locking import make_backend
 from repro.via.locking.base import LockingBackend
 from repro.via.nic import VIANic
 from repro.via.user_agent import UserAgent
@@ -73,7 +76,6 @@ class Machine:
     def inject_faults(self, plan):
         """Wire a :class:`~repro.sim.faults.FaultPlan` (or None to
         disarm) into this machine's fabric, NIC, DMA engine, and driver."""
-        from repro.sim.faults import install
         return install(plan, self)
 
     def spawn(self, name: str = "", uid: int = 1000) -> Task:
@@ -92,18 +94,21 @@ class Machine:
     def arm_watchdog(self, **kwargs):
         """Arm an :class:`~repro.core.audit.InvariantWatchdog` on this
         machine and return it."""
+        # repro.core imports this module
+        # repro-lint: allow(local-import) -- import cycle
         from repro.core.audit import InvariantWatchdog
         return InvariantWatchdog(**kwargs).arm(self)
 
     def arm_sanitizer(self, **kwargs):
         """Arm a :class:`~repro.analysis.sanitizer.PinSanitizer` on this
         machine and return it."""
-        from repro.analysis.sanitizer import PinSanitizer
         return PinSanitizer(**kwargs).arm(self)
 
     def start_reaper(self, **kwargs):
         """Start an :class:`~repro.kernel.reaper.OrphanReaper` for this
         machine (installed as ``kernel.reaper``) and return it."""
+        # repro.kernel.reaper imports repro.core, which imports this module
+        # repro-lint: allow(local-import) -- import cycle
         from repro.kernel.reaper import OrphanReaper
         reaper = OrphanReaper(self.kernel, agents=[self.agent], **kwargs)
         reaper.start()
@@ -137,7 +142,6 @@ class Cluster:
             # Each machine gets its own backend instance (driver state is
             # per host) but shares the clock, trace, fabric, and
             # observability (one metrics snapshot covers the cluster).
-            from repro.via.locking import make_backend
             be = (make_backend(backend) if isinstance(backend, str)
                   else backend)
             self.machines.append(Machine(
@@ -152,19 +156,19 @@ class Cluster:
     def inject_faults(self, plan):
         """Wire a :class:`~repro.sim.faults.FaultPlan` (or None to
         disarm) into the whole cluster."""
-        from repro.sim.faults import install
         return install(plan, self)
 
     def arm_watchdog(self, **kwargs):
         """Arm one :class:`~repro.core.audit.InvariantWatchdog` over
         every machine in the cluster and return it."""
+        # repro.core imports this module
+        # repro-lint: allow(local-import) -- import cycle
         from repro.core.audit import InvariantWatchdog
         return InvariantWatchdog(**kwargs).arm(self)
 
     def arm_sanitizer(self, **kwargs):
         """Arm one :class:`~repro.analysis.sanitizer.PinSanitizer` over
         every machine in the cluster and return it."""
-        from repro.analysis.sanitizer import PinSanitizer
         return PinSanitizer(**kwargs).arm(self)
 
     def start_reapers(self, **kwargs):

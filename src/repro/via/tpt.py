@@ -382,7 +382,11 @@ class TranslationProtectionTable:
                 if not owners:
                     del self._xcache_by_handle[old_key[0]]
         cache[key] = (segments, version)
-        self._xcache_by_handle.setdefault(key[0], set()).add(key)
+        owners = self._xcache_by_handle.get(key[0])
+        if owners is None:
+            self._xcache_by_handle[key[0]] = {key}
+        else:
+            owners.add(key)
 
     def _charge(self, ns: int) -> None:
         if self._clock is not None and ns:
@@ -442,7 +446,9 @@ class TranslationProtectionTable:
         if cached is not None and cached[1] == version:
             self._xcache.move_to_end(key)
             self.cache_hits += 1
-            self._charge(self._costs.tpt_cache_hit_ns if self._costs else 0)
+            costs = self._costs
+            if costs is not None and self._clock is not None:
+                self._clock.charge(costs.tpt_cache_hit_ns, "via_nic")
             events = self._events
             if events is not None and events.active:
                 events.emit(TPT_TRANSLATE, handle=handle, va=va,

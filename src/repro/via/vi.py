@@ -18,9 +18,9 @@ from repro.errors import ViaConnectionError
 from repro.via.constants import (
     VIP_ERROR_CONN_LOST, ReliabilityLevel, ViState,
 )
+from repro.via.cq import Completion, CompletionQueue
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.via.cq import CompletionQueue
     from repro.via.descriptor import Descriptor
 
 
@@ -132,7 +132,6 @@ class VirtualInterface:
 
     def complete_send(self, desc: "Descriptor") -> None:
         """Route a finished send descriptor to its CQ or local done list."""
-        from repro.via.cq import Completion
         if self.send_cq is not None:
             self.send_cq.post(Completion(
                 self.vi_id, "send", desc,
@@ -142,7 +141,6 @@ class VirtualInterface:
 
     def complete_recv(self, desc: "Descriptor") -> None:
         """Route a finished receive descriptor likewise."""
-        from repro.via.cq import Completion
         if self.recv_cq is not None:
             self.recv_cq.post(Completion(
                 self.vi_id, "recv", desc,

@@ -181,7 +181,7 @@ def test_merged_guard_rules_are_gone():
     assert "instrumentation-unguarded" in RULES
     assert "obs-unguarded" not in RULES
     assert "hub-emit-unguarded" not in RULES
-    assert len(RULES) == 7
+    assert len(RULES) == 8
 
 
 # ----------------------------------------------------------------- column-view
@@ -215,6 +215,30 @@ def test_eager_numpy_flags_module_level_imports():
 
 def test_eager_numpy_accepts_local_type_checking_and_pragma():
     assert lint_fixture("good_eager_numpy.py") == []
+
+
+# ---------------------------------------------------------------- local-import
+
+def test_local_import_flags_repro_imports_in_function_bodies():
+    findings = lint_fixture("bad_local_import.py")
+    assert rules_of(findings) == ["local-import"] * 5
+    assert [f.line for f in findings] == [14, 20, 29, 34, 42]
+    assert "`repro.via.cq`" in findings[0].message
+    assert "`.`" in findings[2].message
+
+
+def test_local_import_accepts_module_level_type_checking_and_pragma():
+    source = (FIXTURES / "bad_local_import.py").read_text()
+    flagged = {f.line for f in lint_fixture("bad_local_import.py")}
+    lines = source.splitlines()
+    # Module-level, TYPE_CHECKING, numpy and pragma'd imports: unflagged.
+    for needle in ("from repro.errors import ViaError",
+                   "    from repro.via.nic import VIANic",
+                   "import numpy as np",
+                   "from repro.via.vi import VirtualInterface",
+                   "from repro.via.machine import hosts_of"):
+        line = next(i for i, text in enumerate(lines, 1) if needle in text)
+        assert line not in flagged, needle
 
 
 # ------------------------------------------------------------------- machinery

@@ -226,9 +226,9 @@ class TestTraceSpans:
         assert other["truncated"] == 1 and other["dropped"] == 1
 
     def test_start_without_done_is_open(self):
-        """A reclaim that raised wrote no done: the transfer around it
-        still closes, and the reclaim is counted open, as is a transfer
-        still running."""
+        """A reclaim still running has written no end record yet: the
+        transfer around it still closes, and the reclaim is counted
+        open, as is a transfer still running."""
         clock, trace = self.make()
         trace.emit("msg_transfer_start", protocol="eager", nbytes=8)
         trace.emit("reclaim_start", target=4, free=0)
