@@ -24,7 +24,7 @@ from repro.bench.harness import print_table
 from repro.hw.physmem import PAGE_SIZE
 from repro.kernel.bigphys import BigPhysArea
 from repro.kernel.kernel import Kernel
-from repro.via.locking import make_backend
+from repro.via.locking import BigphysLocking, make_backend
 
 RAM = 256              #: frames
 WORST_CASE = 96        #: frames the bigphys reservation must cover
@@ -38,8 +38,9 @@ def max_swapfree_appset(comm_demand: int, static: bool) -> int:
     if static:
         area = BigPhysArea(kernel, WORST_CASE)
         va = area.alloc(comm_task, comm_demand)
-        be = make_backend("kiobuf")   # unused; reservation is the pin
-        del be, va
+        # The reservation is the pin: registering only walks the PTEs.
+        BigphysLocking(area).lock(kernel, comm_task, va,
+                                  comm_demand * PAGE_SIZE)
     else:
         va = comm_task.mmap(comm_demand)
         comm_task.touch_pages(va, comm_demand)

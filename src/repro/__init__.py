@@ -13,9 +13,9 @@ about:
   fabric) with four pluggable memory-locking backends reproducing
   Berkeley-VIA/M-VIA, Giganet cLAN, VMA/mlock, and the paper's
   kiobuf-based proposal;
-* :mod:`repro.core` — the paper's mechanism packaged as a library
-  (multi-registration accounting, registration cache, the Sec. 3.1
-  locktest experiment, consistency audits);
+* :mod:`repro.core` — what sits on top of the mechanism (the
+  registration cache, the Sec. 3.1 locktest experiment, consistency
+  audits);
 * :mod:`repro.msg` — zero-copy message-passing protocols exercising
   dynamic registration the way MPI implementations do.
 
@@ -23,8 +23,8 @@ Quickstart::
 
     from repro import Machine
     m = Machine(num_frames=512)
-    task = m.kernel.create_task(name="app")
-    nic = m.add_nic("nic0")
+    task = m.spawn("app")
+    ua = m.user_agent(task)
     # ... see examples/quickstart.py
 """
 

@@ -1,8 +1,6 @@
-"""The paper's contribution as a library.
+"""What sits on top of the paper's mechanism (the Kernel Agent's
+kiobuf registration path in :mod:`repro.via.kernel_agent`).
 
-* :mod:`repro.core.registration` — :class:`MemoryRegistrar`, the
-  kiobuf-based reliable registration manager with first-class multiple
-  registration;
 * :mod:`repro.core.regcache` — the registration cache the paper
   motivates ("caching registered regions, i.e. keeping them registered
   as long as possible");
@@ -12,7 +10,6 @@
   kernel accounting invariants.
 """
 
-from repro.core.registration import MemoryRegistrar, RegionLease
 from repro.core.regcache import RegistrationCache
 from repro.core.locktest import LocktestExperiment, LocktestResult
 from repro.core.audit import (
@@ -20,7 +17,6 @@ from repro.core.audit import (
 )
 
 __all__ = [
-    "MemoryRegistrar", "RegionLease", "RegistrationCache",
-    "LocktestExperiment", "LocktestResult",
+    "RegistrationCache", "LocktestExperiment", "LocktestResult",
     "audit_kernel_invariants", "audit_tpt_consistency", "StaleEntry",
 ]

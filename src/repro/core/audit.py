@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 from repro.errors import (
     InvalidArgument, InvariantViolation, PageAccountingError,
 )
-from repro.hw.physmem import PAGE_SIZE
 from repro.via.machine import hosts_of
 from repro.via.tpt import INVALID_FRAME, FrameList
 
@@ -595,36 +594,3 @@ class InvariantWatchdog:
         return InvariantViolation(
             f"invariant violation ({kind}) at {boundary}: {detail}",
             kind=kind, snapshot=snapshot)
-
-
-def frame_ownership_summary(kernel: "Kernel") -> dict[str, int]:
-    """Classify every frame for reports: free / kernel / mapped /
-    page-cache / orphan / driver-held."""
-    summary = {"free": 0, "kernel": 0, "mapped": 0, "page_cache": 0,
-               "orphan": 0, "other": 0}
-    for pd in kernel.pagemap:
-        if pd.count == 0:
-            summary["free"] += 1
-        elif pd.reserved and pd.tag == "kernel-image":
-            summary["kernel"] += 1
-        elif pd.in_page_cache:
-            summary["page_cache"] += 1
-        elif pd.mapping is not None:
-            summary["mapped"] += 1
-        elif pd.tag == "orphan":
-            summary["orphan"] += 1
-        else:
-            summary["other"] += 1
-    return summary
-
-
-def virt_phys_map(task, va: int, npages: int) -> list[tuple[int, int | None]]:
-    """``(vpn, frame-or-None)`` pairs over a range — the probe the
-    experiment runs in steps 2 and 6."""
-    base_vpn = va // PAGE_SIZE
-    out = []
-    for i in range(npages):
-        pte = task.page_table.lookup(base_vpn + i)
-        out.append((base_vpn + i,
-                    pte.frame if pte is not None and pte.present else None))
-    return out

@@ -17,7 +17,6 @@ traffic, registrations, copies, and costs are all real.
 """
 
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG, MAX_TAG
-from repro.mpi.datatypes import Contiguous, Datatype, Indexed, Vector
 from repro.mpi.persistent import PersistentRequest
 from repro.mpi.requests import Request, Status
 from repro.mpi.rank import MpiRank
@@ -25,6 +24,5 @@ from repro.mpi.world import MpiWorld
 
 __all__ = [
     "ANY_SOURCE", "ANY_TAG", "MAX_TAG", "Request", "Status", "MpiRank",
-    "MpiWorld", "Datatype", "Contiguous", "Vector", "Indexed",
-    "PersistentRequest",
+    "MpiWorld", "PersistentRequest",
 ]

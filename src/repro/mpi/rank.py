@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING
 
 from repro.errors import ViaError
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG, MAX_TAG
-from repro.mpi.datatypes import pack, unpack
 from repro.mpi.envelope import (
     HEADER_SIZE, KIND_CTS, KIND_EAGER_BODY, KIND_EAGER_FIRST, KIND_FIN,
     KIND_RTS, Envelope, deframe, frame,
@@ -339,48 +338,7 @@ class MpiRank:
         pending.request.complete(
             Status(pending.source, env.tag, pending.nbytes))
 
-    # --------------------------------------------------- typed + persistent
-
-    #: size of the per-rank pack/unpack staging area, in pages
-    TYPED_SCRATCH_PAGES = 64
-
-    def _typed_scratch(self, nbytes: int) -> int:
-        """The rank's staging area for datatype pack/unpack."""
-        limit = self.TYPED_SCRATCH_PAGES * 4096
-        if nbytes > limit:
-            raise ViaError(
-                f"typed message of {nbytes} bytes exceeds the "
-                f"{limit}-byte staging area")
-        if not hasattr(self, "_typed_scratch_va"):
-            self._typed_scratch_va = self.task.mmap(
-                self.TYPED_SCRATCH_PAGES, name="typed-scratch")
-            self.task.touch_pages(self._typed_scratch_va,
-                                  self.TYPED_SCRATCH_PAGES)
-        return self._typed_scratch_va
-
-    def send_typed(self, dest: int, tag: int, va: int, dtype,
-                   context: int = 0) -> None:
-        """Blocking send of a (possibly non-contiguous)
-        :class:`~repro.mpi.datatypes.Datatype` at ``va``: pack →
-        send → wait (the classic MPICH pack-before-communication
-        path)."""
-        scratch = self._typed_scratch(dtype.size)
-        data = pack(self.task, va, dtype)
-        self.task.write(scratch, data)
-        self.isend(dest, tag, scratch, len(data), context).wait()
-
-    def recv_typed(self, source: int, tag: int, va: int, dtype,
-                   context: int = 0) -> Status:
-        """Blocking receive into a datatype layout: recv → unpack."""
-        scratch = self._typed_scratch(dtype.size)
-        status = self.recv(source, tag, scratch, dtype.size, context)
-        if status.nbytes != dtype.size:
-            raise ViaError(
-                f"typed receive got {status.nbytes} bytes for a "
-                f"datatype of size {dtype.size}")
-        unpack(self.task, va, dtype, self.task.read(scratch,
-                                                    dtype.size))
-        return status
+    # ------------------------------------------------------------ persistent
 
     def send_init(self, dest: int, tag: int, va: int, nbytes: int,
                   context: int = 0):

@@ -12,9 +12,10 @@ must be registered on the fly."
   bounce buffers and a connected VI;
 * :mod:`repro.msg.protocols` — eager, rendezvous-copy, and
   rendezvous-zero-copy protocols (the latter with an optional
-  registration cache);
-* :mod:`repro.msg.mpi_like` — an MPI-flavoured facade that switches
-  protocols by message size.
+  registration cache).
+
+The size-based protocol switch lives in :mod:`repro.mpi`: eager up to
+the world's ``eager_threshold``, rendezvous zero-copy above it.
 """
 
 from repro.msg.endpoint import Endpoint, connect_endpoints
@@ -22,10 +23,9 @@ from repro.msg.protocols import (
     EagerProtocol, PioProtocol, Protocol, RendezvousCopyProtocol,
     RendezvousZeroCopyProtocol, TransferResult,
 )
-from repro.msg.mpi_like import MpiPair
 
 __all__ = [
     "Endpoint", "connect_endpoints", "Protocol", "EagerProtocol",
     "PioProtocol", "RendezvousCopyProtocol",
-    "RendezvousZeroCopyProtocol", "TransferResult", "MpiPair",
+    "RendezvousZeroCopyProtocol", "TransferResult",
 ]

@@ -16,7 +16,6 @@ from repro.sim.clock import SimClock
 from repro.sim.costs import CostModel
 from repro.sim.faults import install
 from repro.sim.trace import Trace
-from repro.via.constants import ReliabilityLevel
 from repro.via.fabric import Fabric
 from repro.via.kernel_agent import KernelAgent
 from repro.via.locking import make_backend
@@ -202,23 +201,3 @@ def hosts_of(target) -> list[tuple[Kernel, list[KernelAgent]]]:
         kernel, agents = target
         return [(kernel, list(agents))]
     return [(target, [])]
-
-
-def connected_pair(backend: LockingBackend | str = "kiobuf",
-                   reliability: ReliabilityLevel =
-                   ReliabilityLevel.RELIABLE_DELIVERY,
-                   num_frames: int = 1024,
-                   **kwargs) -> tuple["Cluster", UserAgent, UserAgent,
-                                      VirtualInterface, VirtualInterface]:
-    """Test/bench helper: a two-machine cluster with one task per machine
-    and one connected VI pair.  Returns
-    ``(cluster, ua_sender, ua_receiver, vi_sender, vi_receiver)``."""
-    cluster = Cluster(2, backend=backend, num_frames=num_frames, **kwargs)
-    sender = cluster[0].spawn("sender")
-    receiver = cluster[1].spawn("receiver")
-    ua_s = cluster[0].user_agent(sender)
-    ua_r = cluster[1].user_agent(receiver)
-    vi_s = ua_s.create_vi(reliability=reliability)
-    vi_r = ua_r.create_vi(reliability=reliability)
-    cluster.connect(vi_s, cluster[0], vi_r, cluster[1])
-    return cluster, ua_s, ua_r, vi_s, vi_r

@@ -93,6 +93,10 @@ class FrameList(list):
         self._mutated()
         return super().__iadd__(other)
 
+    def __imul__(self, n):
+        self._mutated()
+        return super().__imul__(n)
+
     def append(self, *args):
         self._mutated()
         return super().append(*args)

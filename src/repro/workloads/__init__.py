@@ -6,14 +6,12 @@ from repro.workloads.dlm import (
     DESIGNS, DLMConfig, DLMHarness, DLMReport, LockClient, LockOracle,
     run_dlm,
 )
-from repro.workloads.patterns import (
-    buffer_reuse_trace, size_sweep, SweepPoint,
-)
+from repro.workloads.patterns import buffer_reuse_trace
 from repro.workloads.soak import SoakConfig, SoakReport, run_soak
 
 __all__ = [
     "MemoryHog", "apply_memory_pressure", "buffer_reuse_trace",
-    "size_sweep", "SweepPoint", "SoakConfig", "SoakReport", "run_soak",
+    "SoakConfig", "SoakReport", "run_soak",
     "DESIGNS", "DLMConfig", "DLMHarness", "DLMReport", "LockClient",
     "LockOracle", "run_dlm",
 ]

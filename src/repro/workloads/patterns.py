@@ -1,10 +1,8 @@
 """Message-traffic patterns for the benchmarks.
 
-* :func:`size_sweep` — the NetPIPE-style powers-of-two size ladder every
-  bandwidth figure in the companion papers uses;
-* :func:`buffer_reuse_trace` — a synthetic MPI application trace: a pool
-  of buffers, some reused hot (persistent-communication style), some
-  cold, to drive the registration cache.
+:func:`buffer_reuse_trace` is a synthetic MPI application trace: a pool
+of buffers, some reused hot (persistent-communication style), some
+cold, to drive the registration cache.
 """
 
 from __future__ import annotations
@@ -13,28 +11,6 @@ from dataclasses import dataclass
 
 from repro.hw.physmem import PAGE_SIZE
 from repro.sim.rng import make_rng
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One point of a size sweep."""
-
-    nbytes: int
-    repeats: int
-
-
-def size_sweep(min_bytes: int = 64, max_bytes: int = 4 * 1024 * 1024,
-               repeats_small: int = 5, repeats_large: int = 2
-               ) -> list[SweepPoint]:
-    """Powers of two from ``min_bytes`` to ``max_bytes`` with more
-    repeats at the small end (where per-message noise dominates)."""
-    points: list[SweepPoint] = []
-    n = min_bytes
-    while n <= max_bytes:
-        repeats = repeats_small if n <= 64 * 1024 else repeats_large
-        points.append(SweepPoint(n, repeats))
-        n *= 2
-    return points
 
 
 @dataclass(frozen=True)

@@ -328,7 +328,7 @@ class TestLiveCalendarContexts:
 
     def test_live_transfer_emits_doorbell_and_completion(self):
         from repro.via.descriptor import Descriptor
-        from repro.via.machine import connected_pair
+        from tests.pairs import connected_pair
 
         cluster, ua_s, ua_r, vi_s, vi_r = connected_pair("kiobuf")
         cq = ua_r.create_cq()

@@ -20,10 +20,11 @@ from repro.errors import SanitizerViolation, UnmetExpectation
 from repro.hw.physmem import PAGE_SIZE
 from repro.kernel.kiobuf import map_user_kiobuf, unmap_kiobuf
 from repro.msg.endpoint import make_pair
-from repro.msg.mpi_like import MpiPair
+from repro.msg.protocols import EagerProtocol, RendezvousCopyProtocol
 from repro.via.descriptor import DataSegment, Descriptor
-from repro.via.machine import Cluster, Machine, connected_pair
+from repro.via.machine import Cluster, Machine
 from repro.workloads.allocator import MemoryHog
+from tests.pairs import connected_pair
 
 
 def reg_event(handle=1, pid=10, frames=(3, 4), backend="kiobuf",
@@ -288,9 +289,10 @@ class TestModes:
 # --------------------------------------------------------- runtime integration
 
 def pump_transfers(cluster, rounds=12, pages=8):
-    """Drive verified zero-copy transfers across ``cluster``."""
+    """Drive verified eager (below 4 KiB) and rendezvous-copy
+    transfers across ``cluster``."""
     s, r = make_pair(cluster)
-    mpi = MpiPair(s, r)
+    eager, rcopy = EagerProtocol(), RendezvousCopyProtocol()
     src = s.task.mmap(pages)
     s.task.touch_pages(src, pages)
     dst = r.task.mmap(pages)
@@ -300,7 +302,8 @@ def pump_transfers(cluster, rounds=12, pages=8):
         size = int(rng.integers(64, pages * PAGE_SIZE - 64))
         payload = bytes(rng.integers(0, 256, size, dtype=np.uint8))
         s.task.write(src, payload)
-        assert mpi.sendrecv(src, dst, size).ok
+        protocol = eager if size < 4 * 1024 else rcopy
+        assert protocol.transfer(s, r, src, dst, size).ok
 
 
 class TestRuntimeClean:

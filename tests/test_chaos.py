@@ -23,7 +23,8 @@ from repro.via.constants import (
     ReliabilityLevel, ViState,
 )
 from repro.via.descriptor import Descriptor
-from repro.via.machine import Cluster, Machine, connected_pair
+from repro.via.machine import Cluster, Machine
+from tests.pairs import connected_pair
 
 
 def payload_bytes(rng, n: int) -> bytes:

@@ -19,8 +19,7 @@ import pytest
 from repro.analysis.events import PIN_RELEASED
 from repro.core.audit import (
     LeakedPin, StaleEntry, audit_kernel_invariants, audit_pin_leaks,
-    audit_tpt_consistency, explained_pins, frame_ownership_summary,
-    virt_phys_map,
+    audit_tpt_consistency, explained_pins,
 )
 from repro.errors import InvalidArgument, InvariantViolation, \
     PageAccountingError
@@ -539,17 +538,6 @@ class TestPinCountBehindThePinnedSet:
 
 
 class TestSummaries:
-    def test_frame_ownership_sums_to_total(self, kernel):
-        t = kernel.create_task()
-        va = t.mmap(8)
-        t.touch_pages(va, 8)
-        kernel.add_page_cache_page()
-        summary = frame_ownership_summary(kernel)
-        assert sum(summary.values()) == kernel.pagemap.num_frames
-        assert summary["mapped"] == 8
-        assert summary["page_cache"] == 1
-        assert summary["kernel"] == kernel.pagemap.reserved_frames
-
     def test_orphans_classified(self, kernel):
         t = kernel.create_task()
         va = t.mmap(1)
@@ -557,17 +545,10 @@ class TestSummaries:
         frame = t.physical_pages(va, 1)[0]
         kernel.pagemap.get_page(frame)
         paging.swap_out(kernel, kernel.pagemap.num_frames)
-        summary = frame_ownership_summary(kernel)
-        assert summary["orphan"] == 1
-
-    def test_virt_phys_map(self, kernel):
-        t = kernel.create_task()
-        va = t.mmap(3)
-        t.write(va, b"x")   # only page 0 resident
-        vm = virt_phys_map(t, va, 3)
-        assert vm[0][1] is not None
-        assert vm[1][1] is None and vm[2][1] is None
-        assert [vpn for vpn, _ in vm] == [t.vpn_of(va) + i for i in range(3)]
+        orphans = [pd.frame for pd in kernel.pagemap
+                   if pd.count and pd.mapping is None
+                   and not pd.in_page_cache and pd.tag == "orphan"]
+        assert orphans == [frame]
 
 
 # --------------------------------------------------------------------------

@@ -12,8 +12,9 @@ from repro.via.constants import (
 )
 from repro.via.descriptor import DataSegment, Descriptor
 from repro.via.fabric import Packet
-from repro.via.machine import Machine, connected_pair
+from repro.via.machine import Machine
 from repro.via.nic import _trim_segments
+from tests.pairs import connected_pair
 
 
 class TestCompletionQueues:

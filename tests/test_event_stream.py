@@ -26,7 +26,8 @@ from repro.kernel.reaper import OrphanReaper
 from repro.sim.trace import TraceEvent
 from repro.via import tpt
 from repro.via.descriptor import Descriptor
-from repro.via.machine import Machine, connected_pair
+from repro.via.machine import Machine
+from tests.pairs import connected_pair
 
 SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 

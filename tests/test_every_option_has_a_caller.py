@@ -1,4 +1,5 @@
-"""DESIGN.md §5: every constructor option has a caller outside the tests.
+"""DESIGN.md §5: every constructor option and every public name has a
+reader outside the tests.
 
 A constructor takes an option only where code other than the tests
 passes it; a value only tests change is a class constant, which a test
@@ -15,16 +16,23 @@ a default is passed somewhere:
 * a subclass whose ``__init__`` only forwards ``**options`` to
   ``super()`` (or that has none) is constructed as its base:
   ``PinSanitizer`` and ``RaceDetector`` count as ``StreamChecker``.
+
+The same files must read every top-level public class and function of
+``src/repro``: a ``Name``, an ``Attribute`` or an import alias of that
+name, outside the name's own definition.  The re-export imports of a
+package ``__init__.py`` and the strings of ``__all__`` are not readers.
 """
 
 from __future__ import annotations
 
 import ast
 import pathlib
+from typing import Iterator
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
 CALLER_DIRS = ("src", "bench", "benchmarks", "examples", "tools")
+DEFINITIONS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _parse(path: pathlib.Path) -> ast.Module:
@@ -133,6 +141,35 @@ def unpassed_options() -> list[str]:
                   and (position is None or position >= npos))
 
 
+def _read_names(node: ast.AST, in_init: bool) -> Iterator[str]:
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias) and not in_init:
+            yield sub.name.rpartition(".")[2]
+
+
+def unread_public_names() -> list[str]:
+    """Every top-level public class or function of ``src/repro`` that no
+    non-test file reads outside its own definition."""
+    public = {node.name
+              for path in PACKAGE.rglob("*.py")
+              for node in _parse(path).body
+              if isinstance(node, DEFINITIONS)
+              and not node.name.startswith("_")}
+    read: set[str] = set()
+    for path in _caller_files():
+        in_init = path.name == "__init__.py"
+        for stmt in _parse(path).body:
+            names = set(_read_names(stmt, in_init))
+            if isinstance(stmt, DEFINITIONS):
+                names.discard(stmt.name)
+            read |= names
+    return sorted(public - read)
+
+
 def test_every_constructor_option_has_a_non_test_caller():
     unpassed = unpassed_options()
     assert not unpassed, (
@@ -146,3 +183,10 @@ def test_the_scan_sees_a_forwarding_subclass_as_its_base():
         == ["StreamChecker"]
     assert [cls.name for cls in _init_owners("RaceDetector", classes)] \
         == ["StreamChecker"]
+
+
+def test_every_public_name_has_a_non_test_reader():
+    unread = unread_public_names()
+    assert not unread, (
+        "public names that only tests read (delete them, or move a "
+        "test helper under tests/, DESIGN.md §5): " + ", ".join(unread))

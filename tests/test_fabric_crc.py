@@ -26,7 +26,7 @@ from repro.via.constants import (
 )
 from repro.via.descriptor import DataSegment, Descriptor
 from repro.via.fabric import Packet, payload_checksum
-from repro.via.machine import connected_pair
+from tests.pairs import connected_pair
 
 SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 

@@ -8,7 +8,7 @@ from repro.hw.physmem import PAGE_SIZE
 from repro.sim.faults import FaultPlan
 from repro.via.constants import VIP_SUCCESS, ReliabilityLevel
 from repro.via.descriptor import Descriptor
-from repro.via.machine import connected_pair
+from tests.pairs import connected_pair
 
 
 def unreliable_pair(seed=0, **kwargs):

@@ -12,10 +12,11 @@ from repro.core.audit import (
     audit_kernel_invariants, audit_tpt_consistency,
 )
 from repro.core.regcache import RegistrationCache
-from repro.core.registration import MemoryRegistrar
 from repro.hw.physmem import PAGE_SIZE
 from repro.msg.endpoint import make_pair
-from repro.msg.mpi_like import MpiPair
+from repro.msg.protocols import (
+    EagerProtocol, RendezvousCopyProtocol, RendezvousZeroCopyProtocol,
+)
 from repro.via.machine import Cluster, Machine
 from repro.workloads.allocator import MemoryHog
 from repro.workloads.patterns import buffer_reuse_trace
@@ -29,7 +30,8 @@ class TestMessagingUnderSustainedPressure:
     def test_fifty_transfers_with_churn(self):
         cluster = Cluster(2, num_frames=1024, backend="kiobuf")
         s, r = make_pair(cluster)
-        mpi = MpiPair(s, r)
+        eager, rcopy, zcopy = (EagerProtocol(), RendezvousCopyProtocol(),
+                               RendezvousZeroCopyProtocol())
         hogs = [MemoryHog(m.kernel, "churner") for m in cluster.machines]
         for hog, m in zip(hogs, cluster.machines):
             # Touch more than installed RAM so reclaim must run.
@@ -46,7 +48,11 @@ class TestMessagingUnderSustainedPressure:
             size = int(rng.integers(64, pages * PAGE_SIZE - 64))
             payload = bytes(rng.integers(0, 256, size, dtype=np.uint8))
             s.task.write(src, payload)
-            res = mpi.sendrecv(src, dst, size)
+            # The MPI/Pro-era switch points: eager below 4 KiB,
+            # zero-copy from 128 KiB.
+            protocol = (eager if size < 4 * 1024
+                        else rcopy if size < 128 * 1024 else zcopy)
+            res = protocol.transfer(s, r, src, dst, size)
             assert res.ok, f"transfer {i} ({size}B) corrupted"
             if i % 10 == 0:
                 for hog in hogs:
@@ -66,7 +72,6 @@ class TestMessagingUnderSustainedPressure:
         regions are hit by reclaim."""
         cluster = Cluster(2, num_frames=384, backend="refcount")
         s, r = make_pair(cluster)
-        mpi = MpiPair(s, r, zerocopy_threshold=16 * 1024)
         pages = 16
         src = s.task.mmap(pages)
         s.task.touch_pages(src, pages)
@@ -75,7 +80,8 @@ class TestMessagingUnderSustainedPressure:
         payload = bytes(np.random.default_rng(0).integers(
             0, 256, 16 * 1024, dtype=np.uint8))
         s.task.write(src, payload)
-        mpi.sendrecv(src, dst, 16 * 1024)   # warms the regcache
+        # warms the regcache
+        RendezvousZeroCopyProtocol().transfer(s, r, src, dst, 16 * 1024)
         hog = MemoryHog(r.machine.kernel)
         hog.grow(r.machine.kernel.pagemap.num_frames * 2)
         r.task.touch_pages(dst, pages)
@@ -107,18 +113,18 @@ class TestRegistrarWithForkAndCache:
         the parent's live registrations stay valid (shared pages are
         pinned, so COW never relocates them under the NIC)."""
         m = Machine(num_frames=512, backend="kiobuf")
-        reg = MemoryRegistrar(m)
         parent = m.spawn("parent")
         va = parent.mmap(8)
         parent.touch_pages(va, 8)
-        lease = reg.register(parent, va, 8 * PAGE_SIZE)
+        m.agent.open_nic(parent)
+        reg = m.agent.register_memory(parent, va, 8 * PAGE_SIZE)
         child = m.kernel.fork_task(parent)
         MemoryHog(m.kernel).grow(m.kernel.pagemap.num_frames)
         audit_kernel_invariants(m.kernel)
-        assert reg.audit() == []
-        assert parent.physical_pages(va, 8) == lease.frames
+        assert audit_tpt_consistency(m.agent) == []
+        assert parent.physical_pages(va, 8) == list(reg.region.frames)
         assert child.read(va, 4) == parent.read(va, 4)
-        lease.release()
+        m.agent.deregister_memory(reg.handle)
         audit_kernel_invariants(m.kernel)
 
 
@@ -135,7 +141,7 @@ class TestRingTopology:
         for i, m in enumerate(cluster.machines):
             j = (i + 1) % 4
             connect_endpoints(cluster, tx[i], rx[j])
-        mpis = [MpiPair(tx[i], rx[(i + 1) % 4]) for i in range(4)]
+        rcopy = RendezvousCopyProtocol()
 
         size = 24 * 1024
         payload = bytes(np.random.default_rng(5).integers(
@@ -150,7 +156,8 @@ class TestRingTopology:
         tx[0].task.write(bufs[0][0], payload)
         for hop in range(4):
             nxt = (hop + 1) % 4
-            res = mpis[hop].sendrecv(bufs[hop][0], bufs[nxt][1], size)
+            res = rcopy.transfer(tx[hop], rx[nxt], bufs[hop][0],
+                                 bufs[nxt][1], size)
             assert res.ok
             if nxt != 0:
                 # forward: copy from rx buffer to this rank's tx buffer

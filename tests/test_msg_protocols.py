@@ -6,7 +6,6 @@ import pytest
 from repro.errors import ViaError
 from repro.hw.physmem import PAGE_SIZE
 from repro.msg.endpoint import Endpoint, make_pair
-from repro.msg.mpi_like import MpiPair
 from repro.msg.protocols import (
     EagerProtocol, PioProtocol, RendezvousCopyProtocol,
     RendezvousZeroCopyProtocol,
@@ -208,42 +207,3 @@ class TestCompletionReaping:
             s.post(desc, "probe")
         # the stray was consumed and reported, not passed over
         assert s.vi.send_done[0] is desc
-
-
-class TestMpiPair:
-    def test_protocol_switching(self, pair):
-        cluster, s, r = pair
-        mpi = MpiPair(s, r)
-        assert mpi.protocol_for(100).name == "eager"
-        assert mpi.protocol_for(64 * 1024).name == "rendezvous-copy"
-        assert "zerocopy" in mpi.protocol_for(1 << 20).name
-
-    def test_sendrecv_and_history(self, pair, rng):
-        cluster, s, r = pair
-        mpi = MpiPair(s, r)
-        src, dst = alloc_buffers(s, r, 256 * 1024)
-        data = payload_bytes(rng, 256 * 1024)
-        s.task.write(src, data)
-        res = mpi.sendrecv(src, dst, 256 * 1024)
-        assert res.ok
-        assert r.task.read(dst, 1024) == data[:1024]
-        assert mpi.history == [res]
-
-    def test_ping_pong(self, pair, rng):
-        cluster, s, r = pair
-        mpi = MpiPair(s, r)
-        src, dst = alloc_buffers(s, r, 2048)
-        bsrc, bdst = alloc_buffers(r, s, 2048)
-        data = payload_bytes(rng, 2048)
-        s.task.write(src, data)
-        r.task.write(bsrc, data)
-        there, back = mpi.ping_pong(src, dst, 2048, bsrc, bdst)
-        assert there.ok and back.ok
-        assert len(mpi.history) == 2
-
-    def test_custom_thresholds(self, pair):
-        cluster, s, r = pair
-        mpi = MpiPair(s, r, eager_threshold=1024,
-                      zerocopy_threshold=8192)
-        assert mpi.protocol_for(2048).name == "rendezvous-copy"
-        assert "zerocopy" in mpi.protocol_for(8192).name

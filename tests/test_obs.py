@@ -31,8 +31,9 @@ from repro.sim.faults import FaultPlan
 from repro.sim.trace import Trace
 from repro.via.constants import VIP_ERROR_CONN_LOST, VIP_SUCCESS, ViState
 from repro.via.descriptor import DataSegment, Descriptor
-from repro.via.machine import Cluster, Machine, connected_pair
+from repro.via.machine import Cluster, Machine
 from repro.workloads.allocator import MemoryHog
+from tests.pairs import connected_pair
 
 
 class TestCounter:

@@ -17,7 +17,8 @@ from repro.errors import (
 from repro.hw.physmem import PAGE_SIZE
 from repro.via.constants import VIP_ERROR_CONN_LOST, ViState
 from repro.via.locking.refcount import RefcountLocking
-from repro.via.machine import Cluster, Machine, connected_pair
+from repro.via.machine import Cluster, Machine
+from tests.pairs import connected_pair
 
 
 def _registered_task(machine, npages=4, name="t"):

@@ -187,7 +187,7 @@ class TestUserAgentHelpers:
         charges a kernel trap + reschedule on top of the poll."""
         from repro.hw.physmem import PAGE_SIZE
         from repro.via.descriptor import Descriptor
-        from repro.via.machine import connected_pair
+        from tests.pairs import connected_pair
         cluster, ua_s, ua_r, vi_s, vi_r = connected_pair("kiobuf")
         rva = ua_r.task.mmap(1)
         rreg = ua_r.register_mem(rva, PAGE_SIZE)
@@ -211,7 +211,7 @@ class TestUserAgentHelpers:
     def test_send_wait_returns_completed_descriptor(self):
         from repro.hw.physmem import PAGE_SIZE
         from repro.via.descriptor import Descriptor
-        from repro.via.machine import connected_pair
+        from tests.pairs import connected_pair
         cluster, ua_s, ua_r, vi_s, vi_r = connected_pair("kiobuf")
         rva = ua_r.task.mmap(1)
         rreg = ua_r.register_mem(rva, PAGE_SIZE)

@@ -23,7 +23,8 @@ from repro.via.constants import (
 )
 from repro.via.descriptor import DataSegment, Descriptor
 from repro.via.fabric import Packet
-from repro.via.machine import Cluster, connected_pair
+from repro.via.machine import Cluster
+from tests.pairs import connected_pair
 
 U64 = 0xFFFF_FFFF_FFFF_FFFF
 

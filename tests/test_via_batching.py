@@ -7,7 +7,7 @@ from repro.hw.physmem import PAGE_SIZE
 from repro.via.constants import VIP_SUCCESS, ReliabilityLevel
 from repro.via.cq import CompletionQueue
 from repro.via.descriptor import DataSegment, Descriptor
-from repro.via.machine import connected_pair
+from tests.pairs import connected_pair
 
 
 @pytest.fixture

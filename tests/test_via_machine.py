@@ -4,8 +4,9 @@ import pytest
 
 from repro.errors import ViaConnectionError
 from repro.sim.costs import CostModel
-from repro.via.machine import Cluster, Machine, connected_pair
+from repro.via.machine import Cluster, Machine
 from repro.via.constants import ReliabilityLevel, ViState
+from tests.pairs import connected_pair
 
 
 class TestMachine:

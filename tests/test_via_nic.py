@@ -12,7 +12,7 @@ from repro.via.constants import (
     ReliabilityLevel, ViState,
 )
 from repro.via.descriptor import DataSegment, Descriptor
-from repro.via.machine import connected_pair
+from tests.pairs import connected_pair
 
 
 @pytest.fixture

@@ -41,8 +41,9 @@ from repro.via.constants import (
 from repro.via.descriptor import Descriptor
 from repro.via.kernel_agent import ODP_FAULT_TABLE_ENTRIES
 from repro.via.locking import make_backend
-from repro.via.machine import Cluster, Machine, connected_pair
+from repro.via.machine import Cluster, Machine
 from repro.via.tpt import INVALID_FRAME
+from tests.pairs import connected_pair
 
 SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 

@@ -1,10 +1,12 @@
 """Tests for the Translation and Protection Table."""
 
+import operator
+
 import pytest
 
 from repro.errors import NotRegistered, ProtectionError, ViaError
 from repro.hw.physmem import PAGE_SIZE
-from repro.via.tpt import TranslationProtectionTable
+from repro.via.tpt import FrameList, TranslationProtectionTable
 
 TAG_A, TAG_B = 0x100, 0x200
 
@@ -28,6 +30,36 @@ def install(tpt, va=0x10000, npages=4, tag=TAG_A, **kw):
     frames = list(range(10, 10 + npages))
     return tpt.install(va_base=va, nbytes=npages * PAGE_SIZE, prot_tag=tag,
                        frames=frames, **kw)
+
+
+#: every in-place ``list`` mutator, each applied to ``FrameList([2, 1])``
+IN_PLACE_MUTATIONS = {
+    "__setitem__": lambda f: f.__setitem__(0, 7),
+    "__delitem__": lambda f: f.__delitem__(0),
+    "__iadd__": lambda f: operator.iadd(f, [3]),
+    "__imul__": lambda f: operator.imul(f, 2),
+    "append": lambda f: f.append(3),
+    "extend": lambda f: f.extend([3]),
+    "insert": lambda f: f.insert(0, 3),
+    "pop": lambda f: f.pop(),
+    "remove": lambda f: f.remove(2),
+    "clear": lambda f: f.clear(),
+    "sort": lambda f: f.sort(),
+    "reverse": lambda f: f.reverse(),
+}
+
+
+@pytest.mark.parametrize("mutator", sorted(IN_PLACE_MUTATIONS))
+def test_every_in_place_mutation_bumps_the_version(mutator):
+    """Derived state (extent map, translation cache, the agent's
+    registered-frame array) is rebuilt only when the version moves, so
+    a mutator that skips it would let a stale translation outlive the
+    write."""
+    frames = FrameList([2, 1])
+    epoch = FrameList.epoch[0]
+    IN_PLACE_MUTATIONS[mutator](frames)
+    assert frames.version == 1
+    assert FrameList.epoch[0] == epoch + 1
 
 
 class TestInstallRemove:

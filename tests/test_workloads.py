@@ -2,7 +2,7 @@
 
 from repro.hw.physmem import PAGE_SIZE
 from repro.workloads.allocator import MemoryHog, apply_memory_pressure
-from repro.workloads.patterns import buffer_reuse_trace, size_sweep
+from repro.workloads.patterns import buffer_reuse_trace
 
 
 class TestMemoryHog:
@@ -41,17 +41,6 @@ class TestMemoryHog:
         # Reclaim ran and stole something (victim or hog pages).
         assert kernel.trace.count("swap_out") > 0
         hog.release()
-
-
-class TestSizeSweep:
-    def test_powers_of_two_inclusive(self):
-        points = size_sweep(64, 1024)
-        assert [p.nbytes for p in points] == [64, 128, 256, 512, 1024]
-
-    def test_repeats_taper(self):
-        points = size_sweep(64, 1 << 20, repeats_small=5, repeats_large=2)
-        assert points[0].repeats == 5
-        assert points[-1].repeats == 2
 
 
 class TestBufferReuseTrace:
