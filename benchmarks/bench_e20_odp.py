@@ -67,8 +67,7 @@ def run_point(backend: str, factor: float, seed: int = 0) -> dict:
     with m.kernel.clock.measure() as dma_span:
         m.nic._tpt_translate(reg.handle, va, TOUCH_PAGES * PAGE_SIZE, tag)
 
-    resident_pins = sum(
-        1 for pd in m.kernel.pagemap if pd.pin_count > 0)
+    resident_pins = len(m.kernel.pagemap.pinned_frames())
     point = dict(
         backend=backend, factor=factor,
         reg_ns=reg_span.elapsed_ns, dma_ns=dma_span.elapsed_ns,
@@ -80,7 +79,7 @@ def run_point(backend: str, factor: float, seed: int = 0) -> dict:
 
     ua.deregister_mem(reg)
     point["leaked_pins"] = len(audit_pin_leaks(m.kernel, m.agent))
-    point["orphans"] = len(m.kernel.pagemap.orphans())
+    point["orphans"] = m.kernel.pagemap.orphan_count()
     assert audit_tpt_consistency(m.agent) == []
     audit_kernel_invariants(m.kernel)
     return point

@@ -18,6 +18,7 @@ import pytest
 
 from repro.bench.harness import print_table
 from repro.hw.physmem import PAGE_SIZE
+from repro.kernel.flags import PG_LOCKED, PG_RESERVED
 from repro.kernel.kernel import Kernel
 from repro.via.locking import make_backend
 
@@ -38,11 +39,11 @@ def overlap_scenario(backend_name: str) -> tuple[int, int]:
     shared = set(r1.frames) & set(r2.frames)
     assert len(shared) == OVERLAP
     be.unlock(kernel, r1.cookie)
+    table = kernel.pagemap.table
     wrongly = sum(
         1 for frame in shared
-        if not (kernel.pagemap.page(frame).locked
-                or kernel.pagemap.page(frame).reserved
-                or kernel.pagemap.page(frame).pinned))
+        if not (table.flags[frame] & (PG_LOCKED | PG_RESERVED)
+                or table.pin_counts[frame] > 0))
     be.unlock(kernel, r2.cookie)
     return len(shared), wrongly
 
@@ -59,7 +60,7 @@ def kernel_io_scenario(backend_name: str) -> tuple[int, int]:
         kernel.lock_page(frame)       # kernel-held PG_locked
     be.unlock(kernel, res.cookie)
     lost = sum(1 for frame in res.frames
-               if not kernel.pagemap.page(frame).locked)
+               if not kernel.pagemap.table.flags[frame] & PG_LOCKED)
     return len(res.frames), lost
 
 

@@ -45,16 +45,19 @@ kind a reviewer has to re-derive on every PR:
     Layers above the kernel (``repro/via``, ``repro/msg``,
     ``repro/mpi``) must mutate kernel page state only through audited
     kernel entry points (``map_user_kiobuf``, ``do_mlock`` …), never by
-    poking page descriptors or page tables directly.  The historical
-    backends the paper critiques do exactly that — on purpose — and
-    carry ``allow(kernel-mutation)`` pragmas saying so.
+    poking the frame table or page tables directly: no write to a
+    :class:`~repro.kernel.page.FrameTable` column or an item of one
+    (``counts``, ``flags``, ``pin_counts`` …; a VMA's ``flags`` too), no
+    call to a ``FrameTable`` mutator (``incr_pin``, ``set_tag`` …) or to
+    ``get_page``/``put_page``.  The historical backends the paper
+    critiques do exactly that — on purpose — and carry
+    ``allow(kernel-mutation)`` pragmas saying so.
 
     Anywhere in ``src/repro``, a PTE's ``present``, ``frame`` and
     ``swap_slot`` are written only by :class:`PageTable`'s methods in
     ``repro/kernel/pagetable.py``, each of which bumps the table's
     ``gen``; the invariant watchdog trusts an unchanged ``gen`` to mean
-    unchanged entries.  ``PageDescriptor.frame`` in
-    ``repro/kernel/page.py`` is not a PTE field and is exempt.
+    unchanged entries.
 
 ``faultplan-validation``
     Every public knob of :class:`~repro.sim.faults.FaultPlan` must be
@@ -143,18 +146,18 @@ _WALL_CLOCK_EXEMPT_FILES = ("repro/sim/rng.py",)
 #: Path prefixes (posix, relative to the scan root) of the layers that
 #: sit above the kernel and must use its audited entry points.
 _ABOVE_KERNEL_LAYERS = ("repro/via/", "repro/msg/", "repro/mpi/")
-#: Page state attributes those layers must never assign directly.
-_KERNEL_STATE_ATTRS = frozenset({
-    "pin_count", "count", "swapped", "flags", "reserved", "mapping",
+#: Frame-table columns (and a VMA's ``flags``) those layers must never
+#: assign or write an item of.
+_FRAME_COLUMNS = frozenset({
+    "counts", "flags", "pin_counts", "cow_shares", "mappings", "tags",
 })
 #: PTE fields no module but the page table's own may assign.
 _PTE_STATE_ATTRS = frozenset({"present", "frame", "swap_slot"})
 _PTE_WRITER_FILE = "repro/kernel/pagetable.py"
-#: The page descriptor's own ``frame`` is not a PTE field.
-_PTE_FRAME_EXEMPT_FILE = "repro/kernel/page.py"
-#: Page/pagemap mutator methods those layers must never call directly.
+#: Page map and frame table mutators those layers must never call.
 _KERNEL_MUTATOR_METHODS = frozenset({
-    "pin", "unpin", "get_page", "put_page", "set_flag", "clear_flag",
+    "get_page", "put_page", "incr_pin", "decr_pin", "set_pin_count",
+    "set_tag", "reset_frame", "scrub_identity",
 })
 
 #: The observability implementation itself (guards internally).
@@ -273,8 +276,6 @@ def _pte_attrs_guarded_in(rel: str) -> frozenset[str]:
     """The PTE fields a module at ``rel`` must not assign."""
     if rel.endswith(_PTE_WRITER_FILE):
         return frozenset()
-    if rel.endswith(_PTE_FRAME_EXEMPT_FILE):
-        return _PTE_STATE_ATTRS - {"frame"}
     return _PTE_STATE_ATTRS
 
 
@@ -598,7 +599,7 @@ class Linter:
                                pte_attrs: frozenset[str]
                                ) -> list[LintFinding]:
         findings = []
-        state_attrs = _KERNEL_STATE_ATTRS if above_kernel else frozenset()
+        state_attrs = _FRAME_COLUMNS if above_kernel else frozenset()
 
         def is_self(expr: ast.expr) -> bool:
             node = expr
@@ -613,6 +614,17 @@ class Linter:
             elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
                 targets = [node.target]
             for target in targets:
+                if above_kernel and isinstance(target, ast.Subscript):
+                    # ``table.flags[f]`` or a local alias ``flags[f]``.
+                    column = target.value
+                    name = getattr(column, "attr", getattr(column, "id", None))
+                    if name in _FRAME_COLUMNS:
+                        findings.append(LintFinding(
+                            path, target.lineno, target.col_offset,
+                            "kernel-mutation",
+                            f"direct write to frame column `{name}[...]`;"
+                            f" go through an audited kernel entry point"))
+                    continue
                 if not isinstance(target, ast.Attribute) \
                         or is_self(target.value):
                     continue

@@ -218,9 +218,9 @@ class PinSanitizer(StreamChecker):
         pre-existing pin is not misread as underflow), seed the
         registration shadow from ``agents`` (so pre-existing
         registrations are tracked too), and attach the obs collector."""
-        for pd in kernel.pagemap:
-            if pd.pin_count > 0:
-                self._pins[(scope, pd.frame)] = pd.pin_count
+        pin_counts = kernel.pagemap.table.pin_counts
+        for frame in kernel.pagemap.pinned_frames():
+            self._pins[(scope, frame)] = pin_counts[frame]
         for agent in agents:
             for reg in agent.registrations.values():
                 uid = reg.uid if reg.uid >= 0 else None

@@ -235,7 +235,7 @@ def audit_kernel_invariants(kernel: "Kernel") -> None:
     frame must have pins, and compares its size with the ``pin_counts``
     column's nonzero count; the negative-counter check reads the
     counters' sign bytes straight out of the columns.  Only a hit there
-    walks the descriptors or the column to name the frame.
+    walks the columns to name the frame.
     """
     kernel.pagemap.check_free_list()
     _audit_page_tables(kernel)
@@ -297,10 +297,10 @@ def _audit_frame_counters(kernel: "Kernel") -> None:
             raise PageAccountingError(
                 f"frame {frame} is in the pinned set with no pins")
     if table.any_negative_counter():
-        for pd in kernel.pagemap:
-            if pd.pin_count < 0 or pd.count < 0:
+        for frame in range(table.num_frames):
+            if pin_counts[frame] < 0 or counts[frame] < 0:
                 raise PageAccountingError(
-                    f"frame {pd.frame} has negative counters")
+                    f"frame {frame} has negative counters")
     # No count is negative and every listed frame has pins, so equal
     # sizes mean the listed frames are exactly the nonzero ones.
     if len(table.pinned) + pin_counts.count(0) != len(pin_counts):

@@ -175,7 +175,7 @@ class LocktestExperiment:
             1 for before, after in zip(frames_registered, frames_now)
             if before != after)
         stale = audit_tpt_consistency(m.agent)
-        orphans_during = len(kernel.pagemap.orphans())
+        orphans_during = kernel.pagemap.orphan_count()
 
         # Integrity probes *before* deregistration.
         dma_visible = (locktest.read(va + 2048, len(DMA_STAMP))
@@ -190,7 +190,7 @@ class LocktestExperiment:
         # -- step 7: deregister ------------------------------------------------
         with kernel.clock.measure() as dereg_span:
             ua.deregister_mem(reg)
-        orphans_after = len(kernel.pagemap.orphans())
+        orphans_after = kernel.pagemap.orphan_count()
 
         # -- step 8: report -----------------------------------------------------
         return LocktestResult(

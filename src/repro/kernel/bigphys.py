@@ -47,9 +47,9 @@ class BigPhysArea:
         self.kernel = kernel
         self.frames: list[int] = []
         for _ in range(npages):
-            pd = kernel.pagemap.alloc(tag="bigphysarea")
-            pd.set_flag(PG_RESERVED)
-            self.frames.append(pd.frame)
+            frame = kernel.pagemap.alloc(tag="bigphysarea")
+            kernel.pagemap.table.flags[frame] |= PG_RESERVED
+            self.frames.append(frame)
         self.frames.sort()
         self._free: list[int] = list(self.frames)
         #: (task pid, base vpn) → list of frames, for freeing
@@ -100,8 +100,9 @@ class BigPhysArea:
         task.vmas.insert(VMArea(start_vpn, start_vpn + npages,
                                 VM_READ | VM_WRITE, name=name))
         for i, frame in enumerate(frames):
-            pd = self.kernel.pagemap.get_page(frame)
-            pd.mapping = (task.pid, start_vpn + i)
+            self.kernel.pagemap.get_page(frame)
+            self.kernel.pagemap.table.mappings[frame] = (task.pid,
+                                                         start_vpn + i)
             self.kernel.phys.zero_frame(frame)
             task.page_table.set_mapping(start_vpn + i, frame,
                                         writable=True)
@@ -119,8 +120,8 @@ class BigPhysArea:
         task.vmas.remove_range(start_vpn, start_vpn + len(frames))
         for i, frame in enumerate(frames):
             task.page_table.clear(start_vpn + i)
-            pd = self.kernel.pagemap.page(frame)
-            pd.mapping = None
-            pd.put()          # drop the mapping ref; stays reserved
+            self.kernel.pagemap.table.mappings[frame] = None
+            # Drop the mapping ref; a PG_reserved frame is never freed.
+            self.kernel.pagemap.put_page(frame)
         self._free.extend(frames)
         self._free.sort()

@@ -87,35 +87,35 @@ def fault_in(kernel: "Kernel", task: "Task", vpn: int,
 def _demand_zero(kernel: "Kernel", task: "Task", vpn: int,
                  vma_writable: bool) -> int:
     """Minor fault: allocate and zero a fresh frame."""
-    pd = kernel.alloc_frame(tag=f"anon:{task.pid}")
-    kernel.phys.zero_frame(pd.frame)
-    pd.mapping = (task.pid, vpn)
-    task.page_table.set_mapping(vpn, pd.frame, writable=vma_writable)
+    frame = kernel.alloc_frame(tag=f"anon:{task.pid}")
+    kernel.phys.zero_frame(frame)
+    kernel.pagemap.table.mappings[frame] = (task.pid, vpn)
+    task.page_table.set_mapping(vpn, frame, writable=vma_writable)
     task.minor_faults += 1
     kernel.clock.charge(kernel.costs.minor_fault_ns, "fault")
-    kernel.trace.emit("minor_fault", pid=task.pid, vpn=vpn, frame=pd.frame)
-    return pd.frame
+    kernel.trace.emit("minor_fault", pid=task.pid, vpn=vpn, frame=frame)
+    return frame
 
 
 def _swap_in(kernel: "Kernel", task: "Task", vpn: int, slot: int,
              vma_writable: bool) -> int:
     """Major fault: read the page back from swap into a *new* frame."""
-    pd = kernel.alloc_frame(tag=f"anon:{task.pid}")
+    frame = kernel.alloc_frame(tag=f"anon:{task.pid}")
     data = kernel.swap.read_page(slot)
-    kernel.phys.write_frame(pd.frame, data)
+    kernel.phys.write_frame(frame, data)
     kernel.swap.free_slot(slot)
-    pd.mapping = (task.pid, vpn)
-    task.page_table.set_mapping(vpn, pd.frame, writable=vma_writable,
+    kernel.pagemap.table.mappings[frame] = (task.pid, vpn)
+    task.page_table.set_mapping(vpn, frame, writable=vma_writable,
                                 dirty=True)
     task.major_faults += 1
     kernel.clock.charge(kernel.costs.major_fault_base_ns, "fault")
-    kernel.events.record(SWAP_IN, pid=task.pid, vpn=vpn, frame=pd.frame,
+    kernel.events.record(SWAP_IN, pid=task.pid, vpn=vpn, frame=frame,
                          slot=slot)
-    return pd.frame
+    return frame
 
 
 def _drop_cow_share(kernel: "Kernel", task: "Task", vpn: int,
-                    pd) -> None:
+                    frame: int) -> None:
     """Decrement a frame's COW sharer count, refusing to underflow.
 
     A COW break on a frame whose sharer count is already zero means the
@@ -124,40 +124,39 @@ def _drop_cow_share(kernel: "Kernel", task: "Task", vpn: int,
     to decide stealability) would turn into a stale DMA.  It is recorded
     as ``cow_underflow`` and then raised.
     """
-    if pd.cow_shares <= 0:
+    cow_shares = kernel.pagemap.table.cow_shares
+    if cow_shares[frame] <= 0:
         kernel.trace.emit("cow_underflow", pid=task.pid, vpn=vpn,
-                          frame=pd.frame, cow_shares=pd.cow_shares)
+                          frame=frame, cow_shares=cow_shares[frame])
         raise PageAccountingError(
-            f"COW sharer-count underflow on frame {pd.frame} "
+            f"COW sharer-count underflow on frame {frame} "
             f"(pid {task.pid}, vpn {vpn}): breaking COW with "
-            f"cow_shares={pd.cow_shares}")
-    pd.cow_shares -= 1
+            f"cow_shares={cow_shares[frame]}")
+    cow_shares[frame] -= 1
 
 
 def _break_cow(kernel: "Kernel", task: "Task", vpn: int) -> int:
     """Copy-on-write break: give the faulting task a private copy."""
     pte = task.page_table.lookup(vpn)
     assert pte is not None and pte.present and pte.cow
-    old = kernel.pagemap.page(pte.frame)
-    if old.count == 1:
+    old = pte.frame
+    if kernel.pagemap.table.counts[old] == 1:
         # Last sharer: simply regain write access in place.
         pte.writable = True
         pte.cow = False
         _drop_cow_share(kernel, task, vpn, old)
-        kernel.trace.emit("cow_reuse", pid=task.pid, vpn=vpn,
-                          frame=old.frame)
-        return old.frame
+        kernel.trace.emit("cow_reuse", pid=task.pid, vpn=vpn, frame=old)
+        return old
     new = kernel.alloc_frame(tag=f"anon:{task.pid}")
-    kernel.phys.copy_frame(old.frame, new.frame)
+    kernel.phys.copy_frame(old, new)
     _drop_cow_share(kernel, task, vpn, old)
-    kernel.pagemap.put_page(old.frame)
-    new.mapping = (task.pid, vpn)
-    task.page_table.set_mapping(vpn, new.frame, writable=True, dirty=True)
+    kernel.pagemap.put_page(old)
+    kernel.pagemap.table.mappings[new] = (task.pid, vpn)
+    task.page_table.set_mapping(vpn, new, writable=True, dirty=True)
     task.minor_faults += 1
     kernel.clock.charge(kernel.costs.minor_fault_ns, "fault")
     kernel.clock.charge(kernel.costs.memcpy_ns(kernel.phys.size_bytes
                                                // kernel.phys.num_frames),
                         "fault")
-    kernel.trace.emit("cow_copy", pid=task.pid, vpn=vpn,
-                      src=old.frame, dst=new.frame)
-    return new.frame
+    kernel.trace.emit("cow_copy", pid=task.pid, vpn=vpn, src=old, dst=new)
+    return new

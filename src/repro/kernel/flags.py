@@ -1,4 +1,4 @@
-"""Page-descriptor and VM-area flag bits.
+"""Page (frame-table ``flags`` column) and VM-area flag bits.
 
 Named after their Linux counterparts so the code reads like the kernel
 sources the paper cites (``mm/vmscan.c``, ``mm/filemap.c``).

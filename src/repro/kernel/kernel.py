@@ -24,7 +24,6 @@ from repro.kernel.kiobuf import Kiobuf, map_user_kiobuf, unmap_kiobuf
 from repro.kernel.mlock import (
     do_mlock, do_munlock, mlock_with_cap_dance, sys_mlock, sys_munlock,
 )
-from repro.kernel.page import PageDescriptor
 from repro.kernel.pagemap import PageMap
 from repro.kernel.task import Task
 from repro.kernel.vma import VMArea
@@ -132,6 +131,7 @@ class Kernel:
         for area in parent.vmas:
             child.vmas.insert(VMArea(area.start_vpn, area.end_vpn,
                                      area.flags, name=area.name))
+        cow_shares = self.pagemap.table.cow_shares
         for vpn in sorted(parent.page_table._entries):
             pte = parent.page_table.lookup(vpn)
             if pte.swapped:
@@ -139,10 +139,10 @@ class Kernel:
                 pte = parent.page_table.lookup(vpn)
             if not pte.present:
                 continue
-            pd = self.pagemap.get_page(pte.frame)
+            self.pagemap.get_page(pte.frame)
             # First share establishes two sharers; later forks add one.
-            pd.cow_shares = (pd.cow_shares + 1) if pd.cow_shares \
-                else 2
+            cow_shares[pte.frame] = (cow_shares[pte.frame] + 1) \
+                if cow_shares[pte.frame] else 2
             pte.writable = False
             pte.cow = True
             cpte = child.page_table.set_mapping(vpn, pte.frame,
@@ -208,9 +208,10 @@ class Kernel:
 
     # ------------------------------------------------------- frame allocation
 
-    def alloc_frame(self, tag: str = "") -> PageDescriptor:
+    def alloc_frame(self, tag: str = "") -> int:
         """Allocate one frame, invoking reclaim when the free list runs
-        low — the ``get_free_pages → try_to_free_pages`` loop."""
+        low — the ``get_free_pages → try_to_free_pages`` loop.  Returns
+        the frame number."""
         if self.pagemap.free_count <= self.min_free_pages:
             paging.try_to_free_pages(
                 self, self.min_free_pages - self.pagemap.free_count + 4)
@@ -270,17 +271,18 @@ class Kernel:
             self.events.emit(MUNMAP, pid=task.pid, start_vpn=start_vpn,
                              end_vpn=end_vpn)
         task.vmas.remove_range(start_vpn, end_vpn)
+        table = self.pagemap.table
         for vpn in range(start_vpn, end_vpn):
             pte = task.page_table.lookup(vpn)
             if pte is None:
                 continue
             if pte.present:
-                pd = self.pagemap.page(pte.frame)
-                if pd.mapping == (task.pid, vpn):
-                    pd.mapping = None
-                if pte.cow and pd.cow_shares > 0:
-                    pd.cow_shares -= 1
-                self.pagemap.put_page(pte.frame)
+                frame = pte.frame
+                if table.mappings[frame] == (task.pid, vpn):
+                    table.mappings[frame] = None
+                if pte.cow and table.cow_shares[frame] > 0:
+                    table.cow_shares[frame] -= 1
+                self.pagemap.put_page(frame)
             elif pte.swapped:
                 self.swap.free_slot(pte.swap_slot)
             task.page_table.clear(vpn)
@@ -390,8 +392,8 @@ class Kernel:
         pte = task.page_table.lookup(vpn)
         if pte is None or not pte.present or (write and not pte.writable):
             pte = fault_in(self, task, vpn, write=write)
-        pd = self.pagemap.get_page(pte.frame)
-        pd.pin()
+        self.pagemap.get_page(pte.frame)
+        self.pagemap.table.incr_pin(pte.frame)
         self.clock.charge(self.costs.page_lock_ns, "odp")
         if self.events.active:
             self.events.emit(PIN, frames=(pte.frame,), pid=task.pid)
@@ -399,8 +401,7 @@ class Kernel:
 
     def unpin_user_page(self, frame: int, pid: int) -> None:
         """Drop one (reference, pin) pair taken by :meth:`pin_user_page`."""
-        pd = self.pagemap.page(frame)
-        pd.unpin()
+        self.pagemap.table.decr_pin(frame)
         self.clock.charge(self.costs.page_lock_ns, "odp")
         self.pagemap.put_page(frame)
         if self.events.active:
@@ -408,23 +409,23 @@ class Kernel:
 
     # -------------------------------------------------- page cache (for E6 etc.)
 
-    def add_page_cache_page(self) -> PageDescriptor:
+    def add_page_cache_page(self) -> int:
         """Allocate a frame into the simulated page/buffer cache (it
-        becomes a shrink_mmap reclaim candidate)."""
-        pd = self.alloc_frame(tag="pagecache")
-        pd.set_flag(PG_PAGECACHE)
-        self.page_cache.add(pd.frame)
-        return pd
+        becomes a shrink_mmap reclaim candidate); returns the frame."""
+        frame = self.alloc_frame(tag="pagecache")
+        self.pagemap.table.flags[frame] |= PG_PAGECACHE
+        self.page_cache.add(frame)
+        return frame
 
     def lock_page(self, frame: int) -> None:
         """Kernel-side ``lock_page``: set PG_locked for an I/O in flight."""
         self.clock.charge(self.costs.page_lock_ns, "mm")
-        self.pagemap.page(frame).set_flag(PG_LOCKED)
+        self.pagemap.table.flags[frame] |= PG_LOCKED
 
     def unlock_page(self, frame: int) -> None:
         """Kernel-side ``unlock_page``."""
         self.clock.charge(self.costs.page_lock_ns, "mm")
-        self.pagemap.page(frame).clear_flag(PG_LOCKED)
+        self.pagemap.table.flags[frame] &= ~PG_LOCKED
 
     # ----------------------------------------------------------------- stats
 
@@ -444,7 +445,5 @@ class Kernel:
             "swap_slots_in_use": self.swap.slots_in_use,
             "swap_writes": self.swap.writes,
             "swap_reads": self.swap.reads,
-            "orphan_frames": sum(
-                1 for frame in self.pagemap.table.orphan_candidates
-                if self.pagemap.table.counts[frame] > 0),
+            "orphan_frames": self.pagemap.orphan_count(),
         }

@@ -9,7 +9,7 @@ the physical pages, and **pins them against reclaim**; ``unmap_kiobuf``
 reverses all of it.
 
 Reconstruction note (the paper's text is truncated here — see DESIGN.md):
-we model the pin as a per-page counter (``PageDescriptor.pin_count``)
+we model the pin as a per-page counter (``FrameTable.pin_counts``)
 rather than the single ``PG_locked`` bit, because that is the minimal
 semantics under which the paper's two requirements both hold:
 
@@ -198,8 +198,7 @@ def map_user_kiobuf(kernel: "Kernel", task: "Task", va: int,
 def _unwind_pins(kernel: "Kernel", pinned: list[int], pid: int) -> None:
     """Release partial pins of a failed ``map_user_kiobuf``."""
     for frame in pinned:
-        pd = kernel.pagemap.page(frame)
-        pd.unpin()
+        kernel.pagemap.table.decr_pin(frame)
         kernel.pagemap.put_page(frame)
     if pinned and kernel.events.active:
         kernel.events.emit(UNPIN, frames=tuple(pinned), pid=pid)

@@ -1,4 +1,4 @@
-"""Per-frame page descriptor — the simulator's ``mem_map_t``.
+"""Per-frame page state — the simulator's ``mem_map_t``.
 
 Section 2.1 of the paper: "The Linux kernel keeps a so called mem_map_t
 data structure for each physical page in the system.  This structure
@@ -12,14 +12,19 @@ paper's proposal, see DESIGN.md §5).  A page with ``pin_count > 0`` is
 skipped by ``swap_out`` exactly as a ``PG_locked`` page is.
 
 Storage layout: the per-frame state lives in a :class:`FrameTable` — a
-structure-of-arrays column store (``array('q')`` per numeric field) —
-and :class:`PageDescriptor` is a lightweight *view* binding one frame of
-one table.  This keeps cluster-scale page maps cheap (six machine
-words per frame instead of a Python object per frame) and lets the
-table maintain incremental index sets (:attr:`FrameTable.pinned`,
+structure-of-arrays column store (``array('q')`` per numeric field),
+indexed by frame number.  There is no per-frame Python object: a
+cluster-scale page map costs a few machine words per frame, and the
+table maintains incremental index sets (:attr:`FrameTable.pinned`,
 :attr:`FrameTable.orphan_candidates`) so the post-test audits and the
-orphan reaper stop scanning every frame.  Views exist only bound to a
-table (:meth:`PageDescriptor.bound`); a page map caches one per frame.
+orphan reaper stop scanning every frame.
+
+Reference counts change only through
+:meth:`~repro.kernel.pagemap.PageMap.get_page` and
+:meth:`~repro.kernel.pagemap.PageMap.put_page` (the latter holds the
+free logic); pins and tags only through the mutators below (they keep
+the index sets in step); flags, mappings and ``cow_shares`` are plain
+column writes inside :mod:`repro.kernel`.
 
 The whole-table audit passes (:meth:`FrameTable.all_free`,
 :meth:`FrameTable.pins_exceed`) read the columns through numpy views.
@@ -38,10 +43,6 @@ import sys
 from array import array
 
 from repro.errors import PageAccountingError
-from repro.kernel.flags import (
-    PAGE_FLAG_NAMES, PG_LOCKED, PG_PAGECACHE, PG_REFERENCED, PG_RESERVED,
-    describe_flags,
-)
 
 #: Debugging label under which paging strands Sec. 3.1 orphan frames.
 ORPHAN_TAG = "orphan"
@@ -64,12 +65,11 @@ class FrameTable:
         frames with ``pin_count > 0`` — lets pin-leak audits iterate
         only pinned frames instead of the whole table;
     ``orphan_candidates``
-        frames whose ``tag == "orphan"`` — lets ``PageMap.orphans()``
+        frames whose ``tag == "orphan"`` — lets ``PageMap.orphan_count()``
         and the reaper's orphan sweep skip the full-table scan.
 
-    All writes must go through the mutator methods here or through a
-    :class:`PageDescriptor` view (whose setters delegate), so the index
-    sets can never go stale.
+    Pin and tag writes must go through the mutator methods here, so the
+    index sets can never go stale.
     """
 
     __slots__ = ("num_frames", "counts", "flags", "pin_counts",
@@ -184,155 +184,3 @@ class FrameTable:
         expected = np.bincount(listed, minlength=self.num_frames)
         pins = np.frombuffer(self.pin_counts, dtype=np.int64)
         return bool((pins > expected).any())
-
-
-class PageDescriptor:
-    """State of one physical page frame — a view over a FrameTable.
-
-    Made by :meth:`bound` over a :class:`~repro.kernel.pagemap.PageMap`'s
-    shared table, which caches one view per frame, so two views of a
-    frame are the same object.
-    """
-
-    __slots__ = ("frame", "_table")
-
-    @classmethod
-    def bound(cls, table: FrameTable, frame: int) -> "PageDescriptor":
-        """A view over ``table``'s row ``frame`` (no private storage)."""
-        pd = object.__new__(cls)
-        pd.frame = frame
-        pd._table = table
-        return pd
-
-    # -- columns -----------------------------------------------------------
-
-    @property
-    def count(self) -> int:
-        """Reference counter; 0 ⇔ free."""
-        return self._table.counts[self.frame]
-
-    @count.setter
-    def count(self, value: int) -> None:
-        self._table.counts[self.frame] = value
-
-    @property
-    def flags(self) -> int:
-        """PG_* flag word."""
-        return self._table.flags[self.frame]
-
-    @flags.setter
-    def flags(self, value: int) -> None:
-        self._table.flags[self.frame] = value
-
-    @property
-    def pin_count(self) -> int:
-        """Kiobuf pins (reconstruction; see DESIGN.md)."""
-        return self._table.pin_counts[self.frame]
-
-    @pin_count.setter
-    def pin_count(self, value: int) -> None:
-        self._table.set_pin_count(self.frame, value)
-
-    @property
-    def mapping(self) -> tuple[int, int] | None:
-        """Reverse-map hint: ``(pid, vpn)`` of the (single) process
-        mapping, or None.  Anonymous pages in this simulator are never
-        shared between page tables except via COW, which tracks sharing
-        through ``count``."""
-        return self._table.mappings[self.frame]
-
-    @mapping.setter
-    def mapping(self, value: tuple[int, int] | None) -> None:
-        self._table.mappings[self.frame] = value
-
-    @property
-    def cow_shares(self) -> int:
-        """COW sharers: number of PTEs mapping this frame read-only via
-        fork-style sharing.  Kept distinct from ``count`` for audit
-        clarity."""
-        return self._table.cow_shares[self.frame]
-
-    @cow_shares.setter
-    def cow_shares(self, value: int) -> None:
-        self._table.cow_shares[self.frame] = value
-
-    @property
-    def tag(self) -> str:
-        """Debugging label."""
-        return self._table.tags[self.frame]
-
-    @tag.setter
-    def tag(self, value: str) -> None:
-        self._table.set_tag(self.frame, value)
-
-    # -- flag helpers --------------------------------------------------------
-
-    def set_flag(self, bit: int) -> None:
-        """Set a PG_* flag bit."""
-        self._table.flags[self.frame] |= bit
-
-    def clear_flag(self, bit: int) -> None:
-        """Clear a PG_* flag bit."""
-        self._table.flags[self.frame] &= ~bit
-
-    def test_flag(self, bit: int) -> bool:
-        """True iff the PG_* flag bit is set."""
-        return bool(self._table.flags[self.frame] & bit)
-
-    @property
-    def locked(self) -> bool:
-        """PG_locked is set."""
-        return self.test_flag(PG_LOCKED)
-
-    @property
-    def reserved(self) -> bool:
-        """PG_reserved is set."""
-        return self.test_flag(PG_RESERVED)
-
-    @property
-    def referenced(self) -> bool:
-        """PG_referenced is set."""
-        return self.test_flag(PG_REFERENCED)
-
-    @property
-    def in_page_cache(self) -> bool:
-        """Page belongs to the simulated page/buffer cache."""
-        return self.test_flag(PG_PAGECACHE)
-
-    @property
-    def free(self) -> bool:
-        """Reference counter is zero."""
-        return self.count == 0
-
-    @property
-    def pinned(self) -> bool:
-        """At least one kiobuf pin is held."""
-        return self.pin_count > 0
-
-    # -- counter helpers -------------------------------------------------------
-
-    def get(self) -> None:
-        """``get_page`` — take a reference."""
-        self._table.counts[self.frame] += 1
-
-    def put(self) -> int:
-        """``put_page``/``__free_page`` — drop a reference; returns the
-        new count.  Underflow is an accounting violation."""
-        if self._table.counts[self.frame] <= 0:
-            raise PageAccountingError(
-                f"refcount underflow on frame {self.frame}")
-        self._table.counts[self.frame] -= 1
-        return self._table.counts[self.frame]
-
-    def pin(self) -> None:
-        """Take one kiobuf pin."""
-        self._table.incr_pin(self.frame)
-
-    def unpin(self) -> None:
-        """Drop one kiobuf pin; underflow is an accounting violation."""
-        self._table.decr_pin(self.frame)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"PageDescriptor(frame={self.frame}, count={self.count}, "
-                f"pins={self.pin_count}, "
-                f"flags={describe_flags(self.flags, PAGE_FLAG_NAMES)})")

@@ -12,12 +12,13 @@ driver's reference the frame is *not* freed: it becomes an **orphan**,
 "not really released ... not associated with the virtual page just
 swapped out any more but still in use" (Sec. 3.1).
 
-Since the E18 scale-out the map is columnar: all per-frame state lives
-in one :class:`~repro.kernel.page.FrameTable` and ``self.pages`` holds
-cached :class:`~repro.kernel.page.PageDescriptor` *views* (one per
-frame, identity-stable).  ``alloc``/``put_page`` mutate the columns
-directly; :meth:`orphans` walks the incrementally maintained
-orphan-candidate set, so it never scans every frame.
+The map is columnar: all per-frame state lives in one
+:class:`~repro.kernel.page.FrameTable`, indexed by frame number, and
+there is no per-frame object.  Frames are named by their number:
+:meth:`alloc` returns one, and reference counts change only through
+:meth:`get_page` and :meth:`put_page`.  :meth:`orphan_count` walks the
+incrementally maintained orphan-candidate set, so it never scans every
+frame.
 
 The free list is an ``array('q')`` used as a stack (``pop``/``append``)
 with a parallel free *set* for O(1) duplicate detection.  Keeping it a
@@ -29,11 +30,10 @@ gather instead of a Python loop; see there for the cost model.
 from __future__ import annotations
 
 from array import array
-from typing import Iterator
 
 from repro.errors import OutOfMemory, PageAccountingError
 from repro.kernel.flags import PG_PAGECACHE, PG_RESERVED
-from repro.kernel.page import FrameTable, PageDescriptor
+from repro.kernel.page import FrameTable
 from repro.sim.clock import SimClock
 from repro.sim.costs import CostModel
 from repro.sim.trace import Trace
@@ -50,9 +50,6 @@ class PageMap:
         self._trace = trace
         self.num_frames = num_frames
         self.table = FrameTable(num_frames)
-        #: identity-stable per-frame views (compatibility surface)
-        self.pages: list[PageDescriptor] = [
-            PageDescriptor.bound(self.table, i) for i in range(num_frames)]
         # Frames reserved for the "kernel image" — PG_reserved, never
         # allocatable, mirroring the pages the real kernel marks reserved
         # at boot.
@@ -67,17 +64,10 @@ class PageMap:
 
     # -- queries -----------------------------------------------------------
 
-    def page(self, frame: int) -> PageDescriptor:
-        """The descriptor view for ``frame``."""
-        return self.pages[frame]
-
     @property
     def free_count(self) -> int:
         """Number of frames on the free list."""
         return len(self._free)
-
-    def __iter__(self) -> Iterator[PageDescriptor]:
-        return iter(self.pages)
 
     def pinned_frames(self) -> list[int]:
         """Frames currently holding at least one kiobuf pin, in frame
@@ -87,8 +77,9 @@ class PageMap:
 
     # -- allocation ---------------------------------------------------------
 
-    def alloc(self, tag: str = "") -> PageDescriptor:
-        """``get_free_pages`` fast path: pop a frame from the free list.
+    def alloc(self, tag: str = "") -> int:
+        """``get_free_pages`` fast path: pop a frame from the free list
+        and return its number.
 
         Raises :class:`~repro.errors.OutOfMemory` when the list is empty;
         the caller (:meth:`repro.kernel.kernel.Kernel.alloc_frame`) is
@@ -106,16 +97,15 @@ class PageMap:
                 f"frame {frame} on free list with refcount "
                 f"{table.counts[frame]}")
         table.reset_frame(frame, tag)
-        return self.pages[frame]
+        return frame
 
-    def get_page(self, frame: int) -> PageDescriptor:
+    def get_page(self, frame: int) -> None:
         """Take an extra reference on an in-use frame (``get_page``)."""
         table = self.table
         if table.counts[frame] == 0:
             raise PageAccountingError(
                 f"get_page on free frame {frame}")
         table.counts[frame] += 1
-        return self.pages[frame]
 
     def put_page(self, frame: int) -> bool:
         """``__free_page``: drop one reference; free the frame iff the
@@ -144,23 +134,15 @@ class PageMap:
 
     # -- audits --------------------------------------------------------------
 
-    def orphans(self) -> list[PageDescriptor]:
-        """Frames that are in use but mapped by no page table and owned by
-        no subsystem tag — the tell-tale of the Sec. 3.1 failure.
+    def orphan_count(self) -> int:
+        """Number of frames that are in use but mapped by no page table
+        and owned by no subsystem tag — the tell-tale of the Sec. 3.1
+        failure.
 
         (The kernel has no such query; our audit layer uses it.)  Served
         from the orphan-candidate set the FrameTable maintains on every
         tag write, so the query is O(orphans), not O(frames).
         """
-        table = self.table
-        return [self.pages[frame]
-                for frame in sorted(table.orphan_candidates)
-                if table.counts[frame] > 0
-                and not table.flags[frame] & (PG_RESERVED | PG_PAGECACHE)
-                and table.mappings[frame] is None]
-
-    def orphan_count(self) -> int:
-        """Number of frames :meth:`orphans` would return (O(orphans))."""
         table = self.table
         return sum(1 for frame in table.orphan_candidates
                    if table.counts[frame] > 0

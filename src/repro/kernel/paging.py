@@ -33,6 +33,7 @@ from repro.errors import SwapFull
 from repro.kernel.flags import (
     PG_LOCKED, PG_PAGECACHE, PG_REFERENCED, PG_RESERVED,
 )
+from repro.kernel.page import ORPHAN_TAG
 
 if TYPE_CHECKING:  # pragma: no cover
     from array import array
@@ -210,6 +211,7 @@ def _swap_out_task_one(kernel: "Kernel", task: "Task") -> "bool | None":
     stealable.
     """
     hand = kernel._task_swap_hand.get(task.pid, 0)
+    table = kernel.pagemap.table
     # Lazy walk from the hand, wrapping once: a steal ends it after
     # visiting only the entries it charged for.
     for vpn, pte in task.page_table.present_entries(hand):
@@ -221,49 +223,50 @@ def _swap_out_task_one(kernel: "Kernel", task: "Task") -> "bool | None":
             kernel.trace.emit("swap_skip", reason="VM_LOCKED",
                               pid=task.pid, vpn=vpn)
             continue
-        pd = kernel.pagemap.page(pte.frame)
-        if pd.locked:
+        frame = pte.frame
+        flags = table.flags[frame]
+        if flags & PG_LOCKED:
             kernel.trace.emit("swap_skip", reason="PG_locked",
-                              pid=task.pid, vpn=vpn, frame=pd.frame)
+                              pid=task.pid, vpn=vpn, frame=frame)
             continue
-        if pd.reserved:
+        if flags & PG_RESERVED:
             kernel.trace.emit("swap_skip", reason="PG_reserved",
-                              pid=task.pid, vpn=vpn, frame=pd.frame)
+                              pid=task.pid, vpn=vpn, frame=frame)
             continue
-        if pd.pinned:
+        if table.pin_counts[frame] > 0:
             # Tell the pin owners before giving up: an ODP-style owner
             # may invalidate its TPT entries and release its just-in-time
             # pins, making the frame stealable after all.
             for notifier in list(kernel.notifiers):
                 notifier.invalidate_range(task, vpn, vpn + 1, "evict")
-            if pd.pinned:
+            if table.pin_counts[frame] > 0:
                 kernel.trace.emit("swap_skip", reason="pinned",
-                                  pid=task.pid, vpn=vpn, frame=pd.frame)
+                                  pid=task.pid, vpn=vpn, frame=frame)
                 continue
             kernel.obs.inc("kernel.paging.swap_evictions.odp")
-        if pd.cow_shares > 0:
+        if table.cow_shares[frame] > 0:
             # Simplification: COW-shared pages are not swapped (the real
             # kernel uses the swap cache here; irrelevant to the paper).
             kernel.trace.emit("swap_skip", reason="cow_shared",
-                              pid=task.pid, vpn=vpn, frame=pd.frame)
+                              pid=task.pid, vpn=vpn, frame=frame)
             continue
         # -- steal it --------------------------------------------------------
         try:
             slot = kernel.swap.alloc_slot()
         except SwapFull:
             return None
-        kernel.swap.write_page(slot, kernel.phys.read_frame(pd.frame))
+        kernel.swap.write_page(slot, kernel.phys.read_frame(frame))
         task.page_table.set_swapped(vpn, slot)
-        pd.mapping = None
-        refs_before = pd.count
-        was_freed = kernel.pagemap.put_page(pd.frame)
+        table.mappings[frame] = None
+        refs_before = table.counts[frame]
+        was_freed = kernel.pagemap.put_page(frame)
         if not was_freed:
             # An extra reference (e.g. a VIA driver's get_page) kept the
             # frame alive: it is now an orphan — unmapped, unfreed.
-            pd.tag = "orphan"
+            table.set_tag(frame, ORPHAN_TAG)
         kernel._task_swap_hand[task.pid] = vpn + 1
         kernel.events.record(SWAP_OUT, pid=task.pid, vpn=vpn,
-                             frame=pd.frame, slot=slot,
+                             frame=frame, slot=slot,
                              refs_before=refs_before, freed=was_freed,
                              actor="reclaim")
         return was_freed

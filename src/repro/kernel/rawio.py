@@ -82,11 +82,11 @@ def buffered_read(kernel: "Kernel", task: "Task", dev: BlockDevice,
     for i in range(nblocks):
         buf = kernel.add_page_cache_page()
         data = dev.read_block(block + i)
-        kernel.phys.write_frame(buf.frame, data)
+        kernel.phys.write_frame(buf, data)
         # The copy the kiobuf path eliminates:
         task.write(va + i * PAGE_SIZE, data)
-        kernel.page_cache.discard(buf.frame)
-        kernel.pagemap.put_page(buf.frame)
+        kernel.page_cache.discard(buf)
+        kernel.pagemap.put_page(buf)
     kernel.trace.emit("buffered_read", pid=task.pid, blocks=nblocks)
 
 
@@ -98,11 +98,10 @@ def buffered_write(kernel: "Kernel", task: "Task", dev: BlockDevice,
     for i in range(nblocks):
         buf = kernel.add_page_cache_page()
         data = task.read(va + i * PAGE_SIZE, PAGE_SIZE)
-        kernel.phys.write_frame(buf.frame, data)
-        dev.write_block(block + i,
-                        kernel.phys.read_frame(buf.frame))
-        kernel.page_cache.discard(buf.frame)
-        kernel.pagemap.put_page(buf.frame)
+        kernel.phys.write_frame(buf, data)
+        dev.write_block(block + i, kernel.phys.read_frame(buf))
+        kernel.page_cache.discard(buf)
+        kernel.pagemap.put_page(buf)
     kernel.trace.emit("buffered_write", pid=task.pid, blocks=nblocks)
 
 

@@ -411,11 +411,11 @@ class OrphanReaper:
                 report.orphan_frames_freed += 1
 
     def _free_orphan(self, frame: int) -> None:
-        pd = self.kernel.pagemap.page(frame)
+        pagemap = self.kernel.pagemap
         # Every remaining reference is leaked by definition (unmapped,
         # unpinned, unregistered): drop them all.
-        while pd.count > 0:
-            if self.kernel.pagemap.put_page(frame):
+        while pagemap.table.counts[frame] > 0:
+            if pagemap.put_page(frame):
                 break
         self.kernel.trace.emit("reaper_orphan_freed", frame=frame)
 
@@ -461,9 +461,8 @@ class OrphanReaper:
                     2 ** (state.attempts - 1))
                 report.deferred += 1
                 continue
-            pd = pagemap.page(frame)
             for _ in range(excess):
-                pd.unpin()
+                pagemap.table.decr_pin(frame)
             self.kernel.events.record(
                 PIN_RELEASED, frame=frame, excess=excess,
                 sightings=state.attempts, frames=(frame,) * excess,

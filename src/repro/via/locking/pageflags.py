@@ -41,6 +41,7 @@ class PageFlagLocking(LockingBackend):
              nbytes: int) -> LockResult:
         kernel.clock.charge(kernel.costs.syscall_ns, "register")
         start_vpn, end_vpn = range_vpns(va, nbytes)
+        flags = kernel.pagemap.table.flags
         frames: list[int] = []
         for vpn in range(start_vpn, end_vpn):
             pte = task.page_table.lookup(vpn)
@@ -48,14 +49,13 @@ class PageFlagLocking(LockingBackend):
                 handle_fault(kernel, task, vpn, write=True)
                 pte = task.page_table.lookup(vpn)
             kernel.clock.charge(kernel.costs.pagetable_walk_ns, "register")
-            # This backend pokes page descriptors from driver context on
+            # This backend pokes the frame table from driver context on
             # purpose — that unaudited mutation *is* the historical
             # mechanism the paper critiques.
-            pd = kernel.pagemap.get_page(pte.frame)  # repro-lint: allow(kernel-mutation)
+            kernel.pagemap.get_page(pte.frame)  # repro-lint: allow(kernel-mutation)
             # No check whether the page is already locked — the hazard
             # the paper calls out.
-            pd.set_flag(PG_LOCKED)       # repro-lint: allow(kernel-mutation)
-            pd.set_flag(PG_RESERVED)     # repro-lint: allow(kernel-mutation)
+            flags[pte.frame] |= PG_LOCKED | PG_RESERVED  # repro-lint: allow(kernel-mutation)
             kernel.clock.charge(2 * kernel.costs.page_lock_ns, "register")
             frames.append(pte.frame)
         kernel.trace.emit("lock_pageflags", pid=task.pid, va=va,
@@ -66,10 +66,9 @@ class PageFlagLocking(LockingBackend):
         kind, frames = cookie  # type: ignore[misc]
         assert kind == "pageflags"
         kernel.clock.charge(kernel.costs.syscall_ns, "register")
+        flags = kernel.pagemap.table.flags
         for frame in frames:
-            pd = kernel.pagemap.page(frame)
             # Cleared regardless of who else holds the lock:
-            pd.clear_flag(PG_LOCKED)     # repro-lint: allow(kernel-mutation)
-            pd.clear_flag(PG_RESERVED)   # repro-lint: allow(kernel-mutation)
+            flags[frame] &= ~(PG_LOCKED | PG_RESERVED)  # repro-lint: allow(kernel-mutation)
             kernel.clock.charge(2 * kernel.costs.page_lock_ns, "register")
             kernel.pagemap.put_page(frame)  # repro-lint: allow(kernel-mutation)

@@ -65,11 +65,11 @@ class RefcountLocking(LockingBackend):
         state["released"] = True
         kernel.clock.charge(kernel.costs.syscall_ns, "register")
         for frame in frames:
-            pd = kernel.pagemap.page(frame)
-            if pd.count <= 0:
+            count = kernel.pagemap.table.counts[frame]
+            if count <= 0:
                 raise PageAccountingError(
                     f"refcount unlock would drive frame {frame} below "
-                    f"zero (count={pd.count})")
+                    f"zero (count={count})")
             # If the page was orphaned by swap_out in the meantime, this
             # put is the last reference and quietly frees the orphan —
             # "system stability is not affected by this lapse".

@@ -775,10 +775,10 @@ class VIANic:
         mapping lost ``VM_LOCKED`` (the §3.2 naive-munlock hazard) is
         refused.
         """
-        page = self.kernel.pagemap.page(frame)
-        if page.pin_count > 0:
+        table = self.kernel.pagemap.table
+        if table.pin_counts[frame] > 0:
             return True
-        mapping = page.mapping
+        mapping = table.mappings[frame]
         if mapping is None:
             return False
         pid, vpn = mapping

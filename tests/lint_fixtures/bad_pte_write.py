@@ -1,7 +1,7 @@
 """Fixture: PTE fields written around the page table (3 findings).
 
-Flagged under any ``repro/`` relpath but ``repro/kernel/pagetable.py``;
-under ``repro/kernel/page.py`` only the ``.frame`` write is allowed.
+Flagged under any ``repro/`` relpath but ``repro/kernel/pagetable.py``,
+the frame table's ``repro/kernel/page.py`` included.
 """
 
 

@@ -1,6 +1,8 @@
 """PinSanitizer: golden sequences per check, runtime integration per
 backend, the §3.1/§3.2 detections, and the observability bridge."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,9 @@ from repro.errors import SanitizerViolation, UnmetExpectation
 from repro.hw.physmem import PAGE_SIZE
 from repro.kernel.kiobuf import map_user_kiobuf, unmap_kiobuf
 from repro.msg.endpoint import make_pair
-from repro.msg.protocols import EagerProtocol, RendezvousCopyProtocol
+from repro.msg.protocols import (
+    EagerProtocol, RendezvousCopyProtocol, RendezvousZeroCopyProtocol,
+)
 from repro.via.descriptor import DataSegment, Descriptor
 from repro.via.machine import Cluster, Machine
 from repro.workloads.allocator import MemoryHog
@@ -288,22 +292,46 @@ class TestModes:
 
 # --------------------------------------------------------- runtime integration
 
-def pump_transfers(cluster, rounds=12, pages=8):
-    """Drive verified eager (below 4 KiB) and rendezvous-copy
-    transfers across ``cluster``."""
+#: Zero-copy transfers start here; the copy protocols stay below it.
+ZERO_COPY_MIN = 32 * 1024
+
+
+def pump_transfers(cluster, rounds=12, pages=16):
+    """Drive verified transfers across ``cluster``: each round sends one
+    eager (below 4 KiB) or rendezvous-copy (below :data:`ZERO_COPY_MIN`)
+    message, then one uncached zero-copy message of at least
+    :data:`ZERO_COPY_MIN` bytes, which registers and deregisters both
+    user buffers."""
     s, r = make_pair(cluster)
     eager, rcopy = EagerProtocol(), RendezvousCopyProtocol()
+    zcopy = RendezvousZeroCopyProtocol(use_cache=False)
     src = s.task.mmap(pages)
     s.task.touch_pages(src, pages)
     dst = r.task.mmap(pages)
     r.task.touch_pages(dst, pages)
     rng = np.random.default_rng(1)
     for i in range(rounds):
-        size = int(rng.integers(64, pages * PAGE_SIZE - 64))
-        payload = bytes(rng.integers(0, 256, size, dtype=np.uint8))
-        s.task.write(src, payload)
-        protocol = eager if size < 4 * 1024 else rcopy
-        assert protocol.transfer(s, r, src, dst, size).ok
+        small = int(rng.integers(64, ZERO_COPY_MIN - 64))
+        large = int(rng.integers(ZERO_COPY_MIN, pages * PAGE_SIZE - 64))
+        for size, protocol in ((small, eager if small < 4 * 1024
+                                else rcopy), (large, zcopy)):
+            payload = bytes(rng.integers(0, 256, size, dtype=np.uint8))
+            s.task.write(src, payload)
+            result = protocol.transfer(s, r, src, dst, size)
+            assert result.ok and not result.degraded
+            assert r.task.read(dst, size) == payload
+
+
+class KindCountingSanitizer(PinSanitizer):
+    """A pin sanitizer that also tallies the event kinds it consumed."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.kinds = Counter()
+
+    def handle(self, event, scope=None):
+        self.kinds[event.kind] += 1
+        super().handle(event, scope)
 
 
 class TestRuntimeClean:
@@ -324,14 +352,20 @@ class TestRuntimeClean:
 
     def test_cluster_messaging_with_churn_is_clean(self):
         cluster = Cluster(2, num_frames=512, backend="kiobuf")
-        san = cluster.arm_sanitizer(strict=True)
+        san = KindCountingSanitizer(strict=True).arm(cluster)
         hogs = [MemoryHog(m.kernel, "churner") for m in cluster.machines]
         for hog, m in zip(hogs, cluster.machines):
             hog.grow(m.kernel.pagemap.num_frames // 2)
         pump_transfers(cluster)
         for hog in hogs:
             hog.churn()
+        before = san.kinds.copy()
         pump_transfers(cluster, rounds=4)
+        # Every zero-copy transfer after the churn registered and then
+        # deregistered both of its user buffers under the sanitizer.
+        churned = san.kinds - before
+        assert churned[DEREGISTER] == 2 * 4
+        assert churned[REGISTER] >= churned[DEREGISTER]
         # Both hosts' streams were observed, under their machine names.
         hosts = {e.host for _scope, e in san._ring}
         assert hosts == {"m0", "m1"}

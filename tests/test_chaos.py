@@ -343,7 +343,7 @@ class TestPinLeakAudit:
         va = t.mmap(1)
         t.touch_pages(va, 1)
         pte = t.page_table.lookup(va // PAGE_SIZE)
-        m.kernel.pagemap.page(pte.frame).pin()   # orphan pin, no reg
+        m.kernel.pagemap.table.incr_pin(pte.frame)   # orphan pin, no reg
         leaks = audit_pin_leaks(m.kernel, m.agent)
         assert len(leaks) == 1
         assert leaks[0].frame == pte.frame

@@ -25,6 +25,7 @@ from repro.errors import InvalidArgument, InvariantViolation, \
     PageAccountingError
 from repro.hw.physmem import PAGE_SIZE
 from repro.kernel import paging
+from repro.kernel.flags import PG_PAGECACHE
 from repro.kernel.reaper import OrphanReaper, _Backoff
 from repro.via import tpt
 from repro.via.machine import Machine
@@ -78,15 +79,17 @@ def oracle_explained(agents, kernel=None):
 
 def oracle_pin_leaks(kernel, *agents, count_kiobufs=False):
     expected = oracle_explained(agents, kernel if count_kiobufs else None)
-    return [LeakedPin(frame=pd.frame, pin_count=pd.pin_count,
-                      expected=expected.get(pd.frame, 0))
-            for pd in kernel.pagemap
-            if pd.pin_count > expected.get(pd.frame, 0)]
+    return [LeakedPin(frame=frame, pin_count=pins,
+                      expected=expected.get(frame, 0))
+            for frame, pins in enumerate(kernel.pagemap.table.pin_counts)
+            if pins > expected.get(frame, 0)]
 
 
 def oracle_kernel_invariants(kernel):
     """The message of the first violated invariant, or None."""
     pm = kernel.pagemap
+    counts = pm.table.counts
+    pin_counts = pm.table.pin_counts
     seen = set()
     for frame in pm._free:
         if frame in seen:
@@ -96,8 +99,8 @@ def oracle_kernel_invariants(kernel):
         return ("free list and free set disagree "
                 f"({len(pm._free)} vs {len(pm._free_set)})")
     for frame in pm._free:
-        if pm.pages[frame].count != 0:
-            return f"frame {frame} free with refcount {pm.pages[frame].count}"
+        if counts[frame] != 0:
+            return f"frame {frame} free with refcount {counts[frame]}"
     slot_owner = {}
     for task in kernel.tasks:
         present = 0
@@ -105,11 +108,10 @@ def oracle_kernel_invariants(kernel):
             pte = task.page_table.lookup(vpn)
             if pte.present:
                 present += 1
-                pd = pm.pages[pte.frame]
-                if pd.count < 1:
+                if counts[pte.frame] < 1:
                     return (f"pid {task.pid} vpn {vpn} maps free frame "
                             f"{pte.frame}")
-                if pd.tag == "kernel-image":
+                if pm.table.tags[pte.frame] == "kernel-image":
                     return (f"pid {task.pid} vpn {vpn} maps kernel frame "
                             f"{pte.frame}")
             elif pte.swapped:
@@ -122,18 +124,19 @@ def oracle_kernel_invariants(kernel):
             return (f"pid {task.pid} resident counter "
                     f"{task.page_table.resident_count()} != {present} "
                     f"present PTEs")
-    for pd in pm:
-        if pd.pin_count > 0 and pd.count == 0:
-            return f"frame {pd.frame} pinned ({pd.pin_count}) but free"
+    frames = range(pm.num_frames)
+    for frame in frames:
+        if pin_counts[frame] > 0 and counts[frame] == 0:
+            return f"frame {frame} pinned ({pin_counts[frame]}) but free"
     for frame in sorted(pm.table.pinned):
-        if pm.pages[frame].pin_count == 0:
+        if pin_counts[frame] == 0:
             return f"frame {frame} is in the pinned set with no pins"
-    for pd in pm:
-        if pd.pin_count < 0 or pd.count < 0:
-            return f"frame {pd.frame} has negative counters"
-    for pd in pm:
-        if pd.pin_count > 0 and pd.frame not in pm.table.pinned:
-            return (f"frame {pd.frame} has {pd.pin_count} pins but is "
+    for frame in frames:
+        if pin_counts[frame] < 0 or counts[frame] < 0:
+            return f"frame {frame} has negative counters"
+    for frame in frames:
+        if pin_counts[frame] > 0 and frame not in pm.table.pinned:
+            return (f"frame {frame} has {pin_counts[frame]} pins but is "
                     f"missing from the pinned set")
     return None
 
@@ -210,8 +213,7 @@ class OracleReaper(OrphanReaper):
         pagemap = self.kernel.pagemap
         excess_frames = set()
         for frame in pagemap.pinned_frames():
-            pd = pagemap.page(frame)
-            excess = pd.pin_count - expected.get(frame, 0)
+            excess = pagemap.table.pin_counts[frame] - expected.get(frame, 0)
             if excess <= 0:
                 self._backoff.pop(("pin", frame), None)
                 continue
@@ -228,7 +230,7 @@ class OracleReaper(OrphanReaper):
                 report.deferred += 1
                 continue
             for _ in range(excess):
-                pd.unpin()
+                pagemap.table.decr_pin(frame)
             self.kernel.events.record(
                 PIN_RELEASED, frame=frame, excess=excess,
                 sightings=state.attempts, frames=(frame,) * excess,
@@ -545,9 +547,11 @@ class TestSummaries:
         frame = t.physical_pages(va, 1)[0]
         kernel.pagemap.get_page(frame)
         paging.swap_out(kernel, kernel.pagemap.num_frames)
-        orphans = [pd.frame for pd in kernel.pagemap
-                   if pd.count and pd.mapping is None
-                   and not pd.in_page_cache and pd.tag == "orphan"]
+        table = kernel.pagemap.table
+        orphans = [f for f in range(table.num_frames)
+                   if table.counts[f] and table.mappings[f] is None
+                   and not table.flags[f] & PG_PAGECACHE
+                   and table.tags[f] == "orphan"]
         assert orphans == [frame]
 
 
@@ -656,7 +660,7 @@ class TestWatchdogGoldens:
         armed.next_sample("kernel", detail)
 
     def test_pinned_but_free(self, armed):
-        frame = armed.kernel.pagemap.alloc("driver").frame
+        frame = armed.kernel.pagemap.alloc("driver")
         armed.table.counts[frame] = 0
         armed.table.set_pin_count(frame, 1)
         detail = f"frame {frame} pinned (1) but free"
@@ -665,7 +669,7 @@ class TestWatchdogGoldens:
 
     @pytest.mark.parametrize("column", ["counts", "pin_counts"])
     def test_negative_counter(self, armed, column):
-        frame = armed.kernel.pagemap.alloc("driver").frame
+        frame = armed.kernel.pagemap.alloc("driver")
         getattr(armed.table, column)[frame] = -1
         detail = f"frame {frame} has negative counters"
         assert oracle_kernel_invariants(armed.kernel) == detail
@@ -680,8 +684,8 @@ class TestWatchdogGoldens:
     def test_pin_moved_off_a_listed_frame(self, armed):
         # The pinned set and the column's nonzero count stay the same
         # size; only the listed frame's own count shows the move.
-        a = armed.kernel.pagemap.alloc("driver").frame
-        b = armed.kernel.pagemap.alloc("driver").frame
+        a = armed.kernel.pagemap.alloc("driver")
+        b = armed.kernel.pagemap.alloc("driver")
         armed.table.set_pin_count(a, 1)
         armed.table.pin_counts[a] = 0
         armed.table.pin_counts[b] = 1

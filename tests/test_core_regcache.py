@@ -67,7 +67,7 @@ class TestHitMiss:
         cache.release(va, PAGE_SIZE)
         assert reg.handle in m.agent.registrations
         frame = t.physical_pages(va, 1)[0]
-        assert m.kernel.pagemap.page(frame).pin_count == 1
+        assert m.kernel.pagemap.table.pin_counts[frame] == 1
 
     def test_release_unacquired_raises(self, setup):
         m, t, cache, va = setup

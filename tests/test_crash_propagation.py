@@ -47,7 +47,7 @@ class TestKiobufPinCrash:
         with pytest.raises(ProcessKilled):
             ua.register_mem(va, 8 * PAGE_SIZE)
         assert audit_pin_leaks(m.kernel, m.agent) == []
-        assert all(pd.pin_count == 0 for pd in m.kernel.pagemap)
+        assert m.kernel.pagemap.pinned_frames() == []
 
     def test_unwind_is_sanitizer_clean(self):
         # The unwind's UNPINs must pair with the PINs already emitted:

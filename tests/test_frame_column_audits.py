@@ -212,7 +212,7 @@ def run_sequence(backend, seed, check, steps=120):
             held = []
             try:
                 while True:
-                    held.append(pm.alloc("hog").frame)
+                    held.append(pm.alloc("hog"))
             except OutOfMemory:
                 pass
             assert pm.free_count == 0
@@ -325,12 +325,11 @@ class TestFreeListOutsideTable:
 
 def exercise_page_map(pm):
     """alloc, pin, unpin and put_page must all still work."""
-    pd = pm.alloc("after")
-    pd.pin()
-    pd.unpin()
-    assert pm.put_page(pd.frame)
-    frame = pm.alloc("again").frame
+    frame = pm.alloc("after")
+    pm.table.incr_pin(frame)
+    pm.table.decr_pin(frame)
     assert pm.put_page(frame)
+    assert pm.put_page(pm.alloc("again"))
 
 
 @pytest.mark.no_posthoc_audit
@@ -356,14 +355,14 @@ def test_held_pin_leak_violation_leaves_page_map_usable():
     pm = m.kernel.pagemap
     wd = m.arm_watchdog(interval_ns=1_000)
     leaked = pm.alloc("leak")
-    leaked.pin()
+    pm.table.incr_pin(leaked)
     with pytest.raises(InvariantViolation) as info:
         m.kernel.clock.charge(1_000, "test")
     wd.disarm()
     assert info.value.snapshot["leaks"] == [
-        {"frame": leaked.frame, "pin_count": 1, "expected": 0}]
-    leaked.unpin()
-    assert pm.put_page(leaked.frame)
+        {"frame": leaked, "pin_count": 1, "expected": 0}]
+    pm.table.decr_pin(leaked)
+    assert pm.put_page(leaked)
     exercise_page_map(pm)
     assert info.value.snapshot["kind"] == "pin_leak"
 

@@ -10,39 +10,43 @@ import pytest
 from repro.core.audit import LeakedPin, audit_kernel_invariants, \
     audit_pin_leaks
 from repro.errors import PageAccountingError
+from repro.kernel.page import ORPHAN_TAG
 from repro.kernel.pagemap import PageMap
 from repro.sim.clock import SimClock
 from repro.sim.costs import CostModel
 
 
 def full_check_free_list(pm):
-    """Walk the whole free list through the descriptor views."""
+    """Walk the whole free list, one frame at a time."""
     seen = set()
     for frame in pm._free:
         if frame in seen:
             raise PageAccountingError(f"frame {frame} on the free list twice")
         seen.add(frame)
-        if pm.pages[frame].count != 0:
+        if pm.table.counts[frame] != 0:
             raise PageAccountingError(
-                f"frame {frame} free with refcount {pm.pages[frame].count}")
+                f"frame {frame} free with refcount {pm.table.counts[frame]}")
 
 
 def full_pin_leaks(kernel):
     """Every frame whose pins exceed zero (no agents: nothing explains
-    a pin), found by visiting every descriptor."""
-    return [LeakedPin(frame=pd.frame, pin_count=pd.pin_count, expected=0)
-            for pd in kernel.pagemap if pd.pin_count > 0]
+    a pin), found by visiting every frame."""
+    return [LeakedPin(frame=frame, pin_count=pins, expected=0)
+            for frame, pins in enumerate(kernel.pagemap.table.pin_counts)
+            if pins > 0]
 
 
 def full_frame_counters(kernel):
-    """Check every descriptor's pin and reference counters."""
-    for pd in kernel.pagemap:
-        if pd.pin_count > 0 and pd.count == 0:
+    """Check every frame's pin and reference counters."""
+    table = kernel.pagemap.table
+    for frame in range(table.num_frames):
+        pins, count = table.pin_counts[frame], table.counts[frame]
+        if pins > 0 and count == 0:
             raise PageAccountingError(
-                f"frame {pd.frame} pinned ({pd.pin_count}) but free")
-        if pd.pin_count < 0 or pd.count < 0:
+                f"frame {frame} pinned ({pins}) but free")
+        if pins < 0 or count < 0:
             raise PageAccountingError(
-                f"frame {pd.frame} has negative counters")
+                f"frame {frame} has negative counters")
 
 
 @pytest.fixture
@@ -50,83 +54,67 @@ def pm():
     return PageMap(64, SimClock(), CostModel(), reserved_frames=4)
 
 
-class TestViewCompatibility:
-    def test_views_are_identity_stable(self, pm):
-        pd = pm.alloc("buf")
-        assert pm.page(pd.frame) is pd
-        assert pm.pages[pd.frame] is pd
-
-    def test_view_writes_land_in_the_columns(self, pm):
-        pd = pm.alloc("buf")
-        pd.cow_shares = 2
-        pd.mapping = (7, 42)
-        assert pm.table.cow_shares[pd.frame] == 2
-        assert pm.table.mappings[pd.frame] == (7, 42)
-
+class TestColumns:
     def test_alloc_resets_every_column(self, pm):
-        pd = pm.alloc("first")
-        pd.mapping = (1, 2)
-        pd.cow_shares = 3
-        frame = pd.frame
+        frame = pm.alloc("first")
+        pm.table.mappings[frame] = (1, 2)
+        pm.table.cow_shares[frame] = 3
         pm.put_page(frame)
-        pd2 = pm.alloc("second")
-        assert pd2.frame == frame      # LIFO free list hands it back
-        assert (pd2.count, pd2.cow_shares) == (1, 0)
-        assert pd2.mapping is None
-        assert pd2.tag == "second"
+        assert pm.alloc("second") == frame   # LIFO free list hands it back
+        assert (pm.table.counts[frame], pm.table.cow_shares[frame]) == (1, 0)
+        assert pm.table.mappings[frame] is None
+        assert pm.table.tags[frame] == "second"
 
 
 class TestPinnedSet:
     def test_pin_unpin_maintains_the_set(self, pm):
-        pd = pm.alloc()
+        frame = pm.alloc()
         assert pm.table.pinned == set()
-        pd.pin()
-        pd.pin()
-        assert pm.table.pinned == {pd.frame}
-        pd.unpin()
-        assert pm.table.pinned == {pd.frame}
-        pd.unpin()
+        pm.table.incr_pin(frame)
+        pm.table.incr_pin(frame)
+        assert pm.table.pinned == {frame}
+        pm.table.decr_pin(frame)
+        assert pm.table.pinned == {frame}
+        pm.table.decr_pin(frame)
         assert pm.table.pinned == set()
 
     def test_pin_count_setter_maintains_the_set(self, pm):
-        pd = pm.alloc()
-        pd.pin_count = 5
-        assert pm.pinned_frames() == [pd.frame]
-        pd.pin_count = 0
+        frame = pm.alloc()
+        pm.table.set_pin_count(frame, 5)
+        assert pm.pinned_frames() == [frame]
+        pm.table.set_pin_count(frame, 0)
         assert pm.pinned_frames() == []
 
     def test_pinned_frames_sorted(self, pm):
         frames = [pm.alloc() for _ in range(3)]
-        for pd in frames:
-            pd.pin()
-        assert pm.pinned_frames() == sorted(pd.frame for pd in frames)
+        for frame in frames:
+            pm.table.incr_pin(frame)
+        assert pm.pinned_frames() == sorted(frames)
 
 
 class TestOrphanCandidates:
     def test_tag_writes_maintain_the_candidate_set(self, pm):
-        pd = pm.alloc("buf")
+        frame = pm.alloc("buf")
         assert pm.table.orphan_candidates == set()
-        pd.tag = "orphan"
-        assert pm.table.orphan_candidates == {pd.frame}
-        pd.tag = ""
+        pm.table.set_tag(frame, ORPHAN_TAG)
+        assert pm.table.orphan_candidates == {frame}
+        pm.table.set_tag(frame, "")
         assert pm.table.orphan_candidates == set()
 
     def test_orphans_query_filters_candidates(self, pm):
         orphan = pm.alloc()
-        orphan.tag = "orphan"
-        orphan.mapping = None
+        pm.table.set_tag(orphan, ORPHAN_TAG)
         mapped = pm.alloc()
-        mapped.tag = "orphan"
-        mapped.mapping = (1, 2)      # still mapped: not an orphan
-        assert pm.orphans() == [orphan]
+        pm.table.set_tag(mapped, ORPHAN_TAG)
+        pm.table.mappings[mapped] = (1, 2)   # still mapped: not an orphan
         assert pm.orphan_count() == 1
 
     def test_freed_frame_leaves_the_candidate_set(self, pm):
-        pd = pm.alloc()
-        pd.tag = "orphan"
-        pm.put_page(pd.frame)
+        frame = pm.alloc()
+        pm.table.set_tag(frame, ORPHAN_TAG)
+        pm.put_page(frame)
         assert pm.table.orphan_candidates == set()
-        assert pm.orphans() == []
+        assert pm.orphan_count() == 0
 
 
 class TestFreeListAudit:
@@ -153,19 +141,18 @@ class TestFreeListAudit:
 
 class TestFastAudits:
     def test_pin_leak_fast_path_matches_full_scan(self, kernel):
-        pd = kernel.pagemap.alloc("leak")
-        pd.pin()
+        frame = kernel.pagemap.alloc("leak")
+        kernel.pagemap.table.incr_pin(frame)
         fast = audit_pin_leaks(kernel)
         full = full_pin_leaks(kernel)
         assert fast == full
-        assert len(fast) == 1 and fast[0].frame == pd.frame
-        pd.unpin()
-        kernel.pagemap.put_page(pd.frame)
+        assert len(fast) == 1 and fast[0].frame == frame
+        kernel.pagemap.table.decr_pin(frame)
+        kernel.pagemap.put_page(frame)
         assert audit_pin_leaks(kernel) == []
 
     def test_invariants_fast_path_catches_pinned_but_free(self, kernel):
-        pd = kernel.pagemap.alloc()
-        frame = pd.frame
+        frame = kernel.pagemap.alloc()
         kernel.pagemap.table.counts[frame] = 0     # corrupt directly
         kernel.pagemap.table.set_pin_count(frame, 1)
         with pytest.raises(PageAccountingError, match="pinned"):
@@ -177,8 +164,7 @@ class TestFastAudits:
         kernel.pagemap.put_page(frame)
 
     def test_invariants_fast_path_catches_negative_counters(self, kernel):
-        pd = kernel.pagemap.alloc()
-        frame = pd.frame
+        frame = kernel.pagemap.alloc()
         kernel.pagemap.table.counts[frame] = -1
         with pytest.raises(PageAccountingError, match="negative"):
             audit_kernel_invariants(kernel)

@@ -6,6 +6,7 @@ from repro.errors import InvalidArgument, OutOfMemory
 from repro.hw.physmem import PAGE_SIZE
 from repro.kernel import paging
 from repro.kernel.bigphys import BigPhysArea
+from repro.kernel.flags import PG_RESERVED
 from repro.via.locking.bigphys import BigphysLocking
 
 
@@ -18,9 +19,8 @@ class TestReservation:
     def test_reserves_frames_at_boot(self, kernel, area):
         assert area.total_pages == 32
         for frame in area.frames:
-            pd = kernel.pagemap.page(frame)
-            assert pd.reserved
-            assert pd.tag == "bigphysarea"
+            assert kernel.pagemap.table.flags[frame] & PG_RESERVED
+            assert kernel.pagemap.table.tags[frame] == "bigphysarea"
 
     def test_reservation_removes_frames_from_general_use(self, kernel):
         free0 = kernel.free_pages

@@ -48,12 +48,11 @@ class TestClockHand:
     def test_shrink_mmap_hand_wraps(self, kernel):
         n = kernel.pagemap.num_frames
         kernel._clock_hand = n - 2
-        pd = kernel.add_page_cache_page()
+        kernel.add_page_cache_page()
         # A full-budget scan must wrap past the end and find the page.
         freed = paging.shrink_mmap(kernel, n)
         assert freed == 1
         assert 0 <= kernel._clock_hand < n
-        del pd
 
     def test_task_swap_hand_resumes(self, kernel):
         t = kernel.create_task()

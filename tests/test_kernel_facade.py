@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import InvalidArgument, SegmentationFault
 from repro.hw.physmem import PAGE_SIZE
+from repro.kernel.flags import PG_LOCKED, PG_PAGECACHE
 
 
 class TestTasks:
@@ -108,16 +109,16 @@ class TestVirtToPhys:
 
 class TestPageCacheAndStats:
     def test_page_cache_page_flagged(self, kernel):
-        pd = kernel.add_page_cache_page()
-        assert pd.in_page_cache
-        assert pd.frame in kernel.page_cache
+        frame = kernel.add_page_cache_page()
+        assert kernel.pagemap.table.flags[frame] & PG_PAGECACHE
+        assert frame in kernel.page_cache
 
     def test_lock_unlock_page(self, kernel):
-        pd = kernel.add_page_cache_page()
-        kernel.lock_page(pd.frame)
-        assert pd.locked
-        kernel.unlock_page(pd.frame)
-        assert not pd.locked
+        frame = kernel.add_page_cache_page()
+        kernel.lock_page(frame)
+        assert kernel.pagemap.table.flags[frame] & PG_LOCKED
+        kernel.unlock_page(frame)
+        assert not kernel.pagemap.table.flags[frame] & PG_LOCKED
 
     def test_memory_stats_shape(self, kernel):
         t = kernel.create_task()

@@ -98,8 +98,8 @@ class TestCOW:
         """Manually establish a COW share of one frame between tasks
         (the simulator has no fork; tests build shares directly)."""
         pte = src.page_table.lookup(src.vpn_of(src_va))
-        pd = kernel.pagemap.get_page(pte.frame)
-        pd.cow_shares = 2
+        kernel.pagemap.get_page(pte.frame)
+        kernel.pagemap.table.cow_shares[pte.frame] = 2
         pte.writable = False
         pte.cow = True
         dpte = dst.page_table.set_mapping(dst.vpn_of(dst_va), pte.frame,
@@ -132,7 +132,7 @@ class TestCOW:
         pte = t.page_table.lookup(t.vpn_of(va))
         pte.writable = False
         pte.cow = True
-        kernel.pagemap.page(pte.frame).cow_shares = 1
+        kernel.pagemap.table.cow_shares[pte.frame] = 1
         frame_before = pte.frame
         t.write(va, b"y")
         assert t.physical_pages(va, 1)[0] == frame_before
@@ -156,7 +156,7 @@ class TestCowUnderflowRegression:
         pte = t.page_table.lookup(t.vpn_of(va))
         pte.writable = False
         pte.cow = True
-        assert kernel.pagemap.page(pte.frame).cow_shares == 0
+        assert kernel.pagemap.table.cow_shares[pte.frame] == 0
         return t, va
 
     def test_underflow_fatal_under_strict_accounting(self):

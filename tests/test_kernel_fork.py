@@ -29,9 +29,8 @@ class TestFork:
         kernel, parent, child, va = family
         assert parent.physical_pages(va, 4) == child.physical_pages(va, 4)
         for frame in parent.physical_pages(va, 4):
-            pd = kernel.pagemap.page(frame)
-            assert pd.count == 2
-            assert pd.cow_shares == 2
+            assert kernel.pagemap.table.counts[frame] == 2
+            assert kernel.pagemap.table.cow_shares[frame] == 2
 
     def test_child_write_breaks_cow(self, family):
         kernel, parent, child, va = family
@@ -74,8 +73,7 @@ class TestFork:
         frames = parent.physical_pages(va, 4)
         kernel.exit_task(child)
         for frame in frames:
-            pd = kernel.pagemap.page(frame)
-            assert pd.count == 1
+            assert kernel.pagemap.table.counts[frame] == 1
         # Parent can write again (in place, via the count==1 fast path).
         parent.write(va, b"post-exit")
         assert parent.read(va, 9) == b"post-exit"
@@ -85,8 +83,8 @@ class TestFork:
         kernel, parent, child, va = family
         grandchild = kernel.fork_task(child)
         frame = parent.physical_pages(va, 1)[0]
-        pd = kernel.pagemap.page(frame)
-        assert pd.count == 3 and pd.cow_shares == 3
+        assert kernel.pagemap.table.counts[frame] == 3
+        assert kernel.pagemap.table.cow_shares[frame] == 3
         assert grandchild.read(va, 9) == b"inherit-0"
 
     def test_fork_copies_capabilities_and_vmas(self, kernel):
@@ -114,7 +112,7 @@ class TestFork:
         # kiobuf's frames remain alive.
         parent.write(va, b"x")
         for frame in kio.frames:
-            assert kernel.pagemap.page(frame).count >= 1
+            assert kernel.pagemap.table.counts[frame] >= 1
         audit_kernel_invariants(kernel)
         del child
 

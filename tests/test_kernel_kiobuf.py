@@ -36,9 +36,8 @@ class TestMapUserKiobuf:
         t.touch_pages(va, 2)
         kio = kernel.map_user_kiobuf(t, va, 2 * PAGE_SIZE)
         for frame in kio.frames:
-            pd = kernel.pagemap.page(frame)
-            assert pd.count == 2       # mapping + kiobuf
-            assert pd.pin_count == 1
+            assert kernel.pagemap.table.counts[frame] == 2  # mapping + kiobuf
+            assert kernel.pagemap.table.pin_counts[frame] == 1
 
     def test_unmap_releases_everything(self, kernel):
         t = kernel.create_task()
@@ -46,8 +45,8 @@ class TestMapUserKiobuf:
         kio = kernel.map_user_kiobuf(t, va, 2 * PAGE_SIZE)
         kernel.unmap_kiobuf(kio)
         for frame in kio.frames:
-            pd = kernel.pagemap.page(frame)
-            assert pd.count == 1 and pd.pin_count == 0
+            assert kernel.pagemap.table.counts[frame] == 1
+            assert kernel.pagemap.table.pin_counts[frame] == 0
         assert not kio.mapped
         assert kio.kiobuf_id not in kernel.kiobufs
 
@@ -65,12 +64,12 @@ class TestMapUserKiobuf:
         va = t.mmap(2)
         k1 = kernel.map_user_kiobuf(t, va, 2 * PAGE_SIZE)
         k2 = kernel.map_user_kiobuf(t, va, 2 * PAGE_SIZE)
-        pd = kernel.pagemap.page(k1.frames[0])
-        assert pd.pin_count == 2
+        pin_counts = kernel.pagemap.table.pin_counts
+        assert pin_counts[k1.frames[0]] == 2
         kernel.unmap_kiobuf(k1)
-        assert pd.pin_count == 1       # still pinned by k2
+        assert pin_counts[k1.frames[0]] == 1   # still pinned by k2
         kernel.unmap_kiobuf(k2)
-        assert pd.pin_count == 0
+        assert pin_counts[k1.frames[0]] == 0
 
     def test_partial_page_range(self, kernel):
         t = kernel.create_task()
@@ -102,8 +101,8 @@ class TestMapUserKiobuf:
         # The two good pages were unwound: no stray pins/refs.
         for frame in t.physical_pages(va, 2):
             if frame is not None:
-                pd = kernel.pagemap.page(frame)
-                assert pd.pin_count == 0 and pd.count == 1
+                assert kernel.pagemap.table.pin_counts[frame] == 0
+                assert kernel.pagemap.table.counts[frame] == 1
 
     def test_readonly_vma_rejected_for_write_map(self, kernel):
         t = kernel.create_task()
@@ -157,7 +156,7 @@ class TestFaultLeavesPteAbsent:
             kernel.map_user_kiobuf(t, va, 4 * PAGE_SIZE)
         assert kernel.pagemap.table.pinned == set()
         assert list(kernel.pagemap.table.counts) == before
-        assert all(kernel.pagemap.page(f).pin_count == 0 for f in frames)
+        assert all(kernel.pagemap.table.pin_counts[f] == 0 for f in frames)
         assert not kernel.kiobufs
 
     def test_pin_user_page_raises_typed(self, kernel, monkeypatch):
@@ -170,7 +169,7 @@ class TestFaultLeavesPteAbsent:
                                  r"not present"):
             kernel.pin_user_page(t, va // PAGE_SIZE)
         assert kernel.pagemap.table.pinned == set()
-        assert kernel.pagemap.page(last).count == 0
+        assert kernel.pagemap.table.counts[last] == 0
 
 
 def oracle_map(kernel, task, va, nbytes, write=True):
@@ -197,8 +196,8 @@ def oracle_map(kernel, task, va, nbytes, write=True):
                 if write and not (vma.flags & VM_WRITE):
                     handle_fault(kernel, task, vpn, write=True)
             assert pte is not None and pte.present
-            pd = kernel.pagemap.get_page(pte.frame)
-            pd.pin()
+            kernel.pagemap.get_page(pte.frame)
+            kernel.pagemap.table.incr_pin(pte.frame)
             kernel.clock.charge(kernel.costs.page_lock_ns, "kiobuf")
             frames.append(pte.frame)
             pinned.append(pte.frame)
@@ -222,8 +221,7 @@ def oracle_unmap(kernel, kio):
     if not kio.mapped:
         raise KiobufError(f"kiobuf {kio.kiobuf_id} already unmapped")
     for frame in kio.frames:
-        pd = kernel.pagemap.page(frame)
-        pd.unpin()
+        kernel.pagemap.table.decr_pin(frame)
         kernel.clock.charge(kernel.costs.page_lock_ns, "kiobuf")
         kernel.pagemap.put_page(frame)
     kio.mapped = False

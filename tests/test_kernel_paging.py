@@ -74,14 +74,13 @@ class TestSwapOutSkipRules:
         assert ev["freed"] is False
         pte = t.page_table.lookup(t.vpn_of(va))
         assert pte.swapped
-        pd = kernel.pagemap.page(frame)
-        assert pd.count == 1 and pd.tag == "orphan"
-        assert pd in kernel.pagemap.orphans()
+        table = kernel.pagemap.table
+        assert table.counts[frame] == 1 and table.tags[frame] == "orphan"
+        assert kernel.pagemap.orphan_count() == 1
 
     def test_cow_shared_page_skipped(self, kernel):
         t, va = fill_task(kernel, 1)
-        pd = kernel.pagemap.page(t.physical_pages(va, 1)[0])
-        pd.cow_shares = 1
+        kernel.pagemap.table.cow_shares[t.physical_pages(va, 1)[0]] = 1
         assert paging.swap_out(kernel, 1) == 0
         assert any(e["reason"] == "cow_shared"
                    for e in kernel.trace.of_kind("swap_skip"))
@@ -106,31 +105,31 @@ class TestVictimSelection:
 
 class TestShrinkMmap:
     def test_reclaims_unreferenced_cache_pages(self, kernel):
-        pds = [kernel.add_page_cache_page() for _ in range(4)]
+        frames = [kernel.add_page_cache_page() for _ in range(4)]
         freed = paging.shrink_mmap(kernel, kernel.pagemap.num_frames)
         assert freed == 4
         assert kernel.page_cache == set()
-        for pd in pds:
-            assert pd.free
+        for frame in frames:
+            assert kernel.pagemap.table.counts[frame] == 0
 
     def test_second_chance_for_referenced_pages(self, kernel):
-        pd = kernel.add_page_cache_page()
-        pd.set_flag(PG_REFERENCED)
+        frame = kernel.add_page_cache_page()
+        kernel.pagemap.table.flags[frame] |= PG_REFERENCED
         assert paging.shrink_mmap(kernel, kernel.pagemap.num_frames) == 0
-        assert not pd.referenced   # bit cleared: second chance spent
+        # Bit cleared: second chance spent.
+        assert not kernel.pagemap.table.flags[frame] & PG_REFERENCED
         assert paging.shrink_mmap(kernel, kernel.pagemap.num_frames) == 1
 
     def test_locked_cache_page_untouched(self, kernel):
-        pd = kernel.add_page_cache_page()
-        kernel.lock_page(pd.frame)
+        frame = kernel.add_page_cache_page()
+        kernel.lock_page(frame)
         for _ in range(3):
             assert paging.shrink_mmap(kernel,
                                       kernel.pagemap.num_frames) == 0
-        assert pd.in_page_cache
+        assert kernel.pagemap.table.flags[frame] & PG_PAGECACHE
 
     def test_extra_ref_cache_page_skipped(self, kernel):
-        pd = kernel.add_page_cache_page()
-        kernel.pagemap.get_page(pd.frame)
+        kernel.pagemap.get_page(kernel.add_page_cache_page())
         assert paging.shrink_mmap(kernel, kernel.pagemap.num_frames) == 0
 
     def test_does_not_touch_user_pages(self, kernel):
@@ -259,9 +258,9 @@ class TestReclaimGolden:
     def _pressure_run():
         k = Kernel(num_frames=128, swap_slots=1024)
         for i in range(6):
-            pd = k.add_page_cache_page()
+            frame = k.add_page_cache_page()
             if i % 2:
-                pd.set_flag(PG_REFERENCED)
+                k.pagemap.table.flags[frame] |= PG_REFERENCED
         pinned = k.create_task(name="pinned")
         va_p = pinned.mmap(12)
         pinned.touch_pages(va_p, 12)
@@ -373,17 +372,17 @@ class TestShrinkMmapRuns:
                 task.touch_pages(va + touched * PAGE_SIZE, 1)
                 touched += 1
                 continue
-            pd = k.add_page_cache_page()
-            cache.append(pd.frame)
+            frame = k.add_page_cache_page()
+            cache.append(frame)
             roll = rng.random()
             if roll < 0.2:
-                pd.set_flag(PG_REFERENCED)
+                k.pagemap.table.flags[frame] |= PG_REFERENCED
             elif roll < 0.3:
-                k.lock_page(pd.frame)
+                k.lock_page(frame)
             elif roll < 0.36:
-                pd.set_flag(PG_RESERVED)
+                k.pagemap.table.flags[frame] |= PG_RESERVED
             elif roll < 0.45:
-                k.pagemap.get_page(pd.frame)
+                k.pagemap.get_page(frame)
         for frame in rng.sample(cache, 10):     # holes: free frames
             if k.pagemap.table.flags[frame] & (PG_LOCKED | PG_RESERVED):
                 continue
@@ -453,7 +452,7 @@ class TestShrinkMmapRuns:
                 results.append(shrink(k, budget))
             results.append((k._clock_hand, clock.now_ns))
         trace = [(e.ts_ns, e.kind, e.detail) for e in k.trace]
-        summary = Counter(k.pagemap.page(f).tag or "free" for f in range(n))
+        summary = Counter(tag or "free" for tag in k.pagemap.table.tags)
         return {"results": results, "flags": list(flags),
                 "counts": list(k.pagemap.table.counts),
                 "page_cache": sorted(k.page_cache),

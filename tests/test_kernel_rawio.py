@@ -96,7 +96,7 @@ class TestRawSemantics:
         kernel, dev, t, va = setup
         raw_read(kernel, t, dev, 0, va, 2 * PAGE_SIZE)
         for frame in t.physical_pages(va, 2):
-            assert kernel.pagemap.page(frame).pin_count == 0
+            assert kernel.pagemap.table.pin_counts[frame] == 0
 
     def test_raw_io_to_swapped_buffer_faults_it_in(self, setup):
         kernel, dev, t, va = setup

@@ -66,7 +66,7 @@ class TestPersistentRequests:
         # Pins released after free: pages become evictable.
         frame = r1.task.physical_pages(bufs[1], 1)[0]
         r1.endpoints[0].cache.flush()
-        assert r1.machine.kernel.pagemap.page(frame).pin_count == 0
+        assert r1.machine.kernel.pagemap.table.pin_counts[frame] == 0
 
     def test_double_start_rejected(self, world, bufs):
         r0, r1 = world.rank(0), world.rank(1)

@@ -488,7 +488,7 @@ class TestEndToEnd:
         t.touch_pages(va, 1)
         # Corrupt accounting on purpose: pin a frame, then free it.
         pte = t.page_table.lookup(va // 4096)
-        m.kernel.pagemap.page(pte.frame).pin_count += 1
+        m.kernel.pagemap.table.incr_pin(pte.frame)
         with pytest.raises(InvariantViolation) as exc_info:
             watchdog.check()
         snap = exc_info.value.snapshot["metrics"]

@@ -145,7 +145,7 @@ class KernelOps(RuleBasedStateMachine):
         the free count never exceeds the installed total."""
         pm = self.kernel.pagemap
         assert 0 <= pm.free_count <= pm.num_frames
-        in_use = sum(1 for pd in pm if pd.count > 0)
+        in_use = sum(1 for count in pm.table.counts if count > 0)
         assert in_use + pm.free_count == pm.num_frames
 
     @invariant()
@@ -154,7 +154,7 @@ class KernelOps(RuleBasedStateMachine):
         swapped may correspond to a live kiobuf's pages."""
         for kio in self.kiobufs:
             for frame in kio.frames:
-                assert self.kernel.pagemap.page(frame).count > 0
+                assert self.kernel.pagemap.table.counts[frame] > 0
 
 
 TestKernelOps = KernelOps.TestCase

@@ -82,8 +82,8 @@ class RegCacheOps(RuleBasedStateMachine):
             reg = entry.registration
             assert reg.handle in agent.registrations
             for frame in reg.region.frames:
-                pd = self.machine.kernel.pagemap.page(frame)
-                assert pd.pin_count >= 1
+                assert self.machine.kernel.pagemap.table.pin_counts[
+                    frame] >= 1
 
     @invariant()
     def kernel_accounting_sound(self) -> None:

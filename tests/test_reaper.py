@@ -41,7 +41,7 @@ class TestDeadOwnerReclamation:
         task, reg = _leaky_kill(m, vis=2)
         # The leak is real: record, pins, and VIs all survived the kill.
         assert reg.handle in m.agent.registrations
-        assert all(m.kernel.pagemap.page(f).pinned
+        assert all(m.kernel.pagemap.table.pin_counts[f] > 0
                    for f in reg.region.frames)
         assert sum(1 for v in m.nic.vis.values()
                    if v.owner_pid == task.pid) == 2
@@ -74,7 +74,7 @@ class TestDeadOwnerReclamation:
         _leaky_kill(m)
         OrphanReaper(m.kernel, agents=[m.agent]).scan()
         assert reg.handle in m.agent.registrations
-        assert all(m.kernel.pagemap.page(f).pinned
+        assert all(m.kernel.pagemap.table.pin_counts[f] > 0
                    for f in reg.region.frames)
         _assert_clean(m)
 
@@ -148,7 +148,7 @@ class TestRetryAndEscalation:
         assert final.reclaimed_total <= 1
         for _ in range(3):
             reaper.scan()
-        assert not any(m.kernel.pagemap.page(f).pinned
+        assert not any(m.kernel.pagemap.table.pin_counts[f] > 0
                        for f in reg.region.frames)
         _assert_clean(m)
 
@@ -173,7 +173,7 @@ class TestReaperUnderSwapPressure:
         assert freed >= 16   # the dead registration's frames came back
         assert dead_reg.handle not in m.agent.registrations
         assert keeper_reg.handle in m.agent.registrations
-        assert all(m.kernel.pagemap.page(f).pinned
+        assert all(m.kernel.pagemap.table.pin_counts[f] > 0
                    for f in keeper_reg.region.frames)
         assert m.kernel.trace.count("reaper_scan") >= 1
         _assert_clean(m)
@@ -188,11 +188,11 @@ class TestReaperUnderSwapPressure:
         frame = task.page_table.lookup(va // PAGE_SIZE).frame
         m.kernel.pagemap.get_page(frame)    # a leaked driver reference
         m.kernel.apply_pressure()
-        pd = m.kernel.pagemap.page(frame)
-        assert pd.tag == "orphan" and pd.count == 1
+        assert m.kernel.pagemap.table.tags[frame] == "orphan"
+        assert m.kernel.pagemap.table.counts[frame] == 1
         report = OrphanReaper(m.kernel, agents=[m.agent]).scan()
         assert report.orphan_frames_freed >= 1
-        assert m.kernel.pagemap.page(frame).free
+        assert m.kernel.pagemap.table.counts[frame] == 0
         audit_kernel_invariants(m.kernel)
 
 

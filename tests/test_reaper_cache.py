@@ -70,12 +70,15 @@ def findings(kernel, agents):
     for kio in kernel.kiobufs.values():
         if kio.mapped:
             with_kiobufs.update(kio.frames)
-    for pd in kernel.pagemap:
-        if (pd.tag == "orphan" and pd.count > 0 and pd.pin_count == 0
-                and pd.mapping is None and not explained[pd.frame]):
-            found.append(("orphan", pd.frame))
-        if pd.pin_count > with_kiobufs[pd.frame]:
-            found.append(("pin", pd.frame))
+    table = kernel.pagemap.table
+    for frame in range(table.num_frames):
+        pins = table.pin_counts[frame]
+        if (table.tags[frame] == "orphan" and table.counts[frame] > 0
+                and pins == 0 and table.mappings[frame] is None
+                and not explained[frame]):
+            found.append(("orphan", frame))
+        if pins > with_kiobufs[frame]:
+            found.append(("pin", frame))
     return found
 
 
@@ -379,7 +382,7 @@ class TestMutationsBetweenCleanScans:
 
     def test_orphan_candidates(self, quiet):
         # A leaked driver frame: referenced, unmapped, unpinned.
-        frame = quiet.pagemap.alloc("driver").frame
+        frame = quiet.pagemap.alloc("driver")
         quiet.settle()
         quiet.table.orphan_candidates.add(frame)
         quiet.next_sample()
@@ -388,7 +391,7 @@ class TestMutationsBetweenCleanScans:
 
     def test_mappings(self, quiet):
         # An orphan frame the reaper leaves alone while it is mapped.
-        frame = quiet.pagemap.alloc("orphan").frame
+        frame = quiet.pagemap.alloc("orphan")
         assert frame in quiet.table.orphan_candidates
         quiet.table.mappings[frame] = (quiet.task.pid, 0)
         quiet.settle()
@@ -440,7 +443,7 @@ def test_a_scan_that_reclaimed_keeps_no_fingerprint(quiet):
 # never saw it taken and reads its release as an underflow.
 @pytest.mark.san_suppress("pin-underflow")
 def test_an_orphan_whose_leaked_pin_is_released_is_freed_in_that_scan(quiet):
-    frame = quiet.pagemap.alloc("orphan").frame
+    frame = quiet.pagemap.alloc("orphan")
     quiet.table.set_pin_count(frame, 1)
     quiet.reaper.max_attempts = 1
     first = quiet.next_scan_sweeps()

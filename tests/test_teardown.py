@@ -61,10 +61,10 @@ class TestExitPath:
         task, _, va, reg = _registered_task(m, npages=4)
         frames = list(reg.region.frames)
         for f in frames:
-            assert m.kernel.pagemap.page(f).pinned
+            assert m.kernel.pagemap.table.pin_counts[f] > 0
         task.exit()
         for f in frames:
-            assert not m.kernel.pagemap.page(f).pinned
+            assert m.kernel.pagemap.table.pin_counts[f] == 0
         assert not any(k.mapped and k.pid == task.pid
                        for k in m.kernel.kiobufs.values())
 
@@ -161,13 +161,13 @@ class TestDoubleDeregister:
         _, ua, _, reg = _registered_task(m)
         frames = list(reg.region.frames)
         ua.deregister_mem(reg)
-        counts = [m.kernel.pagemap.page(f).count for f in frames]
-        pins = [m.kernel.pagemap.page(f).pin_count for f in frames]
+        counts = [m.kernel.pagemap.table.counts[f] for f in frames]
+        pins = [m.kernel.pagemap.table.pin_counts[f] for f in frames]
         with pytest.raises(NotRegistered):
             ua.deregister_mem(reg)
         # The failed second deregister must not touch any counter.
-        assert [m.kernel.pagemap.page(f).count for f in frames] == counts
-        assert [m.kernel.pagemap.page(f).pin_count
+        assert [m.kernel.pagemap.table.counts[f] for f in frames] == counts
+        assert [m.kernel.pagemap.table.pin_counts[f]
                 for f in frames] == pins
         assert all(c >= 0 for c in counts) and all(p >= 0 for p in pins)
         audit_kernel_invariants(m.kernel)
@@ -197,7 +197,7 @@ class TestDoubleDeregister:
         with pytest.raises(PageAccountingError):
             RefcountLocking().unlock(
                 m.kernel, ("refcount", [frame], {"released": False}))
-        assert m.kernel.pagemap.page(frame).count == 0
+        assert m.kernel.pagemap.table.counts[frame] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -225,21 +225,20 @@ class TestInvariantWatchdog:
         task = m.spawn("leaker")
         va = task.mmap(1)
         task.touch_pages(va, 1)
-        pd = m.kernel.pagemap.page(
-            task.page_table.lookup(va // PAGE_SIZE).frame)
+        frame = task.page_table.lookup(va // PAGE_SIZE).frame
         wd = m.arm_watchdog(interval_ns=1_000)
         m.kernel.clock.charge(2_000, "test")   # clean sample
-        pd.pin()                               # the leak
+        m.kernel.pagemap.table.incr_pin(frame)   # the leak
         with pytest.raises(InvariantViolation) as exc_info:
             m.kernel.clock.charge(2_000, "test")
         exc = exc_info.value
         assert exc.kind == "pin_leak"
         assert exc.snapshot["boundary"] == "cadence"
-        assert exc.snapshot["leaks"][0]["frame"] == pd.frame
+        assert exc.snapshot["leaks"][0]["frame"] == frame
         assert "memory" in exc.snapshot
         assert wd.violations == 1
         wd.disarm()
-        pd.unpin()
+        m.kernel.pagemap.table.decr_pin(frame)
 
     def test_checks_at_teardown_boundary(self):
         m = Machine()
@@ -247,11 +246,10 @@ class TestInvariantWatchdog:
         other = m.spawn("bystander")
         ova = other.mmap(1)
         other.touch_pages(ova, 1)
-        pd = m.kernel.pagemap.page(
-            other.page_table.lookup(ova // PAGE_SIZE).frame)
+        frame = other.page_table.lookup(ova // PAGE_SIZE).frame
         # Huge interval: only the teardown boundary can fire.
         wd = m.arm_watchdog(interval_ns=10**15)
-        pd.pin()
+        m.kernel.pagemap.table.incr_pin(frame)
         with pytest.raises(InvariantViolation) as exc_info:
             task.exit()
         assert exc_info.value.snapshot["boundary"] == \
@@ -260,7 +258,7 @@ class TestInvariantWatchdog:
         with pytest.raises(InvalidArgument):
             m.kernel.find_task(task.pid)
         wd.disarm()
-        pd.unpin()
+        m.kernel.pagemap.table.decr_pin(frame)
 
     @pytest.mark.san_suppress("swap-registered")
     def test_detects_stale_tpt_of_broken_backend(self):

@@ -55,7 +55,7 @@ class TestRegistration:
         assert reg.handle not in machine.agent.registrations
         # pins released
         for frame in ua.task.physical_pages(va, 2):
-            assert machine.kernel.pagemap.page(frame).pin_count == 0
+            assert machine.kernel.pagemap.table.pin_counts[frame] == 0
 
     def test_deregister_unknown_handle(self, machine):
         with pytest.raises(NotRegistered):
@@ -85,7 +85,7 @@ class TestRegistration:
         # pins of the failed attempt were released
         for frame in t.physical_pages(va + 3 * PAGE_SIZE, 3):
             if frame is not None:
-                assert m.kernel.pagemap.page(frame).pin_count == 0
+                assert m.kernel.pagemap.table.pin_counts[frame] == 0
 
     def test_registrations_of_pid(self, machine, ua):
         va = ua.task.mmap(4)
@@ -157,11 +157,11 @@ class TestRegistration:
         r2 = ua.register_mem(va, 2 * PAGE_SIZE)
         assert r1.handle != r2.handle
         frame = ua.task.physical_pages(va, 1)[0]
-        assert machine.kernel.pagemap.page(frame).pin_count == 2
+        assert machine.kernel.pagemap.table.pin_counts[frame] == 2
         ua.deregister_mem(r1)
-        assert machine.kernel.pagemap.page(frame).pin_count == 1
+        assert machine.kernel.pagemap.table.pin_counts[frame] == 1
         ua.deregister_mem(r2)
-        assert machine.kernel.pagemap.page(frame).pin_count == 0
+        assert machine.kernel.pagemap.table.pin_counts[frame] == 0
 
 
 class TestUserAgentHelpers:

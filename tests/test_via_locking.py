@@ -91,10 +91,10 @@ class TestAllBackendsCommon:
         res = be.lock(kernel, t, va, 4 * PAGE_SIZE)
         be.unlock(kernel, res.cookie)
         for frame in res.frames:
-            pd = kernel.pagemap.page(frame)
-            assert pd.count == 1            # only the mapping
-            assert pd.pin_count == 0
-            assert not pd.locked and not pd.reserved
+            table = kernel.pagemap.table
+            assert table.counts[frame] == 1            # only the mapping
+            assert table.pin_counts[frame] == 0
+            assert not table.flags[frame] & (PG_LOCKED | PG_RESERVED)
         assert t.vmas.locked_pages() == 0
 
     @pytest.mark.parametrize("name", sorted(BACKENDS))
@@ -115,8 +115,12 @@ class TestRefcountBackend:
         t.touch_pages(va, 8)           # fault everything back (step 4)
         assert t.physical_pages(va, 8) != res.frames
         # The original frames are orphans.
-        orphans = kernel.pagemap.orphans()
-        assert {pd.frame for pd in orphans} == set(res.frames)
+        table = kernel.pagemap.table
+        assert kernel.pagemap.orphan_count() == len(res.frames)
+        for frame in res.frames:
+            assert table.tags[frame] == "orphan"
+            assert table.counts[frame] == 1
+            assert table.mappings[frame] is None
 
     def test_unlock_after_orphaning_frees_orphans(self, setup):
         kernel, t, va = setup
@@ -125,7 +129,7 @@ class TestRefcountBackend:
         pressure(kernel)
         t.touch_pages(va, 4)
         be.unlock(kernel, res.cookie)
-        assert kernel.pagemap.orphans() == []
+        assert kernel.pagemap.orphan_count() == 0
 
 
 class TestPageFlagBackend:
@@ -141,8 +145,8 @@ class TestPageFlagBackend:
         be = make_backend("pageflags")
         res = be.lock(kernel, t, va, 2 * PAGE_SIZE)
         for frame in res.frames:
-            pd = kernel.pagemap.page(frame)
-            assert pd.test_flag(PG_LOCKED) and pd.test_flag(PG_RESERVED)
+            flags = kernel.pagemap.table.flags[frame]
+            assert flags & PG_LOCKED and flags & PG_RESERVED
 
     def test_unconditional_clear_clobbers_kernel_lock(self, setup):
         """The 'risky' hazard: deregistration clears PG_locked even when
@@ -153,7 +157,7 @@ class TestPageFlagBackend:
         frame = res.frames[0]
         kernel.lock_page(frame)        # kernel I/O in flight
         be.unlock(kernel, res.cookie)
-        assert not kernel.pagemap.page(frame).locked   # clobbered!
+        assert not kernel.pagemap.table.flags[frame] & PG_LOCKED   # clobbered!
 
     def test_overlapping_registration_loses_protection(self, setup):
         """First deregistration strips the flags off the still-live
@@ -260,4 +264,4 @@ class TestKiobufBackend:
         frame = res.frames[0]
         kernel.lock_page(frame)
         be.unlock(kernel, res.cookie)
-        assert kernel.pagemap.page(frame).locked   # untouched
+        assert kernel.pagemap.table.flags[frame] & PG_LOCKED   # untouched

@@ -79,11 +79,11 @@ class TestOdpBackend:
         patched = be.fault_in(kernel, t, res.cookie, (0, 3))
         assert set(patched) == {0, 3}
         for index, frame in patched.items():
-            assert kernel.pagemap.page(frame).pin_count == 1
+            assert kernel.pagemap.table.pin_counts[frame] == 1
             assert res.cookie.resident[index] == frame
         be.unlock(kernel, res.cookie)
         for frame in patched.values():
-            assert kernel.pagemap.page(frame).pin_count == 0
+            assert kernel.pagemap.table.pin_counts[frame] == 0
 
     def test_fault_in_is_idempotent(self, setup):
         """A page that lost the race to a concurrent fault is reused,
@@ -95,7 +95,7 @@ class TestOdpBackend:
         again = be.fault_in(kernel, t, res.cookie, (0, 1))
         assert first == again
         for frame in first.values():
-            assert kernel.pagemap.page(frame).pin_count == 1
+            assert kernel.pagemap.table.pin_counts[frame] == 1
         be.unlock(kernel, res.cookie)
 
     def test_evict_frame_releases_pin(self, setup):
@@ -106,7 +106,7 @@ class TestOdpBackend:
         frame = patched[2]
         assert be.evict_frame(kernel, res.cookie, frame) == (2,)
         assert res.cookie.resident == {}
-        assert kernel.pagemap.page(frame).pin_count == 0
+        assert kernel.pagemap.table.pin_counts[frame] == 0
         be.unlock(kernel, res.cookie)
 
     def test_double_unlock_raises(self, setup):
@@ -143,7 +143,7 @@ class TestOdpFaultService:
         assert sorted(patched) == [0, 1, 2]
         for index, frame in patched.items():
             assert reg.region.frames[index] == frame
-            assert m.kernel.pagemap.page(frame).pin_count == 1
+            assert m.kernel.pagemap.table.pin_counts[frame] == 1
         assert m.agent.odp_faults_serviced == 1
         ua.deregister_mem(reg)
         _assert_converged(m)
@@ -178,7 +178,7 @@ class TestOdpFaultService:
         assert m.agent.odp_faults_coalesced == 1
         # The frames hold exactly one pin: coalescing did not re-pin.
         for frame in first.values():
-            assert m.kernel.pagemap.page(frame).pin_count == 1
+            assert m.kernel.pagemap.table.pin_counts[frame] == 1
         assert m.kernel.trace.count("odp_fault_coalesced") == 1
 
     def test_coalescing_window_expires(self):
@@ -342,7 +342,7 @@ def _drain_free_list(kernel, leave=0):
     remain, so the next allocation finds nothing reclaimable."""
     held = []
     while kernel.pagemap.free_count > leave:
-        held.append(kernel.pagemap.alloc(tag="drain").frame)
+        held.append(kernel.pagemap.alloc(tag="drain"))
     return held
 
 
