@@ -202,11 +202,6 @@ class StreamChecker:
         self.suppressed.add(kind)
         return self
 
-    def unsuppress(self, kind: str) -> "StreamChecker":
-        """Re-enable a suppressed kind."""
-        self.suppressed.discard(kind)
-        return self
-
     @contextmanager
     def expect(self, *kinds: str) -> Iterator[list]:
         """Capture findings of ``kinds`` (all kinds when empty) instead

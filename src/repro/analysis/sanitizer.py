@@ -233,7 +233,7 @@ class PinSanitizer(StreamChecker):
                     first_vpn=reg.region.first_vpn,
                     end_vpn=reg.region.first_vpn + reg.region.npages,
                     uid=uid,
-                    quota_pages=(agent.tenants.quota_of(uid)
+                    quota_pages=(agent.tenants.default_quota_pages
                                  if uid is not None else None))
         self._attach_collector(kernel.obs)
 

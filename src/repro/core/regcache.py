@@ -54,7 +54,6 @@ class CacheEntry:
 
     registration: Registration
     users: int = 0           #: live acquisitions
-    last_use: int = 0        #: LRU stamp
     hits: int = 0
     rdma_write: bool = False
     rdma_read: bool = False
@@ -112,8 +111,8 @@ class RegistrationCache:
         #: interval index: vpn → entries covering that page, in
         #: insertion order (so candidate priority matches the old scan)
         self._page_index: dict[int, list[CacheEntry]] = {}
-        self._pages_total = 0
-        self._tick = 0
+        #: pages the cached entries cover
+        self.pages_cached = 0
         self.stats = CacheStats()
         # Per-tenant sharding: the cache registers itself with the
         # agent's tenant service so admission pressure can shed its
@@ -135,14 +134,11 @@ class RegistrationCache:
 
     # -- internals -----------------------------------------------------------
 
-    def _pages_cached(self) -> int:
-        return self._pages_total
-
     def _index_add(self, entry: CacheEntry) -> None:
         first, last = entry.page_span()
         for vpn in range(first, last + 1):
             self._page_index.setdefault(vpn, []).append(entry)
-        self._pages_total += entry.registration.region.npages
+        self.pages_cached += entry.registration.region.npages
 
     def _index_remove(self, entry: CacheEntry) -> None:
         first, last = entry.page_span()
@@ -159,7 +155,7 @@ class RegistrationCache:
                         break
                 if not bucket:
                     del self._page_index[vpn]
-        self._pages_total -= entry.registration.region.npages
+        self.pages_cached -= entry.registration.region.npages
 
     def _candidates(self, va: int) -> list[CacheEntry]:
         """Entries that could cover a range starting at ``va`` — exactly
@@ -209,13 +205,11 @@ class RegistrationCache:
 
         Pair every acquire with a :meth:`release` of the same range.
         """
-        self._tick += 1
         obs = self.agent.kernel.obs
         entry = self._find_covering(va, nbytes, rdma_write, rdma_read)
         if entry is not None:
             entry.users += 1
             entry.hits += 1
-            entry.last_use = self._tick
             self._entries.move_to_end(entry.key)
             self.stats.hits += 1
             if obs.enabled:
@@ -228,7 +222,7 @@ class RegistrationCache:
         base, length = aligned_range(va, nbytes)
         want_pages = length // PAGE_SIZE
         if self.max_pages is not None:
-            while (self._pages_cached() + want_pages > self.max_pages
+            while (self.pages_cached + want_pages > self.max_pages
                    and self._evict_one()):
                 pass
         attempts = 0
@@ -261,7 +255,7 @@ class RegistrationCache:
                 self.stats.retries += 1
                 if obs.enabled:
                     self._count(obs, "retries")
-        entry = CacheEntry(registration=reg, users=1, last_use=self._tick,
+        entry = CacheEntry(registration=reg, users=1,
                            rdma_write=rdma_write, rdma_read=rdma_read)
         self._entries[entry.key] = entry
         self._index_add(entry)
@@ -304,22 +298,6 @@ class RegistrationCache:
                 freed += entry.registration.region.npages
         return freed
 
-    def flush(self) -> int:
-        """Deregister every unused entry; returns how many were dropped."""
-        dropped = 0
-        for key in list(self._entries):
-            entry = self._entries[key]
-            if entry.users == 0:
-                del self._entries[key]
-                self._index_remove(entry)
-                self.agent.deregister_memory(entry.registration.handle)
-                dropped += 1
-        return dropped
-
     @property
     def cached_regions(self) -> int:
         return len(self._entries)
-
-    @property
-    def cached_pages(self) -> int:
-        return self._pages_cached()

@@ -176,11 +176,6 @@ class PhysicalMemory:
         """Split a flat physical byte address into ``(frame, offset)``."""
         return phys_addr // PAGE_SIZE, phys_addr % PAGE_SIZE
 
-    @staticmethod
-    def join_phys(frame: int, offset: int = 0) -> int:
-        """Join ``(frame, offset)`` into a flat physical byte address."""
-        return frame * PAGE_SIZE + offset
-
     @property
     def size_bytes(self) -> int:
         """Total installed memory in bytes."""

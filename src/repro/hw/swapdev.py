@@ -84,11 +84,6 @@ class SwapDevice:
         """Number of slots currently allocated."""
         return len(self._in_use)
 
-    @property
-    def slots_free(self) -> int:
-        """Number of slots currently free."""
-        return len(self._free)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"SwapDevice({self.slots_in_use}/{self.num_slots} slots "
                 f"in use, {self.writes}w/{self.reads}r)")

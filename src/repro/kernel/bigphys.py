@@ -57,16 +57,6 @@ class BigPhysArea:
 
     # -- allocator ----------------------------------------------------------
 
-    @property
-    def total_pages(self) -> int:
-        """Size of the reservation."""
-        return len(self.frames)
-
-    @property
-    def free_pages(self) -> int:
-        """Currently unallocated pages of the reservation."""
-        return len(self._free)
-
     def contains(self, frame: int) -> bool:
         """True iff ``frame`` belongs to the reservation."""
         return frame in self._frame_set

@@ -22,7 +22,7 @@ from repro.kernel.flags import (
 )
 from repro.kernel.kiobuf import Kiobuf, map_user_kiobuf, unmap_kiobuf
 from repro.kernel.mlock import (
-    do_mlock, do_munlock, mlock_with_cap_dance, sys_mlock, sys_munlock,
+    do_mlock, do_munlock, mlock_with_cap_dance, sys_mlock,
 )
 from repro.kernel.pagemap import PageMap
 from repro.kernel.task import Task
@@ -225,11 +225,6 @@ class Kernel:
                     f"(free={self.pagemap.free_count})") from None
             return self.pagemap.alloc(tag=tag)
 
-    def apply_pressure(self) -> int:
-        """Force reclaim of one frame more than is free — a direct
-        handle for tests that want pressure without an allocator task."""
-        return paging.try_to_free_pages(self, self.pagemap.free_count + 1)
-
     # ------------------------------------------------------------- mmap/munmap
 
     def sys_mmap(self, task: Task, npages: int, writable: bool = True,
@@ -351,10 +346,6 @@ class Kernel:
         """``mlock(2)`` — see :mod:`repro.kernel.mlock`."""
         sys_mlock(self, task, va, nbytes)
 
-    def sys_munlock(self, task: Task, va: int, nbytes: int) -> None:
-        """``munlock(2)`` — see :mod:`repro.kernel.mlock`."""
-        sys_munlock(self, task, va, nbytes)
-
     def do_mlock(self, task: Task, va: int, nbytes: int) -> None:
         """Unchecked ``do_mlock`` (User-DMA-patch path)."""
         do_mlock(self, task, va, nbytes)
@@ -422,17 +413,7 @@ class Kernel:
         self.clock.charge(self.costs.page_lock_ns, "mm")
         self.pagemap.table.flags[frame] |= PG_LOCKED
 
-    def unlock_page(self, frame: int) -> None:
-        """Kernel-side ``unlock_page``."""
-        self.clock.charge(self.costs.page_lock_ns, "mm")
-        self.pagemap.table.flags[frame] &= ~PG_LOCKED
-
     # ----------------------------------------------------------------- stats
-
-    @property
-    def free_pages(self) -> int:
-        """Frames currently on the free list."""
-        return self.pagemap.free_count
 
     def memory_stats(self) -> dict:
         """Snapshot of memory accounting for reports."""

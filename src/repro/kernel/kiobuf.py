@@ -53,20 +53,6 @@ class Kiobuf:
     def npages(self) -> int:
         return len(self.frames)
 
-    def physical_segments(self) -> list[tuple[int, int]]:
-        """Flat ``(phys_addr, length)`` segments covering the buffer, for
-        scatter/gather DMA."""
-        segs: list[tuple[int, int]] = []
-        offset = self.va % PAGE_SIZE
-        remaining = self.nbytes
-        for i, frame in enumerate(self.frames):
-            start = offset if i == 0 else 0
-            n = min(remaining, PAGE_SIZE - start)
-            segs.append((frame * PAGE_SIZE + start, n))
-            remaining -= n
-        return segs
-
-
 def map_user_kiobuf(kernel: "Kernel", task: "Task", va: int,
                     nbytes: int, write: bool = True) -> Kiobuf:
     """Map ``[va, va+nbytes)`` of ``task`` into a kiobuf.

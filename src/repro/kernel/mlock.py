@@ -15,7 +15,9 @@ Three entry points mirror the three ways the paper discusses of reaching
 
 The crucial semantic wart, faithfully preserved: **mlock calls do not
 nest** — "a single unlock operation annuls multiple lock operations on
-the same address".  ``do_munlock`` clears ``VM_LOCKED`` unconditionally.
+the same address".  ``do_munlock`` clears ``VM_LOCKED`` unconditionally,
+as the ``munlock(2)`` syscall does (it checks no capability, so it adds
+only the trap to ``do_munlock``).
 """
 
 from __future__ import annotations
@@ -81,18 +83,6 @@ def do_mlock(kernel: "Kernel", task: "Task", va: int, nbytes: int) -> None:
                          write=bool(vma.flags & VM_WRITE))
     kernel.events.record(MLOCK, pid=task.pid, start_vpn=start_vpn,
                          end_vpn=end_vpn)
-
-
-def sys_munlock(kernel: "Kernel", task: "Task", va: int,
-                nbytes: int) -> None:
-    """The ``munlock(2)`` syscall.
-
-    Note: the real syscall performs no capability check on unlock, and
-    **clears VM_LOCKED unconditionally** — the non-nesting behaviour the
-    paper calls "another major drawback of this approach".
-    """
-    kernel.clock.charge(kernel.costs.syscall_ns, "syscall")
-    do_munlock(kernel, task, va, nbytes)
 
 
 def do_munlock(kernel: "Kernel", task: "Task", va: int,

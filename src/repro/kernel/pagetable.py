@@ -127,17 +127,6 @@ class PageTable:
             if pte is not None and pte.present:
                 yield vpn, pte
 
-    def entries_in(self, start_vpn: int, end_vpn: int
-                   ) -> Iterator[tuple[int, PTE]]:
-        """Iterate entries with ``start_vpn <= vpn < end_vpn``
-        (bisected out of the sorted-key cache, not a full scan)."""
-        keys = self._sorted()
-        for i in range(bisect_left(keys, start_vpn), len(keys)):
-            vpn = keys[i]
-            if vpn >= end_vpn:
-                break
-            yield vpn, self._entries[vpn]
-
     def __len__(self) -> int:
         return len(self._entries)
 

@@ -172,10 +172,3 @@ class VMAList:
         self._areas = out
         return merged
 
-    def total_pages(self) -> int:
-        """Total mapped pages across all areas."""
-        return sum(a.npages for a in self._areas)
-
-    def locked_pages(self) -> int:
-        """Total pages inside VM_LOCKED areas."""
-        return sum(a.npages for a in self._areas if a.locked)

@@ -352,15 +352,3 @@ class MpiRank:
         """Create a persistent receive request (``MPI_Recv_init``)."""
         return PersistentRequest(self, "recv", source, tag, va, nbytes,
                                  context)
-
-    # -------------------------------------------------------------- inspection
-
-    @property
-    def unexpected_count(self) -> int:
-        """Currently buffered unexpected messages."""
-        return len(self._unexpected)
-
-    @property
-    def posted_count(self) -> int:
-        """Currently posted unmatched receives."""
-        return len(self._posted)

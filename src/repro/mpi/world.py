@@ -1,7 +1,7 @@
 """The MPI world: rank construction, wiring, and collectives.
 
 Collectives follow the classic algorithms (dissemination barrier,
-binomial-tree broadcast and reduction, pairwise exchange for alltoall),
+binomial-tree broadcast and reduction, pairwise exchange for alltoallv),
 executed as a deterministic per-rank schedule over real point-to-point
 traffic — every hop moves real bytes through the VIA stack and charges
 real simulated costs.  The reductions do their arithmetic in numpy,
@@ -201,46 +201,27 @@ class MpiWorld:
                            dst_va + r * nbytes_each, nbytes_each,
                            tag=4000 + r)
 
-    def scatter(self, root: int, src_va: int, dst_vas: list[int],
-                nbytes_each: int) -> None:
-        """Scatter consecutive ``nbytes_each`` slices of root's
-        ``src_va`` to every rank's ``dst_vas[r]``."""
-        self._check_vas(dst_vas)
-        for r in range(self.size):
-            if r == root:
-                data = self.ranks[root].task.read(
-                    src_va + r * nbytes_each, nbytes_each)
-                self.ranks[root].task.write(dst_vas[root], data)
-            else:
-                self._xfer(root, r, src_va + r * nbytes_each,
-                           dst_vas[r], nbytes_each, tag=5000 + r)
-
-    def alltoall(self, src_vas: list[int], dst_vas: list[int],
-                 nbytes_each: int) -> None:
-        """Pairwise exchange: slice j of rank i's send buffer lands in
-        slice i of rank j's receive buffer."""
-        self._check_vas(src_vas)
-        self._check_vas(dst_vas)
-        n = self.size
-        for i in range(n):
-            for j in range(n):
-                src_off = src_vas[i] + j * nbytes_each
-                dst_off = dst_vas[j] + i * nbytes_each
-                if i == j:
-                    data = self.ranks[i].task.read(src_off, nbytes_each)
-                    self.ranks[i].task.write(dst_off, data)
-                else:
-                    self._xfer(i, j, src_off, dst_off, nbytes_each,
-                               tag=6000 + i * n + j)
-
     def alltoallv(self, src_vas: list[int],
                   send_counts: list[list[int]],
                   dst_vas: list[int]) -> list[list[int]]:
         """Vector alltoall: rank i sends ``send_counts[i][j]`` bytes to
         rank j.  Send slices are packed consecutively per sender;
         receive slices are packed consecutively per receiver in sender
-        order.  Returns the receive counts matrix (recv[j][i])."""
+        order.  Returns the receive counts matrix (recv[j][i]).
+
+        Raises :class:`~repro.errors.InvalidArgument`, before any byte
+        moves, unless both address lists hold one address per rank and
+        ``send_counts`` is an n×n matrix of non-negative ints."""
+        self._check_vas(src_vas)
+        self._check_vas(dst_vas)
         n = self.size
+        if (len(send_counts) != n
+                or any(len(row) != n for row in send_counts)
+                or not all(isinstance(c, int) and c >= 0
+                           for row in send_counts for c in row)):
+            raise InvalidArgument(
+                f"send_counts must be a {n}x{n} matrix of non-negative "
+                f"ints, got {send_counts!r}")
         recv_counts = [[send_counts[i][j] for i in range(n)]
                        for j in range(n)]
         for i in range(n):

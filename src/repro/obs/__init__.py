@@ -117,12 +117,6 @@ class Observability:
             return
         self.metrics.counter(name).inc(n)
 
-    def set_gauge(self, name: str, value: float) -> None:
-        """Set gauge ``name`` (no-op while disabled)."""
-        if not self.enabled:
-            return
-        self.metrics.gauge(name).set(value)
-
     def observe(self, name: str, value: float,
                 buckets: tuple = NS_BUCKETS) -> None:
         """Observe ``value`` into histogram ``name`` (no-op while

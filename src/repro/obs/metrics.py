@@ -95,10 +95,6 @@ class Gauge(Metric):
         """Adjust the current value by ``+n``."""
         self.set(self.value + n)
 
-    def dec(self, n: float = 1) -> None:
-        """Adjust the current value by ``-n``."""
-        self.set(self.value - n)
-
     def snapshot(self) -> dict:
         return {"value": self.value, "max": self.max_value,
                 "min": self.min_value}
@@ -147,23 +143,6 @@ class Histogram(Metric):
     def mean(self) -> float:
         """Mean of all observations (0.0 when empty)."""
         return self.sum / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> float | None:
-        """Upper bound of the bucket holding the ``q``-quantile
-        observation (None when empty; ``inf`` if it landed in the
-        overflow bucket)."""
-        if not self.count:
-            return None
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        rank = q * self.count
-        running = 0
-        for i, n in enumerate(self.counts):
-            running += n
-            if running >= rank and n:
-                return (self.buckets[i] if i < len(self.buckets)
-                        else float("inf"))
-        return float("inf")
 
     def snapshot(self) -> dict:
         labels = [f"le_{b}" for b in self.buckets] + ["inf"]

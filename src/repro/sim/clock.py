@@ -426,7 +426,3 @@ class _Span:
     def elapsed_ns(self) -> int:
         end = self._stop if self._stop is not None else self._clock.now_ns
         return end - self._start
-
-    @property
-    def elapsed_us(self) -> float:
-        return self.elapsed_ns / 1000.0

@@ -18,7 +18,7 @@ Every figure is a dataclass field so ablation benchmarks can sweep them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -78,10 +78,6 @@ class CostModel:
     retransmit_timeout_ns: int = 20_000
     retransmit_backoff: float = 2.0
     retransmit_timeout_max_ns: int = 640_000
-    #: blocking-wait completion: kernel trap + reschedule ("reawakening a
-    #: process is, of course, more expensive than polling on a local
-    #: memory location")
-    reschedule_ns: int = 8_000
     #: fixed cost of one ODP fault-service round trip: NIC posts the
     #: fault request, the driver takes it, patches the TPT, rings the
     #: resume doorbell (the page-fault work itself is charged by the
@@ -92,9 +88,6 @@ class CostModel:
     #: invalidating one ODP TPT entry under pressure (PCI write + fence)
     odp_invalidate_page_ns: int = 500
 
-    # -- misc ----------------------------------------------------------------
-    extra: dict = field(default_factory=dict, compare=False)
-
     # -- derived helpers -----------------------------------------------------
 
     def memcpy_ns(self, nbytes: int) -> int:
@@ -104,14 +97,6 @@ class CostModel:
     def dma_ns(self, nbytes: int) -> int:
         """Wire/DMA transfer cost for ``nbytes`` (excluding setup)."""
         return int(self.dma_per_byte_ns * nbytes)
-
-    def major_fault_ns(self) -> int:
-        """Total cost of a fault that must read a page from swap."""
-        return self.major_fault_base_ns + self.disk_io_page_ns
-
-    def scaled(self, **overrides: float) -> "CostModel":
-        """Return a copy with the named fields replaced (for ablations)."""
-        return replace(self, **overrides)
 
 
 #: Cost model with every charge zero — for pure-correctness tests that do
@@ -127,7 +112,7 @@ FREE = CostModel(
     doorbell_ring_ns=0, descriptor_build_ns=0, descriptor_fetch_ns=0,
     dma_setup_ns=0, dma_per_byte_ns=0.0, pio_word_ns=0,
     pio_stream_per_byte_ns=0.0,
-    nic_wire_latency_ns=0, completion_post_ns=0, reschedule_ns=0,
+    nic_wire_latency_ns=0, completion_post_ns=0,
     retransmit_timeout_ns=0, retransmit_timeout_max_ns=0,
     atomic_rmw_ns=0, atomic_contention_window_ns=0,
     odp_fault_service_base_ns=0, odp_suspend_resume_ns=0,

@@ -136,14 +136,6 @@ class FaultStats:
     nic_resets: int = 0
     crashes: int = 0
 
-    @property
-    def total(self) -> int:
-        return (self.drops + self.duplicates + self.corruptions
-                + self.delays + self.dma_failures
-                + self.registration_failures + self.pin_failures
-                + self.nic_resets + self.crashes)
-
-
 @dataclass
 class FaultPlan:
     """A seeded schedule of injected failures.

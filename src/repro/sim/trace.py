@@ -14,8 +14,8 @@ Two correctness properties the querying API guarantees:
 * **Eviction is visible.**  The ring drops the oldest event when full;
   :meth:`Trace.dropped_count` says how many events of a kind were lost,
   and in strict mode (``Trace(..., strict=True)`` or ``trace.strict =
-  True``) :meth:`Trace.of_kind`/:meth:`Trace.last` raise
-  :class:`TraceEvicted` instead of silently returning a partial view.
+  True``) :meth:`Trace.of_kind` raises :class:`TraceEvicted` instead
+  of silently returning a partial view.
   The default (non-strict) mode warns with :class:`TraceEvictionWarning`
   once per kind.
 * **Details are immutable history.**  ``emit(frames=live_list)``
@@ -46,7 +46,7 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Iterator
+from typing import Any, Deque, Iterator
 
 from repro.errors import ReproError
 from repro.obs import Observability
@@ -200,26 +200,6 @@ class Trace:
         self._check_evicted(kind)
         return [_event(record) for record in self._events
                 if record[1] == kind]
-
-    def where(self, pred: Callable[[TraceEvent], bool]) -> list[TraceEvent]:
-        """All retained events satisfying ``pred`` (retained only: events
-        evicted from the ring are not consulted — check
-        :meth:`dropped_count` for the kinds you care about)."""
-        return [e for e in self if pred(e)]
-
-    def last(self, kind: str) -> TraceEvent | None:
-        """Most recent retained event of ``kind``, or None.
-
-        Subject to the same eviction check as :meth:`of_kind`: a strict
-        trace raises when earlier events of ``kind`` were evicted (the
-        *most recent* is retained, but "None" would be wrong if all were
-        evicted, so the check keeps both cases honest).
-        """
-        self._check_evicted(kind)
-        for record in reversed(self._events):
-            if record[1] == kind:
-                return _event(record)
-        return None
 
     def clear(self) -> None:
         """Start a fresh observation window: drop retained events AND

@@ -68,22 +68,14 @@ class CompletionQueue:
                 events.emit(COMPLETION, token=token, vi=completion.vi_id,
                             queue=completion.queue)
 
-    def poll(self) -> Completion | None:
-        """User side: pop the oldest completion, or None."""
-        if self._items:
-            completion = self._items.popleft()
-            self._note_observed(completion)
-            return completion
-        return None
-
     def drain_batch(self, max_items: int | None = None,
                     ) -> list[Completion]:
         """User side: pop up to ``max_items`` completions (all queued
-        completions when None) in FIFO order.
+        completions when None) in FIFO order (``VipCQDone`` pops one).
 
-        The batched analogue of :meth:`poll` — one call services a whole
-        burst of completions, so progress loops driving many VIs pay the
-        call overhead once per drain instead of once per completion.
+        One call services a whole burst of completions, so progress
+        loops driving many VIs pay the call overhead once per drain
+        instead of once per completion.
         """
         items = self._items
         if max_items is None or max_items >= len(items):

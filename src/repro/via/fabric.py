@@ -119,18 +119,6 @@ class Fabric:
         self.acks_dropped = 0
         self.packets_nacked = 0
         self.fault_plan: "FaultPlan | None" = None
-        self._connmgr = None
-
-    @property
-    def connmgr(self):
-        """The fabric's client/server connection manager (lazy)."""
-        if self._connmgr is None:
-            # Loaded by the first connection through the manager, so
-            # that a run which connects VIs directly never loads it.
-            # repro-lint: allow(local-import) -- set-up only
-            from repro.via.connmgr import ConnectionManager
-            self._connmgr = ConnectionManager(self)
-        return self._connmgr
 
     # -- topology -----------------------------------------------------------
 

@@ -227,7 +227,7 @@ class KernelAgent:
                 backend=self.backend.name,
                 first_vpn=region.first_vpn, npages=region.npages,
                 uid=task.uid,
-                quota_pages=self.tenants.quota_of(task.uid))
+                quota_pages=self.tenants.default_quota_pages)
         self.kernel.trace.emit(REGISTER, pid=task.pid, va=va,
                                nbytes=nbytes, handle=region.handle,
                                backend=self.backend.name)

@@ -51,13 +51,3 @@ class LockingBackend(abc.ABC):
     @abc.abstractmethod
     def unlock(self, kernel: "Kernel", cookie: object) -> None:
         """Release a previous :meth:`lock` identified by its cookie."""
-
-    def describe(self) -> dict:
-        """Capability summary for reports (E1/E4 matrices)."""
-        return {
-            "name": self.name,
-            "reliable": self.reliable,
-            "supports_multiple_registration":
-                self.supports_multiple_registration,
-            "walks_page_tables": self.walks_page_tables,
-        }

@@ -100,7 +100,3 @@ class MlockLocking(LockingBackend):
                     kernel.do_munlock(task, run_start * PAGE_SIZE,
                                       (vpn - run_start) * PAGE_SIZE)
                     run_start = None
-
-    def lock_count(self, pid: int, vpn: int) -> int:
-        """Current registration count for one page (tracked flavour)."""
-        return self._lock_counts.get((pid, vpn), 0)

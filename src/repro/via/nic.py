@@ -77,15 +77,7 @@ class VIANic:
         self.rdma_writes_completed = 0
         self.rdma_reads_completed = 0
         self.atomics_completed = 0    #: requester-side atomic completions
-        self.atomics_served = 0       #: responder-side RMWs executed
-        self.atomic_replays = 0       #: retransmits answered from cache
-        self.atomic_rejects = 0       #: misaligned/unregistered/unpinned
-        self.recv_drops = 0           #: arrivals with no posted descriptor
-        self.protection_faults = 0
         self.retransmits = 0          #: reliable-mode resends
-        self.duplicates_dropped = 0   #: retransmits deduplicated by seq
-        self.dma_faults = 0           #: injected DMA failures absorbed
-        self.resets = 0               #: NIC resets (fault injection)
         self.dma_suspensions = 0      #: transfers parked on an ODP fault
         #: the kernel agent's ODP fault handler, bound at agent
         #: construction: ``(handle, pages, token=) -> {page: frame}``
@@ -123,14 +115,6 @@ class VIANic:
         if vi is None:
             raise ViaConnectionError(f"{self.name}: no VI {vi_id}")
         return vi
-
-    def destroy_vi(self, vi_id: int) -> None:
-        """Remove a VI (must be disconnected)."""
-        vi = self.vi(vi_id)
-        if vi.state == ViState.CONNECTED:
-            raise ViaConnectionError(
-                f"VI {vi_id} is still connected")
-        del self.vis[vi_id]
 
     def teardown_vi(self, vi_id: int, reason: str = "teardown") -> int:
         """Forcibly remove a VI in *any* state (exit path / reaper).
@@ -176,7 +160,6 @@ class VIANic:
         the volatile translation cache does **not**: it is on-adapter
         SRAM and is flushed wholesale.
         """
-        self.resets += 1
         self.tpt.invalidate_translations()
         # the atomic unit's word-hold latches are on-adapter state too
         self._atomic_busy.clear()
@@ -437,7 +420,6 @@ class VIANic:
         try:
             local_segs = self._translate_local(vi, desc)
         except (ProtectionError, NotRegistered) as exc:
-            self.protection_faults += 1
             self.kernel.trace.emit("via_send_error", nic=self.name,
                                    vi=vi.vi_id, status=exc.status)
             self._complete_send(vi, desc, exc.status, 0)
@@ -453,7 +435,6 @@ class VIANic:
         try:
             payload = self.dma.read_gather(local_segs)
         except DMAFault:
-            self.dma_faults += 1
             self.kernel.trace.emit("via_dma_fault", nic=self.name,
                                    vi=vi.vi_id, side="send")
             self._complete_send(vi, desc, VIP_ERROR_NIC, 0)
@@ -524,7 +505,6 @@ class VIANic:
             self.dma.write_scatter(
                 _trim_segments(local_segs, len(payload)), payload)
         except DMAFault:
-            self.dma_faults += 1
             self.kernel.trace.emit("via_dma_fault", nic=self.name,
                                    vi=vi.vi_id, side="send")
             self._complete_send(vi, desc, VIP_ERROR_NIC, 0)
@@ -558,7 +538,6 @@ class VIANic:
                 local_segs, original.to_bytes(ATOMIC_OPERAND_BYTES,
                                               "little"))
         except DMAFault:
-            self.dma_faults += 1
             self.kernel.trace.emit("via_dma_fault", nic=self.name,
                                    vi=vi.vi_id, side="send")
             self._complete_send(vi, desc, VIP_ERROR_NIC, 0)
@@ -607,7 +586,6 @@ class VIANic:
         # without executing it again.
         if reliability != ReliabilityLevel.UNRELIABLE and packet.seq:
             if packet.seq <= vi.rx_seq:
-                self.duplicates_dropped += 1
                 self.kernel.trace.emit("via_duplicate", nic=self.name,
                                        vi=vi.vi_id, seq=packet.seq)
                 return VIP_SUCCESS
@@ -631,7 +609,6 @@ class VIANic:
             # "A receive descriptor ... has to be posted before the
             # sender's data arrives."  Unreliable: silent drop.
             # Reliable: the connection is broken.
-            self.recv_drops += 1
             self.kernel.trace.emit("via_recv_drop", nic=self.name,
                                    vi=vi.vi_id)
             return self._refuse(vi, reliability, VIP_ERROR_CONN_LOST)
@@ -643,7 +620,6 @@ class VIANic:
         try:
             segs = self._translate_local(vi, desc)
         except (ProtectionError, NotRegistered) as exc:
-            self.protection_faults += 1
             self.kernel.trace.emit("via_recv_error", nic=self.name,
                                    vi=vi.vi_id, status=exc.status)
             desc.complete(exc.status, 0)
@@ -653,7 +629,6 @@ class VIANic:
             self.dma.write_scatter(
                 _trim_segments(segs, len(packet.payload)), packet.payload)
         except DMAFault:
-            self.dma_faults += 1
             desc.complete(VIP_ERROR_NIC, 0)
             vi.complete_recv(desc)
             self.kernel.trace.emit("via_dma_fault", nic=self.name,
@@ -678,14 +653,12 @@ class VIANic:
                 packet.remote_handle, packet.remote_va,
                 len(packet.payload), vi.prot_tag, rdma_write=True)
         except (ProtectionError, NotRegistered) as exc:
-            self.protection_faults += 1
             self.kernel.trace.emit("via_rdma_protfault", nic=self.name,
                                    vi=vi.vi_id, status=exc.status)
             return self._refuse(vi, reliability, exc.status)
         try:
             self.dma.write_scatter(segs, packet.payload)
         except DMAFault:
-            self.dma_faults += 1
             self.kernel.trace.emit("via_dma_fault", nic=self.name,
                                    vi=vi.vi_id, side="rdma_write")
             return self._refuse(vi, reliability, VIP_ERROR_NIC)
@@ -693,7 +666,6 @@ class VIANic:
         # consuming one receive descriptor (VIA spec §2.2.2).
         if packet.immediate is not None:
             if not vi.recv_queue:
-                self.recv_drops += 1
                 self.kernel.trace.emit("via_recv_drop", nic=self.name,
                                        vi=vi.vi_id)
                 return self._refuse(vi, reliability, VIP_ERROR_CONN_LOST)
@@ -717,7 +689,6 @@ class VIANic:
                 packet.remote_handle, packet.remote_va,
                 packet.read_length, vi.prot_tag, rdma_read=True)
         except (ProtectionError, NotRegistered) as exc:
-            self.protection_faults += 1
             self.kernel.trace.emit("via_rdma_protfault", nic=self.name,
                                    vi=vi.vi_id, status=exc.status)
             if reliability != ReliabilityLevel.UNRELIABLE:
@@ -726,7 +697,6 @@ class VIANic:
         try:
             return VIP_SUCCESS, self.dma.read_gather(segs)
         except DMAFault:
-            self.dma_faults += 1
             self.kernel.trace.emit("via_dma_fault", nic=self.name,
                                    vi=vi.vi_id, side="rdma_read")
             if reliability != ReliabilityLevel.UNRELIABLE:
@@ -750,8 +720,6 @@ class VIANic:
         if reliability != ReliabilityLevel.UNRELIABLE and packet.seq:
             cached = vi.atomic_responses.get(packet.seq)
             if cached is not None:
-                self.duplicates_dropped += 1
-                self.atomic_replays += 1
                 self.kernel.trace.emit("via_atomic_replay", nic=self.name,
                                        vi=vi.vi_id, seq=packet.seq)
                 return cached
@@ -798,7 +766,6 @@ class VIANic:
         obs = self.kernel.obs
 
         def reject(status: str, reason: str) -> tuple[str, int]:
-            self.atomic_rejects += 1
             trace.emit("via_atomic_reject", nic=self.name, vi=vi.vi_id,
                        reason=reason, va=packet.remote_va, status=status)
             if reliability != ReliabilityLevel.UNRELIABLE:
@@ -812,7 +779,6 @@ class VIANic:
                 packet.remote_handle, packet.remote_va,
                 ATOMIC_OPERAND_BYTES, vi.prot_tag, rdma_atomic=True)
         except (ProtectionError, NotRegistered) as exc:
-            self.protection_faults += 1
             return reject(exc.status, "protection")
         addr = segs[0][0]
         # Residency check: unlike fire-and-forget DMA (which must stay
@@ -850,7 +816,6 @@ class VIANic:
         try:
             original = self.dma.atomic_rmw(addr, rmw)
         except DMAFault:
-            self.dma_faults += 1
             trace.emit("via_dma_fault", nic=self.name, vi=vi.vi_id,
                        side="atomic")
             if reliability != ReliabilityLevel.UNRELIABLE:
@@ -858,7 +823,6 @@ class VIANic:
             return VIP_ERROR_NIC, 0
         self._atomic_busy[addr] = (
             clock.now_ns + self.kernel.costs.atomic_contention_window_ns)
-        self.atomics_served += 1
         if obs.enabled:
             obs.metrics.counter("via.atomic.served").inc()
             obs.metrics.counter(f"via.atomic.{kind.value}").inc()

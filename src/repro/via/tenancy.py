@@ -26,9 +26,7 @@ the budget layer the Kernel Agent consults before any pin is taken:
 
 Observability (all under ``obs.enabled``): ``tenant.<uid>.pinned_pages``
 and ``via.tenancy.total_pinned_pages`` gauges, summed over every service
-that shares the facade (a cluster's machines share one), a
-``tenant.<uid>.over_budget`` gauge that reads 1 while any of those
-services has the tenant over budget,
+that shares the facade (a cluster's machines share one),
 ``via.admission.{accepted,denied,degraded}`` counters, and a
 ``via.admission.wait_ns`` histogram of time spent inside the degrade
 ladder.
@@ -63,11 +61,9 @@ _PEERS: WeakKeyDictionary[Observability, WeakSet[TenantService]] = \
 
 @dataclass
 class TenantAccount:
-    """One tenant's budget and usage, plus its admission history."""
+    """One tenant's usage, plus its admission history."""
 
     uid: int
-    #: explicit per-tenant budget; None = inherit the service default
-    quota_pages: int | None = None
     pinned_pages: int = 0
     peak_pinned_pages: int = 0
     registrations: int = 0       #: live registration records
@@ -75,11 +71,6 @@ class TenantAccount:
     denied: int = 0
     degraded: int = 0            #: accepted, but only after shedding/backoff
     wait_ns: int = 0             #: total simulated time spent in backoff
-    #: a quota reload left usage above the new budget; live pins are
-    #: never revoked, so the flag stands until :meth:`~TenantService.credit`
-    #: drains usage back under the budget
-    over_budget: bool = False
-    quota_reloads: int = 0       #: :meth:`~TenantService.set_quota` calls
 
 
 class TenantService:
@@ -87,8 +78,8 @@ class TenantService:
     Kernel Agent.
 
     Defaults are fully open (no quota, no ceiling) so single-tenant
-    setups pay nothing; budgets arrive via the constructor knobs or
-    :meth:`set_quota`.
+    setups pay nothing; every uid gets the same ``default_quota_pages``
+    budget.
     """
 
     def __init__(self, kernel: "Kernel", *,
@@ -123,52 +114,6 @@ class TenantService:
         if acct is None:
             acct = self.accounts[uid] = TenantAccount(uid=uid)
         return acct
-
-    def set_quota(self, uid: int, pages: int | None, *,
-                  shed: bool = False) -> int:
-        """Hot-reload one tenant's pinned-page budget (None = back to
-        the service default).
-
-        Safe at any point in the tenant's lifetime, including while its
-        usage exceeds the new budget: live registrations are never
-        revoked.  Instead the account is marked
-        :attr:`~TenantAccount.over_budget`, the next :meth:`admit`
-        enters the degrade ladder immediately (shed, reap, back off)
-        rather than fast-pathing, and :meth:`credit` clears the flag
-        once deregistrations drain usage back under the budget.  With
-        ``shed=True`` the tenant's unused regcache entries are shed
-        right now, toward the deficit.
-
-        Returns the remaining deficit in pages (0 = within budget).
-        """
-        if pages is not None and pages < 0:
-            raise ValueError(f"quota must be >= 0, got {pages}")
-        acct = self.account(uid)
-        acct.quota_pages = pages
-        acct.quota_reloads += 1
-        effective = self.quota_of(uid)
-        deficit = (0 if effective is None
-                   else max(0, acct.pinned_pages - effective))
-        freed = 0
-        if deficit and shed:
-            freed = self._shed_caches(deficit, uid=uid)
-            # Shedding deregisters through the normal credit() path, so
-            # the account is already up to date — recompute.
-            deficit = max(0, acct.pinned_pages - effective)
-        acct.over_budget = deficit > 0
-        self.kernel.trace.emit(
-            "quota_reload", uid=uid, quota_pages=effective,
-            pinned_pages=acct.pinned_pages, deficit_pages=deficit,
-            shed_pages=freed)
-        self._publish_over_budget(uid)
-        return deficit
-
-    def quota_of(self, uid: int) -> int | None:
-        """The effective budget for ``uid`` (None = unlimited)."""
-        acct = self.accounts.get(uid)
-        if acct is not None and acct.quota_pages is not None:
-            return acct.quota_pages
-        return self.default_quota_pages
 
     def note_task(self, task: "Task") -> None:
         """Remember the pid→uid binding (survives the pid's death, for
@@ -240,7 +185,7 @@ class TenantService:
         """
         self.note_task(task)
         acct = self.account(task.uid)
-        quota = self.quota_of(task.uid)
+        quota = self.default_quota_pages
         ceiling = self.host_ceiling_pages
         if quota is None and ceiling is None:
             acct.accepted += 1
@@ -331,14 +276,6 @@ class TenantService:
         acct.pinned_pages -= npages
         acct.registrations -= 1
         self.total_pinned_pages -= npages
-        if acct.over_budget:
-            quota = self.quota_of(acct.uid)
-            if quota is None or acct.pinned_pages <= quota:
-                acct.over_budget = False
-                self.kernel.trace.emit(
-                    "quota_recovered", uid=acct.uid,
-                    pinned_pages=acct.pinned_pages, quota_pages=quota)
-                self._publish_over_budget(acct.uid)
         self._publish_account(acct)
 
     # -------------------------------------------------------------- obs
@@ -357,15 +294,6 @@ class TenantService:
                     if uid in peer.accounts))
             metrics.gauge("via.tenancy.total_pinned_pages").set(
                 sum(peer.total_pinned_pages for peer in peers))
-
-    def _publish_over_budget(self, uid: int) -> None:
-        """Set the tenant's ``over_budget`` gauge to 1 while any service
-        on the facade has the tenant over budget."""
-        obs = self.kernel.obs
-        if obs.enabled:
-            obs.metrics.gauge(f"tenant.{uid}.over_budget").set(int(any(
-                peer.accounts[uid].over_budget for peer in _PEERS[obs]
-                if uid in peer.accounts)))
 
     def _publish_admission(self, *, denied: bool = False,
                            degraded: bool = False,
@@ -392,15 +320,12 @@ class TenantService:
             "peak_total_pinned_pages": self.peak_total_pinned_pages,
             "tenants": {
                 uid: {
-                    "quota_pages": self.quota_of(uid),
                     "pinned_pages": acct.pinned_pages,
                     "peak_pinned_pages": acct.peak_pinned_pages,
                     "accepted": acct.accepted,
                     "denied": acct.denied,
                     "degraded": acct.degraded,
                     "wait_ns": acct.wait_ns,
-                    "over_budget": acct.over_budget,
-                    "quota_reloads": acct.quota_reloads,
                 }
                 for uid, acct in sorted(self.accounts.items())
             },

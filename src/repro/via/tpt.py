@@ -194,11 +194,6 @@ class MemoryRegion:
         self._extent_map = (starts, extents, version)
         return starts, extents
 
-    @property
-    def extents(self) -> list[tuple[int, int]]:
-        """Maximal physically-contiguous ``(phys_base, nbytes)`` runs."""
-        return self.extent_map()[1]
-
     def covers(self, va: int, length: int) -> bool:
         """True iff ``[va, va+length)`` lies inside the region."""
         return (length >= 0 and va >= self.va_base
@@ -490,13 +485,3 @@ class TranslationProtectionTable:
             remaining -= n
             idx += 1
         return segments
-
-    @property
-    def entries_free(self) -> int:
-        """Remaining page-entry capacity."""
-        return self.capacity_entries - self.entries_used
-
-    @property
-    def cached_translations(self) -> int:
-        """Number of memoized spans currently held."""
-        return len(self._xcache)

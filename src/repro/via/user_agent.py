@@ -3,9 +3,8 @@
 One :class:`UserAgent` binds one task to one NIC (via its Kernel Agent)
 and exposes the operations user code performs: memory registration,
 VI/CQ creation, posting descriptors, and polling for completion.  Method
-names follow Intel's VIPL ("Virtual Interface Provider Library") with
-snake_case spellings; ``Vip*`` aliases are provided for readers coming
-from the spec.
+names follow Intel's VIPL ("Virtual Interface Provider Library") in
+snake_case; each docstring names the ``Vip*`` call it stands for.
 
 After setup, the data path (:meth:`post_send`, :meth:`post_recv`,
 :meth:`send_done`, ...) involves **no kernel calls** — the point of the
@@ -18,7 +17,7 @@ from typing import TYPE_CHECKING
 
 from repro.errors import QueueEmpty
 from repro.via.constants import ReliabilityLevel
-from repro.via.cq import Completion, CompletionQueue
+from repro.via.cq import CompletionQueue
 from repro.via.descriptor import DataSegment, Descriptor
 from repro.via.kernel_agent import KernelAgent, Registration
 from repro.via.vi import VirtualInterface
@@ -70,23 +69,6 @@ class UserAgent:
         return self.agent.create_vi(self.task, reliability=reliability,
                                     send_cq=send_cq, recv_cq=recv_cq)
 
-    # -------------------------------------------------------- connection setup
-
-    def connect_wait(self, vi: VirtualInterface,
-                     discriminator: bytes) -> None:
-        """``VipConnectWait``: park ``vi`` as a server under
-        ``discriminator`` on this NIC."""
-        assert self.nic.fabric is not None
-        self.nic.fabric.connmgr.listen(self.nic, vi, discriminator)
-
-    def connect_request(self, vi: VirtualInterface, remote_nic_name: str,
-                        discriminator: bytes) -> None:
-        """``VipConnectRequest``: connect ``vi`` to the server listening
-        at ``(remote_nic_name, discriminator)``."""
-        assert self.nic.fabric is not None
-        self.nic.fabric.connmgr.connect_request(
-            self.nic, vi, remote_nic_name, discriminator)
-
     # ----------------------------------------------------------------- posting
 
     def post_send(self, vi: VirtualInterface, desc: Descriptor) -> None:
@@ -124,32 +106,6 @@ class UserAgent:
         if not vi.recv_done:
             raise QueueEmpty(f"VI {vi.vi_id}: no completed receive")
         return vi.recv_done.popleft()
-
-    def send_wait(self, vi: VirtualInterface) -> Descriptor:
-        """``VipSendWait``: blocking-wait variant of :meth:`send_done`.
-
-        Costs a kernel trap plus a reschedule on top of the completion —
-        the price MPI/Pro's waiting mode paid versus ScaMPI's polling
-        (this collection's comparison paper measured the difference as
-        tens of microseconds of added latency)."""
-        kernel = self.agent.kernel
-        kernel.clock.charge(kernel.costs.syscall_ns, "via_cpu")
-        kernel.clock.charge(kernel.costs.reschedule_ns, "via_cpu")
-        return self.send_done(vi)
-
-    def recv_wait(self, vi: VirtualInterface) -> Descriptor:
-        """``VipRecvWait``: blocking-wait variant of :meth:`recv_done`."""
-        kernel = self.agent.kernel
-        kernel.clock.charge(kernel.costs.syscall_ns, "via_cpu")
-        kernel.clock.charge(kernel.costs.reschedule_ns, "via_cpu")
-        return self.recv_done(vi)
-
-    def cq_done(self, cq: CompletionQueue) -> Completion:
-        """``VipCQDone``: pop the next completion from a CQ."""
-        completion = cq.poll()
-        if completion is None:
-            raise QueueEmpty("completion queue empty")
-        return completion
 
     # -------------------------------------------------------------- conveniences
 
@@ -210,12 +166,3 @@ class UserAgent:
             remaining -= n
         return bytes(out)
 
-
-# VIPL-style aliases, for readers following the specification text.
-UserAgent.VipRegisterMem = UserAgent.register_mem      # type: ignore[attr-defined]
-UserAgent.VipDeregisterMem = UserAgent.deregister_mem  # type: ignore[attr-defined]
-UserAgent.VipCreateVi = UserAgent.create_vi            # type: ignore[attr-defined]
-UserAgent.VipPostSend = UserAgent.post_send            # type: ignore[attr-defined]
-UserAgent.VipPostRecv = UserAgent.post_recv            # type: ignore[attr-defined]
-UserAgent.VipSendDone = UserAgent.send_done            # type: ignore[attr-defined]
-UserAgent.VipRecvDone = UserAgent.recv_done            # type: ignore[attr-defined]

@@ -95,10 +95,6 @@ class VirtualInterface:
     # -- state ------------------------------------------------------------------
 
     @property
-    def connected(self) -> bool:
-        return self.state == ViState.CONNECTED
-
-    @property
     def outstanding(self) -> int:
         """Descriptors still queued (posted, not yet completed)."""
         return len(self.send_queue) + len(self.recv_queue)

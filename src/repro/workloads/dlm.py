@@ -178,12 +178,10 @@ class DLMReport:
     releases: int = 0
     increments: int = 0
     crashes: int = 0
-    conn_failures: int = 0               #: clients lost to wire chaos
     reclaims: int = 0
     reclaims_by: dict[str, int] = field(default_factory=dict)
     recovery_ns: list[int] = field(default_factory=list)
     max_bypass: int = 0
-    steps: int = 0
     sim_ns: int = 0
     data_final: dict[int, int] = field(default_factory=dict)
     data_expected: dict[int, int] = field(default_factory=dict)
@@ -897,7 +895,6 @@ class DLMHarness:
         progress, so it exits cleanly (the death signal every design
         watches for) and the oracle treats it like a crash."""
         client.alive = False
-        self.report.conn_failures += 1
         self.report.notes.append(f"{client.name}: {exc}")
         kernel = client.machine.kernel
         if any(t.pid == client.task.pid for t in kernel.tasks):
@@ -928,7 +925,6 @@ class DLMHarness:
                 self.server.step()
             if self.janitor is not None:
                 self.janitor.step()
-        report.steps = steps
         stuck = [c.name for c in self.clients if c.alive and not c.done]
         self._quiesce()
         data_final: dict[int, int] = {}

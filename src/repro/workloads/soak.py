@@ -106,7 +106,6 @@ class SoakReport:
     endpoint_rebuilds: int = 0
     kills_clean: int = 0
     kills_dirty: int = 0
-    respawns: int = 0
     respawns_denied: int = 0             #: respawn refused by admission
     registrations_sampled: int = 0
     registrations_denied: int = 0
@@ -329,7 +328,6 @@ class SoakHarness:
         side = int(self.rng.integers(0, 2))
         dirty = float(self.rng.random()) < self.config.dirty_kill_fraction
         self._teardown_pair(tenant, kill_side=side, dirty=dirty)
-        self.report.respawns += 1
         self._spawn_pair(tenant)
 
     def _op_pressure(self) -> None:
@@ -367,10 +365,10 @@ class SoakHarness:
                     f"op {op_index}: {machine.name} has {total} pinned "
                     f"pages, over the host ceiling of "
                     f"{config.host_ceiling_pages}")
+            quota = service.default_quota_pages
             for uid, acct in service.accounts.items():
                 report.max_tenant_pinned_pages = max(
                     report.max_tenant_pinned_pages, acct.pinned_pages)
-                quota = service.quota_of(uid)
                 if quota is not None and acct.pinned_pages > quota:
                     raise AssertionError(
                         f"op {op_index}: uid {uid} on {machine.name} has "
@@ -413,7 +411,6 @@ class SoakHarness:
                 int(self.rng.integers(0, len(self.tenants)))]
             if tenant.down:
                 # Budget permitting, the tenant comes back before its op.
-                self.report.respawns += 1
                 self._spawn_pair(tenant)
                 if tenant.down:
                     continue

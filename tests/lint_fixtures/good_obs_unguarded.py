@@ -21,7 +21,7 @@ def guarded_by_early_return(obs):
 
 def facade_is_self_guarding(obs):
     obs.inc("ops")          # facade call — checks .enabled internally
-    obs.set_gauge("depth", 3)
+    obs.observe("lat_ns", 3)
 
 
 def pragma_suppresses(obs):

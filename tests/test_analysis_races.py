@@ -244,13 +244,11 @@ class TestReporting:
         assert det.counts["unpin-vs-dma"] == 1
         assert det.counts["swap-vs-dma"] == 0
 
-    def test_suppress_and_unsuppress(self):
+    def test_suppress_silences_one_kind(self):
         det = RaceDetector().suppress("unpin-vs-dma")
         det.feed(self.RACY)
         assert det.races == []
-        det.unsuppress("unpin-vs-dma")
-        det.feed([(ev.DMA_BEGIN, {"frames": (7,), "actor": "c"})])
-        assert kinds(det) == ["unpin-vs-dma"]
+        assert det.counts["unpin-vs-dma"] == 0
 
     def test_suppress_checks_spelling(self):
         with pytest.raises(ValueError, match="unknown race kind"):
@@ -347,8 +345,7 @@ class TestLiveCalendarContexts:
         ua_s.task.write(va_s, b"hello")
         reg_s = ua_s.register_mem(va_s, PAGE_SIZE)
         ua_s.post_send(vi_s2, Descriptor.send([ua_s.segment(reg_s)]))
-        completion = cq.poll()
-        assert completion is not None
+        assert len(cq.drain_batch(1)) == 1
 
         for unsub in unsubs:
             unsub()

@@ -222,10 +222,6 @@ class TestModes:
         san.feed([(UNPIN, dict(frames=(9,), pid=1))])
         assert san.violations == []
         assert san.counts["pin-underflow"] == 0
-        san.unsuppress("pin-underflow")
-        with pytest.raises(SanitizerViolation):
-            san.feed([(UNPIN, dict(frames=(9,), pid=1))])
-        assert san.counts["pin-underflow"] == 1
 
     def test_suppress_rejects_typos(self):
         with pytest.raises(ValueError, match="unknown check"):
@@ -355,12 +351,17 @@ class TestRuntimeClean:
         san = KindCountingSanitizer(strict=True).arm(cluster)
         hogs = [MemoryHog(m.kernel, "churner") for m in cluster.machines]
         for hog, m in zip(hogs, cluster.machines):
-            hog.grow(m.kernel.pagemap.num_frames // 2)
+            hog.grow(m.kernel.pagemap.num_frames * 9 // 10)
         pump_transfers(cluster)
         for hog in hogs:
             hog.churn()
         before = san.kinds.copy()
+        writes = [m.kernel.swap.writes for m in cluster.machines]
         pump_transfers(cluster, rounds=4)
+        # The transfers ran under memory pressure: both hosts swapped
+        # while they pinned, used and released their buffers.
+        assert all(m.kernel.swap.writes > w
+                   for m, w in zip(cluster.machines, writes))
         # Every zero-copy transfer after the churn registered and then
         # deregistered both of its user buffers under the sanitizer.
         churned = san.kinds - before

@@ -123,7 +123,8 @@ class TestReliableSurvivesLoss:
         # nothing extra queued: dedup ate every replayed delivery
         assert r.try_recv_chunk() is None
         if cluster.fabric.acks_dropped:
-            assert r.machine.nic.duplicates_dropped > 0
+            assert r.machine.nic.name in [
+                e["nic"] for e in cluster.trace.of_kind("via_duplicate")]
 
 
 class TestDuplicationAndCorruption:
@@ -135,8 +136,8 @@ class TestDuplicationAndCorruption:
             data = payload_bytes(rng, 700)
             s.send_chunk(data)
             assert r.recv_chunk()[0] == data
-        assert r.machine.nic.duplicates_dropped >= 8
-        assert cluster.trace.count("via_duplicate") >= 8
+        assert [e["nic"] for e in cluster.trace.of_kind("via_duplicate")
+                ].count(r.machine.nic.name) >= 8
         assert cluster.trace.count("packet_duplicated") >= 8
         assert r.try_recv_chunk() is None
         run_audits(cluster)
@@ -212,8 +213,8 @@ class TestNicReset:
         sreg = ua_s.register_mem(sva, PAGE_SIZE)
         desc = ua_s.send_bytes(vi_s, sreg, b"doomed")
 
-        assert cluster[1].nic.resets == 1
-        assert cluster.trace.count("nic_reset") == 1
+        assert [e["nic"] for e in cluster.trace.of_kind("nic_reset")] \
+            == [cluster[1].nic.name]
         assert vi_r.state == ViState.ERROR
         for d in pending:
             assert d.done
@@ -252,9 +253,9 @@ class TestDmaFaults:
         desc = ua_s.send_bytes(vi_s, sreg, b"never leaves")
         assert desc.status == VIP_ERROR_NIC
         assert vi_s.state == ViState.ERROR
-        assert ua_s.nic.dma_faults == 1
         assert cluster.trace.count("dma_fault_injected") >= 1
-        assert cluster.trace.count("via_dma_fault") == 1
+        assert [e["nic"] for e in cluster.trace.of_kind("via_dma_fault")] \
+            == [ua_s.nic.name]
         run_audits(cluster)
 
     def test_recv_side_dma_fault_is_honest(self):

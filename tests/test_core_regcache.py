@@ -104,7 +104,7 @@ class TestEviction:
         cache.acquire(va, 4 * PAGE_SIZE)
         cache.release(va, 4 * PAGE_SIZE)
         cache.acquire(va + 8 * PAGE_SIZE, 8 * PAGE_SIZE)
-        assert cache.cached_pages <= 8 + 8  # old entry evicted before new
+        assert cache.pages_cached <= 8 + 8  # old entry evicted before new
         assert cache.stats.evictions == 1
 
     def test_flush(self, setup):
@@ -112,7 +112,7 @@ class TestEviction:
         cache.acquire(va, PAGE_SIZE)
         cache.release(va, PAGE_SIZE)
         cache.acquire(va + PAGE_SIZE, PAGE_SIZE)   # still in use
-        assert cache.flush() == 1
+        assert cache.shed(None) == 1               # pages released
         assert cache.cached_regions == 1
 
 
@@ -155,7 +155,7 @@ class TestIndexIdentity:
         assert r_plain is not r_rdma
         assert cache.cached_regions == 2          # no shadowing
         # Both registrations deregister cleanly: nothing leaked.
-        assert cache.flush() == 2
+        assert cache.shed(None) == 2
         assert cache.cached_regions == 0
-        assert cache.cached_pages == 0
+        assert cache.pages_cached == 0
         assert not cache._page_index

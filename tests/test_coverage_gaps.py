@@ -20,7 +20,7 @@ from tests.pairs import connected_pair
 class TestCompletionQueues:
     def test_cq_driven_receive(self):
         """A VI with an attached CQ routes completions there, and
-        VipCQDone pops them."""
+        draining the CQ pops them."""
         cluster, ua_s, ua_r, _, _ = connected_pair("kiobuf")
         cq = ua_r.create_cq()
         vi_s2 = ua_s.create_vi()
@@ -33,12 +33,11 @@ class TestCompletionQueues:
         sva = ua_s.task.mmap(1)
         sreg = ua_s.register_mem(sva, PAGE_SIZE)
         ua_s.send_bytes(vi_s2, sreg, b"to the cq")
-        completion = ua_r.cq_done(cq)
+        [completion] = cq.drain_batch(1)
         assert completion.vi_id == vi_r2.vi_id
         assert completion.queue == "recv"
         assert completion.descriptor.status == VIP_SUCCESS
-        with pytest.raises(QueueEmpty):
-            ua_r.cq_done(cq)
+        assert cq.drain_batch() == []
         # the per-VI done list stayed empty
         with pytest.raises(QueueEmpty):
             ua_r.recv_done(vi_r2)
@@ -69,7 +68,8 @@ class TestUnreliableErrorHandling:
         # dropped at the target, connections stay up.
         assert desc.status == VIP_SUCCESS
         assert vi_r.state == ViState.CONNECTED
-        assert ua_r.nic.protection_faults == 1
+        assert [e["nic"] for e in
+                cluster.trace.of_kind("via_rdma_protfault")] == [ua_r.nic.name]
 
 
 class TestStaleDelivery:
@@ -107,14 +107,6 @@ class TestStaleDelivery:
 
 
 class TestMiscKernelPaths:
-    def test_apply_pressure_helper(self, kernel):
-        t = kernel.create_task()
-        va = t.mmap(16)
-        t.touch_pages(va, 16)
-        freed = kernel.apply_pressure()
-        assert freed > 0
-        assert kernel.trace.count("swap_out") > 0
-
     def test_deregister_before_delivery_faults_cleanly(self):
         """A posted receive whose region is deregistered before the
         matching send arrives completes with VIP_INVALID_MEMORY."""

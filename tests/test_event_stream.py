@@ -207,7 +207,7 @@ def test_deregister_is_recorded_before_the_unlock_munlocks():
     kinds = [e.kind for e in m.kernel.trace]
     assert ev.DEREGISTER in kinds and ev.MUNLOCK in kinds
     assert kinds.index(ev.DEREGISTER) < kinds.index(ev.MUNLOCK)
-    assert m.kernel.trace.last(ev.DEREGISTER)["handle"] == reg.handle
+    assert m.kernel.trace.of_kind(ev.DEREGISTER)[-1]["handle"] == reg.handle
 
 
 @pytest.mark.san_suppress
@@ -222,7 +222,7 @@ def test_record_is_the_trace_writer_while_nobody_subscribes():
     assert hub.record != trace.emit
     first()
     hub.record(ev.MLOCK, pid=1, start_vpn=0, end_vpn=1)
-    record = trace.last(ev.MLOCK)
+    record = trace.of_kind(ev.MLOCK)[-1]
     assert seen == [TraceEvent(record.ts_ns, ev.MLOCK, record.detail, "m0")]
     second()
     assert hub.record == trace.emit and not hub.active

@@ -21,6 +21,16 @@ The same files must read every top-level public class and function of
 ``src/repro``: a ``Name``, an ``Attribute`` or an import alias of that
 name, outside the name's own definition.  The re-export imports of a
 package ``__init__.py`` and the strings of ``__all__`` are not readers.
+
+They must also read every public member of a ``src/repro`` class: each
+public non-dunder ``def`` or property in a class body, and each name
+bound on a class from outside its body (``Cls.alias = Cls.method``).
+A reader is an ``Attribute`` load of that name, or a ``getattr`` with
+that name as a string constant, outside a ``def`` of the same name.
+Matching is by name only: a member whose name another member shares
+counts as read when either is.  A member that only tests read stays
+only if :data:`TEST_ONLY_MEMBERS` lists it with one of the admissible
+reasons in :data:`TEST_ONLY_REASONS`.
 """
 
 from __future__ import annotations
@@ -33,6 +43,39 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
 CALLER_DIRS = ("src", "bench", "benchmarks", "examples", "tools")
 DEFINITIONS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+#: Why a public member may have readers only in the tests.  Nothing
+#: else is admissible: not an alias of a fact another member already
+#: gives, not a second path to what non-test code does another way,
+#: and not a feature only tests reach.
+TEST_ONLY_REASONS = {
+    "hazard": "an operation or state query a paper-hazard test uses to "
+              "drive or observe that hazard, which no other member gives",
+    "safety": "safety code: an override that keeps an invariant on a "
+              "path nothing takes today",
+    "harness": "the StreamChecker feed/expect test harness, and the "
+               "suppress its pytest marks call",
+}
+
+#: ``(Class.member, reason, why)`` for every public member that only
+#: tests read; ``reason`` is a key of :data:`TEST_ONLY_REASONS`.
+TEST_ONLY_MEMBERS = (
+    ("Kernel.fork_task", "hazard",
+     "fork is the COW column of the reliability matrix: the fork tests "
+     "drive a copy-on-write break under a registration with it"),
+    ("FrameList.reverse", "safety",
+     "FrameList overrides every list mutator so that any in-place "
+     "change of a region's frames drops its cached translations"),
+    ("StreamChecker.feed", "harness",
+     "the golden tests drive a checker with hand-built events"),
+    ("StreamChecker.expect", "harness",
+     "a test that provokes a finding captures it, and an expect block "
+     "that captured nothing fails at disarm"),
+    ("StreamChecker.suppress", "harness",
+     "the san_suppress and race_suppress marks silence the kind a "
+     "hazard test provokes on purpose while the suite runs strict"),
+)
 
 
 def _parse(path: pathlib.Path) -> ast.Module:
@@ -190,3 +233,82 @@ def test_every_public_name_has_a_non_test_reader():
     assert not unread, (
         "public names that only tests read (delete them, or move a "
         "test helper under tests/, DESIGN.md §5): " + ", ".join(unread))
+
+
+def _members() -> dict[str, list[str]]:
+    """Member name → ``Class.member`` for every public member of a
+    ``src/repro`` class (a class-body ``def`` or property, or a name
+    bound on the class from outside its body)."""
+    members: dict[str, list[str]] = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = _parse(path)
+        classes = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            classes.add(node.name)
+            for stmt in node.body:
+                if (isinstance(stmt, FUNCTIONS)
+                        and not stmt.name.startswith("_")):
+                    members.setdefault(stmt.name, []).append(
+                        f"{node.name}.{stmt.name}")
+        for node in ast.walk(tree):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target]
+                       if isinstance(node, (ast.AnnAssign, ast.AugAssign))
+                       else [])
+            for target in targets:
+                if (isinstance(target, ast.Attribute)
+                        and isinstance(target.value, ast.Name)
+                        and target.value.id in classes
+                        and not target.attr.startswith("_")):
+                    members.setdefault(target.attr, []).append(
+                        f"{target.value.id}.{target.attr}")
+    return members
+
+
+def _read_members(node: ast.AST, inside: frozenset[str]) -> Iterator[str]:
+    """Attribute loads and ``getattr`` strings under ``node``, except
+    inside a ``def`` of the name read."""
+    if isinstance(node, FUNCTIONS):
+        inside = inside | {node.name}
+    name = None
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        name = node.attr
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr" and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+            and isinstance(node.args[1].value, str)):
+        name = node.args[1].value
+    if name is not None and name not in inside:
+        yield name
+    for child in ast.iter_child_nodes(node):
+        yield from _read_members(child, inside)
+
+
+def unread_public_members() -> list[str]:
+    """``Class.member`` for every public member no non-test file reads."""
+    read: set[str] = set()
+    for path in _caller_files():
+        read.update(_read_members(_parse(path), frozenset()))
+    return sorted(qualified for name, qualifieds in _members().items()
+                  if name not in read for qualified in qualifieds)
+
+
+def test_every_public_method_has_a_non_test_reader():
+    exempt = {member for member, _, _ in TEST_ONLY_MEMBERS}
+    unread = [m for m in unread_public_members() if m not in exempt]
+    assert not unread, (
+        "public members that only tests read (delete them, or list one "
+        "in TEST_ONLY_MEMBERS with an admissible reason, DESIGN.md §5): "
+        + ", ".join(unread))
+
+
+def test_every_exemption_is_test_only_and_admissible():
+    test_only = set(unread_public_members())
+    for member, reason, why in TEST_ONLY_MEMBERS:
+        assert reason in TEST_ONLY_REASONS, (member, reason)
+        assert why, member
+        assert member in test_only, (
+            f"{member} has a non-test reader or is gone: drop it from "
+            "TEST_ONLY_MEMBERS")

@@ -51,7 +51,7 @@ class TestDMAEngine:
         dma.read(64, 1)
         assert trace.count("dma_write") == 1
         assert trace.count("dma_read") == 1
-        assert trace.last("dma_write")["phys_addr"] == 64
+        assert trace.of_kind("dma_write")[-1]["phys_addr"] == 64
 
     def test_no_validity_check_beyond_ram_bounds(self):
         """The engine writes wherever it is pointed — the property the

@@ -76,8 +76,6 @@ class TestPhysicalMemory:
 
     def test_flat_address_helpers(self):
         assert PhysicalMemory.split_phys(PAGE_SIZE * 3 + 17) == (3, 17)
-        assert PhysicalMemory.join_phys(3, 17) == PAGE_SIZE * 3 + 17
-        assert PhysicalMemory.join_phys(5) == PAGE_SIZE * 5
 
     def test_size_bytes(self):
         assert PhysicalMemory(8).size_bytes == 8 * PAGE_SIZE

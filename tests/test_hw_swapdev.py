@@ -23,7 +23,7 @@ class TestSwapDevice:
         assert dev.slots_in_use == 2
         dev.free_slot(a)
         assert dev.slots_in_use == 1
-        assert dev.slots_free == 1
+        assert dev.num_slots - dev.slots_in_use == 1
 
     def test_exhaustion(self):
         dev, _ = make(1)

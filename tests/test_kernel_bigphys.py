@@ -17,15 +17,15 @@ def area(kernel):
 
 class TestReservation:
     def test_reserves_frames_at_boot(self, kernel, area):
-        assert area.total_pages == 32
+        assert len(area.frames) == 32
         for frame in area.frames:
             assert kernel.pagemap.table.flags[frame] & PG_RESERVED
             assert kernel.pagemap.table.tags[frame] == "bigphysarea"
 
     def test_reservation_removes_frames_from_general_use(self, kernel):
-        free0 = kernel.free_pages
+        free0 = kernel.pagemap.free_count
         BigPhysArea(kernel, 32)
-        assert kernel.free_pages == free0 - 32
+        assert kernel.pagemap.free_count == free0 - 32
 
     def test_oversized_reservation_rejected(self, kernel):
         with pytest.raises(OutOfMemory):
@@ -59,7 +59,9 @@ class TestSpecialMalloc:
         assert t.resident_pages() == 4
         t.write(va, b"comm buffer")
         assert t.read(va, 11) == b"comm buffer"
-        assert area.free_pages == 28
+        area.alloc(t, 28)                        # the rest of the pool
+        with pytest.raises(OutOfMemory):
+            area.alloc(t, 1)
 
     def test_pages_never_swapped(self, kernel, area):
         t = kernel.create_task()
@@ -73,7 +75,7 @@ class TestSpecialMalloc:
         t = kernel.create_task()
         va = area.alloc(t, 4)
         area.free(t, va)
-        assert area.free_pages == 32
+        area.alloc(t, 32)                        # the whole pool again
         from repro.errors import SegmentationFault
         with pytest.raises(SegmentationFault):
             t.read(va, 1)
@@ -137,6 +139,6 @@ class TestBigphysBackend:
         be.unlock(kernel, r2.cookie)
 
     def test_capability_summary(self, area):
-        caps = BigphysLocking(area).describe()
-        assert caps["reliable"]
-        assert caps["supports_multiple_registration"]
+        backend = BigphysLocking(area)
+        assert backend.reliable
+        assert backend.supports_multiple_registration

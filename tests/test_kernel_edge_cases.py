@@ -17,7 +17,7 @@ class TestSwapExhaustion:
         t.touch_pages(va, 16)
         freed = paging.swap_out(kernel, 16)
         assert freed == 4                      # only 4 slots existed
-        assert kernel.swap.slots_free == 0
+        assert kernel.swap.slots_in_use == kernel.swap.num_slots
         # Further calls free nothing but do not crash.
         assert paging.swap_out(kernel, 4) == 0
 
@@ -29,7 +29,7 @@ class TestSwapExhaustion:
         with pytest.raises(OutOfMemory):
             t.touch_pages(va, usable + 16)
         # The two swap slots were used in the attempt.
-        assert kernel.swap.slots_free == 0
+        assert kernel.swap.slots_in_use == kernel.swap.num_slots
 
     def test_swap_in_frees_slot_for_reuse(self):
         kernel = Kernel(num_frames=128, swap_slots=1)
@@ -38,9 +38,9 @@ class TestSwapExhaustion:
         t.write(va, b"a")
         t.write(va + PAGE_SIZE, b"b")
         assert paging.swap_out(kernel, 1) == 1
-        assert kernel.swap.slots_free == 0
+        assert kernel.swap.slots_in_use == kernel.swap.num_slots
         t.read(va, 1)                      # swap-in releases the slot
-        assert kernel.swap.slots_free == 1
+        assert kernel.swap.num_slots - kernel.swap.slots_in_use == 1
         assert paging.swap_out(kernel, 1) == 1   # reusable
 
 
@@ -98,8 +98,8 @@ class TestReclaimPriorities:
         t.touch_pages(va, 8)
         paging.try_to_free_pages(kernel, 2)
         assert kernel.trace.count("reclaim_start") == 1
-        done = kernel.trace.last("reclaim_done")
-        assert done is not None and done["freed"] >= 2
+        done = kernel.trace.of_kind("reclaim_done")[-1]
+        assert done["freed"] >= 2
 
     def test_try_to_free_gives_up_cleanly(self, kernel):
         # Nothing reclaimable at all.

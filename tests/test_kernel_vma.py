@@ -115,9 +115,3 @@ class TestVMAList:
         removed = vl.remove_range(15, 25)
         assert [(a.start_vpn, a.end_vpn) for a in removed] == [(15, 25)]
         assert [(a.start_vpn, a.end_vpn) for a in vl] == [(10, 15), (25, 30)]
-
-    def test_page_counters(self):
-        vl = make((10, 20), (30, 40))
-        vl.set_flags_range(30, 40, set_bits=VM_LOCKED)
-        assert vl.total_pages() == 20
-        assert vl.locked_pages() == 10

@@ -1,5 +1,5 @@
 """Tests for the MPI collectives (barrier, bcast, reduce, allreduce,
-gather, scatter, alltoall, alltoallv)."""
+gather, alltoallv)."""
 
 import numpy as np
 import pytest
@@ -116,17 +116,6 @@ class TestGatherScatter:
         for i in range(n):
             assert blob[i * each:(i + 1) * each] == bytes([i]) * each
 
-    def test_scatter(self, world, vas):
-        n = world.size
-        each = 64
-        src = world.ranks[0].task.mmap(4)
-        world.ranks[0].task.touch_pages(src, 4)
-        world.ranks[0].task.write(
-            src, b"".join(bytes([i + 10]) * each for i in range(n)))
-        world.scatter(0, src, vas, each)
-        for i, (r, va) in enumerate(zip(world.ranks, vas)):
-            assert r.task.read(va, each) == bytes([i + 10]) * each
-
     def test_vas_length_checked(self, world, vas):
         with pytest.raises(InvalidArgument):
             world.gather(0, vas[:-1] if world.size > 1 else [], 0, 8)
@@ -139,7 +128,7 @@ class TestAlltoall:
         for i, (r, va) in enumerate(zip(world.ranks, vas)):
             for j in range(n):
                 r.task.write(va + j * each, bytes([i * 16 + j]) * each)
-        world.alltoall(vas, vas2, each)
+        world.alltoallv(vas, [[each] * n for _ in range(n)], vas2)
         for j, (r, va) in enumerate(zip(world.ranks, vas2)):
             for i in range(n):
                 assert r.task.read(va + i * each, each) == \
@@ -163,6 +152,36 @@ class TestAlltoall:
                 assert r.task.read(va + offset, nbytes) == \
                     bytes([i * 16 + j]) * nbytes
                 offset += nbytes
+
+
+    @pytest.mark.parametrize("bad", [
+        "short_src", "short_dst", "short_counts", "ragged_counts",
+        "negative_count", "float_count"])
+    def test_alltoallv_rejects_bad_input_before_moving_bytes(
+            self, world, vas, vas2, bad):
+        n = world.size
+        counts = [[16] * n for _ in range(n)]
+        src, dst = list(vas), list(vas2)
+        if bad == "short_src":
+            src = src[:-1]
+        elif bad == "short_dst":
+            dst = dst[:-1]
+        elif bad == "short_counts":
+            counts = counts[:-1]
+        elif bad == "ragged_counts":
+            counts[-1] = counts[-1][:-1]
+        elif bad == "negative_count":
+            counts[0][-1] = -16
+        else:
+            counts[-1][0] = 16.0
+        for r, va in zip(world.ranks, vas2):
+            r.task.write(va, bytes(16 * n))
+        before_ns = world.clock.now_ns
+        with pytest.raises(InvalidArgument):
+            world.alltoallv(src, counts, dst)
+        assert world.clock.now_ns == before_ns
+        for r, va in zip(world.ranks, vas2):
+            assert r.task.read(va, 16 * n) == bytes(16 * n)
 
 
 class TestWorldConstruction:

@@ -65,7 +65,7 @@ class TestPersistentRequests:
         precv.free()
         # Pins released after free: pages become evictable.
         frame = r1.task.physical_pages(bufs[1], 1)[0]
-        r1.endpoints[0].cache.flush()
+        r1.endpoints[0].cache.shed(None)
         assert r1.machine.kernel.pagemap.table.pin_counts[frame] == 0
 
     def test_double_start_rejected(self, world, bufs):

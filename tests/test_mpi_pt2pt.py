@@ -62,11 +62,11 @@ class TestEager:
         r0, r1 = world.rank(0), world.rank(1)
         r0.task.write(bufs[0], b"early bird")
         r0.isend(1, 21, bufs[0], 10)
-        assert r1.unexpected_count >= 1
+        assert len(r1._unexpected) >= 1
         st = r1.recv(0, 21, bufs[1], 64)
         assert st.nbytes == 10
         assert r1.task.read(bufs[1], 10) == b"early bird"
-        assert r1.unexpected_count == 0
+        assert len(r1._unexpected) == 0
 
     def test_ordering_within_pair_and_tag(self, world, bufs):
         r0, r1 = world.rank(0), world.rank(1)
@@ -108,7 +108,7 @@ class TestRendezvous:
         r0.task.write(bufs[0], data)
         req = r0.isend(1, 51, bufs[0], len(data))
         assert not req.done                  # waiting for the grant
-        assert r1.unexpected_count >= 1
+        assert len(r1._unexpected) >= 1
         r1.recv(0, 51, bufs[1], len(data))
         assert req.done
         assert r1.task.read(bufs[1], len(data)) == data

@@ -65,7 +65,7 @@ def test_matching_agrees_with_reference(sc):
     sends, recvs = sc
     world, bufs = get_world()
     r1 = world.rank(1)
-    assert r1.unexpected_count == 0 and r1.posted_count == 0
+    assert len(r1._unexpected) == 0 and len(r1._posted) == 0
 
     base = _COUNTER[0] * 16
     _COUNTER[0] += 1
@@ -98,6 +98,6 @@ def test_matching_agrees_with_reference(sc):
         matched_any = True
 
     # Drain leftovers so the shared world stays clean.
-    while r1.unexpected_count:
+    while len(r1._unexpected):
         r1.recv(ANY_SOURCE, ANY_TAG, bufs[1], 64 * PAGE_SIZE)
-    assert r1.posted_count == 0
+    assert len(r1._posted) == 0

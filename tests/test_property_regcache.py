@@ -61,7 +61,7 @@ class RegCacheOps(RuleBasedStateMachine):
 
     @rule()
     def flush_unused(self) -> None:
-        self.cache.flush()
+        self.cache.shed(None)
 
     # -- invariants ------------------------------------------------------------
 

@@ -187,7 +187,7 @@ class TestReaperUnderSwapPressure:
         task.touch_pages(va, 1)
         frame = task.page_table.lookup(va // PAGE_SIZE).frame
         m.kernel.pagemap.get_page(frame)    # a leaked driver reference
-        m.kernel.apply_pressure()
+        paging.try_to_free_pages(m.kernel, m.kernel.pagemap.free_count + 1)
         assert m.kernel.pagemap.table.tags[frame] == "orphan"
         assert m.kernel.pagemap.table.counts[frame] == 1
         report = OrphanReaper(m.kernel, agents=[m.agent]).scan()

@@ -35,18 +35,16 @@ class TestTrace:
         clock, t = make()
         clock.charge(42)
         t.emit("swap_out", frame=7)
-        ev = t.last("swap_out")
-        assert ev is not None
+        ev = t.of_kind("swap_out")[-1]
         assert ev.ts_ns == 42
         assert ev["frame"] == 7
 
-    def test_of_kind_and_where(self):
+    def test_of_kind(self):
         _, t = make()
         t.emit("k", v=1)
         t.emit("k", v=2)
         t.emit("other")
         assert [e["v"] for e in t.of_kind("k")] == [1, 2]
-        assert len(t.where(lambda e: e.detail.get("v") == 2)) == 1
 
     def test_ring_eviction_keeps_counts(self):
         _, t = make()
@@ -54,10 +52,6 @@ class TestTrace:
             t.emit("x", i=i)
         assert len(t) == 8            # ring evicted
         assert t.count("x") == 20     # counter did not
-
-    def test_last_returns_none_when_absent(self):
-        _, t = make()
-        assert t.last("nope") is None
 
     def test_clear(self):
         _, t = make()
@@ -93,14 +87,6 @@ class TestEvictionVisibility:
             warnings.simplefilter("error")   # second query: no re-warn
             t.of_kind("x")
 
-    def test_last_also_checks_eviction(self):
-        _, t = make()
-        for i in range(20):
-            t.emit("x", i=i)
-        with pytest.warns(TraceEvictionWarning):
-            ev = t.last("x")
-        assert ev is not None and ev["i"] == 19
-
     def test_strict_mode_raises_instead_of_warning(self):
         clock = SimClock()
         t = Trace(clock, maxlen=4, strict=True)
@@ -108,8 +94,6 @@ class TestEvictionVisibility:
             t.emit("x", i=i)
         with pytest.raises(TraceEvicted):
             t.of_kind("x")
-        with pytest.raises(TraceEvicted):
-            t.last("x")
         # Unevicted kinds stay queryable.
         t.emit("y")
         assert t.of_kind("y")
@@ -144,7 +128,7 @@ class TestDetailSnapshot:
         detail_frames = [1, 2, 3]
         t.emit("swap", frames=detail_frames, pid=9)
         detail_frames.append(4)
-        ev = t.last("swap")
+        ev = t.of_kind("swap")[-1]
         assert ev["frames"] == [1, 2, 3]
 
     def test_set_and_dict_values_are_copied(self):
@@ -154,7 +138,7 @@ class TestDetailSnapshot:
         t.emit("pin", pins=pins, owners=owners)
         pins.add(12)
         owners["b"] = 2
-        ev = t.last("pin")
+        ev = t.of_kind("pin")[-1]
         assert ev["pins"] == {10, 11}
         assert ev["owners"] == {"a": 1}
 
@@ -162,7 +146,7 @@ class TestDetailSnapshot:
         _, t = make()
         marker = object()
         t.emit("k", n=3, s="x", o=marker)
-        ev = t.last("k")
+        ev = t.of_kind("k")[-1]
         assert ev["n"] == 3 and ev["s"] == "x" and ev["o"] is marker
 
 
@@ -203,9 +187,6 @@ class TestRawRecords:
         for kind in ("swap_out", "swap_skip", "dma", "pin", "none"):
             mine = [e for e in emitted if e.kind == kind]
             assert t.of_kind(kind) == mine
-            assert t.last(kind) == (mine[-1] if mine else None)
-        assert t.where(lambda e: e["frame"] < 8) == \
-            [e for e in emitted if e.detail["frame"] < 8]
         for got in t:
             assert type(got) is TraceEvent
 
@@ -222,8 +203,6 @@ class TestRawRecords:
         for kind in evicted:
             with pytest.raises(TraceEvicted):
                 t.of_kind(kind)
-            with pytest.raises(TraceEvicted):
-                t.last(kind)
         t.emit("fresh", x=1)
         assert t.of_kind("fresh") == [TraceEvent(clock.now_ns, "fresh",
                                                  {"x": 1})]
@@ -234,7 +213,7 @@ class TestRawRecords:
         t.emit("k", **detail)
         detail["frame"] = 4
         detail["frames"].append(2)
-        assert t.last("k").detail == {"frame": 3, "frames": [1]}
+        assert t.of_kind("k")[-1].detail == {"frame": 3, "frames": [1]}
 
 
 class TestReadCopies:
@@ -244,17 +223,15 @@ class TestReadCopies:
     def test_mutating_a_read_event_leaves_the_ring_unchanged(self):
         _, t = make()
         t.emit("x", a=1, frames=[1, 2], pins={3}, owners={"p": 1})
-        for read in (lambda: t.of_kind("x")[0], lambda: t.last("x"),
-                     lambda: next(iter(t)),
-                     lambda: t.where(lambda e: True)[0]):
+        for read in (lambda: t.of_kind("x")[0], lambda: next(iter(t))):
             e = read()
             e.detail["a"] = 5
             e.detail["frames"].append(9)
             e.detail["pins"].add(9)
             e.detail["owners"]["q"] = 2
             e.detail["extra"] = True
-        assert t.last("x").detail == {"a": 1, "frames": [1, 2],
-                                      "pins": {3}, "owners": {"p": 1}}
+        assert t.of_kind("x")[-1].detail == {
+            "a": 1, "frames": [1, 2], "pins": {3}, "owners": {"p": 1}}
 
     def test_each_read_gets_its_own_dict(self):
         _, t = make()
@@ -337,8 +314,8 @@ class TestFlatRecords:
         assert len(t) == 0 and t.count("swap_out") == 0
         assert t.dropped_count("swap_out") == 0
         _reclaim_mix(t, clock, 3)
-        assert t.last("swap_out")["actor"] == "reclaim"
-        assert t.last("swap_in").detail == {
+        assert t.of_kind("swap_out")[-1]["actor"] == "reclaim"
+        assert t.of_kind("swap_in")[-1].detail == {
             "pid": 101, "vpn": 0x40001, "frame": 1_001, "slot": 50_001}
 
     def test_table_counter_equals_its_tally_after_eviction(self):

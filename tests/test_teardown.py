@@ -15,6 +15,7 @@ from repro.errors import (
     ViaError,
 )
 from repro.hw.physmem import PAGE_SIZE
+from repro.kernel import paging
 from repro.via.constants import VIP_ERROR_CONN_LOST, ViState
 from repro.via.locking.refcount import RefcountLocking
 from repro.via.machine import Cluster, Machine
@@ -269,7 +270,8 @@ class TestInvariantWatchdog:
         task, _, _, _ = _registered_task(m, npages=4)
         wd = InvariantWatchdog(interval_ns=10**15).arm(m)
         with pytest.raises(InvariantViolation) as exc_info:
-            m.kernel.apply_pressure()
+            paging.try_to_free_pages(m.kernel,
+                                     m.kernel.pagemap.free_count + 1)
             wd.check()
         exc = exc_info.value
         assert exc.kind == "stale_tpt"

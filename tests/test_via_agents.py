@@ -177,46 +177,3 @@ class TestUserAgentHelpers:
         reg = ua.register_mem(va, 2 * PAGE_SIZE)
         seg = ua.segment(reg, va + 100, 50)
         assert (seg.va, seg.length) == (va + 100, 50)
-
-    def test_vipl_aliases_exist(self, ua):
-        assert ua.VipRegisterMem == ua.register_mem
-        assert ua.VipPostSend == ua.post_send
-
-    def test_wait_mode_costs_more_than_polling(self):
-        """The MPI/Pro-vs-ScaMPI completion-mode tradeoff: blocking wait
-        charges a kernel trap + reschedule on top of the poll."""
-        from repro.hw.physmem import PAGE_SIZE
-        from repro.via.descriptor import Descriptor
-        from tests.pairs import connected_pair
-        cluster, ua_s, ua_r, vi_s, vi_r = connected_pair("kiobuf")
-        rva = ua_r.task.mmap(1)
-        rreg = ua_r.register_mem(rva, PAGE_SIZE)
-        sva = ua_s.task.mmap(1)
-        sreg = ua_s.register_mem(sva, PAGE_SIZE)
-        costs = cluster[0].kernel.costs
-
-        ua_r.post_recv(vi_r, Descriptor.recv([ua_r.segment(rreg)]))
-        ua_s.send_bytes(vi_s, sreg, b"a")
-        with cluster.clock.measure() as poll_span:
-            ua_r.recv_done(vi_r)
-
-        ua_r.post_recv(vi_r, Descriptor.recv([ua_r.segment(rreg)]))
-        ua_s.send_bytes(vi_s, sreg, b"b")
-        with cluster.clock.measure() as wait_span:
-            ua_r.recv_wait(vi_r)
-
-        extra = wait_span.elapsed_ns - poll_span.elapsed_ns
-        assert extra == costs.syscall_ns + costs.reschedule_ns
-
-    def test_send_wait_returns_completed_descriptor(self):
-        from repro.hw.physmem import PAGE_SIZE
-        from repro.via.descriptor import Descriptor
-        from tests.pairs import connected_pair
-        cluster, ua_s, ua_r, vi_s, vi_r = connected_pair("kiobuf")
-        rva = ua_r.task.mmap(1)
-        rreg = ua_r.register_mem(rva, PAGE_SIZE)
-        ua_r.post_recv(vi_r, Descriptor.recv([ua_r.segment(rreg)]))
-        sva = ua_s.task.mmap(1)
-        sreg = ua_s.register_mem(sva, PAGE_SIZE)
-        desc = ua_s.send_bytes(vi_s, sreg, b"x")
-        assert ua_s.send_wait(vi_s) is desc

@@ -14,6 +14,11 @@ from repro.via.locking import BACKENDS, make_backend
 from repro.via.locking.vma_mlock import MlockLocking
 
 
+def _locked_pages(task) -> int:
+    """Pages inside the task's VM_LOCKED areas."""
+    return sum(area.npages for area in task.vmas if area.locked)
+
+
 @pytest.fixture
 def setup(kernel):
     t = kernel.create_task(name="app")
@@ -39,24 +44,24 @@ class TestRegistry:
 
     def test_capability_matrix(self):
         """The capability matrix the paper's abstract summarises."""
-        caps = {n: make_backend(n).describe() for n in BACKENDS}
-        assert not caps["refcount"]["reliable"]
-        assert caps["refcount"]["supports_multiple_registration"]
-        assert caps["pageflags"]["reliable"]
-        assert not caps["pageflags"]["supports_multiple_registration"]
-        assert caps["mlock_naive"]["reliable"]
-        assert not caps["mlock_naive"]["supports_multiple_registration"]
-        assert caps["mlock"]["reliable"]
-        assert caps["mlock"]["supports_multiple_registration"]
-        assert caps["kiobuf"]["reliable"]
-        assert caps["kiobuf"]["supports_multiple_registration"]
-        assert caps["odp"]["reliable"]          # reliable by repair
-        assert caps["odp"]["supports_multiple_registration"]
+        caps = {n: make_backend(n) for n in BACKENDS}
+        assert not caps["refcount"].reliable
+        assert caps["refcount"].supports_multiple_registration
+        assert caps["pageflags"].reliable
+        assert not caps["pageflags"].supports_multiple_registration
+        assert caps["mlock_naive"].reliable
+        assert not caps["mlock_naive"].supports_multiple_registration
+        assert caps["mlock"].reliable
+        assert caps["mlock"].supports_multiple_registration
+        assert caps["kiobuf"].reliable
+        assert caps["kiobuf"].supports_multiple_registration
+        assert caps["odp"].reliable          # reliable by repair
+        assert caps["odp"].supports_multiple_registration
         # only kiobuf and odp keep the driver out of the page tables
-        assert not caps["kiobuf"]["walks_page_tables"]
-        assert not caps["odp"]["walks_page_tables"]
+        assert not caps["kiobuf"].walks_page_tables
+        assert not caps["odp"].walks_page_tables
         for name in ("refcount", "pageflags", "mlock", "mlock_naive"):
-            assert caps[name]["walks_page_tables"]
+            assert caps[name].walks_page_tables
 
 
 #: The backends that pin (and therefore resolve frames) at lock time.
@@ -95,7 +100,7 @@ class TestAllBackendsCommon:
             assert table.counts[frame] == 1            # only the mapping
             assert table.pin_counts[frame] == 0
             assert not table.flags[frame] & (PG_LOCKED | PG_RESERVED)
-        assert t.vmas.locked_pages() == 0
+        assert _locked_pages(t) == 0
 
     @pytest.mark.parametrize("name", sorted(BACKENDS))
     def test_partial_bytes_cover_whole_pages(self, setup, name):
@@ -190,7 +195,7 @@ class TestMlockBackends:
         r1 = be.lock(kernel, t, va, 4 * PAGE_SIZE)
         r2 = be.lock(kernel, t, va, 4 * PAGE_SIZE)
         be.unlock(kernel, r1.cookie)
-        assert t.vmas.locked_pages() == 0     # r2's protection is gone
+        assert _locked_pages(t) == 0     # r2's protection is gone
         pressure(kernel)
         t.touch_pages(va, 4)
         assert t.physical_pages(va, 4) != r2.frames
@@ -201,11 +206,11 @@ class TestMlockBackends:
         r1 = be.lock(kernel, t, va, 4 * PAGE_SIZE)
         r2 = be.lock(kernel, t, va, 4 * PAGE_SIZE)
         be.unlock(kernel, r1.cookie)
-        assert t.vmas.locked_pages() == 4     # still locked for r2
+        assert _locked_pages(t) == 4     # still locked for r2
         pressure(kernel)
         assert t.physical_pages(va, 4) == r2.frames
         be.unlock(kernel, r2.cookie)
-        assert t.vmas.locked_pages() == 0
+        assert _locked_pages(t) == 0
 
     def test_tracked_partial_overlap(self, setup):
         """Overlapping but non-identical ranges release correctly."""
@@ -216,12 +221,11 @@ class TestMlockBackends:
                      4 * PAGE_SIZE)                            # pages 2-5
         be.unlock(kernel, r1.cookie)
         # pages 2-5 must stay locked; 0-1 released
-        assert t.vmas.locked_pages() == 4
         base_vpn = t.vpn_of(va)
-        assert be.lock_count(t.pid, base_vpn) == 0
-        assert be.lock_count(t.pid, base_vpn + 2) == 1
+        assert [(a.start_vpn - base_vpn, a.end_vpn - base_vpn)
+                for a in t.vmas if a.locked] == [(2, 6)]
         be.unlock(kernel, r2.cookie)
-        assert t.vmas.locked_pages() == 0
+        assert _locked_pages(t) == 0
         del r2
 
     def test_cap_dance_leaves_capabilities_clean(self, setup):
@@ -239,9 +243,8 @@ class TestKiobufBackend:
         res = be.lock(kernel, t, va, 8 * PAGE_SIZE)
         pressure(kernel)
         assert t.physical_pages(va, 8) == res.frames
-        assert kernel.trace.where(
-            lambda e: e.kind == "swap_skip"
-            and e.detail.get("reason") == "pinned")
+        assert any(e["reason"] == "pinned"
+                   for e in kernel.trace.of_kind("swap_skip"))
 
     def test_multiple_registrations_nest(self, setup):
         kernel, t, va = setup

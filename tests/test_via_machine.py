@@ -1,5 +1,7 @@
 """Tests for the Machine/Cluster facades and connected_pair helper."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ViaConnectionError
@@ -31,7 +33,7 @@ class TestMachine:
         assert ua.nic is m.nic
 
     def test_custom_cost_model_propagates(self):
-        costs = CostModel().scaled(syscall_ns=12345)
+        costs = replace(CostModel(), syscall_ns=12345)
         m = Machine(costs=costs)
         assert m.kernel.costs.syscall_ns == 12345
 

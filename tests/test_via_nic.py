@@ -85,7 +85,8 @@ class TestSendReceive:
         assert desc.status == VIP_ERROR_CONN_LOST
         assert vi_s.state == ViState.ERROR
         assert vi_r.state == ViState.ERROR
-        assert ua_r.nic.recv_drops == 1
+        assert [e["nic"] for e in cluster.trace.of_kind("via_recv_drop")] \
+            == [ua_r.nic.name]
 
     def test_send_without_recv_dropped_silently_unreliable(self):
         cluster, ua_s, ua_r, vi_s, vi_r = connected_pair(
@@ -95,7 +96,8 @@ class TestSendReceive:
         desc = ua_s.send_bytes(vi_s, sreg, b"gone")
         assert desc.status == VIP_SUCCESS     # fire-and-forget
         assert vi_s.state == ViState.CONNECTED
-        assert ua_r.nic.recv_drops == 1
+        assert [e["nic"] for e in cluster.trace.of_kind("via_recv_drop")] \
+            == [ua_r.nic.name]
 
     def test_undersized_recv_buffer_is_descriptor_error(self, pair):
         cluster, ua_s, ua_r, vi_s, vi_r = pair
@@ -170,7 +172,8 @@ class TestRDMA:
         assert desc.status == VIP_PROTECTION_ERROR
         assert vi_s.state == ViState.ERROR
         assert ua_r.task.read(rva, 4) == before   # no data transferred
-        assert ua_r.nic.protection_faults == 1
+        assert [e["nic"] for e in
+                cluster.trace.of_kind("via_rdma_protfault")] == [ua_r.nic.name]
 
     def test_rdma_read_without_enable_is_protection_error(self, pair):
         (cluster, ua_s, ua_r, vi_s, vi_r,
@@ -282,11 +285,6 @@ class TestConnectionManagement:
         assert vi_s.state == ViState.IDLE
         assert vi_r.state == ViState.ERROR
 
-    def test_destroy_connected_vi_rejected(self, pair):
-        cluster, ua_s, ua_r, vi_s, vi_r = pair
-        with pytest.raises(ViaConnectionError):
-            cluster[0].nic.destroy_vi(vi_s.vi_id)
-
     def test_loopback_connection(self):
         from repro.via.machine import Machine
         m = Machine()
@@ -342,11 +340,11 @@ class TestTranslationCacheLifecycle:
         cluster, ua_s, ua_r, vi_s, vi_r = pair
         sreg = self.warm(pair)
         tpt = ua_s.nic.tpt
-        assert tpt.cached_translations > 0
-        before = tpt.cached_translations
+        assert len(tpt._xcache) > 0
+        before = len(tpt._xcache)
         ua_s.deregister_mem(sreg)
         assert tpt.cache_invalidations >= 1
-        assert tpt.cached_translations < before
+        assert len(tpt._xcache) < before
         # nothing cached refers to the dead handle any more
         assert all(key[0] != sreg.handle for key in tpt._xcache)
 
@@ -354,9 +352,9 @@ class TestTranslationCacheLifecycle:
         cluster, ua_s, ua_r, vi_s, vi_r = pair
         self.warm(pair)
         tpt = ua_s.nic.tpt
-        assert tpt.cached_translations > 0
+        assert len(tpt._xcache) > 0
         ua_s.nic.reset()
-        assert tpt.cached_translations == 0
+        assert len(tpt._xcache) == 0
         # registrations themselves survive the reset (host-side state)
         assert tpt.entries_used > 0
 

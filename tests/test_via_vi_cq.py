@@ -27,7 +27,6 @@ class TestVirtualInterface:
     def test_initial_state(self):
         vi = VirtualInterface(1, owner_pid=10, prot_tag=0x100)
         assert vi.state == ViState.IDLE
-        assert not vi.connected
         assert vi.send_doorbell.owner_pid == 10
         assert vi.reliability == ReliabilityLevel.RELIABLE_DELIVERY
 
@@ -57,8 +56,7 @@ class TestVirtualInterface:
         d = Descriptor.recv([])
         vi.complete_recv(d)
         assert not vi.recv_done
-        comp = cq.poll()
-        assert comp == Completion(1, "recv", d)
+        assert cq.drain_batch() == [Completion(1, "recv", d)]
 
 
 class TestCompletionQueue:
@@ -68,9 +66,9 @@ class TestCompletionQueue:
         b = Completion(2, "recv", Descriptor.recv([]))
         cq.post(a)
         cq.post(b)
-        assert cq.poll() is a
-        assert cq.poll() is b
-        assert cq.poll() is None
+        first, second = cq.drain_batch()
+        assert first is a and second is b
+        assert cq.drain_batch() == []
 
     def test_overflow_drops_and_counts(self):
         cq = CompletionQueue(depth=1)

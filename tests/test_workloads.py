@@ -8,9 +8,10 @@ from repro.workloads.patterns import buffer_reuse_trace
 class TestMemoryHog:
     def test_grow_consumes_frames(self, kernel):
         hog = MemoryHog(kernel)
-        free0 = kernel.free_pages
+        free0 = kernel.pagemap.free_count
         hog.grow(16)
-        assert kernel.free_pages <= free0 - 16 + kernel.min_free_pages + 4
+        assert (kernel.pagemap.free_count
+                <= free0 - 16 + kernel.min_free_pages + 4)
         assert hog.pages_touched == 16
 
     def test_grow_beyond_ram_forces_swap(self, tiny_kernel):
@@ -20,10 +21,10 @@ class TestMemoryHog:
 
     def test_release_returns_memory(self, kernel):
         hog = MemoryHog(kernel)
-        free0 = kernel.free_pages
+        free0 = kernel.pagemap.free_count
         hog.grow(16)
         hog.release()
-        assert kernel.free_pages == free0
+        assert kernel.pagemap.free_count == free0
 
     def test_churn_retouches(self, tiny_kernel):
         hog = MemoryHog(tiny_kernel)
